@@ -1,61 +1,39 @@
-"""Numeric backend selection.
+"""Grid kernels: Gaussian-weighted Hermite tables and series accumulation.
 
-The compiled Cython kernels are used when the extension imported cleanly;
-otherwise the numpy fallback takes over with identical semantics.  Set
-``HEATSERIES_BACKEND=python`` to force the fallback (the benchmark and the
-parity tests do this).
+Within one total degree the series is a sum of rank-one products of table
+rows, so each degree block is accumulated as a single matrix product (a BLAS
+GEMM in dim 2, a GEMV in dim 1).  The accumulators update caller-allocated
+fields in place.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from . import _series_fallback as _py
-
-_impl = _py
-BACKEND_NAME = "python"
-
-if os.environ.get("HEATSERIES_BACKEND", "").lower() not in {"python", "fallback"}:
-    try:
-        from . import _series as _cy
-    except ImportError:
-        pass
-    else:
-        _impl = _cy
-        BACKEND_NAME = "cython"
 
 
 def weighted_hermite_table(y, nmax: int) -> np.ndarray:
     """Table T[n, i] = H_n(y[i]) * exp(-y[i]**2), n = 0..nmax."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     out = np.empty((nmax + 1, y.shape[0]), dtype=np.float64)
-    _impl.weighted_hermite_table(y, nmax, out)
+    out[0] = np.exp(-y * y)
+    if nmax >= 1:
+        out[1] = 2.0 * y * out[0]
+    for n in range(1, nmax):
+        out[n + 1] = 2.0 * y * out[n] - (2.0 * n) * out[n - 1]
     return out
 
 
 def accumulate_series_1d(out, table, degrees, coeffs) -> None:
-    _impl.accumulate_series_1d(
-        out,
-        table,
-        np.ascontiguousarray(degrees, dtype=np.longlong),
-        np.ascontiguousarray(coeffs, dtype=np.float64),
-    )
+    """out[i] += sum_m coeffs[m] * table[degrees[m], i]."""
+    out += np.asarray(coeffs, dtype=np.float64) @ table[degrees]
 
 
 def accumulate_series_2d(out, t1, t2, deg1, deg2, coeffs) -> None:
-    _impl.accumulate_series_2d(
-        out,
-        t1,
-        t2,
-        np.ascontiguousarray(deg1, dtype=np.longlong),
-        np.ascontiguousarray(deg2, dtype=np.longlong),
-        np.ascontiguousarray(coeffs, dtype=np.float64),
-    )
+    """out[i, j] += sum_m coeffs[m] * t1[deg1[m], i] * t2[deg2[m], j]."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    out += (t1[deg1] * c[:, None]).T @ t2[deg2]
 
 
 def max_abs_diff(a, b) -> float:
-    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
-    b = np.ascontiguousarray(b, dtype=np.float64).ravel()
-    return float(_impl.max_abs_diff(a, b))
+    """Largest absolute elementwise difference of two arrays."""
+    return float(np.max(np.abs(a - b)))

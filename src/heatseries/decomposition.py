@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError
 from .quadrature import integrate_interval, integrate_line
-from .specfun import hermite
+from .specfun import hermite, log_factorial
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,7 @@ def remainder(f: Callable[[float], float], alpha: int, x: float) -> float:
             break
         lo, hi = hi, 2.0 * hi
     sign = -1.0 if a % 2 else 1.0
-    return sign * (x**a / math.exp(_log_factorial(a))) * a * total
-
-
-def _log_factorial(n: int) -> float:
-    from .specfun import log_factorial
-
-    return log_factorial(n)
+    return sign * (x**a / math.exp(log_factorial(a))) * a * total
 
 
 def remainder_l1_norm(f: Callable[[float], float], alpha: int) -> float:

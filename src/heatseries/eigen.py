@@ -28,7 +28,8 @@ from .moments import (
     multi_indices_up_to,
 )
 from .quadrature import integrate_interval
-from .signedlog import ZERO, SignedLog, aligned_sum
+from .serial import f17, signedlog_rows_from_json, signedlog_rows_json
+from .signedlog import SignedLog, aligned_sum
 from .specfun import hermite_weighted_sequence, log_gamma
 
 _LOG_PI = math.log(math.pi)
@@ -86,33 +87,24 @@ class EigenCoeffs:
             ) from None
 
     def to_json(self) -> str:
-        from .serial import f17
-
-        rows = []
-        for a in multi_indices_up_to(self.k_max, self.dim):
-            c = self.entries[a]
-            comps = ",".join(str(v) for v in a.components)
-            rows.append(
-                '{"alpha":[%s],"sign":%d,"logmag":%s}'
-                % (comps, c.sign, f17(c.logmag if c.sign != 0 else 0.0))
-            )
+        rows = signedlog_rows_json(
+            (a.components, self.entries[a])
+            for a in multi_indices_up_to(self.k_max, self.dim)
+        )
         return '{"dim":%d,"kmax":%d,"t0_coeff":%s,"entries":[%s]}' % (
             self.dim,
             self.k_max,
             f17(self.t0_coeff),
-            ",".join(rows),
+            rows,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "EigenCoeffs":
         raw = json.loads(text)
-        entries = {}
-        for row in raw["entries"]:
-            a = MultiIndex(tuple(row["alpha"]))
-            sign = int(row["sign"])
-            entries[a] = (
-                ZERO if sign == 0 else SignedLog(sign, float(row["logmag"]))
-            )
+        entries = {
+            MultiIndex(alpha): value
+            for alpha, value in signedlog_rows_from_json(raw["entries"])
+        }
         return cls(
             dim=int(raw["dim"]),
             k_max=int(raw["kmax"]),

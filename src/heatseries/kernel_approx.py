@@ -7,8 +7,9 @@ The order-k approximation to the Cauchy solution with initial datum u0 is
         prod_i H_{alpha_i}(x_i / (2 sqrt(t)))
 
 with m_alpha the moments of u0.  Point evaluation keeps every term in
-SignedLog form and reduces by exponent alignment; grid evaluation goes
-through the selected numeric backend with per-term double coefficients.
+SignedLog form and reduces by exponent alignment; grid evaluation
+accumulates each degree block as one matrix product of Hermite tables with
+per-term double coefficients.
 """
 
 from __future__ import annotations
@@ -277,15 +278,15 @@ class SeriesGridEvaluator:
             comps, coeffs = block
             if self.dim == 1:
                 backend.accumulate_series_1d(
-                    self._field, self._tables[0], comps[:, 0].copy(), coeffs
+                    self._field, self._tables[0], comps[:, 0], coeffs
                 )
             else:
                 backend.accumulate_series_2d(
                     self._field,
                     self._tables[0],
                     self._tables[1],
-                    comps[:, 0].copy(),
-                    comps[:, 1].copy(),
+                    comps[:, 0],
+                    comps[:, 1],
                     coeffs,
                 )
         self._built = max(self._built, k)

@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
+from .serial import signedlog_rows_from_json, signedlog_rows_json
 from .signedlog import ZERO, SignedLog, aligned_sum
 from .specfun import log_factorial, log_gamma
 
@@ -376,31 +377,18 @@ class MomentTable:
         return multi_indices_up_to(self.k_max, self.dim)
 
     def to_json(self) -> str:
-        from .serial import f17
-
-        rows = []
-        for a in self.indices():
-            m = self.entries[a]
-            comps = ",".join(str(c) for c in a.components)
-            rows.append(
-                '{"alpha":[%s],"sign":%d,"logmag":%s}'
-                % (comps, m.sign, f17(m.logmag if m.sign != 0 else 0.0))
-            )
-        return (
-            '{"dim":%d,"kmax":%d,"entries":[%s]}'
-            % (self.dim, self.k_max, ",".join(rows))
+        rows = signedlog_rows_json(
+            (a.components, self.entries[a]) for a in self.indices()
         )
+        return '{"dim":%d,"kmax":%d,"entries":[%s]}' % (self.dim, self.k_max, rows)
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
         raw = json.loads(text)
-        entries = {}
-        for row in raw["entries"]:
-            a = MultiIndex(tuple(row["alpha"]))
-            sign = int(row["sign"])
-            entries[a] = (
-                ZERO if sign == 0 else SignedLog(sign, float(row["logmag"]))
-            )
+        entries = {
+            MultiIndex(alpha): value
+            for alpha, value in signedlog_rows_from_json(raw["entries"])
+        }
         return cls(dim=int(raw["dim"]), k_max=int(raw["kmax"]), entries=entries)
 
 

@@ -81,33 +81,23 @@ def hermite(n: int, x: float) -> float:
 
 def hermite_weighted(n: int, x: float) -> SignedLog:
     """H_n(x) * exp(-x^2) as a SignedLog, overflow-safe for any order
-    up to the recurrence cap.
+    up to the recurrence cap: the last entry of
+    :func:`hermite_weighted_sequence`.
+    """
+    _check_depth(n, "hermite_weighted")
+    return hermite_weighted_sequence(n, x)[-1]
+
+
+def hermite_weighted_sequence(n_max: int, x: float) -> list[SignedLog]:
+    """All of H_0(x) e^{-x^2} .. H_{n_max}(x) e^{-x^2} from one recurrence pass.
 
     The recurrence runs on values scaled by a running power of two, so the
     rescaling steps are exact and only the pair of multiply-adds per step
     rounds.
     """
-    _check_depth(n, "hermite_weighted")
+    _check_depth(n_max, "hermite_weighted_sequence")
     shift = -x * x  # log of the common scale carried outside the recurrence
     prev, cur = 0.0, 1.0  # scaled H_{-1}, H_0
-    for m in range(n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * m * prev
-        big = max(abs(prev), abs(cur))
-        if big > 1e250:
-            exp2 = math.frexp(big)[1]
-            prev = math.ldexp(prev, -exp2)
-            cur = math.ldexp(cur, -exp2)
-            shift += exp2 * math.log(2.0)
-    if cur == 0.0:
-        return ZERO
-    return SignedLog(1 if cur > 0.0 else -1, shift + math.log(abs(cur)))
-
-
-def hermite_weighted_sequence(n_max: int, x: float) -> list[SignedLog]:
-    """All of H_0(x) e^{-x^2} .. H_{n_max}(x) e^{-x^2} from one recurrence pass."""
-    _check_depth(n_max, "hermite_weighted_sequence")
-    shift = -x * x
-    prev, cur = 0.0, 1.0
     out = [_scaled_signedlog(cur, shift)]
     for m in range(n_max):
         prev, cur = cur, 2.0 * x * cur - 2.0 * m * prev

@@ -1,28 +1,25 @@
-"""Parity between the compiled kernels and the pure-python fallback."""
+"""Grid kernels against explicit per-term references."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from heatseries import backend, hermite_weighted
-from heatseries import _series_fallback as fallback
 
-try:
-    from heatseries import _series as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled extension not built"
-)
+EPS = np.finfo(np.float64).eps
 
 
-def test_backend_name_is_known():
-    assert backend.BACKEND_NAME in {"cython", "python"}
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff.
+
+    A sum of products with at most n roundings per term lies within
+    gamma_n * sum |term| of the exact sum whatever the order of the adds
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
+    so two such evaluations differ by at most twice that.
+    """
+    u = EPS / 2.0
+    return n * u / (1.0 - n * u)
 
 
 def test_hermite_table_matches_point_evaluator():
@@ -35,47 +32,55 @@ def test_hermite_table_matches_point_evaluator():
             assert math.isclose(table[n, i], want, rel_tol=1e-12, abs_tol=1e-280)
 
 
-@needs_compiled
-def test_hermite_table_parity():
-    ys = np.linspace(-6.0, 6.0, 101)
-    nmax = 60
-    a = np.empty((nmax + 1, ys.size))
-    b = np.empty((nmax + 1, ys.size))
-    compiled.weighted_hermite_table(ys, nmax, a)
-    fallback.weighted_hermite_table(ys, nmax, b)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
+def test_hermite_table_parity_is_exact():
+    ys = np.linspace(0.0, 6.0, 51)
+    pos = backend.weighted_hermite_table(ys, 60)
+    neg = backend.weighted_hermite_table(-ys, 60)
+    sign = np.where(np.arange(61) % 2, -1.0, 1.0)[:, None]
+    np.testing.assert_array_equal(neg, sign * pos)
 
 
-@needs_compiled
-def test_accumulate_1d_parity():
+def test_accumulate_1d_matches_per_term_loop():
     rng = np.random.default_rng(42)
     ys = np.linspace(-4.0, 4.0, 81)
     table = backend.weighted_hermite_table(ys, 30)
-    degrees = np.arange(0, 31, 2, dtype=np.longlong)
-    coeffs = rng.normal(size=degrees.size)
-    out_a = np.zeros(ys.size)
-    out_b = np.zeros(ys.size)
-    compiled.accumulate_series_1d(out_a, table, degrees, coeffs)
-    fallback.accumulate_series_1d(out_b, table, degrees, coeffs)
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-13, atol=1e-16)
-    assert np.any(out_a != 0.0)
+    degrees = np.arange(0, 31, dtype=np.int64)
+    # scaled so that every term is O(1), as in the series: unscaled,
+    # |H_30| ~ 1e20 would hide a dropped low-degree term below the floor
+    norms = np.sqrt([2.0**n * math.factorial(n) for n in degrees])
+    coeffs = rng.normal(size=degrees.size) / norms
+    start = rng.normal(size=ys.size)
+    want, mag = start.copy(), np.abs(start)
+    for d, c in zip(degrees, coeffs):
+        want += c * table[d]
+        mag += np.abs(c * table[d])
+    got = start.copy()
+    backend.accumulate_series_1d(got, table, degrees, coeffs)
+    # a term rounds in its product and in at most degrees.size adds
+    assert np.all(np.abs(got - want) <= 2.0 * gamma(degrees.size + 1) * mag)
+    assert np.any(got != start)
 
 
-@needs_compiled
-def test_accumulate_2d_parity():
+def test_accumulate_2d_matches_per_term_loop():
     rng = np.random.default_rng(7)
     a1 = np.linspace(-3.0, 3.0, 19)
     a2 = np.linspace(-2.0, 2.0, 17)
     t1 = backend.weighted_hermite_table(a1, 12)
     t2 = backend.weighted_hermite_table(a2, 12)
-    deg1 = np.array([0, 2, 4, 6, 1, 3], dtype=np.longlong)
-    deg2 = np.array([0, 2, 0, 4, 1, 5], dtype=np.longlong)
+    deg1 = np.array([0, 2, 4, 6, 1, 3], dtype=np.int64)
+    deg2 = np.array([0, 2, 0, 4, 1, 5], dtype=np.int64)
     coeffs = rng.normal(size=deg1.size)
-    out_a = np.zeros((a1.size, a2.size))
-    out_b = np.zeros((a1.size, a2.size))
-    compiled.accumulate_series_2d(out_a, t1, t2, deg1, deg2, coeffs)
-    fallback.accumulate_series_2d(out_b, t1, t2, deg1, deg2, coeffs)
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-13, atol=1e-16)
+    start = rng.normal(size=(a1.size, a2.size))
+    want, mag = start.copy(), np.abs(start)
+    for d1, d2, c in zip(deg1, deg2, coeffs):
+        term = np.multiply.outer(c * t1[d1], t2[d2])
+        want += term
+        mag += np.abs(term)
+    got = start.copy()
+    backend.accumulate_series_2d(got, t1, t2, deg1, deg2, coeffs)
+    # a term rounds in its two products and in at most deg1.size adds
+    assert np.all(np.abs(got - want) <= 2.0 * gamma(deg1.size + 2) * mag)
+    assert np.any(got != start)
 
 
 def test_max_abs_diff_against_numpy():
@@ -85,28 +90,3 @@ def test_max_abs_diff_against_numpy():
     got = backend.max_abs_diff(a, b)
     assert got == pytest.approx(float(np.max(np.abs(a - b))), rel=1e-15)
     assert backend.max_abs_diff(a, a) == 0.0
-
-
-def test_env_override_forces_fallback():
-    env = dict(os.environ, HEATSERIES_BACKEND="python")
-    out = subprocess.run(
-        [sys.executable, "-c", "from heatseries import backend; print(backend.BACKEND_NAME)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_default_import_prefers_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "HEATSERIES_BACKEND"}
-    out = subprocess.run(
-        [sys.executable, "-c", "from heatseries import backend; print(backend.BACKEND_NAME)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "cython"
