@@ -21,8 +21,11 @@ from .moments import (
     Gaussian,
     MomentTable,
     MultiIndex,
+    Radial,
     abs_moment,
     multi_indices_of_degree,
+    radial_abs_integral,
+    radial_abs_moment,
 )
 from .signedlog import SignedLog, aligned_sum
 from .specfun import log_gamma
@@ -75,9 +78,21 @@ def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
             "for absolute moments"
         )
     d, k = cfg.dim, cfg.k
+    src = table.source
+    radial_integral = None
+    if isinstance(src, Radial):
+        # one half-line integral serves every multi-index of degree k+1
+        radial_integral = radial_abs_integral(
+            src.profile, next(multi_indices_of_degree(k + 1, d))
+        )
     terms = []
     for a in multi_indices_of_degree(k + 1, d):
-        mom = abs_moment(table.source, a)
+        if radial_integral is None:
+            mom = abs_moment(src, a)
+        else:
+            mom = radial_abs_moment(
+                a, src.profile, d, _radial_integral=radial_integral
+            )
         weight = -0.5 * a.log_factorial() - math.fsum(
             math.log(c + 1.0) for c in a.components
         ) / 12.0

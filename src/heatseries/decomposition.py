@@ -26,9 +26,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DomainError
-from .quadrature import integrate_interval, integrate_line
+import numpy as np
+
+from .errors import DomainError, IntegrabilityError
+from .quadrature import integrate_line_rows, integrate_rows, on_array
 from .specfun import hermite, log_factorial
+
+
+#: Doubling shells of the s-integral before the remainder is declared
+#: divergent.
+S_DOUBLINGS = 60
+
+#: Shells of the s-integral evaluated together (a divisor of S_DOUBLINGS).
+S_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -42,61 +52,96 @@ class RemainderFunction:
         if self.alpha < 1:
             raise DomainError("remainder order must be >= 1")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return remainder(self.func, self.alpha, x)
 
 
-def remainder(f: Callable[[float], float], alpha: int, x: float) -> float:
-    """Evaluate F_alpha(x).
+def remainder(f: Callable[[float], float], alpha: int, x):
+    """Evaluate F_alpha at x, a float or an array of floats.
 
     The defining integral over t in (0, 1] is taken in the substituted
     variable s = 1/t, which moves the singular endpoint to infinity where
-    f's decay controls it; the s-integral is truncated adaptively by
-    doubling until the increment is negligible.
+    f's decay controls it; the s-integral is summed over doubling shells
+    [2^i, 2^{i+1}] until the newest shell is negligible, all points of x
+    together.  An s-integral still growing after S_DOUBLINGS shells raises
+    IntegrabilityError.
     """
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
-    if x == 0.0:
-        return 0.0
-    a = alpha
+    points = np.asarray(x, dtype=float)
+    flat = points.ravel()
+    out = np.zeros(flat.size)
+    nonzero = np.flatnonzero(flat)
+    if nonzero.size:
+        xs = flat[nonzero]
+        sign = -1.0 if alpha % 2 else 1.0
+        total = _s_integral(on_array(f), alpha, xs)
+        out[nonzero] = (
+            sign * (xs**alpha / math.exp(log_factorial(alpha))) * alpha * total
+        )
+    return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
+
+
+def _s_integral(f, a: int, xs: np.ndarray) -> np.ndarray:
+    """integral_1^inf (1 - 1/s)^{a-1} s^{a-1} f(x s) ds for every x in xs.
+
+    Shells are integrated S_BLOCK at a time, each shell its own row, then
+    added in order until the first negligible one; shells past it are
+    discarded, so the sum is the one a shell-by-shell loop would give.
+    """
     k = a - 1
-
-    def integrand(s: float) -> float:
-        return (1.0 - 1.0 / s) ** k * s ** (a - 1) * f(x * s)
-
-    total = 0.0
-    lo, hi = 1.0, 2.0
-    for _ in range(60):
-        piece = integrate_interval(integrand, lo, hi)
-        total += piece
-        if abs(piece) <= 1e-16 * abs(total) + 1e-300:
-            break
-        lo, hi = hi, 2.0 * hi
-    sign = -1.0 if a % 2 else 1.0
-    return sign * (x**a / math.exp(log_factorial(a))) * a * total
+    total = np.zeros(xs.size)
+    active = np.arange(xs.size)
+    shell_lo = 2.0 ** np.arange(S_BLOCK)
+    for first in range(0, S_DOUBLINGS, S_BLOCK):
+        x_of_row = np.repeat(xs[active], S_BLOCK)
+        lo = np.tile(2.0**first * shell_lo, active.size)
+        pieces = integrate_rows(
+            lambda rows, s: (1.0 - 1.0 / s) ** k * s ** (a - 1) * f(x_of_row[rows] * s),
+            np.arange(x_of_row.size),
+            lo,
+            2.0 * lo,
+            x_of_row.size,
+        ).reshape(active.size, S_BLOCK)
+        running = np.ones(active.size, dtype=bool)
+        for j in range(S_BLOCK):
+            open_ = np.flatnonzero(running)
+            rows = active[open_]
+            piece = pieces[open_, j]
+            total[rows] += piece
+            running[open_] = np.abs(piece) > 1e-16 * np.abs(total[rows]) + 1e-300
+        active = active[running]
+        if not active.size:
+            return total
+    raise IntegrabilityError(
+        f"remainder s-integral still above the cutoff after {S_DOUBLINGS} "
+        "doublings; f does not decay fast enough for this order"
+    )
 
 
 def remainder_l1_norm(f: Callable[[float], float], alpha: int) -> float:
     """||F_alpha||_1 by outer quadrature over x (the inner integral is the
-    remainder evaluation itself)."""
+    remainder evaluation itself, one batch per outer panel level)."""
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
-    return integrate_line(
-        lambda x: abs(remainder(f, alpha, x)), breakpoints=(0.0,)
+    value = integrate_line_rows(
+        lambda rows, x: np.abs(remainder(f, alpha, x)), [(0.0,)]
     )
+    return float(value[0])
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """A smooth test function with analytically supplied derivatives.
 
-    ``deriv(n, x)`` returns the n-th derivative; ``max_order`` bounds n.
+    ``deriv(n, x)`` returns the n-th derivative at x, a float or an array;
+    ``max_order`` bounds n.
     """
 
     deriv: Callable[[int, float], float]
     max_order: int
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return self.deriv(0, x)
 
 
@@ -107,10 +152,10 @@ def gaussian_test_function(a: float = 1.0, max_order: int = 12) -> TestFunction:
         raise DomainError("Gaussian test function needs a > 0")
     root = math.sqrt(a)
 
-    def deriv(n: int, x: float) -> float:
+    def deriv(n: int, x):
         y = root * x
         sign = -1.0 if n % 2 else 1.0
-        return sign * root**n * hermite(n, y) * math.exp(-y * y)
+        return sign * root**n * hermite(n, y) * np.exp(-y * y)
 
     return TestFunction(deriv=deriv, max_order=max_order)
 
@@ -128,7 +173,7 @@ def poly_gaussian_test_function(
     coeffs = tuple(float(c) for c in coeffs)
     gauss = gaussian_test_function(a, max_order)
 
-    def poly_deriv(m: int, x: float) -> float:
+    def poly_deriv(m: int, x):
         total = 0.0
         for power in range(m, len(coeffs)):
             fall = 1.0
@@ -137,7 +182,7 @@ def poly_gaussian_test_function(
             total += coeffs[power] * fall * x ** (power - m)
         return total
 
-    def deriv(n: int, x: float) -> float:
+    def deriv(n: int, x):
         total = 0.0
         binom = 1.0
         for m in range(n + 1):
@@ -159,22 +204,28 @@ def decomposition_residual(
     error when the decomposition holds.
 
     Every integral here is independent quadrature: moments, the f-phi
-    pairing, and the remainder pairing share no closed forms.
+    pairing, and the remainder pairing share no closed forms.  The pairing
+    <f, phi> (row 0) and the moments m_0..m_k (rows 1..k+1) are one batch.
     """
     if k < 0:
         raise DomainError("k must be >= 0")
     if phi.max_order < k + 1:
         raise DomainError("test function derivatives do not reach order k+1")
-    lhs = integrate_line(lambda x: f(x) * phi.deriv(0, x), breakpoints=breakpoints)
+    fa = on_array(f)
+
+    def against_f(rows, x):
+        fx = fa(x)
+        return np.where(rows == 0, phi.deriv(0, x), x ** np.maximum(rows - 1, 0)) * fx
+
+    lhs, *moments = integrate_line_rows(
+        against_f, [tuple(breakpoints)] * (k + 2)
+    )
     taylor = 0.0
-    for j in range(k + 1):
-        moment = integrate_line(
-            lambda x, j=j: x**j * f(x), breakpoints=breakpoints
-        )
+    for j, moment in enumerate(moments):
         taylor += moment * phi.deriv(j, 0.0) / math.factorial(j)
     pair_sign = -1.0 if (k + 1) % 2 else 1.0
-    pairing = pair_sign * integrate_line(
-        lambda x: remainder(f, k + 1, x) * phi.deriv(k + 1, x),
-        breakpoints=(0.0,),
-    )
-    return abs(lhs - taylor - pairing)
+    pairing = pair_sign * integrate_line_rows(
+        lambda rows, x: remainder(f, k + 1, x) * phi.deriv(k + 1, x),
+        [(0.0,)],
+    )[0]
+    return float(abs(lhs - taylor - pairing))

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
 from .serial import signedlog_rows_from_json, signedlog_rows_json
@@ -31,7 +33,12 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class Gaussian:
-    """u0(x) = amplitude * exp(-|x|^2 / (4 * width))."""
+    """u0(x) = amplitude * exp(-|x|^2 / (4 * width)).
+
+    Called on the radius r = |x|, a float or an array.
+    """
+
+    array_native = True
 
     amplitude: float
     width: float
@@ -45,8 +52,8 @@ class Gaussian:
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
 
-    def __call__(self, r: float) -> float:
-        return self.amplitude * math.exp(-r * r / (4.0 * self.width))
+    def __call__(self, r):
+        return self.amplitude * np.exp(-r * r / (4.0 * self.width))
 
 
 @dataclass(frozen=True)
@@ -284,15 +291,21 @@ def radial_abs_moment(
         raise DomainError("multi-index dimension does not match dim")
     j = a.degree
     if _radial_integral is None:
-        _radial_integral = _radial_power_integral(
-            lambda r: abs(profile(r)), j + dim - 1, a
-        )
+        _radial_integral = radial_abs_integral(profile, a)
     angular = (
         _LOG2
         + math.fsum(log_gamma((c + 1) / 2.0) for c in a.components)
         - log_gamma((j + dim) / 2.0)
     )
     return SignedLog(1, angular) * SignedLog.from_float(_radial_integral)
+
+
+def radial_abs_integral(profile: Callable[[float], float], alpha) -> float:
+    """integral_0^inf r^{|alpha|+d-1} |profile(r)| dr, the half-line factor
+    that radial_abs_moment shares across every multi-index of one degree
+    (``_radial_integral``)."""
+    a = MultiIndex.of(alpha)
+    return _radial_power_integral(lambda r: abs(profile(r)), a.degree + a.dim - 1, a)
 
 
 def _radial_power_integral(profile, power: int, alpha: MultiIndex) -> float:

@@ -13,14 +13,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from . import backend
 from .bounds import divergence_lower_bound, envelope_bound_G, error_bound_F
 from .errors import DomainError, UnsupportedVariantError
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator
 from .moments import Gaussian, Generic1D, MomentTable, Radial, datum_dim
-from .quadrature import integrate_halfline, integrate_line
+from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import f17, json_opt17, opt17
 
 CSV_HEADER = "k,sup_error,F_k,G_k,lb,ratio"
@@ -92,93 +91,107 @@ def _exact_gaussian_field(
 
 
 def convolve_oracle(u0, x, t: float) -> float:
-    """Solution by direct quadrature of kernel * datum; the independent
-    reference for everything else in this module.
+    """Solution at one point by direct quadrature of kernel * datum; the
+    independent reference for everything else in this module.
 
-    Generic1D integrates in the stretched variable u = (y - x)/(2 sqrt t),
-    which keeps the integrand well scaled down to very small times.  Radial
-    and Gaussian data in dim 2 and 3 reduce to half-line integrals against
-    the kernel's angular average (a scaled Bessel term in dim 2, a
-    reflection difference in dim 3).
+    ``x`` is a float or a sequence of coordinates.  This is the one-point
+    case of the batch the reference field uses, so a node's value does not
+    depend on whether it was computed alone or with the whole grid.
     """
     if t <= 0.0:
         raise DomainError("convolve_oracle requires t > 0")
+    coords = [float(x)] if np.isscalar(x) else [float(c) for c in x]
+    return float(_oracle(u0, np.array([coords]), t)[0])
+
+
+def _oracle(u0, points: np.ndarray, t: float) -> np.ndarray:
+    """Solution at each line of ``points`` by quadrature.
+
+    Generic1D and dim-1 Gaussian data integrate in the stretched variable
+    u = (y - x)/(2 sqrt t), which keeps the integrand well scaled down to
+    very small times; every point is one row of a line quadrature.  Radial
+    and Gaussian data in dim 2 and 3 reduce to half-line integrals against
+    the kernel's angular average (a scaled Bessel term in dim 2, a
+    reflection difference in dim 3), one row per distinct radius.
+    """
     d = datum_dim(u0)
-    if isinstance(u0, Generic1D):
-        x0 = float(x) if np.isscalar(x) else float(x[0])
+    if isinstance(u0, Generic1D) or (isinstance(u0, Gaussian) and d == 1):
+        x0 = points[:, 0]
         root = 2.0 * math.sqrt(t)
+        func = u0 if isinstance(u0, Gaussian) else on_array(u0.func)
+        datum_breaks = u0.breakpoints if isinstance(u0, Generic1D) else ()
         # breakpoints past |u| = 40 sit under a weight < e^{-1600} and only
         # stretch the initial panel until quadrature can miss the bump
         breakpoints = [
-            u
-            for b in u0.breakpoints
-            if abs(u := (b - x0) / root) <= 40.0
+            [u for b in datum_breaks if abs(u := (b - xi) / root) <= 40.0]
+            for xi in x0.tolist()
         ]
-        return (1.0 / math.sqrt(math.pi)) * integrate_line(
-            lambda u: math.exp(-u * u) * u0.func(x0 + root * u),
-            breakpoints=breakpoints,
+        return (1.0 / math.sqrt(math.pi)) * integrate_line_rows(
+            lambda rows, u: np.exp(-u * u) * func(x0[rows] + root * u),
+            breakpoints,
         )
-    if isinstance(u0, Gaussian) and d == 1:
-        x0 = float(x) if np.isscalar(x) else float(x[0])
-        root = 2.0 * math.sqrt(t)
-        return (1.0 / math.sqrt(math.pi)) * integrate_line(
-            lambda u: math.exp(-u * u) * u0(x0 + root * u)
+    if d not in (2, 3):
+        raise UnsupportedVariantError(
+            f"convolve_oracle supports dim 1 plus radial dim 2 and 3, got dim {d}"
         )
-    profile = u0 if isinstance(u0, Gaussian) else u0.profile
-    r = abs(float(x)) if np.isscalar(x) else math.sqrt(
-        math.fsum(float(c) ** 2 for c in x)
-    )
+    profile = u0 if isinstance(u0, Gaussian) else on_array(u0.profile)
+    squares = points[:, 0] * points[:, 0]
+    for axis in range(1, points.shape[1]):
+        squares = squares + points[:, axis] * points[:, axis]
+    radii, node_radius = np.unique(np.sqrt(squares), return_inverse=True)
+    return _radial_oracle(profile, d, radii, t)[node_radius.ravel()]
+
+
+def _radial_oracle(profile, d: int, radii: np.ndarray, t: float) -> np.ndarray:
     if d == 2:
-        def integrand(rho):
+        from scipy.special import i0e
+
+        def integrand(rows, rho):
+            r = radii[rows]
             gap = r - rho
             return (
                 profile(rho)
                 * rho
-                * math.exp(-gap * gap / (4.0 * t))
+                * np.exp(-gap * gap / (4.0 * t))
                 * i0e(r * rho / (2.0 * t))
             )
 
-        return integrate_halfline(integrand, breakpoints=(r,)) / (2.0 * t)
-    if d == 3:
-        if r < 1e-9:
-            value = integrate_halfline(
-                lambda rho: profile(rho)
-                * rho
-                * rho
-                * math.exp(-rho * rho / (4.0 * t))
-            )
-            return 4.0 * math.pi * (4.0 * math.pi * t) ** -1.5 * value
+        return integrate_halfline_rows(
+            integrand, [(r,) for r in radii.tolist()]
+        ) / (2.0 * t)
+    out = np.empty(radii.size)
+    origin = radii < 1e-9
+    if origin.any():
+        value = integrate_halfline_rows(
+            lambda rows, rho: profile(rho) * rho * rho * np.exp(-rho * rho / (4.0 * t)),
+            [()],
+        )[0]
+        out[origin] = 4.0 * math.pi * (4.0 * math.pi * t) ** -1.5 * value
+    away = radii[~origin]
 
-        def integrand(rho):
-            near = r - rho
-            far = r + rho
-            return (
-                profile(rho)
-                * rho
-                * (
-                    math.exp(-near * near / (4.0 * t))
-                    - math.exp(-far * far / (4.0 * t))
-                )
-            )
+    def integrand(rows, rho):
+        r = away[rows]
+        near = r - rho
+        far = r + rho
+        return (
+            profile(rho)
+            * rho
+            * (np.exp(-near * near / (4.0 * t)) - np.exp(-far * far / (4.0 * t)))
+        )
 
-        value = integrate_halfline(integrand, breakpoints=(r,))
-        return value / (r * math.sqrt(4.0 * math.pi * t))
-    raise UnsupportedVariantError(
-        f"convolve_oracle supports dim 1 plus radial dim 2 and 3, got dim {d}"
-    )
+    value = integrate_halfline_rows(integrand, [(r,) for r in away.tolist()])
+    out[~origin] = value / (away * math.sqrt(4.0 * math.pi * t))
+    return out
 
 
 def _reference_field(u0, axes, t: float) -> np.ndarray:
     if isinstance(u0, Gaussian):
         return _exact_gaussian_field(u0.amplitude, u0.width, axes, t)
-    # generic slow path: quadrature per node
     if len(axes) == 1:
-        return np.array([convolve_oracle(u0, xi, t) for xi in axes[0]])
-    out = np.empty((len(axes[0]), len(axes[1])))
-    for i, xi in enumerate(axes[0]):
-        for j, xj in enumerate(axes[1]):
-            out[i, j] = convolve_oracle(u0, (xi, xj), t)
-    return out
+        return _oracle(u0, axes[0][:, None], t)
+    grid = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in grid], axis=1)
+    return _oracle(u0, points, t).reshape(grid[0].shape)
 
 
 def _check_coverage(u0, grid: GridSpec, t: float) -> None:

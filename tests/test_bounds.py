@@ -12,6 +12,10 @@ from heatseries import (
     Gaussian,
     Generic1D,
     MomentTable,
+    Radial,
+    SignedLog,
+    abs_moment,
+    aligned_sum,
     backend,
     bonan_clark_bound,
     bonan_clark_log,
@@ -21,6 +25,8 @@ from heatseries import (
     envelope_bound_G,
     error_bound_F,
     fit_divergence_prefactor,
+    moments,
+    multi_indices_of_degree,
 )
 
 
@@ -221,3 +227,31 @@ def test_bound_report_generic_source_has_no_envelope():
     assert rep.G_k is None
     assert rep.divergence_lb is None
     assert rep.F_k.sign == 1
+
+
+# --- radial absolute moments: one half-line integral per call --------------
+
+@pytest.mark.parametrize("dim,k", [(2, 7), (2, 8), (3, 5)])
+def test_radial_F_shares_one_halfline_integral(monkeypatch, dim, k):
+    u0 = Radial(profile=lambda r: math.exp(-r * r / 4.0) * (1.0 - 0.3 * r), dim=dim)
+    table = build_moment_table(u0, k + 1)
+    cfg = ApproxConfig(dim=dim, k=k, t=1.7)
+    # the per-index path: every multi-index integrates on its own
+    terms = []
+    for a in multi_indices_of_degree(k + 1, dim):
+        weight = -0.5 * a.log_factorial() - math.fsum(
+            math.log(c + 1.0) for c in a.components
+        ) / 12.0
+        terms.append(abs_moment(u0, a) * SignedLog.from_log(weight))
+    want = SignedLog.from_log(
+        -0.5 * dim * math.log(2.0 * math.pi) - 0.5 * (k + dim + 1) * math.log(2.0 * cfg.t)
+    ) * aligned_sum(terms)
+
+    calls = []
+    original = moments.integrate_halfline
+    monkeypatch.setattr(
+        moments, "integrate_halfline", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    got = error_bound_F(table, cfg)
+    assert (got.sign, got.logmag) == (want.sign, want.logmag)  # bit for bit
+    assert len(calls) == 1

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heatseries
 import heatseries.cli as cli
 from heatseries import MomentTable
 from heatseries.reference import ErrorCurve, ErrorPoint
@@ -242,3 +247,17 @@ def test_version_flag(capsys):
     code = run("--version")
     assert code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the dim-2 radial oracle (i0e), imported on first use
+    src = Path(heatseries.__file__).resolve().parents[1]
+    code = (
+        "import sys, heatseries.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -8,12 +8,14 @@ moment bound ||F_a||_1 <= || x^a f ||_1 / a!.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from heatseries import (
     DomainError,
     Gaussian,
+    IntegrabilityError,
     RemainderFunction,
     build_moment_table,
     decomposition_residual,
@@ -171,3 +173,25 @@ def test_remainder_pairing_reproduces_truncation_error(k):
         breakpoints=(0.0,),
     )
     assert (u_exact - u_k) == pytest.approx(pairing, abs=1e-7)
+
+
+# --- batched remainder evaluation ----------------------------------------
+
+@pytest.mark.parametrize("alpha", [1, 2, 5])
+@pytest.mark.parametrize(
+    "f", [f_unit, Gaussian(amplitude=1.3, width=0.6, dim=1)], ids=["scalar", "gaussian"]
+)
+def test_remainder_on_array_equals_scalar_calls(f, alpha):
+    xs = np.array([[-3.1, -0.7, 0.0], [1e-3, 0.4, 9.0]])
+    got = remainder(f, alpha, xs)
+    assert got.shape == xs.shape
+    want = [[remainder(f, alpha, float(x)) for x in line] for line in xs]
+    assert got.tolist() == want  # bit for bit
+
+
+def test_remainder_raises_when_s_integral_diverges():
+    # f = 1/(1+x^2) at alpha = 2: the s-integrand behaves like 1/(x^2 s), so
+    # every doubling shell adds about ln(2)/x^2 and the integral diverges
+    # logarithmically; the shells run out instead of certifying a sum
+    with pytest.raises(IntegrabilityError):
+        remainder(lambda x: 1.0 / (1.0 + x * x), 2, 0.5)

@@ -19,6 +19,7 @@ from heatseries import (
     Gaussian,
     Generic1D,
     GridSpec,
+    Radial,
     backend,
     build_moment_table,
     convolve_oracle,
@@ -27,6 +28,7 @@ from heatseries import (
     exact_gaussian_solution,
     sup_error,
 )
+from heatseries.reference import _reference_field
 
 UNIT = Gaussian(amplitude=1.0, width=1.0, dim=1)
 
@@ -253,3 +255,23 @@ def test_kernel_slice_datum_converges_fast():
     sups = [p.sup_error for p in curve.points]
     assert sups[-1] < 1e-8
     assert sups[-1] < sups[0] * 1e-5
+
+
+# --- the batched reference field -----------------------------------------
+
+def test_radial_field_equals_per_node_oracle():
+    # 41^2 nodes share far fewer distinct radii; each node must still get
+    # exactly the value it gets alone
+    u0 = Radial(profile=lambda r: math.exp(-r * r / 4.0) * (1.0 + r), dim=2)
+    axes = GridSpec(dim=2, extent=6.0, points=41).axes()
+    field = _reference_field(u0, axes, 1.5)
+    for i, xi in enumerate(axes[0]):
+        for j, xj in enumerate(axes[1]):
+            assert field[i, j] == convolve_oracle(u0, (xi, xj), 1.5)  # bit for bit
+
+
+def test_generic_field_equals_per_node_oracle():
+    axis = GridSpec(dim=1, extent=9.0, points=201).axes()
+    field = _reference_field(INDICATOR, axis, 0.7)
+    for i, x in enumerate(axis[0]):
+        assert field[i] == convolve_oracle(INDICATOR, x, 0.7)  # bit for bit
