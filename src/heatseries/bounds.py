@@ -192,13 +192,19 @@ class BoundReport:
     lb_shape_only: bool = False
 
 
+def divergence_bound_applies(width: float, cfg: ApproxConfig) -> bool:
+    """Whether divergence_lower_bound is defined at cfg for datum width
+    ``width``: below the width, and past the dim-1 shape's first orders."""
+    return cfg.t < width and (cfg.dim >= 2 or cfg.k // 2 >= 2)
+
+
 def bound_report(table: MomentTable, cfg: ApproxConfig) -> BoundReport:
     """Assemble F plus whichever of G and the divergence bound apply."""
     report = BoundReport(k=cfg.k, F_k=error_bound_F(table, cfg))
     src = table.source
     if isinstance(src, Gaussian):
         report.G_k = envelope_bound_G(src.amplitude, src.width, cfg)
-        if cfg.t < src.width and (cfg.dim >= 2 or cfg.k // 2 >= 2):
+        if divergence_bound_applies(src.width, cfg):
             report.divergence_lb = divergence_lower_bound(
                 src.amplitude, src.width, cfg
             )

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import (
+    divergence_bound_applies,
     divergence_lower_bound,
-    envelope_bound_G,
     fit_divergence_prefactor,
 )
 from .decomposition import (
@@ -35,7 +35,9 @@ from .errors import HeatSeriesError
 from .kernel_approx import ApproxConfig, eval_uk
 from .moments import Gaussian, build_moment_table, gaussian_abs_moment
 from .reference import GridSpec, default_grid, error_curve, exact_gaussian_solution
-from .serial import f17, json_opt17, opt17
+from .serial import (
+    COEFF_COLUMNS, csv_text, f17, json_array, signedlog_rows, table_text,
+)
 from .specfun import log_factorial
 from .svg import line_plot
 
@@ -167,31 +169,13 @@ def cmd_divergence(args) -> None:
     for k in _ks(args):
         cfg = ApproxConfig(dim=args.dim, k=k, t=args.t)
         result = eval_uk(table, cfg, origin)
-        block = next(
-            (c for j, c in result.terms if j == k), 0.0
-        )
+        block = next((c for j, c in result.terms if j == k), 0.0)
         lb = None
-        if args.dim >= 2 or k // 2 >= 2:
-            lb = divergence_lower_bound(
-                args.amplitude, args.t0, cfg
-            ).to_float()
+        if divergence_bound_applies(args.t0, cfg):
+            lb = divergence_lower_bound(args.amplitude, args.t0, cfg).to_float()
         rows.append((k, result.value, abs(result.value), lb, block))
-    header = "k,uk0,abs_uk0,lb,block"
-    if args.format == "csv":
-        lines = [header]
-        for k, v, av, lb, block in rows:
-            lines.append(
-                ",".join((str(k), f17(v), f17(av), opt17(lb), f17(block)))
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        items = [
-            '{"k":%d,"uk0":%s,"abs_uk0":%s,"lb":%s,"block":%s}'
-            % (k, f17(v), f17(av), json_opt17(lb), f17(block))
-            for k, v, av, lb, block in rows
-        ]
-        text = "[" + ",".join(items) + "]\n"
-    _write(args.out, text)
+    columns = ("k", "uk0", "abs_uk0", "lb", "block")
+    _write(args.out, table_text(args.format, columns, rows))
     if args.plot:
         ks = [r[0] for r in rows]
         series = [("abs_uk0", ks, [r[2] for r in rows])]
@@ -260,29 +244,18 @@ def cmd_eigen_compare(args) -> None:
             args.dim,
         )
         sweep.append((t_point, math.isfinite(value)))
+    discrepancies = (("k", "discrepancy"), rows)
+    validity = (("t", "finite"), sweep)
     if args.format == "csv":
-        lines = ["k,discrepancy"]
-        for k, worst in rows:
-            lines.append("%d,%s" % (k, f17(worst)))
-        _write(args.out, "\n".join(lines) + "\n")
-        sweep_lines = ["t,finite"]
-        for t_point, finite in sweep:
-            sweep_lines.append("%s,%s" % (f17(t_point), "true" if finite else "false"))
-        sweep_path = Path(args.out)
-        sweep_path = sweep_path.with_name(sweep_path.stem + "-validity.csv")
-        _write(str(sweep_path), "\n".join(sweep_lines) + "\n")
+        out = Path(args.out)
+        _write(args.out, csv_text(*discrepancies))
+        _write(str(out.with_name(out.stem + "-validity.csv")), csv_text(*validity))
     else:
-        text = '{"discrepancies":[%s],"validity":[%s]}\n' % (
-            ",".join(
-                '{"k":%d,"discrepancy":%s}' % (k, f17(w)) for k, w in rows
-            ),
-            ",".join(
-                '{"t":%s,"finite":%s}'
-                % (f17(t_point), "true" if finite else "false")
-                for t_point, finite in sweep
-            ),
+        _write(
+            args.out,
+            '{"discrepancies":%s,"validity":%s}\n'
+            % (json_array(*discrepancies), json_array(*validity)),
         )
-        _write(args.out, text)
     if args.plot:
         ks = [k for k, _ in rows]
         _write(
@@ -343,23 +316,8 @@ def cmd_decomp_check(args) -> None:
                     ("residual", "width=%s,phi=%s,k=%d" % (f17(width), label, k),
                      residual, 1e-8, good)
                 )
-    if args.format == "csv":
-        lines = ["check,case,value,bound,ok"]
-        for check, case, value, bound, good in rows:
-            lines.append(
-                ",".join(
-                    (check, '"%s"' % case, f17(value), f17(bound),
-                     "true" if good else "false")
-                )
-            )
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        items = [
-            '{"check":"%s","case":"%s","value":%s,"bound":%s,"ok":%s}'
-            % (check, case, f17(value), f17(bound), "true" if good else "false")
-            for check, case, value, bound, good in rows
-        ]
-        _write(args.out, "[" + ",".join(items) + "]\n")
+    columns = ("check", "case", "value", "bound", "ok")
+    _write(args.out, table_text(args.format, columns, rows))
     if not ok:
         raise AssertionFailure("decomposition checks failed")
 
@@ -370,15 +328,10 @@ def cmd_moments(args) -> None:
     if args.format == "json":
         _write(args.out, table.to_json() + "\n")
     else:
-        lines = ["alpha,sign,logmag"]
-        for a in table.indices():
-            m = table.entries[a]
-            alpha_txt = " ".join(str(c) for c in a.components)
-            lines.append(
-                "%s,%d,%s"
-                % (alpha_txt, m.sign, f17(m.logmag if m.sign != 0 else 0.0))
-            )
-        _write(args.out, "\n".join(lines) + "\n")
+        rows = signedlog_rows(
+            (a.components, table.entries[a]) for a in table.indices()
+        )
+        _write(args.out, csv_text(COEFF_COLUMNS, rows))
 
 
 _COMMANDS = {

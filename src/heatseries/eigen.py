@@ -91,11 +91,8 @@ class EigenCoeffs:
             (a.components, self.entries[a])
             for a in multi_indices_up_to(self.k_max, self.dim)
         )
-        return '{"dim":%d,"kmax":%d,"t0_coeff":%s,"entries":[%s]}' % (
-            self.dim,
-            self.k_max,
-            f17(self.t0_coeff),
-            rows,
+        return '{"dim":%d,"kmax":%d,"t0_coeff":%s,"entries":%s}' % (
+            self.dim, self.k_max, f17(self.t0_coeff), rows
         )
 
     @classmethod

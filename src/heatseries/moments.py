@@ -393,7 +393,7 @@ class MomentTable:
         rows = signedlog_rows_json(
             (a.components, self.entries[a]) for a in self.indices()
         )
-        return '{"dim":%d,"kmax":%d,"entries":[%s]}' % (self.dim, self.k_max, rows)
+        return '{"dim":%d,"kmax":%d,"entries":%s}' % (self.dim, self.k_max, rows)
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":

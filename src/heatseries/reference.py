@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import backend
-from .bounds import divergence_lower_bound, envelope_bound_G, error_bound_F
+from .bounds import bound_report
 from .errors import DomainError, UnsupportedVariantError
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator
 from .moments import Gaussian, Generic1D, MomentTable, Radial, datum_dim
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
-from .serial import f17, json_opt17, opt17
-
-CSV_HEADER = "k,sup_error,F_k,G_k,lb,ratio"
+from .serial import csv_text, json_array
 
 
 @dataclass(frozen=True)
@@ -239,42 +237,19 @@ class ErrorPoint:
     ratio: float | None = None
 
 
+COLUMNS = tuple(f.name for f in fields(ErrorPoint))
+CSV_HEADER = ",".join(COLUMNS)
+
+
 @dataclass
 class ErrorCurve:
     points: list[ErrorPoint]
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for p in self.points:
-            lines.append(
-                ",".join(
-                    (
-                        str(p.k),
-                        f17(p.sup_error),
-                        f17(p.F_k),
-                        opt17(p.G_k),
-                        opt17(p.lb),
-                        opt17(p.ratio),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(COLUMNS, map(astuple, self.points))
 
     def to_json(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append(
-                '{"k":%d,"sup_error":%s,"F_k":%s,"G_k":%s,"lb":%s,"ratio":%s}'
-                % (
-                    p.k,
-                    f17(p.sup_error),
-                    f17(p.F_k),
-                    json_opt17(p.G_k),
-                    json_opt17(p.lb),
-                    json_opt17(p.ratio),
-                )
-            )
-        return "[" + ",".join(rows) + "]\n"
+        return json_array(COLUMNS, map(astuple, self.points)) + "\n"
 
 
 def error_curve(
@@ -302,27 +277,19 @@ def error_curve(
     axes = grid.axes()
     evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
     reference = _reference_field(u0, axes, t)
-    ks = list(range(0, k_max + 1, 2 if even_only else 1))
-    gaussian = isinstance(u0, Gaussian)
-    raw: list[tuple[int, float, float, float | None, float | None]] = []
-    for k in ks:
-        cfg = ApproxConfig(dim=dim, k=k, t=t)
+    points = []
+    for k in range(0, k_max + 1, 2 if even_only else 1):
         approx = evaluator.field_up_to(k)
         sup = backend.max_abs_diff(reference, approx)
-        f_k = error_bound_F(table, cfg).to_float()
-        g_k = None
-        lb = None
-        if gaussian:
-            g_k = envelope_bound_G(u0.amplitude, u0.width, cfg).to_float()
-            if t < u0.width and (dim >= 2 or k // 2 >= 2):
-                lb = divergence_lower_bound(u0.amplitude, u0.width, cfg).to_float()
-        raw.append((k, sup, f_k, g_k, lb))
-    points = []
-    for i, (k, sup, f_k, g_k, lb) in enumerate(raw):
-        ratio = None
-        if i + 1 < len(raw) and raw[i + 1][0] == k + 2 and sup > 0.0:
-            ratio = raw[i + 1][1] / sup
-        points.append(
-            ErrorPoint(k=k, sup_error=sup, F_k=f_k, G_k=g_k, lb=lb, ratio=ratio)
+        report = bound_report(table, ApproxConfig(dim=dim, k=k, t=t))
+        g_k, lb = (
+            None if bound is None else bound.to_float()
+            for bound in (report.G_k, report.divergence_lb)
         )
+        points.append(
+            ErrorPoint(k=k, sup_error=sup, F_k=report.F_k.to_float(), G_k=g_k, lb=lb)
+        )
+    for p, after in zip(points, points[1:]):
+        if after.k == p.k + 2 and p.sup_error > 0.0:
+            p.ratio = after.sup_error / p.sup_error
     return ErrorCurve(points=points)

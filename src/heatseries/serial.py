@@ -1,44 +1,119 @@
-"""Deterministic number formatting shared by the serializers, and the wire
-format of coefficient-table rows.
+"""The output format: every CSV and JSON table the package writes.
 
-Every float written to CSV or JSON goes through f17, which prints 17
-significant digits; that round-trips doubles exactly, so identical inputs
-produce byte-identical files.
+A table is a tuple of column names plus rows of plain values; csv_text
+writes a header line and one line per row, json_array one object per row
+with keys in column order.  A cell's text is set by its value's type:
+float -> f17 (17 significant digits, which round-trip doubles, so identical
+inputs give byte-identical files); int -> decimal; None -> empty in CSV,
+null in JSON; bool -> true/false; str -> JSON-quoted, and in CSV quoted
+only when it holds a comma, a quote or a line break; a tuple of ints (a
+multi-index) -> space-joined in CSV, an array in JSON.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import json
+import numbers
+from typing import Iterable, Iterator, Sequence
 
 from .signedlog import ZERO, SignedLog
+
+COEFF_COLUMNS = ("alpha", "sign", "logmag")
 
 
 def f17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def opt17(value) -> str:
-    """Empty string for None, f17 otherwise (CSV optional cells)."""
-    return "" if value is None else f17(value)
+def _csv_str(value: str) -> str:
+    if any(c in value for c in ',"\r\n'):
+        return '"%s"' % value.replace('"', '""')
+    return value
 
 
-def json_opt17(value) -> str:
-    """JSON literal: null for None, 17-digit number otherwise."""
-    return "null" if value is None else f17(value)
+_BOOL = {True: "true", False: "false"}.__getitem__
+
+# value type -> (CSV cell, JSON cell), indexed by _CSV and _JSON; the first
+# type that matches wins, so a bool is not written as an integer
+_CSV, _JSON = 0, 1
+_CELLS = {
+    bool: (_BOOL, _BOOL),
+    numbers.Integral: (str, str),
+    numbers.Real: (f17, f17),
+    type(None): (lambda _: "", lambda _: "null"),
+    str: (_csv_str, json.dumps),
+    tuple: (
+        lambda value: " ".join(map(str, value)),
+        lambda value: "[%s]" % ",".join(map(str, value)),
+    ),
+}
+
+# A column of floats alone or ints alone (bool is a type of its own) is
+# formatted by the row template itself ("%.17g" % value equals f17(value)),
+# without a call per cell.
+_INLINE = {float: "%.17g", int: "%d"}
 
 
-def signedlog_rows_json(rows: Iterable[tuple[tuple[int, ...], SignedLog]]) -> str:
-    """Comma-joined ``{"alpha","sign","logmag"}`` objects, one per
-    (multi-index components, value) pair; a zero writes logmag 0."""
-    return ",".join(
-        '{"alpha":[%s],"sign":%d,"logmag":%s}'
-        % (
-            ",".join(str(c) for c in comps),
-            value.sign,
-            f17(value.logmag if value.sign != 0 else 0.0),
-        )
-        for comps, value in rows
-    )
+def _columns(
+    side: int, names: Sequence[str], rows: Iterable[Sequence]
+) -> tuple[list[str], Iterator]:
+    """The %-spec of every column, and the rows of values that fill them."""
+    specs, columns = [], []
+    for column in zip(*rows, strict=True):
+        kinds = set(map(type, column))
+        spec = _INLINE.get(next(iter(kinds))) if len(kinds) == 1 else None
+        if spec is None:
+            formats = {kind: _cell(kind, side) for kind in kinds}
+            column = [formats[type(v)](v) for v in column]
+        specs.append(spec or "%s")
+        columns.append(column)
+    if columns and len(columns) != len(names):
+        raise ValueError(f"rows of {len(columns)} values for columns {names}")
+    return specs, zip(*columns)
+
+
+def _cell(kind: type, side: int):
+    for base, cells in _CELLS.items():
+        if issubclass(kind, base):
+            return cells[side]
+    raise TypeError(f"no cell format for {kind.__module__}.{kind.__qualname__}")
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Header line plus one line per row, each ending in a newline."""
+    specs, values = _columns(_CSV, columns, rows)
+    lines = [",".join(map(_csv_str, columns))]
+    lines.extend(map(",".join(specs).__mod__, values))
+    return "\n".join(lines) + "\n"
+
+
+def json_array(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """JSON array of one object per row, keys in column order."""
+    specs, values = _columns(_JSON, columns, rows)
+    keys = (json.dumps(c).replace("%", "%%") for c in columns)
+    template = "{%s}" % ",".join(map("%s:%s".__mod__, zip(keys, specs)))
+    return "[%s]" % ",".join(map(template.__mod__, values))
+
+
+def table_text(fmt: str, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A table file in ``fmt`` ("csv" or "json"), ending in a newline."""
+    if fmt == "csv":
+        return csv_text(columns, rows)
+    return json_array(columns, rows) + "\n"
+
+
+def signedlog_rows(pairs: Iterable[tuple[tuple[int, ...], SignedLog]]) -> list[tuple]:
+    """``COEFF_COLUMNS`` rows of (multi-index components, value) pairs; a
+    zero writes logmag 0."""
+    return [
+        (comps, value.sign, value.logmag if value.sign != 0 else 0.0)
+        for comps, value in pairs
+    ]
+
+
+def signedlog_rows_json(pairs: Iterable[tuple[tuple[int, ...], SignedLog]]) -> str:
+    """JSON array of the coefficient rows of ``pairs``."""
+    return json_array(COEFF_COLUMNS, signedlog_rows(pairs))
 
 
 def signedlog_rows_from_json(rows) -> Iterator[tuple[tuple[int, ...], SignedLog]]:

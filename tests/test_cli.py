@@ -1,5 +1,7 @@
 """End-to-end command-line checks, run in process via cli.main."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -190,6 +192,67 @@ def test_moments_csv(tmp_path):
     assert signs == [1, 0, 1, 0, 1]
     m4 = float(lines[5].split(",")[2])
     assert math.exp(m4) == pytest.approx(24.0 * math.sqrt(math.pi), rel=1e-12)
+
+
+# --- csv and json carry the same table ------------------------------------
+
+def assert_same_table(csv_text, objects):
+    """The CSV and the parsed JSON objects hold the same rows and cells;
+    numbers are compared after parsing."""
+    header, *lines = list(csv.reader(io.StringIO(csv_text)))
+    assert len(lines) == len(objects) > 0
+    for line, obj in zip(lines, objects):
+        assert list(obj) == header
+        for cell, value in zip(line, obj.values()):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, list):
+                assert cell == " ".join(map(str, value))
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == float(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("error-curve", "--t", "0.5", "--kmax", "8", "--all-k",
+         "--grid-points", "101"),
+        ("divergence", "--dim", "1", "--t", "0.5", "--kmax", "10"),
+        ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "10"),
+        ("decomp-check",),
+    ],
+)
+def test_csv_and_json_agree(argv, tmp_path):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run(*argv, "--out", str(csv_out)) == 0
+    assert run(*argv, "--format", "json", "--out", str(json_out)) == 0
+    assert_same_table(csv_out.read_text(), json.loads(json_out.read_text()))
+
+
+def test_eigen_compare_csv_and_json_agree(tmp_path):
+    argv = ("eigen-compare", "--dim", "1", "--kmax", "6")
+    assert run(*argv, "--out", str(tmp_path / "eig.csv")) == 0
+    json_out = tmp_path / "eig.json"
+    assert run(*argv, "--format", "json", "--out", str(json_out)) == 0
+    envelope = json.loads(json_out.read_text())
+    assert list(envelope) == ["discrepancies", "validity"]
+    assert_same_table((tmp_path / "eig.csv").read_text(), envelope["discrepancies"])
+    assert_same_table(
+        (tmp_path / "eig-validity.csv").read_text(), envelope["validity"]
+    )
+
+
+def test_moments_csv_and_json_agree(tmp_path):
+    argv = ("moments", "--dim", "2", "--kmax", "4")
+    assert run(*argv, "--out", str(tmp_path / "m.csv")) == 0
+    assert run(*argv, "--format", "json", "--out", str(tmp_path / "m.json")) == 0
+    table = json.loads((tmp_path / "m.json").read_text())
+    assert all(isinstance(row["alpha"], list) for row in table["entries"])
+    assert_same_table((tmp_path / "m.csv").read_text(), table["entries"])
 
 
 # --- exit codes and argument validation -----------------------------------
