@@ -35,9 +35,7 @@ from .errors import HeatSeriesError
 from .kernel_approx import ApproxConfig, eval_uk
 from .moments import Gaussian, build_moment_table, gaussian_abs_moment
 from .reference import GridSpec, default_grid, error_curve, exact_gaussian_solution
-from .serial import (
-    COEFF_COLUMNS, csv_text, f17, json_array, signedlog_rows, table_text,
-)
+from .serial import csv_text, f17, json_array, table_text
 from .specfun import log_factorial
 from .svg import line_plot
 
@@ -328,10 +326,7 @@ def cmd_moments(args) -> None:
     if args.format == "json":
         _write(args.out, table.to_json() + "\n")
     else:
-        rows = signedlog_rows(
-            (a.components, table.entries[a]) for a in table.indices()
-        )
-        _write(args.out, csv_text(COEFF_COLUMNS, rows))
+        _write(args.out, csv_text(table.COLUMNS, table.rows()))
 
 
 _COMMANDS = {

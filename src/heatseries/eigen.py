@@ -14,21 +14,12 @@ t^{d/2} u_k exactly, which eval_expansion is tested against.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .moments import (
-    InitialDatum,
-    MultiIndex,
-    build_moment_table,
-    datum_dim,
-    moments_at_time,
-    multi_indices_up_to,
-)
+from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .quadrature import integrate_interval
-from .serial import f17, signedlog_rows_from_json, signedlog_rows_json
 from .signedlog import SignedLog, aligned_sum
 from .specfun import hermite_weighted_sequence, log_gamma
 
@@ -68,46 +59,16 @@ def from_similarity(p: SimilarityPoint) -> tuple[tuple[float, ...], float]:
 
 
 @dataclass
-class EigenCoeffs:
+class EigenCoeffs(MomentTable):
     """Expansion coefficients a_alpha computed from the solution moments at
-    time ``t0_coeff`` (0 means the initial datum itself)."""
+    time ``t0_coeff`` (0 means the initial datum itself), held and written
+    as a moment table whose header also carries ``t0_coeff``."""
 
-    dim: int
-    k_max: int
-    t0_coeff: float
-    entries: dict[MultiIndex, SignedLog]
+    t0_coeff: float = 0.0
 
-    def coeff(self, alpha) -> SignedLog:
-        a = MultiIndex.of(alpha)
-        try:
-            return self.entries[a]
-        except KeyError:
-            raise DomainError(
-                f"multi-index {a.components} outside coefficient table"
-            ) from None
+    HEADER = MomentTable.HEADER + (("t0_coeff", "t0_coeff", float),)
 
-    def to_json(self) -> str:
-        rows = signedlog_rows_json(
-            (a.components, self.entries[a])
-            for a in multi_indices_up_to(self.k_max, self.dim)
-        )
-        return '{"dim":%d,"kmax":%d,"t0_coeff":%s,"entries":%s}' % (
-            self.dim, self.k_max, f17(self.t0_coeff), rows
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EigenCoeffs":
-        raw = json.loads(text)
-        entries = {
-            MultiIndex(alpha): value
-            for alpha, value in signedlog_rows_from_json(raw["entries"])
-        }
-        return cls(
-            dim=int(raw["dim"]),
-            k_max=int(raw["kmax"]),
-            t0_coeff=float(raw["t0_coeff"]),
-            entries=entries,
-        )
+    coeff = MomentTable.moment
 
 
 def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
@@ -119,17 +80,16 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     """
     if t0_coeff < 0.0:
         raise DomainError("t0_coeff must be >= 0")
-    d = datum_dim(u0)
+    d = u0.dim
     table = build_moment_table(u0, k_max)
     if t0_coeff > 0.0:
         table = moments_at_time(table, t0_coeff)
-    entries = {}
-    for a in multi_indices_up_to(k_max, d):
-        m = table.entries[a]
-        scale = SignedLog.from_log(
+    entries = {
+        a: m * SignedLog.from_log(
             -(a.degree + d) * _LOG2 - 0.5 * d * _LOG_PI - a.log_factorial()
         )
-        entries[a] = m * scale
+        for a, m in table.entries.items()
+    }
     return EigenCoeffs(dim=d, k_max=k_max, t0_coeff=t0_coeff, entries=entries)
 
 
@@ -145,8 +105,9 @@ def eval_expansion(coeffs: EigenCoeffs, p: SimilarityPoint, k: int) -> float:
         raise DomainError("truncation order exceeds coefficient table")
     weighted = [hermite_weighted_sequence(k, zi) for zi in p.z]
     terms = []
-    for a in multi_indices_up_to(k, coeffs.dim):
-        c = coeffs.entries[a]
+    for a, c in coeffs.entries.items():
+        if a.degree > k:
+            break
         if c.sign == 0:
             continue
         term = c * SignedLog.from_log(-0.5 * a.degree * p.tau)

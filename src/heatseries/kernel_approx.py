@@ -129,10 +129,9 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
     ]
     all_terms: list[SignedLog] = []
     by_degree: dict[int, list[SignedLog]] = {}
-    for a in table.indices():
+    for a, m in table.entries.items():
         if a.degree > cfg.k:
             break
-        m = table.entries[a]
         if m.sign == 0:
             continue
         term = m * SignedLog.from_log(_term_scale(a.degree, cfg) - a.log_factorial())
@@ -241,10 +240,9 @@ class SeriesGridEvaluator:
         # degree -> (per-axis index arrays, coefficient array)
         self._blocks: dict[int, tuple] = {}
         per_degree: dict[int, list] = {}
-        for a in table.indices():
+        for a, m in table.entries.items():
             if a.degree > self.k_cap:
                 break
-            m = table.entries[a]
             if m.sign == 0:
                 continue
             logmag = m.logmag + _term_scale(a.degree, cfg) - a.log_factorial()

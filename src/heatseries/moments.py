@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
-from .serial import signedlog_rows_from_json, signedlog_rows_json
+from .serial import json_array, json_cell
 from .signedlog import ZERO, SignedLog, aligned_sum
 from .specfun import log_factorial, log_gamma
 
@@ -81,10 +81,6 @@ class Generic1D:
 
 
 InitialDatum = Union[Gaussian, Radial, Generic1D]
-
-
-def datum_dim(u0: InitialDatum) -> int:
-    return u0.dim
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +364,47 @@ def abs_moment(u0: InitialDatum, alpha) -> SignedLog:
 
 @dataclass
 class MomentTable:
-    """Signed moments for every multi-index with degree <= k_max."""
+    """Signed moments for every multi-index with degree <= k_max.
+
+    ``entries`` holds exactly those multi-indices, each once, in the order
+    multi_indices_up_to yields them (degrees ascending, lexicographic
+    within a degree); the constructor raises DomainError otherwise, so a
+    consumer walks the entries and stops at the first degree above its
+    truncation order.
+    """
 
     dim: int
     k_max: int
     entries: dict[MultiIndex, SignedLog]
     source: InitialDatum | None = None
+
+    #: wire format: header fields (JSON key, attribute, type), then entry rows
+    HEADER: ClassVar[tuple] = (("dim", "dim", int), ("kmax", "k_max", int))
+    COLUMNS: ClassVar[tuple] = ("alpha", "sign", "logmag")
+
+    def __post_init__(self):
+        if self.dim < 1 or self.k_max < 0:
+            raise DomainError(f"table dim {self.dim} or k_max {self.k_max} below range")
+        previous = (-1,)
+        for a in self.entries:
+            here = (a.degree, a.components)
+            if not previous < here or a.degree > self.k_max or a.dim != self.dim:
+                raise DomainError(
+                    f"multi-index {a.components} out of place: a table of dim "
+                    f"{self.dim} holds every degree <= {self.k_max} once, degrees "
+                    "ascending, lexicographic within a degree"
+                )
+            previous = here
+        n = len(self.entries)
+        # a full table has more than min(k_max, dim) entries; testing that
+        # first keeps comb() cheap for a header with huge dim and kmax
+        if n <= min(self.k_max, self.dim) or n != math.comb(
+            self.k_max + self.dim, self.dim
+        ):
+            raise DomainError(
+                f"table of dim {self.dim}, k_max {self.k_max} misses multi-indices "
+                f"(it holds {n})"
+            )
 
     def moment(self, alpha) -> SignedLog:
         a = MultiIndex.of(alpha)
@@ -387,22 +418,61 @@ class MomentTable:
 
     def indices(self) -> Iterator[MultiIndex]:
         """Degrees ascending, lexicographic within a degree."""
-        return multi_indices_up_to(self.k_max, self.dim)
+        return iter(self.entries)
+
+    def rows(self) -> list[tuple]:
+        """One COLUMNS row per entry, in table order; a zero writes logmag 0."""
+        return [
+            (a.components, m.sign, m.logmag if m.sign != 0 else 0.0)
+            for a, m in self.entries.items()
+        ]
 
     def to_json(self) -> str:
-        rows = signedlog_rows_json(
-            (a.components, self.entries[a]) for a in self.indices()
+        header = "".join(
+            '"%s":%s,' % (key, json_cell(getattr(self, a))) for key, a, _ in self.HEADER
         )
-        return '{"dim":%d,"kmax":%d,"entries":%s}' % (self.dim, self.k_max, rows)
+        return '{%s"entries":%s}' % (header, json_array(self.COLUMNS, self.rows()))
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
-        raw = json.loads(text)
-        entries = {
-            MultiIndex(alpha): value
-            for alpha, value in signedlog_rows_from_json(raw["entries"])
-        }
-        return cls(dim=int(raw["dim"]), k_max=int(raw["kmax"]), entries=entries)
+        """Inverse of to_json; a malformed, partial or out-of-order table
+        raises DomainError."""
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise DomainError(f"table text is not JSON: {exc}") from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
+            raise DomainError('table JSON needs an object with an "entries" array')
+        header = {attr: _header_field(raw, key, kind) for key, attr, kind in cls.HEADER}
+        rows = raw["entries"]
+        entries = dict(map(_entry, rows))
+        if len(entries) != len(rows):
+            raise DomainError("table JSON repeats a multi-index")
+        return cls(**header, entries=entries)
+
+
+def _header_field(raw: dict, key: str, kind: type):
+    value = raw.get(key)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise DomainError(f"table JSON header {key!r} is not a valid {kind.__name__}")
+    return value
+
+
+def _entry(row) -> tuple[MultiIndex, SignedLog]:
+    """One wire row as (multi-index, value)."""
+    try:
+        alpha, sign, logmag = row["alpha"], row["sign"], row["logmag"]
+    except (KeyError, TypeError):
+        raise DomainError(f"table row {row!r} needs alpha, sign and logmag") from None
+    if not (isinstance(alpha, list) and all(type(c) is int for c in alpha)):
+        raise DomainError(f"table row alpha {alpha!r} is not a list of integers")
+    if type(sign) is not int or sign not in (-1, 0, 1):
+        raise DomainError(f"table row sign {sign!r} is not -1, 0 or 1")
+    if type(logmag) not in (int, float) or (sign != 0 and not math.isfinite(logmag)):
+        raise DomainError(f"table row logmag {logmag!r} is not a finite number")
+    return MultiIndex(tuple(alpha)), ZERO if sign == 0 else SignedLog(sign, float(logmag))
 
 
 def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
@@ -413,30 +483,23 @@ def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
     """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
-    d = datum_dim(u0)
-    entries: dict[MultiIndex, SignedLog] = {}
+    d = u0.dim
     if isinstance(u0, Gaussian):
-        for a in multi_indices_up_to(k_max, d):
-            entries[a] = gaussian_moment(a, u0.amplitude, u0.width)
+        def moment(a):
+            return gaussian_moment(a, u0.amplitude, u0.width)
     elif isinstance(u0, Radial):
-        radial_cache: dict[int, float] = {}
-        for a in multi_indices_up_to(k_max, d):
-            if not a.all_even:
-                entries[a] = ZERO
-                continue
-            j = a.degree
-            if j not in radial_cache:
-                radial_cache[j] = _radial_power_integral(
-                    u0.profile, j + d - 1, a
-                )
-            entries[a] = radial_moment(
-                a, u0.profile, d, _radial_integral=radial_cache[j]
-            )
+        radial: dict[int, float] = {}  # degree -> its shared half-line integral
+
+        def moment(a):
+            if a.all_even and a.degree not in radial:
+                radial[a.degree] = _radial_power_integral(u0.profile, a.degree + d - 1, a)
+            return radial_moment(a, u0.profile, d, _radial_integral=radial.get(a.degree))
     elif isinstance(u0, Generic1D):
-        for a in multi_indices_up_to(k_max, 1):
-            entries[a] = generic_moment_1d(a, u0.func, u0.breakpoints)
+        def moment(a):
+            return generic_moment_1d(a, u0.func, u0.breakpoints)
     else:
         raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
+    entries = {a: moment(a) for a in multi_indices_up_to(k_max, d)}
     return MomentTable(dim=d, k_max=k_max, entries=entries, source=u0)
 
 
@@ -450,18 +513,16 @@ def moments_at_time(table: MomentTable, t: float) -> MomentTable:
     """
     if t < 0.0:
         raise DomainError("moments_at_time requires t >= 0")
-    d = table.dim
-    polys: dict[MultiIndex, list[SignedLog]] = {}
-    for a in table.indices():
-        poly = [table.entries[a]]
+    polys: dict[tuple[int, ...], list[SignedLog]] = {}
+    for a, value in table.entries.items():
+        comps = a.components
+        poly = [value]
         # derivative contribution from each axis, two degrees down
-        sources = []
-        for i, c in enumerate(a.components):
-            if c >= 2:
-                lower = MultiIndex(
-                    a.components[:i] + (c - 2,) + a.components[i + 1 :]
-                )
-                sources.append((float(c * (c - 1)), polys[lower]))
+        sources = [
+            (float(c * (c - 1)), polys[comps[:i] + (c - 2,) + comps[i + 1 :]])
+            for i, c in enumerate(comps)
+            if c >= 2
+        ]
         if sources:
             depth = max(len(p) for _, p in sources)
             for m in range(depth):
@@ -473,12 +534,12 @@ def moments_at_time(table: MomentTable, t: float) -> MomentTable:
                 # integrate t^m -> t^{m+1} / (m+1)
                 coeff = aligned_sum(terms) * SignedLog.from_float(1.0 / (m + 1.0))
                 poly.append(coeff)
-        polys[a] = poly
+        polys[comps] = poly
     t_log = SignedLog.from_float(t)
     entries = {}
-    for a, poly in polys.items():
+    for a, poly in zip(table.entries, polys.values()):
         if t == 0.0:
             entries[a] = poly[0]
         else:
             entries[a] = aligned_sum(c * t_log**m for m, c in enumerate(poly))
-    return MomentTable(dim=d, k_max=table.k_max, entries=entries, source=None)
+    return MomentTable(dim=table.dim, k_max=table.k_max, entries=entries, source=None)

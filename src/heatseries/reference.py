@@ -18,7 +18,7 @@ from . import backend
 from .bounds import bound_report
 from .errors import DomainError, UnsupportedVariantError
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator
-from .moments import Gaussian, Generic1D, MomentTable, Radial, datum_dim
+from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import csv_text, json_array
 
@@ -112,7 +112,7 @@ def _oracle(u0, points: np.ndarray, t: float) -> np.ndarray:
     the kernel's angular average (a scaled Bessel term in dim 2, a
     reflection difference in dim 3), one row per distinct radius.
     """
-    d = datum_dim(u0)
+    d = u0.dim
     if isinstance(u0, Generic1D) or (isinstance(u0, Gaussian) and d == 1):
         x0 = points[:, 0]
         root = 2.0 * math.sqrt(t)
@@ -289,7 +289,9 @@ def error_curve(
         points.append(
             ErrorPoint(k=k, sup_error=sup, F_k=report.F_k.to_float(), G_k=g_k, lb=lb)
         )
-    for p, after in zip(points, points[1:]):
-        if after.k == p.k + 2 and p.sup_error > 0.0:
+    by_order = {p.k: p for p in points}
+    for p in points:
+        after = by_order.get(p.k + 2)
+        if after is not None and p.sup_error > 0.0:
             p.ratio = after.sup_error / p.sup_error
     return ErrorCurve(points=points)

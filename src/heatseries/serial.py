@@ -16,10 +16,6 @@ import json
 import numbers
 from typing import Iterable, Iterator, Sequence
 
-from .signedlog import ZERO, SignedLog
-
-COEFF_COLUMNS = ("alpha", "sign", "logmag")
-
 
 def f17(value: float) -> str:
     return format(float(value), ".17g")
@@ -79,6 +75,11 @@ def _cell(kind: type, side: int):
     raise TypeError(f"no cell format for {kind.__module__}.{kind.__qualname__}")
 
 
+def json_cell(value) -> str:
+    """The JSON text of one value, as json_array writes it in a cell."""
+    return _cell(type(value), _JSON)(value)
+
+
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Header line plus one line per row, each ending in a newline."""
     specs, values = _columns(_CSV, columns, rows)
@@ -100,25 +101,3 @@ def table_text(fmt: str, columns: Sequence[str], rows: Iterable[Sequence]) -> st
     if fmt == "csv":
         return csv_text(columns, rows)
     return json_array(columns, rows) + "\n"
-
-
-def signedlog_rows(pairs: Iterable[tuple[tuple[int, ...], SignedLog]]) -> list[tuple]:
-    """``COEFF_COLUMNS`` rows of (multi-index components, value) pairs; a
-    zero writes logmag 0."""
-    return [
-        (comps, value.sign, value.logmag if value.sign != 0 else 0.0)
-        for comps, value in pairs
-    ]
-
-
-def signedlog_rows_json(pairs: Iterable[tuple[tuple[int, ...], SignedLog]]) -> str:
-    """JSON array of the coefficient rows of ``pairs``."""
-    return json_array(COEFF_COLUMNS, signedlog_rows(pairs))
-
-
-def signedlog_rows_from_json(rows) -> Iterator[tuple[tuple[int, ...], SignedLog]]:
-    """Inverse of :func:`signedlog_rows_json` on the parsed row objects."""
-    for row in rows:
-        sign = int(row["sign"])
-        value = ZERO if sign == 0 else SignedLog(sign, float(row["logmag"]))
-        yield tuple(row["alpha"]), value

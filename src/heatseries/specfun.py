@@ -1,5 +1,6 @@
-"""Special-function kernel: Hermite and generalized Laguerre recurrences,
-log-Gamma, and the SignedLog scalar type they feed.
+"""Special-function kernel: Hermite and generalized Laguerre recurrences
+and log-Gamma; Gaussian-weighted Hermite values come back as SignedLog
+scalars (defined in signedlog).
 
 Everything here is evaluated through three-term recurrences or a Lanczos
 series; no series is truncated adaptively, so results are deterministic.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .signedlog import ONE, ZERO, SignedLog, aligned_sum  # noqa: F401  (re-export)
+from .signedlog import ZERO, SignedLog
 
 #: Hard cap on recurrence depth for the polynomial evaluators.
 RECURRENCE_DEPTH_CAP = 400

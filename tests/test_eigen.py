@@ -148,6 +148,9 @@ def test_expansion_equals_scaled_truncation(dim, t):
     k = 30
     coeffs = eigen_coeffs(u0, 0.0, k)
     table = build_moment_table(u0, k)
+    # tables past k: the sums stop at degree k, bit for bit
+    wide_coeffs = eigen_coeffs(u0, 0.0, k + 5)
+    wide_table = build_moment_table(u0, k + 5)
     cfg = ApproxConfig(dim=dim, k=k, t=t)
     tau = math.log(t)
     root = 2.0 * math.sqrt(t)
@@ -156,9 +159,12 @@ def test_expansion_equals_scaled_truncation(dim, t):
     ]
     for z in zs:
         x = tuple(c * root for c in z)
-        lhs = eval_expansion(coeffs, SimilarityPoint(z=z, tau=tau), k)
+        point = SimilarityPoint(z=z, tau=tau)
+        lhs = eval_expansion(coeffs, point, k)
         rhs = t ** (dim / 2.0) * eval_uk(table, cfg, x).value
         assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
+        assert eval_expansion(wide_coeffs, point, k) == lhs
+        assert eval_uk(wide_table, cfg, x) == eval_uk(table, cfg, x)
 
 
 def test_expansion_argument_checks():

@@ -189,6 +189,11 @@ def test_grid_evaluator_incremental_consistency(table_d1):
         stage = inc.field_up_to(k).copy()
         fresh = SeriesGridEvaluator(table_d1, 2.0, [axis], k_cap=k).field_up_to(k)
         np.testing.assert_allclose(stage, fresh, rtol=1e-13)
+        # a table built to exactly k gives the same field bit for bit
+        exact = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), k)
+        np.testing.assert_array_equal(
+            SeriesGridEvaluator(exact, 2.0, [axis]).field_up_to(k), fresh
+        )
     with pytest.raises(DomainError):
         inc.field_up_to(4)  # backwards
 

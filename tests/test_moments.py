@@ -1,11 +1,13 @@
 """Moment computations: closed forms vs independent quadrature, enumeration
-order, table evolution, and the JSON wire format."""
+order, table evolution, the JSON wire format, and the table invariant that
+its loader enforces."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from heatseries import (
@@ -20,6 +22,7 @@ from heatseries import (
     build_moment_table,
     compositions,
     constant_C,
+    eigen_coeffs,
     gaussian_abs_moment,
     gaussian_moment,
     moments_at_time,
@@ -302,3 +305,136 @@ def test_moment_evolution_domain():
     table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), 2)
     with pytest.raises(DomainError):
         moments_at_time(table, -0.5)
+
+
+# --- the table invariant ---------------------------------------------------
+
+def _gaussian_table(dim, k):
+    return build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=dim), k)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _gaussian_table(3, 6),
+        lambda: build_moment_table(Radial(lambda r: math.exp(-r * r), 2), 6),
+        lambda: build_moment_table(Generic1D(lambda x: math.exp(-x * x)), 6),
+        lambda: moments_at_time(_gaussian_table(2, 6), 0.5),
+        lambda: eigen_coeffs(Gaussian(amplitude=1.0, width=1.0, dim=2), 0.5, 6),
+        lambda: MomentTable.from_json(_gaussian_table(2, 6).to_json()),
+    ],
+    ids=["gaussian", "radial", "generic1d", "evolved", "eigen", "from_json"],
+)
+def test_tables_list_canonical_indices(make):
+    # consumers walk the stored entries, so every producer must store them
+    # in the enumeration order
+    table = make()
+    assert list(table.indices()) == list(multi_indices_up_to(table.k_max, table.dim))
+
+
+def _drop(raw):
+    del raw["entries"][3]
+
+
+def _extra_degree(raw):
+    raw["entries"].append({"alpha": [raw["kmax"] + 1, 0], "sign": 1, "logmag": 0.5})
+
+
+def _swap(raw):
+    rows = raw["entries"]
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def _repeat(raw):
+    raw["entries"].append(raw["entries"][-1])
+
+
+def _set_row(key, value):
+    def mutate(raw):
+        raw["entries"][0][key] = value
+
+    return mutate
+
+
+def _set_header(key, value):
+    def mutate(raw):
+        raw[key] = value
+
+    return mutate
+
+
+def _drop_header(raw):
+    del raw["kmax"]
+
+
+MALFORMED = {
+    "dropped-row": _drop,
+    "extra-degree": _extra_degree,
+    "swapped-rows": _swap,
+    "repeated-row": _repeat,
+    "dim-disagrees": _set_header("dim", 3),
+    "sign-2": _set_row("sign", 2),
+    "logmag-inf": _set_row("logmag", math.inf),
+    "logmag-nan": _set_row("logmag", math.nan),
+    "alpha-floats": _set_row("alpha", [0.0, 0.0]),
+    "kmax-missing": _drop_header,
+    "dim-string": _set_header("dim", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize(
+    "table",
+    [
+        _gaussian_table(2, 4),
+        eigen_coeffs(Gaussian(amplitude=1.0, width=1.0, dim=2), 0.25, 4),
+    ],
+    ids=["moments", "eigen"],
+)
+def test_loader_rejects_malformed_table(table, case):
+    raw = json.loads(table.to_json())
+    MALFORMED[case](raw)
+    with pytest.raises(DomainError):
+        type(table).from_json(json.dumps(raw))
+
+
+def test_loader_rejects_text_that_is_not_a_table():
+    for text in (
+        "{",
+        "[]",
+        '{"dim": 1, "kmax": 0}',
+        '{"dim": 1, "kmax": 0, "entries": [7]}',
+        '{"dim": 100000000, "kmax": 100000000, "entries": []}',
+    ):
+        with pytest.raises(DomainError):
+            MomentTable.from_json(text)
+
+
+@settings(deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    kmax=st.integers(0, 8),
+    eigen=st.booleans(),
+    data=st.data(),
+)
+def test_loader_rejects_any_dropped_or_swapped_row(dim, kmax, eigen, data):
+    u0 = Gaussian(amplitude=1.3, width=0.8, dim=dim)
+    table = eigen_coeffs(u0, 0.25, kmax) if eigen else build_moment_table(u0, kmax)
+    load = type(table).from_json
+    text = table.to_json()
+    back = load(text)
+    assert back.to_json() == text
+    assert back.entries == table.entries
+    n = len(back.entries)
+    i = data.draw(st.integers(0, n - 1), label="row")
+    dropped = json.loads(text)
+    del dropped["entries"][i]
+    with pytest.raises(DomainError):
+        load(json.dumps(dropped))
+    if n > 1:
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i), label="other")
+        swapped = json.loads(text)
+        rows = swapped["entries"]
+        rows[i], rows[j] = rows[j], rows[i]
+        with pytest.raises(DomainError):
+            load(json.dumps(swapped))

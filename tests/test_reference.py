@@ -240,6 +240,11 @@ def test_error_curve_all_orders_mode():
     grid = default_grid(1, 2.0, 1.0, points=101)
     curve = error_curve(UNIT, table, 1, 2.0, 6, grid, even_only=False)
     assert [p.k for p in curve.points] == [0, 1, 2, 3, 4, 5, 6]
+    # ratio pairs each order with k + 2, not with the next row
+    pts = curve.points
+    for p, after in zip(pts, pts[2:]):
+        assert p.ratio == after.sup_error / p.sup_error
+    assert pts[-2].ratio is None and pts[-1].ratio is None
 
 
 def test_kernel_slice_datum_converges_fast():
