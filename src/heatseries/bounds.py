@@ -20,7 +20,6 @@ from .kernel_approx import ApproxConfig
 from .moments import (
     Gaussian,
     MomentTable,
-    MultiIndex,
     Radial,
     abs_moment,
     multi_indices_of_degree,

@@ -22,7 +22,6 @@ from .serial import json_array, json_cell
 from .signedlog import ZERO, SignedLog, aligned_sum
 from .specfun import log_factorial, log_gamma
 
-_LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 

@@ -14,11 +14,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from . import backend
 from .bounds import bound_report
 from .errors import DomainError, UnsupportedVariantError
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator
-from .moments import Gaussian, Generic1D, MomentTable, Radial
+from .moments import Gaussian, Generic1D, MomentTable
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import csv_text, json_array
 
@@ -216,9 +215,8 @@ def sup_error(
     _check_coverage(u0, grid, cfg.t)
     axes = grid.axes()
     evaluator = SeriesGridEvaluator(table, cfg.t, axes, k_cap=cfg.k)
-    approx = evaluator.field_up_to(cfg.k)
     reference = _reference_field(u0, axes, cfg.t)
-    return backend.max_abs_diff(reference, approx)
+    return evaluator.sup_errors(reference, [cfg.k])[0]
 
 
 @dataclass
@@ -264,8 +262,10 @@ def error_curve(
     """Measured sup errors and bounds for k = 0..k_max.
 
     The table must extend to degree k_max + 1 so F is defined at the last
-    order.  The truncation fields are accumulated incrementally, so the
-    whole sweep costs about as much as the single largest k.
+    order.  The sup errors of every order come from one banded sweep
+    (:meth:`SeriesGridEvaluator.sup_errors`) that accumulates each row band
+    incrementally and holds no truncation field of the whole grid, so the
+    sweep costs about as much as the single largest k.
     """
     if table.k_max < k_max + 1:
         raise DomainError(
@@ -277,10 +277,9 @@ def error_curve(
     axes = grid.axes()
     evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
     reference = _reference_field(u0, axes, t)
+    orders = range(0, k_max + 1, 2 if even_only else 1)
     points = []
-    for k in range(0, k_max + 1, 2 if even_only else 1):
-        approx = evaluator.field_up_to(k)
-        sup = backend.max_abs_diff(reference, approx)
+    for k, sup in zip(orders, evaluator.sup_errors(reference, orders)):
         report = bound_report(table, ApproxConfig(dim=dim, k=k, t=t))
         g_k, lb = (
             None if bound is None else bound.to_float()

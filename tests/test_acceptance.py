@@ -24,7 +24,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from heatseries import (
@@ -48,7 +47,6 @@ from heatseries import (
     poly_gaussian_test_function,
     radial_moment,
     remainder_l1_norm,
-    to_similarity,
 )
 from heatseries.eigen import SimilarityPoint, validity_integral
 

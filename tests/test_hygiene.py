@@ -1,0 +1,90 @@
+"""Static hygiene of the package and test modules, checked with ``ast``.
+
+Every name a module imports must be read somewhere in it, and every private
+module-level constant (``_NAME = ...``) must be read too.  A name left
+behind by a refactor otherwise hides which module depends on which.
+The package's ``__init__.py`` is skipped: its imports are the re-exports.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import heatseries
+
+MODULES = sorted(
+    p for p in Path(heatseries.__file__).parent.glob("*.py") if p.name != "__init__.py"
+) + sorted(Path(__file__).parent.glob("*.py"))
+PRIVATE_CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _private_constants(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign)
+            else []
+        )
+        names += [
+            t.id for t in targets
+            if isinstance(t, ast.Name) and PRIVATE_CONSTANT.fullmatch(t.id)
+        ]
+    return names
+
+
+def unused_names(source: str) -> list[str]:
+    """Imported names and private module constants the source never reads."""
+    tree = ast.parse(source)
+    read = _read_names(tree)
+    return [
+        name
+        for name in _imported_names(tree) + _private_constants(tree)
+        if name not in read
+    ]
+
+
+def test_modules_found():
+    names = {p.name for p in MODULES}
+    assert {"backend.py", "kernel_approx.py", "test_hygiene.py"} <= names
+    assert "__init__.py" not in names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_reads_every_import_and_private_constant(path):
+    assert unused_names(path.read_text()) == []
+
+
+def test_scan_flags_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from .moments import MultiIndex, Radial as R\n"
+        "_LOG_PI = math.log(math.pi)\n"
+        "_USED = 2\n"
+        "_lower = 3\n"
+        "def f():\n"
+        "    return _USED\n"
+    )
+    assert unused_names(source) == ["os", "MultiIndex", "R", "_LOG_PI"]

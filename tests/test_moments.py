@@ -26,7 +26,6 @@ from heatseries import (
     gaussian_abs_moment,
     gaussian_moment,
     moments_at_time,
-    multi_indices_of_degree,
     multi_indices_up_to,
     radial_moment,
 )

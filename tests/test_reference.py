@@ -7,6 +7,7 @@ the PDE itself via finite differences.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from heatseries import (
     Generic1D,
     GridSpec,
     Radial,
+    SeriesGridEvaluator,
     backend,
     build_moment_table,
     convolve_oracle,
@@ -28,6 +30,7 @@ from heatseries import (
     exact_gaussian_solution,
     sup_error,
 )
+from heatseries import kernel_approx
 from heatseries.reference import _reference_field
 
 UNIT = Gaussian(amplitude=1.0, width=1.0, dim=1)
@@ -260,6 +263,120 @@ def test_kernel_slice_datum_converges_fast():
     sups = [p.sup_error for p in curve.points]
     assert sups[-1] < 1e-8
     assert sups[-1] < sups[0] * 1e-5
+
+
+# --- the banded sup-error sweep ------------------------------------------
+
+BAND_ROWS = 7  # a 41-row grid splits into five bands of 7 and a last one of 6
+
+OFF_CENTRE = Generic1D(
+    func=lambda x: 1.0 if 0.3 <= x <= 1.5 else 0.0, breakpoints=(0.3, 1.5)
+)
+RADIAL = Radial(profile=lambda r: math.exp(-r * r / 4.0) * (1.0 + r), dim=2)
+
+
+@pytest.fixture
+def small_bands(monkeypatch):
+    """Shrink the sweep's bands to BAND_ROWS rows of ``row_points`` nodes."""
+
+    def shrink(row_points: int):
+        monkeypatch.setattr(kernel_approx, "_BAND_BYTES", 8 * BAND_ROWS * row_points)
+
+    return shrink
+
+
+def _per_order_sups(table, t, axes, reference, orders):
+    """max_abs_diff against field_up_to(k), one fresh evaluator per order."""
+    return [
+        backend.max_abs_diff(
+            reference,
+            SeriesGridEvaluator(table, t, axes, k_cap=orders[-1]).field_up_to(k),
+        )
+        for k in orders
+    ]
+
+
+@pytest.mark.parametrize(
+    "u0,t,k_max,grid,even_only",
+    [
+        (Gaussian(1.0, 1.0, 2), 2.0, 20, default_grid(2, 2.0, 1.0, points=41), True),
+        (Gaussian(1.0, 1.0, 2), 0.5, 20, default_grid(2, 0.5, 1.0, points=41), True),
+        (RADIAL, 1.5, 10, GridSpec(dim=2, extent=6.0, points=41), True),
+        (OFF_CENTRE, 0.7, 9, GridSpec(dim=1, extent=9.0, points=41), False),
+    ],
+    ids=["gaussian-above-t0", "gaussian-below-t0", "radial", "indicator-all-k"],
+)
+def test_band_sweep_equals_per_order_fields(small_bands, u0, t, k_max, grid, even_only):
+    small_bands(grid.points if grid.dim == 2 else 1)
+    table = build_moment_table(u0, k_max + 1)
+    axes = grid.axes()
+    reference = _reference_field(u0, axes, t)
+    orders = list(range(0, k_max + 1, 2 if even_only else 1))
+    want = _per_order_sups(table, t, axes, reference, orders)
+    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
+    assert evaluator.sup_errors(reference, orders) == want  # bit for bit
+    curve = error_curve(u0, table, grid.dim, t, k_max, grid, even_only=even_only)
+    assert [p.sup_error for p in curve.points] == want
+
+
+def test_band_sweep_finds_worst_node_in_last_band(small_bands):
+    # 43 rows: the lone row after six bands of 7 joins the last band
+    axes = [np.linspace(-8.0, 8.0, 43), np.linspace(-8.0, 8.0, 41)]
+    table = build_moment_table(Gaussian(1.0, 1.0, 2), 11)
+    reference = _reference_field(Gaussian(1.0, 1.0, 2), axes, 2.0)
+    reference[42, 5] += 10.0
+    small_bands(41)
+    evaluator = SeriesGridEvaluator(table, 2.0, axes, k_cap=10)
+    assert evaluator._bands()[-1] == (35, 43)
+    orders = [0, 4, 6, 10]
+    got = evaluator.sup_errors(reference, orders)
+    assert got == _per_order_sups(table, 2.0, axes, reference, orders)
+    for k, sup in zip(orders, got):
+        field = SeriesGridEvaluator(table, 2.0, axes, k_cap=k).field_up_to(k)
+        assert sup == abs(reference[42, 5] - field[42, 5]) > 9.0
+
+
+def test_band_sweep_propagates_nan(small_bands):
+    grid = default_grid(2, 2.0, 1.0, points=41)
+    axes = grid.axes()
+    table = build_moment_table(Gaussian(1.0, 1.0, 2), 9)
+    reference = _reference_field(Gaussian(1.0, 1.0, 2), axes, 2.0)
+    reference[17, 3] = math.nan  # third of six bands
+    small_bands(41)
+    orders = [0, 2, 4, 8]
+    got = SeriesGridEvaluator(table, 2.0, axes, k_cap=8).sup_errors(reference, orders)
+    assert all(math.isnan(s) for s in got)
+    assert all(math.isnan(s) for s in _per_order_sups(table, 2.0, axes, reference, orders))
+
+
+def test_band_sweep_guards():
+    axes = default_grid(2, 2.0, 1.0, points=41).axes()
+    table = build_moment_table(Gaussian(1.0, 1.0, 2), 9)
+    evaluator = SeriesGridEvaluator(table, 2.0, axes, k_cap=8)
+    reference = np.zeros((41, 41))
+    assert evaluator.sup_errors(reference, []) == []
+    with pytest.raises(DomainError):
+        evaluator.sup_errors(reference, [4, 2])  # descending
+    with pytest.raises(DomainError):
+        evaluator.sup_errors(reference, [2, 10])  # beyond k_cap
+    with pytest.raises(DomainError):
+        evaluator.sup_errors(np.zeros((41, 40)), [2])
+
+
+def test_error_curve_holds_no_truncation_field():
+    # the reference is the only grid-sized array an error curve keeps; the
+    # bands, their temporaries and the Hermite tables stay below one more
+    u0 = Gaussian(1.0, 1.0, 2)
+    table = build_moment_table(u0, 21)
+    grid = default_grid(2, 2.0, 1.0, points=401)
+    grid_bytes = 8 * grid.points**2
+    tracemalloc.start()
+    try:
+        error_curve(u0, table, 2, 2.0, 20, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid_bytes
 
 
 # --- the batched reference field -----------------------------------------
