@@ -24,12 +24,21 @@ def weighted_hermite_table(y, nmax: int) -> np.ndarray:
 
 
 def accumulate_series_1d(out, table, degrees, coeffs) -> None:
-    """out[i] += sum_m coeffs[m] * table[degrees[m], i]."""
+    """out[i] += sum_m coeffs[m] * table[degrees[m], i].
+
+    ``degrees`` is an index array or a slice; a slice selects its rows as a
+    view, without copying them.
+    """
     out += np.asarray(coeffs, dtype=np.float64) @ table[degrees]
 
 
 def accumulate_series_2d(out, t1, t2, deg1, deg2, coeffs) -> None:
-    """out[i, j] += sum_m coeffs[m] * t1[deg1[m], i] * t2[deg2[m], j]."""
+    """out[i, j] += sum_m coeffs[m] * t1[deg1[m], i] * t2[deg2[m], j].
+
+    ``deg1`` and ``deg2`` are index arrays or slices.  A slice of rows with
+    a positive step is a strided view that BLAS reads in place, so the
+    axis-1 rows are not gathered into a copy.
+    """
     c = np.asarray(coeffs, dtype=np.float64)
     out += (t1[deg1] * c[:, None]).T @ t2[deg2]
 

@@ -2,7 +2,8 @@
 
 error_bound_F is the unconditional sup-norm bound on u - u_k built from the
 degree-(k+1) absolute moments of the datum and the sharp sup bound on
-Gaussian-weighted Hermite functions.  envelope_bound_G specializes it to
+Gaussian-weighted Hermite functions; error_bound_F_sweep gives it at many
+orders from one pass over a moment table.  envelope_bound_G specializes it to
 data dominated by a Gaussian envelope, where the moment sum collapses to a
 closed form.  divergence_lower_bound certifies growth of |u_k(0, t)| below
 the envelope width.
@@ -17,17 +18,9 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel_approx import ApproxConfig
-from .moments import (
-    Gaussian,
-    MomentTable,
-    Radial,
-    abs_moment,
-    multi_indices_of_degree,
-    radial_abs_integral,
-    radial_abs_moment,
-)
+from .moments import Gaussian, MomentTable, abs_moment_factors
 from .signedlog import SignedLog, aligned_sum
-from .specfun import log_gamma
+from .specfun import log_factorial, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -63,12 +56,32 @@ def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
 
     Needs the absolute moments at degree k+1, which the table's source
     datum supplies (they differ from the signed entries at odd degrees).
+    This is :func:`error_bound_F_sweep` at the one order cfg.k.
     """
     if table.dim != cfg.dim:
         raise DomainError("table dimension does not match config")
-    if cfg.k + 1 > table.k_max:
+    return error_bound_F_sweep(table, cfg.t, [cfg.k])[0]
+
+
+def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]:
+    """F(k) of :func:`error_bound_F` at time t for every k in ``orders``,
+    from one pass over the degree shells stored in ``table.entries``.
+
+    The absolute moments come factored from :func:`abs_moment_factors`:
+    a factor each shell shares, and a per-component log lookup.  Each
+    multi-index's weight is the sum of its components' lookups, -ln(c!)/2
+    and -ln(c+1)/12; each shell's weights are reduced by exponent alignment
+    (:func:`aligned_sum`) and scaled by the shell's shared factor.
+    """
+    orders = list(orders)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"evaluation time t must be finite and > 0, got {t}")
+    if any(k < 0 for k in orders):
+        raise DomainError("truncation order k must be >= 0")
+    top = max(orders, default=-1) + 1
+    if top > table.k_max:
         raise DomainError(
-            f"error_bound_F at k={cfg.k} needs table degree {cfg.k + 1}, "
+            f"error_bound_F at k={top - 1} needs table degree {top}, "
             f"table has k_max={table.k_max}"
         )
     if table.source is None:
@@ -76,30 +89,25 @@ def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
             "error_bound_F needs a table that carries its source datum "
             "for absolute moments"
         )
-    d, k = cfg.dim, cfg.k
-    src = table.source
-    radial_integral = None
-    if isinstance(src, Radial):
-        # one half-line integral serves every multi-index of degree k+1
-        radial_integral = radial_abs_integral(
-            src.profile, next(multi_indices_of_degree(k + 1, d))
-        )
-    terms = []
-    for a in multi_indices_of_degree(k + 1, d):
-        if radial_integral is None:
-            mom = abs_moment(src, a)
-        else:
-            mom = radial_abs_moment(
-                a, src.profile, d, _radial_integral=radial_integral
-            )
-        weight = -0.5 * a.log_factorial() - math.fsum(
-            math.log(c + 1.0) for c in a.components
-        ) / 12.0
-        terms.append(mom * SignedLog.from_log(weight))
-    prefactor = SignedLog.from_log(
-        -0.5 * d * _LOG_2PI - 0.5 * (k + d + 1) * math.log(2.0 * cfg.t)
-    )
-    return prefactor * aligned_sum(terms)
+    shared, logs = abs_moment_factors(table.source, [k + 1 for k in orders])
+    weight = [
+        math.fsum((logs[c], -0.5 * log_factorial(c), -math.log(c + 1.0) / 12.0))
+        for c in range(top + 1)
+    ]
+    shells: dict[int, list[SignedLog]] = {n: [] for n in shared}
+    for a in table.entries:
+        if a.degree > top:
+            break
+        terms = shells.get(a.degree)
+        if terms is not None:
+            terms.append(SignedLog(1, math.fsum(map(weight.__getitem__, a.components))))
+    sums = {n: shared[n] * aligned_sum(terms) for n, terms in shells.items()}
+    d = table.dim
+    log_2t = math.log(2.0 * t)
+    return [
+        SignedLog.from_log(-0.5 * d * _LOG_2PI - 0.5 * (k + d + 1) * log_2t) * sums[k + 1]
+        for k in orders
+    ]
 
 
 def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> SignedLog:
@@ -199,7 +207,21 @@ def divergence_bound_applies(width: float, cfg: ApproxConfig) -> bool:
 
 def bound_report(table: MomentTable, cfg: ApproxConfig) -> BoundReport:
     """Assemble F plus whichever of G and the divergence bound apply."""
-    report = BoundReport(k=cfg.k, F_k=error_bound_F(table, cfg))
+    return _report(table, cfg, error_bound_F(table, cfg))
+
+
+def bound_report_sweep(table: MomentTable, t: float, orders) -> list[BoundReport]:
+    """bound_report at time t for every k in ``orders``, with every F_k from
+    one :func:`error_bound_F_sweep` pass."""
+    orders = list(orders)
+    return [
+        _report(table, ApproxConfig(dim=table.dim, k=k, t=t), f_k)
+        for k, f_k in zip(orders, error_bound_F_sweep(table, t, orders))
+    ]
+
+
+def _report(table: MomentTable, cfg: ApproxConfig, f_k: SignedLog) -> BoundReport:
+    report = BoundReport(k=cfg.k, F_k=f_k)
     src = table.source
     if isinstance(src, Gaussian):
         report.G_k = envelope_bound_G(src.amplitude, src.width, cfg)

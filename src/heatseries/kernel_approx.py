@@ -26,7 +26,13 @@ from . import backend
 from .errors import DomainError, UnsupportedVariantError
 from .moments import Gaussian, MomentTable, MultiIndex, constant_C
 from .signedlog import SignedLog, aligned_sum
-from .specfun import hermite_weighted, hermite_weighted_sequence, laguerre, log_gamma
+from .specfun import (
+    hermite_weighted,
+    hermite_weighted_sequence,
+    laguerre,
+    log_factorial,
+    log_gamma,
+)
 
 _LOG_PI = math.log(math.pi)
 
@@ -227,7 +233,10 @@ class SeriesGridEvaluator:
     core's L2 cache.  :meth:`field_up_to` keeps the whole field, allocated
     on its first call; :meth:`sup_errors` measures against a reference one
     band at a time and keeps only that band.  Both run the same GEMMs on
-    the same bands, so they give the same bits.
+    the same bands, so they give the same bits.  Each degree block's rows of
+    both Hermite tables are strided views that BLAS reads in place: the
+    block keeps its axis-0 orders as one strided run with dense
+    coefficients, and the axis-1 table is stored in reverse row order.
     """
 
     def __init__(
@@ -245,35 +254,53 @@ class SeriesGridEvaluator:
             raise DomainError("t must be > 0")
         self.dim = table.dim
         self.t = t
-        self.k_cap = table.k_max if k_cap is None else min(k_cap, table.k_max)
-        cfg = ApproxConfig(dim=self.dim, k=self.k_cap, t=t)
+        k = self.k_cap = table.k_max if k_cap is None else min(k_cap, table.k_max)
+        cfg = ApproxConfig(dim=self.dim, k=k, t=t)
         scale = 2.0 * math.sqrt(t)
         self._tables = [
-            backend.weighted_hermite_table(np.asarray(ax, float) / scale, self.k_cap)
+            backend.weighted_hermite_table(np.asarray(ax, float) / scale, k)
             for ax in axes
         ]
-        # degree -> (per-axis index arrays, coefficient array)
-        self._blocks: dict[int, tuple] = {}
-        per_degree: dict[int, list] = {}
+        if self.dim == 2:
+            # axis-1 rows in reverse, row k - n holding H_n: the rows j - n1
+            # of a degree block, n1 ascending, are then one ascending
+            # strided view, which BLAS takes without a copy
+            self._tables[1] = np.ascontiguousarray(self._tables[1][::-1])
+        ln_factorial = [log_factorial(c) for c in range(k + 1)]
+        term_scale = [_term_scale(j, cfg) for j in range(k + 1)]
+        per_degree: dict[int, dict[int, float]] = {}  # degree -> {n1: coeff}
         for a, m in table.entries.items():
-            if a.degree > self.k_cap:
+            j = a.degree
+            if j > k:
                 break
             if m.sign == 0:
                 continue
-            logmag = m.logmag + _term_scale(a.degree, cfg) - a.log_factorial()
+            logmag = m.logmag + term_scale[j] - math.fsum(
+                map(ln_factorial.__getitem__, a.components)
+            )
             if logmag > 700.0:
                 raise DomainError(
                     "series coefficient exceeds the double range; "
                     "use eval_uk for this regime"
                 )
             coeff = m.sign * math.exp(logmag)
-            if coeff == 0.0:
-                continue
-            per_degree.setdefault(a.degree, []).append((a.components, coeff))
-        for j, rows in per_degree.items():
-            comps = np.array([r[0] for r in rows], dtype=np.int64)
-            coeffs = np.array([r[1] for r in rows], dtype=np.float64)
-            self._blocks[j] = (comps, coeffs)
+            if coeff != 0.0:
+                per_degree.setdefault(j, {})[a.components[0]] = coeff
+        # degree -> (axis-0 rows n1 = lo, lo + step, .., hi as a slice, the
+        # matching axis-1 rows j - n1 at k - j + n1 of the reversed table,
+        # coefficients with zeros where the degree skips an n1 in between)
+        self._blocks: dict[int, tuple] = {}
+        for j, terms in per_degree.items():
+            n1 = list(terms)
+            lo, hi = n1[0], n1[-1]
+            step = math.gcd(*(b - a for a, b in zip(n1, n1[1:]))) or 1
+            coeffs = np.zeros((hi - lo) // step + 1)
+            coeffs[[(n - lo) // step for n in n1]] = list(terms.values())
+            self._blocks[j] = (
+                slice(lo, hi + 1, step),
+                slice(k - j + lo, k - j + hi + 1, step),
+                coeffs,
+            )
         self.shape = tuple(len(ax) for ax in axes)
         self._field = None
         self._built = -1
@@ -296,14 +323,12 @@ class SeriesGridEvaluator:
         block = self._blocks.get(j)
         if block is None:
             return
-        comps, coeffs = block
+        rows1, rows2, coeffs = block
         t1 = self._tables[0][:, i0:i1]
         if self.dim == 1:
-            backend.accumulate_series_1d(out, t1, comps[:, 0], coeffs)
+            backend.accumulate_series_1d(out, t1, rows1, coeffs)
         else:
-            backend.accumulate_series_2d(
-                out, t1, self._tables[1], comps[:, 0], comps[:, 1], coeffs
-            )
+            backend.accumulate_series_2d(out, t1, self._tables[1], rows1, rows2, coeffs)
 
     def field_up_to(self, k: int) -> np.ndarray:
         """Cumulative field for truncation order k (read-only view)."""

@@ -20,7 +20,7 @@ from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
 from .serial import json_array, json_cell
 from .signedlog import ZERO, SignedLog, aligned_sum
-from .specfun import log_factorial, log_gamma
+from .specfun import log_factorial, log_gamma, log_gamma_halves
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
@@ -102,6 +102,15 @@ class MultiIndex:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "degree", sum(comps))
 
+    @classmethod
+    def _trusted(cls, comps: tuple[int, ...], degree: int) -> "MultiIndex":
+        """A multi-index from components a builder generated itself, without
+        re-validating each one; MomentTable checks the assembled set."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "components", comps)
+        object.__setattr__(a, "degree", degree)
+        return a
+
     @staticmethod
     def of(value, dim: int | None = None) -> "MultiIndex":
         if isinstance(value, MultiIndex):
@@ -132,8 +141,10 @@ def _axis(n: int, dim: int) -> tuple[int, ...]:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` nonnegative
-    integers, in ascending lexicographic order.  Iterative odometer, no
-    recursion."""
+    integers, in ascending lexicographic order: each first part in turn,
+    followed by every composition of the rest into one part fewer.  The
+    compositions of each j <= total into fewer parts are built as lists,
+    one part count at a time (no recursion)."""
     if parts < 1:
         raise DomainError("parts must be >= 1")
     if total < 0:
@@ -141,25 +152,15 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (total,)
         return
-    comp = [0] * parts
-    comp[-1] = total
-    while True:
-        yield tuple(comp)
-        # move one unit of weight onto the rightmost index that has weight
-        # strictly to its right, zeroing everything after it
-        right_sum = 0
-        pivot = -1
-        for i in range(parts - 1, 0, -1):
-            right_sum += comp[i]
-            if right_sum > 0:
-                pivot = i - 1
-                break
-        if pivot < 0:
-            return
-        comp[pivot] += 1
-        for i in range(pivot + 1, parts):
-            comp[i] = 0
-        comp[-1] = right_sum - 1
+    rests = [[(j,)] for j in range(total + 1)]  # j as one part
+    for _ in range(parts - 2):
+        rests = [
+            [(a,) + rest for a in range(j + 1) for rest in rests[j - a]]
+            for j in range(total + 1)
+        ]
+    for first in range(total + 1):
+        for rest in rests[total - first]:
+            yield (first,) + rest
 
 
 def multi_indices_of_degree(degree: int, dim: int) -> Iterator[MultiIndex]:
@@ -196,13 +197,61 @@ def gaussian_abs_moment(alpha, amplitude: float, width: float) -> SignedLog:
     a = MultiIndex.of(alpha)
     if amplitude <= 0.0 or width <= 0.0:
         raise DomainError("gaussian_abs_moment requires positive amplitude and width")
-    d = a.dim
-    logmag = (
-        math.log(amplitude)
-        + 0.5 * (a.degree + d) * math.log(4.0 * width)
-        + math.fsum(log_gamma((c + 1) / 2.0) for c in a.components)
-    )
-    return SignedLog(1, logmag)
+    return _abs_moment(Gaussian(amplitude, width, a.dim), a)
+
+
+def abs_moment_factors(
+    u0: InitialDatum, degrees
+) -> tuple[dict[int, SignedLog], list[float]]:
+    """``|| x^alpha u0 ||_{L1}`` for every alpha whose degree is in
+    ``degrees``, as the factors (shared, logs) of
+
+        || x^alpha u0 ||_1 = shared[|alpha|] * exp(sum_i logs[alpha_i]).
+
+    shared[n] is what every multi-index of degree n shares; logs[c], for c
+    up to the largest degree, is the per-component lookup.  Gaussian data:
+    shared C (4 t0)^{(n+d)/2}, logs ln Gamma((c+1)/2).  Radial data: the
+    surface-measure identity
+
+        integral_{S^{d-1}} prod |w_i|^{a_i} dw
+            = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+d)/2)
+
+    gives shared 2 / Gamma((n+d)/2) times one half-line integral per
+    degree (:func:`radial_abs_integral`), and the same logs.  Generic1D
+    data has one multi-index per degree: shared is its line integral and
+    logs are 0.
+    """
+    degrees = sorted(set(degrees))
+    top = max(degrees, default=0)
+    d = u0.dim
+    if isinstance(u0, Gaussian):
+        log_amplitude, log_width = math.log(u0.amplitude), math.log(4.0 * u0.width)
+        shared = {n: SignedLog(1, log_amplitude + 0.5 * (n + d) * log_width) for n in degrees}
+        return shared, log_gamma_halves(top)
+    if isinstance(u0, Radial):
+        shared = {
+            n: SignedLog(1, _LOG2 - log_gamma((n + d) / 2.0))
+            * SignedLog.from_float(radial_abs_integral(u0.profile, _shell_first(n, d)))
+            for n in degrees
+        }
+        return shared, log_gamma_halves(top)
+    if isinstance(u0, Generic1D):
+        shared = {
+            n: generic_abs_moment_1d(_shell_first(n, d), u0.func, u0.breakpoints)
+            for n in degrees
+        }
+        return shared, [0.0] * (top + 1)
+    raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
+
+
+def _shell_first(n: int, d: int) -> MultiIndex:
+    """The first multi-index of degree n in dimension d, in table order."""
+    return MultiIndex((0,) * (d - 1) + (n,))
+
+
+def _abs_moment(u0: InitialDatum, a: MultiIndex) -> SignedLog:
+    shared, logs = abs_moment_factors(u0, [a.degree])
+    return shared[a.degree] * SignedLog(1, math.fsum(map(logs.__getitem__, a.components)))
 
 
 def constant_C(j: int, dim: int) -> SignedLog:
@@ -273,32 +322,19 @@ def radial_abs_moment(
     alpha,
     profile: Callable[[float], float],
     dim: int,
-    _radial_integral: float | None = None,
 ) -> SignedLog:
-    """L1 norm of x^alpha times |profile(|x|)| for any parity of alpha.
-
-    Uses the surface-measure identity
-    ``integral_{S^{d-1}} prod |w_i|^{a_i} dw
-    = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+d)/2)``.
-    """
+    """L1 norm of x^alpha times |profile(|x|)| for any parity of alpha, from
+    :func:`abs_moment_factors`."""
     a = MultiIndex.of(alpha)
     if a.dim != dim:
         raise DomainError("multi-index dimension does not match dim")
-    j = a.degree
-    if _radial_integral is None:
-        _radial_integral = radial_abs_integral(profile, a)
-    angular = (
-        _LOG2
-        + math.fsum(log_gamma((c + 1) / 2.0) for c in a.components)
-        - log_gamma((j + dim) / 2.0)
-    )
-    return SignedLog(1, angular) * SignedLog.from_float(_radial_integral)
+    return _abs_moment(Radial(profile, dim), a)
 
 
 def radial_abs_integral(profile: Callable[[float], float], alpha) -> float:
     """integral_0^inf r^{|alpha|+d-1} |profile(r)| dr, the half-line factor
-    that radial_abs_moment shares across every multi-index of one degree
-    (``_radial_integral``)."""
+    that every multi-index of alpha's degree shares in
+    :func:`abs_moment_factors`; an IntegrabilityError names alpha."""
     a = MultiIndex.of(alpha)
     return _radial_power_integral(lambda r: abs(profile(r)), a.degree + a.dim - 1, a)
 
@@ -477,16 +513,16 @@ def _entry(row) -> tuple[MultiIndex, SignedLog]:
 def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
     """Moments of u0 for every |alpha| <= k_max.
 
-    Radial data computes one half-line integral per even total degree and
-    reuses it across that degree's multi-indices.
+    Gaussian data is filled from one :func:`abs_moment_factors` lookup.  Radial
+    data computes one half-line integral per even total degree and reuses
+    it across that degree's multi-indices.
     """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     d = u0.dim
     if isinstance(u0, Gaussian):
-        def moment(a):
-            return gaussian_moment(a, u0.amplitude, u0.width)
-    elif isinstance(u0, Radial):
+        return MomentTable(dim=d, k_max=k_max, entries=_gaussian_entries(u0, k_max), source=u0)
+    if isinstance(u0, Radial):
         radial: dict[int, float] = {}  # degree -> its shared half-line integral
 
         def moment(a):
@@ -500,6 +536,24 @@ def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
         raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
     entries = {a: moment(a) for a in multi_indices_up_to(k_max, d)}
     return MomentTable(dim=d, k_max=k_max, entries=entries, source=u0)
+
+
+def _gaussian_entries(u0: Gaussian, k_max: int) -> dict[MultiIndex, SignedLog]:
+    """gaussian_moment of every multi-index up to k_max, in table order,
+    from one :func:`abs_moment_factors` lookup: the same bits as calling it
+    once per multi-index."""
+    shared, logs = abs_moment_factors(u0, range(k_max + 1))
+    odd = [c % 2 for c in range(k_max + 1)]
+    entries = {}
+    for j in range(k_max + 1):
+        scale = shared[j].logmag
+        for comps in compositions(j, u0.dim):
+            if any(map(odd.__getitem__, comps)):
+                value = ZERO
+            else:
+                value = SignedLog(1, scale + math.fsum(map(logs.__getitem__, comps)))
+            entries[MultiIndex._trusted(comps, j)] = value
+    return entries
 
 
 def moments_at_time(table: MomentTable, t: float) -> MomentTable:

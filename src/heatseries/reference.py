@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .bounds import bound_report
+from .bounds import bound_report_sweep
 from .errors import DomainError, UnsupportedVariantError
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator
 from .moments import Gaussian, Generic1D, MomentTable
@@ -265,7 +265,8 @@ def error_curve(
     order.  The sup errors of every order come from one banded sweep
     (:meth:`SeriesGridEvaluator.sup_errors`) that accumulates each row band
     incrementally and holds no truncation field of the whole grid, so the
-    sweep costs about as much as the single largest k.
+    sweep costs about as much as the single largest k.  The bounds of every
+    order come from one pass over the table (:func:`bound_report_sweep`).
     """
     if table.k_max < k_max + 1:
         raise DomainError(
@@ -279,8 +280,8 @@ def error_curve(
     reference = _reference_field(u0, axes, t)
     orders = range(0, k_max + 1, 2 if even_only else 1)
     points = []
-    for k, sup in zip(orders, evaluator.sup_errors(reference, orders)):
-        report = bound_report(table, ApproxConfig(dim=dim, k=k, t=t))
+    sups = evaluator.sup_errors(reference, orders)
+    for k, sup, report in zip(orders, sups, bound_report_sweep(table, t, orders)):
         g_k, lb = (
             None if bound is None else bound.to_float()
             for bound in (report.G_k, report.divergence_lb)

@@ -2,8 +2,9 @@
 and log-Gamma; Gaussian-weighted Hermite values come back as SignedLog
 scalars (defined in signedlog).
 
-Everything here is evaluated through three-term recurrences or a Lanczos
-series; no series is truncated adaptively, so results are deterministic.
+The polynomials are evaluated through three-term recurrences and log-Gamma
+is the C library's ``lgamma`` (through ``math.lgamma``); no series is
+truncated adaptively, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -16,35 +17,30 @@ from .signedlog import ZERO, SignedLog
 #: Hard cap on recurrence depth for the polynomial evaluators.
 RECURRENCE_DEPTH_CAP = 400
 
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos coefficients for g = 7, n = 9; relative accuracy of the Gamma
-# value is a few 1e-16 over the positive half line, which leaves log-Gamma
-# good to well below 1e-12 everywhere we evaluate it.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def log_gamma(z: float) -> float:
-    """Natural log of Gamma(z) for z > 0 by a fixed Lanczos approximation."""
-    if not z > 0.0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
-    w = z - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (w + i)
-    base = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (w + 0.5) * math.log(base) - base + math.log(series)
+    """Natural log of Gamma(z) for finite z > 0: ``math.lgamma`` behind a
+    domain guard that also rejects NaN and inf.  Past z ~ 2.5e305 the
+    value leaves the double range and comes back as inf."""
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"log_gamma requires finite z > 0, got {z}")
+    try:
+        return math.lgamma(z)
+    except OverflowError:
+        return math.inf
+
+
+def log_gamma_halves(n: int) -> list[float]:
+    """ln Gamma((c+1)/2) for c = 0..n: the per-component factor of a
+    Gaussian or radial moment at entry c.
+
+    Moment routines read this lookup instead of calling :func:`log_gamma`
+    once per multi-index component; every entry is the same double that
+    call returns.
+    """
+    if n < 0:
+        raise DomainError(f"log_gamma_halves requires n >= 0, got {n}")
+    return [math.lgamma((c + 1) / 2.0) for c in range(n + 1)]
 
 
 def log_factorial(n: int) -> float:

@@ -20,10 +20,13 @@ from heatseries import (
     bonan_clark_bound,
     bonan_clark_log,
     bound_report,
+    bound_report_sweep,
     build_moment_table,
+    compositions,
     divergence_lower_bound,
     envelope_bound_G,
     error_bound_F,
+    error_bound_F_sweep,
     fit_divergence_prefactor,
     moments,
     multi_indices_of_degree,
@@ -229,23 +232,66 @@ def test_bound_report_generic_source_has_no_envelope():
     assert rep.F_k.sign == 1
 
 
-# --- radial absolute moments: one half-line integral per call --------------
+# --- radial absolute moments: one half-line integral per degree ----------
+
+def _per_index_F(u0, k, t):
+    """F(k) term by term: every multi-index's absolute moment on its own,
+    weights from math.lgamma and math.fsum, reduced by exponent alignment."""
+    d = u0.dim
+    terms = []
+    for a in multi_indices_of_degree(k + 1, d):
+        weight = -0.5 * math.fsum(math.lgamma(c + 1.0) for c in a.components) - math.fsum(
+            math.log(c + 1.0) for c in a.components
+        ) / 12.0
+        terms.append(abs_moment(u0, a) * SignedLog.from_log(weight))
+    return SignedLog.from_log(
+        -0.5 * d * math.log(2.0 * math.pi) - 0.5 * (k + d + 1) * math.log(2.0 * t)
+    ) * aligned_sum(terms)
+
+
+#: F from the one-pass sweep and from a term-by-term route with its own
+#: arithmetic agree to this in log magnitude, i.e. relatively.  Up to
+#: k = 120 both routes add logs as large as ln(121!)/2 ~ 230, where one
+#: rounding costs up to 2.8e-14, a few times each (the worst difference
+#: seen is 3.6e-14).
+F_LOG_TOL = 1e-13
+
+
+def _radial_F_integral_per_index(u0, k, t):
+    """Radial F(k) in the sweep's arithmetic, with the half-line integral
+    computed anew for every multi-index of degree k+1: each index's weight
+    is the fsum of per-component terms, the weights are reduced by exponent
+    alignment, and the sum is scaled by 2 / Gamma((n+d)/2) times the
+    integral.  Returns F and the per-index integrals."""
+    d, n = u0.dim, k + 1
+    weight = [
+        math.fsum(
+            (math.lgamma((c + 1) / 2.0), -0.5 * math.lgamma(c + 1.0), -math.log(c + 1.0) / 12.0)
+        )
+        for c in range(n + 1)
+    ]
+    shell = list(multi_indices_of_degree(n, d))
+    integrals = [moments.radial_abs_integral(u0.profile, a) for a in shell]
+    terms = [SignedLog(1, math.fsum(weight[c] for c in a.components)) for a in shell]
+    shared = SignedLog(1, math.log(2.0) - math.lgamma((n + d) / 2.0)) * SignedLog.from_float(
+        integrals[0]
+    )
+    prefactor = SignedLog.from_log(
+        -0.5 * d * math.log(2.0 * math.pi) - 0.5 * (k + d + 1) * math.log(2.0 * t)
+    )
+    return prefactor * (shared * aligned_sum(terms)), integrals
+
 
 @pytest.mark.parametrize("dim,k", [(2, 7), (2, 8), (3, 5)])
 def test_radial_F_shares_one_halfline_integral(monkeypatch, dim, k):
     u0 = Radial(profile=lambda r: math.exp(-r * r / 4.0) * (1.0 - 0.3 * r), dim=dim)
     table = build_moment_table(u0, k + 1)
     cfg = ApproxConfig(dim=dim, k=k, t=1.7)
-    # the per-index path: every multi-index integrates on its own
-    terms = []
-    for a in multi_indices_of_degree(k + 1, dim):
-        weight = -0.5 * a.log_factorial() - math.fsum(
-            math.log(c + 1.0) for c in a.components
-        ) / 12.0
-        terms.append(abs_moment(u0, a) * SignedLog.from_log(weight))
-    want = SignedLog.from_log(
-        -0.5 * dim * math.log(2.0 * math.pi) - 0.5 * (k + dim + 1) * math.log(2.0 * cfg.t)
-    ) * aligned_sum(terms)
+    want, integrals = _radial_F_integral_per_index(u0, k, cfg.t)
+    # every multi-index of the degree gets the same integral, so sharing
+    # one leaves F unchanged, bit for bit
+    assert len(set(integrals)) == 1
+    independent = _per_index_F(u0, k, cfg.t)
 
     calls = []
     original = moments.integrate_halfline
@@ -255,3 +301,96 @@ def test_radial_F_shares_one_halfline_integral(monkeypatch, dim, k):
     got = error_bound_F(table, cfg)
     assert (got.sign, got.logmag) == (want.sign, want.logmag)  # bit for bit
     assert len(calls) == 1
+    assert abs(got.logmag - independent.logmag) <= F_LOG_TOL
+    # the sweep over every order to k: one integral per degree 1..k+1, and
+    # each order's value is error_bound_F's bit for bit
+    calls.clear()
+    sweep = error_bound_F_sweep(table, cfg.t, range(k + 1))
+    assert len(calls) == k + 1
+    for order, value in enumerate(sweep):
+        single = error_bound_F(table, ApproxConfig(dim=dim, k=order, t=cfg.t))
+        assert (value.sign, value.logmag) == (single.sign, single.logmag)
+    assert (sweep[-1].sign, sweep[-1].logmag) == (got.sign, got.logmag)
+
+
+# --- the one-pass F sweep -------------------------------------------------
+
+def _lgamma_F(amplitude, width, dim, k, t):
+    """Gaussian F(k) from math.lgamma and math.fsum alone: each multi-index's
+    log term summed in full, then the terms reduced by exponent alignment."""
+    n = k + 1
+    logs = [
+        math.log(amplitude)
+        + 0.5 * (n + dim) * math.log(4.0 * width)
+        + math.fsum(math.lgamma((c + 1) / 2.0) for c in a)
+        - 0.5 * math.fsum(math.lgamma(c + 1.0) for c in a)
+        - math.fsum(math.log(c + 1.0) for c in a) / 12.0
+        for a in compositions(n, dim)
+    ]
+    peak = max(logs)
+    return (
+        -0.5 * dim * math.log(2.0 * math.pi)
+        - 0.5 * (k + dim + 1) * math.log(2.0 * t)
+        + peak
+        + math.log(math.fsum(math.exp(x - peak) for x in logs))
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("t", [0.45, 1.9])
+def test_F_sweep_matches_lgamma_sum(dim, t):
+    u0 = Gaussian(amplitude=1.7, width=0.8, dim=dim)
+    table = build_moment_table(u0, 121)
+    sweep = error_bound_F_sweep(table, t, range(121))
+    assert len(sweep) == 121
+    for k, value in enumerate(sweep):
+        assert value.sign == 1
+        assert abs(value.logmag - _lgamma_F(1.7, 0.8, dim, k, t)) <= F_LOG_TOL, k
+    for k in (0, 57, 120):
+        single = error_bound_F(table, ApproxConfig(dim=dim, k=k, t=t))
+        assert (single.sign, single.logmag) == (sweep[k].sign, sweep[k].logmag)
+
+
+def test_F_sweep_takes_orders_in_any_order(table_d1):
+    orders = [6, 0, 6, 3]
+    sweep = error_bound_F_sweep(table_d1, 1.3, orders)
+    for k, value in zip(orders, sweep):
+        single = error_bound_F(table_d1, ApproxConfig(dim=1, k=k, t=1.3))
+        assert (value.sign, value.logmag) == (single.sign, single.logmag)
+    assert error_bound_F_sweep(table_d1, 1.3, []) == []
+
+
+def test_F_sweep_generic_one_line_integral_per_order(monkeypatch):
+    u0 = Generic1D(func=lambda x: 1.0 if -1.0 <= x <= 0.5 else 0.0, breakpoints=(-1.0, 0.5))
+    table = build_moment_table(u0, 9)
+    calls = []
+    original = moments.integrate_line
+    monkeypatch.setattr(
+        moments, "integrate_line", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    sweep = error_bound_F_sweep(table, 0.8, range(0, 9, 2))
+    assert len(calls) == 5
+    for k, value in zip(range(0, 9, 2), sweep):
+        want = _per_index_F(u0, k, 0.8)
+        assert abs(value.logmag - want.logmag) <= F_LOG_TOL
+
+
+def test_F_sweep_domain(table_d1):
+    with pytest.raises(DomainError):
+        error_bound_F_sweep(table_d1, 1.0, [0, 21])  # needs degree 22
+    with pytest.raises(DomainError):
+        error_bound_F_sweep(table_d1, 1.0, [-1])
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            error_bound_F_sweep(table_d1, t, [0])
+    stripped = MomentTable.from_json(table_d1.to_json())
+    with pytest.raises(DomainError):
+        error_bound_F_sweep(stripped, 1.0, [0])
+
+
+def test_bound_report_sweep_equals_per_order_reports():
+    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=2), 13)
+    orders = list(range(0, 13, 2))
+    for report, k in zip(bound_report_sweep(table, 0.5, orders), orders):
+        single = bound_report(table, ApproxConfig(dim=2, k=k, t=0.5))
+        assert report == single

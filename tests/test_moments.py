@@ -221,6 +221,38 @@ def test_build_table_gaussian_values():
     assert table.source is not None
 
 
+@pytest.mark.parametrize("dim,kmax", [(1, 200), (2, 121), (3, 40)])
+def test_gaussian_table_equals_per_index_route(dim, kmax):
+    # the lookup-built table against gaussian_moment called once per index
+    amplitude, width = 1.3, 0.85
+    table = build_moment_table(Gaussian(amplitude=amplitude, width=width, dim=dim), kmax)
+    want = {a: gaussian_moment(a, amplitude, width) for a in multi_indices_up_to(kmax, dim)}
+    assert list(table.entries) == list(want)  # same keys, same order
+    for (a, got), m in zip(table.entries.items(), want.values()):
+        assert (got.sign, got.logmag) == (m.sign, m.logmag), a.components  # bit for bit
+        assert a.degree == sum(a.components)
+
+
+def test_gaussian_table_entries_still_validated():
+    # the builder skips per-index checks; the table checks the whole set once
+    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=2), 6)
+    keys = list(table.entries)
+
+    def remake(order, extra=None):
+        entries = {a: table.entries[a] for a in order}
+        if extra is not None:
+            entries[extra] = table.entries[keys[0]]
+        return MomentTable(dim=2, k_max=6, entries=entries, source=table.source)
+
+    remake(keys)
+    with pytest.raises(DomainError):
+        remake(keys[:9] + keys[10:])  # missing
+    with pytest.raises(DomainError):
+        remake(keys, extra=MultiIndex((7, 0)))  # extra degree
+    with pytest.raises(DomainError):
+        remake(keys[:4] + [keys[5], keys[4]] + keys[6:])  # out of order
+
+
 def test_table_out_of_range():
     table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), 2)
     with pytest.raises(DomainError):

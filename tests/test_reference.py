@@ -20,14 +20,18 @@ from heatseries import (
     Gaussian,
     Generic1D,
     GridSpec,
+    MomentTable,
     Radial,
     SeriesGridEvaluator,
+    SignedLog,
+    ZERO,
     backend,
     build_moment_table,
     convolve_oracle,
     default_grid,
     error_curve,
     exact_gaussian_solution,
+    multi_indices_up_to,
     sup_error,
 )
 from heatseries import kernel_approx
@@ -377,6 +381,118 @@ def test_error_curve_holds_no_truncation_field():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * grid_bytes
+
+
+# --- the gather-free kernel against the gathering one --------------------
+
+def _gathering_blocks(table, t, k):
+    """degree -> (axis-0 orders, axis-1 orders, coefficients) of every term
+    with a nonzero coefficient, as the evaluator computed them before its
+    axis-1 table was reversed."""
+    cfg = ApproxConfig(dim=2, k=k, t=t)
+    rows = {}
+    for a, m in table.entries.items():
+        if a.degree > k:
+            break
+        if m.sign == 0:
+            continue
+        logmag = m.logmag + kernel_approx._term_scale(a.degree, cfg) - a.log_factorial()
+        coeff = m.sign * math.exp(logmag)
+        if coeff != 0.0:
+            rows.setdefault(a.degree, []).append((*a.components, coeff))
+    return {
+        j: tuple(np.array(col) for col in zip(*terms)) for j, terms in rows.items()
+    }
+
+
+def _gathering_sweep(table, t, axes, bands, reference, orders):
+    """(sup errors at each order, |terms| summed to orders[-1], field at
+    orders[-1]), each degree block accumulated band by band with its table
+    rows gathered by fancy indexing, t2[deg2] whole-width."""
+    k = orders[-1]
+    scale = 2.0 * math.sqrt(t)
+    t1, t2 = (backend.weighted_hermite_table(ax / scale, k) for ax in axes)
+    blocks = _gathering_blocks(table, t, k)
+    field, magnitude = np.zeros(reference.shape), np.zeros(reference.shape)
+    per_band = []
+    for i0, i1 in bands:
+        band, sups, built = field[i0:i1], [], -1
+        for order in orders:
+            for j in range(built + 1, order + 1):
+                if j in blocks:
+                    deg1, deg2, c = blocks[j]
+                    left = t1[:, i0:i1][deg1]
+                    band += (left * c[:, None]).T @ t2[deg2]
+                    magnitude[i0:i1] += (np.abs(left) * np.abs(c)[:, None]).T @ np.abs(t2[deg2])
+            built = order
+            sups.append(backend.max_abs_diff(reference[i0:i1], band))
+        per_band.append(sups)
+    return np.max(per_band, axis=0).tolist(), magnitude, field
+
+
+@pytest.mark.parametrize(
+    "points,band_rows,folds",
+    [(201, 25, True), (201, 7, False), (801, None, True), (801, 16, True)],
+    ids=["201-rows25-fold", "201-rows7", "801-default-fold", "801-rows16-fold"],
+)
+def test_gather_free_sweep_is_bit_identical(monkeypatch, points, band_rows, folds):
+    if band_rows is not None:
+        monkeypatch.setattr(kernel_approx, "_BAND_BYTES", 8 * band_rows * points)
+    u0, t, k_max = Gaussian(1.3, 0.9, 2), 1.7, 40
+    table = build_moment_table(u0, k_max)
+    axes = default_grid(2, t, 0.9, points=points).axes()
+    reference = _reference_field(u0, axes, t)
+    evaluator = SeriesGridEvaluator(table, t, axes)
+    bands = evaluator._bands()
+    rows = bands[0][1] - bands[0][0]
+    # a lone last row joins the band before it
+    assert (bands[-1][1] - bands[-1][0] == rows + 1) == folds
+    orders = list(range(0, k_max + 1, 2))
+    want, _, field = _gathering_sweep(table, t, axes, bands, reference, orders)
+    assert evaluator.sup_errors(reference, orders) == want  # bit for bit
+    for k in (9, 24, k_max):
+        _, _, field = _gathering_sweep(table, t, axes, bands, reference, [k])
+        np.testing.assert_array_equal(evaluator.field_up_to(k), field)
+
+
+def test_gather_free_sweep_zero_filled_block():
+    # degree blocks whose terms skip axis-0 orders: the evaluator holds them
+    # as one dense strided block with zero coefficients in the gaps
+    rng = np.random.default_rng(11)
+    k_max = 9
+    gaps = {6: {2, 3}, 7: {1, 2, 4, 5, 6}, 9: {0, 4, 5}}  # degree -> zeroed n1
+    entries = {}
+    for a in multi_indices_up_to(k_max, 2):
+        n1 = a.components[0]
+        if n1 in gaps.get(a.degree, ()):
+            entries[a] = ZERO
+        else:
+            entries[a] = SignedLog(int(rng.choice([-1, 1])), float(rng.uniform(-1.0, 3.0)))
+    table = MomentTable(dim=2, k_max=k_max, entries=entries)
+    t = 1.2
+    axes = GridSpec(dim=2, extent=9.0, points=201).axes()
+    reference = _reference_field(Gaussian(1.0, 1.0, 2), axes, t)
+    evaluator = SeriesGridEvaluator(table, t, axes)
+    assert any(0.0 in coeffs for *_, coeffs in evaluator._blocks.values())
+    orders = list(range(k_max + 1))
+    want, magnitude, field = _gathering_sweep(
+        table, t, axes, evaluator._bands(), reference, orders
+    )
+    # Both sum the same terms (the zeros add exact zeros) in different
+    # orders.  Every node is a sum of at most n terms of up to three
+    # factors, n the number of terms, plus one add per degree block, so
+    # each result lies within gamma_{n+3+k} * sum |terms| of the exact sum
+    # (Higham, 2nd ed., 4.2); the two differ by at most twice that, and a
+    # sup error by that plus one rounding of the difference.
+    n = len(entries) + 3 + k_max
+    u = np.finfo(float).eps / 2.0
+    bound = 2.0 * (n * u / (1.0 - n * u)) * magnitude
+    got = evaluator.field_up_to(k_max)
+    assert np.all(np.abs(got - field) <= bound)
+    sups = SeriesGridEvaluator(table, t, axes).sup_errors(reference, orders)
+    slack = float(bound.max())
+    for got_sup, want_sup in zip(sups, want):
+        assert abs(got_sup - want_sup) <= slack + 2.0 * u * want_sup
 
 
 # --- the batched reference field -----------------------------------------

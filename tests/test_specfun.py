@@ -11,7 +11,7 @@ from heatseries import (
     log_factorial,
     log_gamma,
 )
-from heatseries.specfun import RECURRENCE_DEPTH_CAP
+from heatseries.specfun import RECURRENCE_DEPTH_CAP, log_gamma_halves
 
 
 # --- Hermite -------------------------------------------------------------
@@ -97,13 +97,38 @@ def test_depth_cap_enforced():
 
 # --- log-Gamma -----------------------------------------------------------
 
+EPS = 2.0**-52
+
+
 @pytest.mark.parametrize(
     "z",
     [0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 7.3, 10.0, 31.5, 100.1, 171.5, 300.0],
 )
 def test_log_gamma_against_lgamma(z):
-    # math.lgamma is an independent implementation
-    assert math.isclose(log_gamma(z), math.lgamma(z), rel_tol=1e-12, abs_tol=1e-12)
+    # log_gamma is a domain guard around math.lgamma and must return its
+    # value bit for bit: the lookups of log_gamma_halves, and the tables
+    # built from them, reproduce per-call values only because of that.
+    # Accuracy is checked against exact routes in the next two tests.
+    assert log_gamma(z) == math.lgamma(z)
+
+
+def test_log_gamma_against_exact_factorial():
+    # Gamma(n+1) = n!, an exact integer; math.log of an int rounds once
+    for n in range(171):
+        want = math.log(math.factorial(n))
+        assert abs(log_gamma(n + 1.0) - want) <= 4.0 * EPS * max(1.0, abs(want)), n
+        assert log_factorial(n) == log_gamma(n + 1.0)
+
+
+def test_log_gamma_half_integers_against_exact_ratio():
+    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!), numerator and denominator
+    # exact integers; the route rounds once per log, so its error is a few
+    # eps times the logs it subtracts
+    for n in range(171):
+        num, den = math.factorial(2 * n), 4**n * math.factorial(n)
+        want = math.log(num) - math.log(den) + 0.5 * math.log(math.pi)
+        scale = math.log(num) + math.log(den) + 1.0
+        assert abs(log_gamma(n + 0.5) - want) <= 4.0 * EPS * scale, n
 
 
 def test_log_gamma_half_integer_closed_form():
@@ -125,10 +150,18 @@ def test_log_gamma_duplication(z):
 
 
 def test_log_gamma_domain():
+    for z in (0.0, -0.0, -2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            log_gamma(z)
+
+
+def test_log_gamma_halves_are_log_gamma_values():
+    halves = log_gamma_halves(41)
+    assert len(halves) == 42
+    for c, value in enumerate(halves):
+        assert value == log_gamma((c + 1) / 2.0)  # bit for bit
     with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.5)
+        log_gamma_halves(-1)
 
 
 def test_log_factorial():
