@@ -44,5 +44,8 @@ def accumulate_series_2d(out, t1, t2, deg1, deg2, coeffs) -> None:
 
 
 def max_abs_diff(a, b) -> float:
-    """Largest absolute elementwise difference of two arrays."""
-    return float(np.max(np.abs(a - b)))
+    """Largest absolute elementwise difference of two arrays, NaN if any
+    difference is NaN, from one temporary and two reductions."""
+    d = np.subtract(a, b)
+    # d.max() comes first so that a NaN wins; abs turns -0.0 into 0.0
+    return abs(float(max(d.max(), -d.min())))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel_approx import ApproxConfig
-from .moments import Gaussian, MomentTable, abs_moment_factors
+from .moments import Gaussian, MomentTable, moment_factors
 from .signedlog import SignedLog, aligned_sum
 from .specfun import log_factorial, log_gamma
 
@@ -67,7 +67,7 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     """F(k) of :func:`error_bound_F` at time t for every k in ``orders``,
     from one pass over the degree shells stored in ``table.entries``.
 
-    The absolute moments come factored from :func:`abs_moment_factors`:
+    The absolute moments come factored from :func:`moment_factors`:
     a factor each shell shares, and a per-component log lookup.  Each
     multi-index's weight is the sum of its components' lookups, -ln(c!)/2
     and -ln(c+1)/12; each shell's weights are reduced by exponent alignment
@@ -89,7 +89,7 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
             "error_bound_F needs a table that carries its source datum "
             "for absolute moments"
         )
-    shared, logs = abs_moment_factors(table.source, [k + 1 for k in orders])
+    shared, logs = moment_factors(table.source, [k + 1 for k in orders], absolute=True)
     weight = [
         math.fsum((logs[c], -0.5 * log_factorial(c), -math.log(c + 1.0) / 12.0))
         for c in range(top + 1)

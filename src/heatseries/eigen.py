@@ -21,7 +21,7 @@ from .errors import DomainError
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .quadrature import integrate_interval
 from .signedlog import SignedLog, aligned_sum
-from .specfun import hermite_weighted_sequence, log_gamma
+from .specfun import hermite_weighted_sequence, log_factorial, log_gamma
 
 _LOG_PI = math.log(math.pi)
 _LOG2 = math.log(2.0)
@@ -84,9 +84,12 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     table = build_moment_table(u0, k_max)
     if t0_coeff > 0.0:
         table = moments_at_time(table, t0_coeff)
+    ln_factorial = [log_factorial(c) for c in range(k_max + 1)]
     entries = {
         a: m * SignedLog.from_log(
-            -(a.degree + d) * _LOG2 - 0.5 * d * _LOG_PI - a.log_factorial()
+            -(a.degree + d) * _LOG2
+            - 0.5 * d * _LOG_PI
+            - math.fsum(map(ln_factorial.__getitem__, a.components))
         )
         for a, m in table.entries.items()
     }

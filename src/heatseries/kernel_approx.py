@@ -142,6 +142,7 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
     weighted = [
         hermite_weighted_sequence(cfg.k, xi / scale) for xi in pt
     ]
+    ln_factorial = [log_factorial(c) for c in range(cfg.k + 1)]
     all_terms: list[SignedLog] = []
     by_degree: dict[int, list[SignedLog]] = {}
     for a, m in table.entries.items():
@@ -149,7 +150,9 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
             break
         if m.sign == 0:
             continue
-        term = m * SignedLog.from_log(_term_scale(a.degree, cfg) - a.log_factorial())
+        term = m * SignedLog.from_log(
+            _term_scale(a.degree, cfg) - math.fsum(map(ln_factorial.__getitem__, a.components))
+        )
         for axis, ai in enumerate(a.components):
             term = term * weighted[axis][ai]
         if term.sign == 0:

@@ -1,10 +1,11 @@
 """Initial data, multi-indices, and moment tables.
 
 A moment table holds the signed moments ``integral of x^alpha * u0`` for all
-multi-indices up to a degree cap, stored as SignedLog scalars.  Gaussian
-data gets closed forms, radial data reduces to one half-line integral per
-total degree, and generic one-dimensional data falls back to line
-quadrature.
+multi-indices up to a degree cap, stored as SignedLog scalars.  Every
+moment, signed or absolute, is a factor its degree shell shares times a
+per-component lookup (:func:`moment_factors`): Gaussian data gets closed
+forms, radial data one half-line integral per total degree, and generic
+one-dimensional data one line integral per degree.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Union
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
 from .serial import json_array, json_cell
 from .signedlog import ZERO, SignedLog, aligned_sum
-from .specfun import log_factorial, log_gamma, log_gamma_halves
+from .specfun import log_gamma, log_gamma_halves
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
@@ -123,14 +124,6 @@ class MultiIndex:
     def dim(self) -> int:
         return len(self.components)
 
-    @property
-    def all_even(self) -> bool:
-        return all(c % 2 == 0 for c in self.components)
-
-    def log_factorial(self) -> float:
-        """ln(alpha!) = sum of ln(component!)."""
-        return math.fsum(log_factorial(c) for c in self.components)
-
     def __iter__(self):
         return iter(self.components)
 
@@ -178,6 +171,102 @@ def multi_indices_up_to(k_max: int, dim: int) -> Iterator[MultiIndex]:
 # moment operations
 
 
+def moment_factors(
+    u0: InitialDatum, degrees, absolute: bool
+) -> tuple[dict[int, SignedLog], list[float | None]]:
+    """The moments of u0 for every alpha whose degree is in ``degrees``, as
+    the factors (shared, logs) of
+
+        moment(alpha) = shared[|alpha|] * exp(sum_i logs[alpha_i]):
+
+    the signed moments ``integral x^alpha u0`` or, with ``absolute``, the
+    norms ``|| x^alpha u0 ||_{L1}``.  shared[n] is what every multi-index of
+    degree n shares; logs[c], for c up to the largest degree, is the
+    per-component lookup.  A signed moment of a symmetric (Gaussian or
+    Radial) datum vanishes when a component is odd: logs[c] is then None
+    and an odd degree's shared factor is exact zero, with no integral.
+
+    Gaussian data: shared C (4 t0)^{(n+d)/2}, logs ln Gamma((c+1)/2).
+    Radial data: the sphere identity (Folland, "How to integrate a
+    polynomial over a sphere", Amer. Math. Monthly 108, 2001)
+
+        integral_{S^{d-1}} prod |w_i|^{a_i} dw
+            = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+d)/2)
+
+    gives shared 2 / Gamma((n+d)/2) times the half-line integral of
+    r^{n+d-1} profile(r), one per degree, and the same logs.  Generic1D
+    data has one multi-index per degree: shared is its line integral and
+    logs are 0.  An IntegrabilityError names the degree's first multi-index
+    in table order.
+    """
+    degrees = sorted(set(degrees))
+    top = max(degrees, default=0)
+    d = u0.dim
+    symmetric = True
+    if isinstance(u0, Gaussian):
+        log_amplitude, log_width = math.log(u0.amplitude), math.log(4.0 * u0.width)
+
+        def shell(n):
+            return SignedLog(1, log_amplitude + 0.5 * (n + d) * log_width)
+    elif isinstance(u0, Radial):
+        def shell(n):
+            value = _power_integral(integrate_halfline, u0.profile, n + d - 1, absolute)
+            return SignedLog(1, _LOG2 - log_gamma((n + d) / 2.0)) * SignedLog.from_float(value)
+    elif isinstance(u0, Generic1D):
+        symmetric = False
+
+        def shell(n):
+            return SignedLog.from_float(
+                _power_integral(integrate_line, u0.func, n, absolute, breakpoints=u0.breakpoints)
+            )
+    else:
+        raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
+    vanishing = symmetric and not absolute
+    shared = {}
+    for n in degrees:
+        if vanishing and n % 2:
+            shared[n] = ZERO  # every multi-index of odd degree has an odd component
+            continue
+        try:
+            shared[n] = shell(n)
+        except IntegrabilityError as exc:
+            raise IntegrabilityError(str(exc), alpha=MultiIndex((0,) * (d - 1) + (n,))) from exc
+    logs = log_gamma_halves(top) if symmetric else [0.0] * (top + 1)
+    if vanishing:
+        logs = [None if c % 2 else v for c, v in enumerate(logs)]
+    return shared, logs
+
+
+def _power_integral(integrate, f, power: int, absolute: bool, breakpoints=()) -> float:
+    """``integrate`` applied to x^power f(x), or to its absolute value."""
+    if absolute:
+        return integrate(lambda x: abs(x**power * f(x)), breakpoints=breakpoints)
+    return integrate(lambda x: x**power * f(x), breakpoints=breakpoints)
+
+
+def moment(u0: InitialDatum, alpha) -> SignedLog:
+    """The signed moment ``integral x^alpha u0`` of one multi-index, from
+    :func:`moment_factors`."""
+    return _one_index(u0, alpha, False)
+
+
+def abs_moment(u0: InitialDatum, alpha) -> SignedLog:
+    """``|| x^alpha u0 ||_{L1}`` of one multi-index, from
+    :func:`moment_factors`."""
+    return _one_index(u0, alpha, True)
+
+
+def _one_index(u0: InitialDatum, alpha, absolute: bool) -> SignedLog:
+    a = MultiIndex.of(alpha)
+    if a.dim != u0.dim:
+        raise DomainError(f"multi-index {a.components} does not match dim {u0.dim}")
+    shared, logs = moment_factors(u0, [a.degree], absolute)
+    lookups = [logs[c] for c in a.components]
+    if any(v is None for v in lookups):
+        return ZERO
+    return shared[a.degree] * SignedLog(1, math.fsum(lookups))
+
+
 def gaussian_moment(alpha, amplitude: float, width: float) -> SignedLog:
     """Signed moment of a Gaussian datum.
 
@@ -185,78 +274,26 @@ def gaussian_moment(alpha, amplitude: float, width: float) -> SignedLog:
     ``C * (4 t0)^{(|alpha|+d)/2} * prod Gamma((alpha_i + 1)/2)``.
     """
     a = MultiIndex.of(alpha)
-    if amplitude <= 0.0 or width <= 0.0:
-        raise DomainError("gaussian_moment requires positive amplitude and width")
-    if not a.all_even:
-        return ZERO
-    return gaussian_abs_moment(a, amplitude, width)
+    return moment(Gaussian(amplitude, width, a.dim), a)
 
 
 def gaussian_abs_moment(alpha, amplitude: float, width: float) -> SignedLog:
     """L1 norm of x^alpha times a Gaussian datum (no parity shortcut)."""
     a = MultiIndex.of(alpha)
-    if amplitude <= 0.0 or width <= 0.0:
-        raise DomainError("gaussian_abs_moment requires positive amplitude and width")
-    return _abs_moment(Gaussian(amplitude, width, a.dim), a)
+    return abs_moment(Gaussian(amplitude, width, a.dim), a)
 
 
-def abs_moment_factors(
-    u0: InitialDatum, degrees
-) -> tuple[dict[int, SignedLog], list[float]]:
-    """``|| x^alpha u0 ||_{L1}`` for every alpha whose degree is in
-    ``degrees``, as the factors (shared, logs) of
-
-        || x^alpha u0 ||_1 = shared[|alpha|] * exp(sum_i logs[alpha_i]).
-
-    shared[n] is what every multi-index of degree n shares; logs[c], for c
-    up to the largest degree, is the per-component lookup.  Gaussian data:
-    shared C (4 t0)^{(n+d)/2}, logs ln Gamma((c+1)/2).  Radial data: the
-    surface-measure identity
-
-        integral_{S^{d-1}} prod |w_i|^{a_i} dw
-            = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+d)/2)
-
-    gives shared 2 / Gamma((n+d)/2) times one half-line integral per
-    degree (:func:`radial_abs_integral`), and the same logs.  Generic1D
-    data has one multi-index per degree: shared is its line integral and
-    logs are 0.
-    """
-    degrees = sorted(set(degrees))
-    top = max(degrees, default=0)
-    d = u0.dim
-    if isinstance(u0, Gaussian):
-        log_amplitude, log_width = math.log(u0.amplitude), math.log(4.0 * u0.width)
-        shared = {n: SignedLog(1, log_amplitude + 0.5 * (n + d) * log_width) for n in degrees}
-        return shared, log_gamma_halves(top)
-    if isinstance(u0, Radial):
-        shared = {
-            n: SignedLog(1, _LOG2 - log_gamma((n + d) / 2.0))
-            * SignedLog.from_float(radial_abs_integral(u0.profile, _shell_first(n, d)))
-            for n in degrees
-        }
-        return shared, log_gamma_halves(top)
-    if isinstance(u0, Generic1D):
-        shared = {
-            n: generic_abs_moment_1d(_shell_first(n, d), u0.func, u0.breakpoints)
-            for n in degrees
-        }
-        return shared, [0.0] * (top + 1)
-    raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
-
-
-def _shell_first(n: int, d: int) -> MultiIndex:
-    """The first multi-index of degree n in dimension d, in table order."""
-    return MultiIndex((0,) * (d - 1) + (n,))
-
-
-def _abs_moment(u0: InitialDatum, a: MultiIndex) -> SignedLog:
-    shared, logs = abs_moment_factors(u0, [a.degree])
-    return shared[a.degree] * SignedLog(1, math.fsum(map(logs.__getitem__, a.components)))
+def radial_moment(alpha, profile: Callable[[float], float], dim: int) -> SignedLog:
+    """Signed moment of the radial datum profile(|x|) in dimension dim, from
+    one half-line integral and the sphere identity of :func:`moment_factors`;
+    odd components give exact zero."""
+    return moment(Radial(profile, dim), alpha)
 
 
 def constant_C(j: int, dim: int) -> SignedLog:
     """Angular constant relating the order-j radial integral of a radial
-    datum to its multi-index moments of total degree j (j even).
+    datum to its multi-index moments of total degree j (j even), as the
+    Laguerre form of :func:`kernel_approx.eval_uk_radial_origin` uses it.
 
     Even dim:  (2 pi)^{d/2} / (2^{(j+d-2)/2} Gamma((j+d)/2))
     Odd dim:   (2 pi)^{(d-1)/2} 2^{(j+d+1)/2} Gamma((j+d+1)/2) / Gamma(j+d)
@@ -279,118 +316,6 @@ def constant_C(j: int, dim: int) -> SignedLog:
             - log_gamma(float(j + dim))
         )
     return SignedLog(1, logmag)
-
-
-def radial_moment(
-    alpha,
-    profile: Callable[[float], float],
-    dim: int,
-    _radial_integral: float | None = None,
-) -> SignedLog:
-    """Moment of a radial datum via one half-line integral.
-
-    For even alpha,
-
-        integral x^alpha u0 = alpha! * C(|alpha|, d)
-            / (2^{|alpha|/2} prod (alpha_i/2)!)
-            * integral_0^inf r^{|alpha|+d-1} profile(r) dr
-
-    and odd components give exact zero.  ``_radial_integral`` lets a table
-    builder reuse the degree-j radial integral across multi-indices.
-    """
-    a = MultiIndex.of(alpha)
-    if a.dim != dim:
-        raise DomainError("multi-index dimension does not match dim")
-    if not a.all_even:
-        return ZERO
-    j = a.degree
-    if _radial_integral is None:
-        _radial_integral = _radial_power_integral(profile, j + dim - 1, a)
-    combinatorial = (
-        a.log_factorial()
-        - 0.5 * j * _LOG2
-        - math.fsum(log_factorial(c // 2) for c in a.components)
-    )
-    return (
-        SignedLog(1, combinatorial)
-        * constant_C(j, dim)
-        * SignedLog.from_float(_radial_integral)
-    )
-
-
-def radial_abs_moment(
-    alpha,
-    profile: Callable[[float], float],
-    dim: int,
-) -> SignedLog:
-    """L1 norm of x^alpha times |profile(|x|)| for any parity of alpha, from
-    :func:`abs_moment_factors`."""
-    a = MultiIndex.of(alpha)
-    if a.dim != dim:
-        raise DomainError("multi-index dimension does not match dim")
-    return _abs_moment(Radial(profile, dim), a)
-
-
-def radial_abs_integral(profile: Callable[[float], float], alpha) -> float:
-    """integral_0^inf r^{|alpha|+d-1} |profile(r)| dr, the half-line factor
-    that every multi-index of alpha's degree shares in
-    :func:`abs_moment_factors`; an IntegrabilityError names alpha."""
-    a = MultiIndex.of(alpha)
-    return _radial_power_integral(lambda r: abs(profile(r)), a.degree + a.dim - 1, a)
-
-
-def _radial_power_integral(profile, power: int, alpha: MultiIndex) -> float:
-    try:
-        return integrate_halfline(lambda r: r**power * profile(r))
-    except IntegrabilityError as exc:
-        raise IntegrabilityError(str(exc), alpha=alpha) from exc
-
-
-def generic_moment_1d(
-    alpha,
-    func: Callable[[float], float],
-    breakpoints: Sequence[float] = (),
-) -> SignedLog:
-    """Signed moment of a one-dimensional datum by line quadrature."""
-    a = MultiIndex.of(alpha)
-    if a.dim != 1:
-        raise DomainError("generic_moment_1d is one-dimensional")
-    n = a.degree
-    try:
-        value = integrate_line(lambda x: x**n * func(x), breakpoints=breakpoints)
-    except IntegrabilityError as exc:
-        raise IntegrabilityError(str(exc), alpha=a) from exc
-    return SignedLog.from_float(value)
-
-
-def generic_abs_moment_1d(
-    alpha,
-    func: Callable[[float], float],
-    breakpoints: Sequence[float] = (),
-) -> SignedLog:
-    a = MultiIndex.of(alpha)
-    if a.dim != 1:
-        raise DomainError("generic_abs_moment_1d is one-dimensional")
-    n = a.degree
-    try:
-        value = integrate_line(
-            lambda x: abs(x**n * func(x)), breakpoints=breakpoints
-        )
-    except IntegrabilityError as exc:
-        raise IntegrabilityError(str(exc), alpha=a) from exc
-    return SignedLog.from_float(value)
-
-
-def abs_moment(u0: InitialDatum, alpha) -> SignedLog:
-    """Dispatch ``|| x^alpha u0 ||_{L1}`` on the datum variant."""
-    a = MultiIndex.of(alpha)
-    if isinstance(u0, Gaussian):
-        return gaussian_abs_moment(a, u0.amplitude, u0.width)
-    if isinstance(u0, Radial):
-        return radial_abs_moment(a, u0.profile, u0.dim)
-    if isinstance(u0, Generic1D):
-        return generic_abs_moment_1d(a, u0.func, u0.breakpoints)
-    raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,49 +436,23 @@ def _entry(row) -> tuple[MultiIndex, SignedLog]:
 
 
 def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
-    """Moments of u0 for every |alpha| <= k_max.
-
-    Gaussian data is filled from one :func:`abs_moment_factors` lookup.  Radial
-    data computes one half-line integral per even total degree and reuses
-    it across that degree's multi-indices.
-    """
+    """Moments of u0 for every |alpha| <= k_max, in table order, from one
+    :func:`moment_factors` lookup (at most one quadrature per degree): the
+    same bits as :func:`moment` called once per multi-index."""
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
-    d = u0.dim
-    if isinstance(u0, Gaussian):
-        return MomentTable(dim=d, k_max=k_max, entries=_gaussian_entries(u0, k_max), source=u0)
-    if isinstance(u0, Radial):
-        radial: dict[int, float] = {}  # degree -> its shared half-line integral
-
-        def moment(a):
-            if a.all_even and a.degree not in radial:
-                radial[a.degree] = _radial_power_integral(u0.profile, a.degree + d - 1, a)
-            return radial_moment(a, u0.profile, d, _radial_integral=radial.get(a.degree))
-    elif isinstance(u0, Generic1D):
-        def moment(a):
-            return generic_moment_1d(a, u0.func, u0.breakpoints)
-    else:
-        raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
-    entries = {a: moment(a) for a in multi_indices_up_to(k_max, d)}
-    return MomentTable(dim=d, k_max=k_max, entries=entries, source=u0)
-
-
-def _gaussian_entries(u0: Gaussian, k_max: int) -> dict[MultiIndex, SignedLog]:
-    """gaussian_moment of every multi-index up to k_max, in table order,
-    from one :func:`abs_moment_factors` lookup: the same bits as calling it
-    once per multi-index."""
-    shared, logs = abs_moment_factors(u0, range(k_max + 1))
-    odd = [c % 2 for c in range(k_max + 1)]
+    shared, logs = moment_factors(u0, range(k_max + 1), absolute=False)
+    vanishes = [v is None for v in logs]
     entries = {}
     for j in range(k_max + 1):
-        scale = shared[j].logmag
+        sign, scale = shared[j].sign, shared[j].logmag
         for comps in compositions(j, u0.dim):
-            if any(map(odd.__getitem__, comps)):
+            if sign == 0 or any(map(vanishes.__getitem__, comps)):
                 value = ZERO
             else:
-                value = SignedLog(1, scale + math.fsum(map(logs.__getitem__, comps)))
+                value = SignedLog(sign, scale + math.fsum(map(logs.__getitem__, comps)))
             entries[MultiIndex._trusted(comps, j)] = value
-    return entries
+    return MomentTable(dim=u0.dim, k_max=k_max, entries=entries, source=u0)
 
 
 def moments_at_time(table: MomentTable, t: float) -> MomentTable:

@@ -41,6 +41,12 @@ from .errors import IntegrabilityError
 #: A shell must fall below this fraction of the running integral to stop.
 TAIL_FRACTION = 1e-14
 
+#: Half-width of a row's first interval on the line (its length on the half
+#: line), unless its breakpoints need more, and the most doubling shells
+#: appended past it.
+INITIAL_EXTENT = 8.0
+MAX_DOUBLINGS = 40
+
 #: Absolute and relative tolerance of every row.
 EPSABS = 1e-13
 EPSREL = 1e-12
@@ -171,14 +177,13 @@ def integrate_rows(
     return accepted
 
 
-def _initial_panels(breakpoints, initial_extent: float, line: bool):
+def _initial_panels(breakpoints, line: bool):
     """Panels of each row's first interval, split at its breakpoints, and
     the extent where each row's shells begin."""
     rows, edges_lo, edges_hi = [], [], []
     extents = np.empty(len(breakpoints))
     for r, points in enumerate(breakpoints):
-        extent = max(initial_extent, *(abs(p) + 1.0 for p in points)) \
-            if len(points) else initial_extent
+        extent = max([INITIAL_EXTENT, *(abs(p) + 1.0 for p in points)])
         start = -extent if line else 0.0
         edges = [start, *sorted(p for p in points if start < p < extent), extent]
         rows += [r] * (len(edges) - 1)
@@ -188,13 +193,13 @@ def _initial_panels(breakpoints, initial_extent: float, line: bool):
     return (np.array(rows, dtype=np.intp), np.array(edges_lo), np.array(edges_hi)), extents
 
 
-def _unbounded_rows(g, breakpoints, initial_extent, max_doublings, line):
-    panels, extent = _initial_panels(breakpoints, initial_extent, line)
+def _unbounded_rows(g, breakpoints, line):
+    panels, extent = _initial_panels(breakpoints, line)
     nrows = extent.size
     total = integrate_rows(g, *panels, nrows)
     active = np.arange(nrows)
     sizes: list[np.ndarray] = []
-    for step in range(max_doublings):
+    for step in range(MAX_DOUBLINGS):
         lo, hi = extent[active], 2.0 * extent[active]
         if line:
             piece = integrate_rows(
@@ -229,8 +234,6 @@ def _unbounded_rows(g, breakpoints, initial_extent, max_doublings, line):
 def integrate_line_rows(
     g: RowIntegrand,
     breakpoints: Sequence[Sequence[float]],
-    initial_extent: float = 8.0,
-    max_doublings: int = 40,
 ) -> np.ndarray:
     """Integral over the whole line of each row, one row per entry of
     ``breakpoints``.
@@ -239,18 +242,16 @@ def integrate_line_rows(
     breakpoints, then appends doubling shells on both sides until its
     shell contribution is below TAIL_FRACTION of its running total.
     """
-    return _unbounded_rows(g, breakpoints, initial_extent, max_doublings, True)
+    return _unbounded_rows(g, breakpoints, True)
 
 
 def integrate_halfline_rows(
     g: RowIntegrand,
     breakpoints: Sequence[Sequence[float]],
-    initial_extent: float = 8.0,
-    max_doublings: int = 40,
 ) -> np.ndarray:
     """Integral over [0, inf) of each row with the same doubling-shell
     policy."""
-    return _unbounded_rows(g, breakpoints, initial_extent, max_doublings, False)
+    return _unbounded_rows(g, breakpoints, False)
 
 
 def integrate_interval(
@@ -273,28 +274,18 @@ def integrate_interval(
 
 
 def integrate_line(
-    f: Callable[[float], float],
-    initial_extent: float = 8.0,
-    breakpoints: Sequence[float] = (),
-    max_doublings: int = 40,
+    f: Callable[[float], float], breakpoints: Sequence[float] = ()
 ) -> float:
     """Integral of f over the whole line (see integrate_line_rows)."""
     g = on_array(f)
-    value = integrate_line_rows(
-        lambda rows, x: g(x), [tuple(breakpoints)], initial_extent, max_doublings
-    )
+    value = integrate_line_rows(lambda rows, x: g(x), [tuple(breakpoints)])
     return float(value[0])
 
 
 def integrate_halfline(
-    f: Callable[[float], float],
-    initial_extent: float = 8.0,
-    breakpoints: Sequence[float] = (),
-    max_doublings: int = 40,
+    f: Callable[[float], float], breakpoints: Sequence[float] = ()
 ) -> float:
     """Integral of f over [0, inf) with the same doubling-shell policy."""
     g = on_array(f)
-    value = integrate_halfline_rows(
-        lambda rows, x: g(x), [tuple(breakpoints)], initial_extent, max_doublings
-    )
+    value = integrate_halfline_rows(lambda rows, x: g(x), [tuple(breakpoints)])
     return float(value[0])

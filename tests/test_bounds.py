@@ -271,7 +271,10 @@ def _radial_F_integral_per_index(u0, k, t):
         for c in range(n + 1)
     ]
     shell = list(multi_indices_of_degree(n, d))
-    integrals = [moments.radial_abs_integral(u0.profile, a) for a in shell]
+    integrals = [
+        moments.integrate_halfline(lambda r: r ** (n + d - 1) * abs(u0.profile(r)))
+        for a in shell
+    ]
     terms = [SignedLog(1, math.fsum(weight[c] for c in a.components)) for a in shell]
     shared = SignedLog(1, math.log(2.0) - math.lgamma((n + d) / 2.0)) * SignedLog.from_float(
         integrals[0]

@@ -1,8 +1,8 @@
 """Static hygiene of the package and test modules, checked with ``ast``.
 
-Every name a module imports must be read somewhere in it, and every private
-module-level constant (``_NAME = ...``) must be read too.  A name left
-behind by a refactor otherwise hides which module depends on which.
+Every name a module imports must be read somewhere in it, and so must every
+private module-level constant (``_NAME = ...``), function and class.  A name
+left behind by a refactor otherwise hides which module depends on which.
 The package's ``__init__.py`` is skipped: its imports are the re-exports.
 """
 
@@ -53,13 +53,24 @@ def _private_constants(tree: ast.Module) -> list[str]:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
 def unused_names(source: str) -> list[str]:
-    """Imported names and private module constants the source never reads."""
+    """Imported names, private module constants and private module-level
+    functions and classes that the source never reads."""
     tree = ast.parse(source)
     read = _read_names(tree)
     return [
         name
-        for name in _imported_names(tree) + _private_constants(tree)
+        for name in _imported_names(tree) + _private_constants(tree) + _private_definitions(tree)
         if name not in read
     ]
 
@@ -85,6 +96,15 @@ def test_scan_flags_unused_names():
         "_USED = 2\n"
         "_lower = 3\n"
         "def f():\n"
-        "    return _USED\n"
+        "    return _USED, _helper()\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def _orphan():\n"
+        "    return 2\n"
+        "class _Orphan:\n"
+        "    def _method(self):\n"
+        "        return 3\n"
+        "def __getattr__(name):\n"
+        "    return name\n"
     )
-    assert unused_names(source) == ["os", "MultiIndex", "R", "_LOG_PI"]
+    assert unused_names(source) == ["os", "MultiIndex", "R", "_LOG_PI", "_orphan", "_Orphan"]

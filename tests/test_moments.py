@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad, tplquad
 
 from heatseries import (
     DomainError,
@@ -25,6 +25,7 @@ from heatseries import (
     eigen_coeffs,
     gaussian_abs_moment,
     gaussian_moment,
+    moment,
     moments_at_time,
     multi_indices_up_to,
     radial_moment,
@@ -169,6 +170,53 @@ def test_radial_vs_tensor_gaussian_dim2(alpha):
     via_radial = radial_moment(alpha, lambda r: math.exp(-r * r / 4.0), 2).to_float()
     via_tensor = gaussian_moment(alpha, 1.0, 1.0).to_float()
     assert via_radial == pytest.approx(via_tensor, rel=1e-9)
+
+
+def _sign_changing_profile(r):
+    return math.exp(-r * r / 4.0) * (1.0 - 0.3 * r)
+
+
+@pytest.mark.parametrize("alpha", [(2, 4), (2, 2, 2)])
+def test_radial_moment_vs_cartesian_quadrature(alpha):
+    # x^alpha profile(|x|) integrated over Cartesian coordinates, without the
+    # sphere identity that radial and Gaussian moments share; even alpha
+    # makes the integrand even in every coordinate, so the orthant [0, 16]^d
+    # (the profile is below e^-64 past 16) times 2^d is the whole integral
+    f = _sign_changing_profile
+    if len(alpha) == 2:
+        a, b = alpha
+        half, _ = dblquad(
+            lambda y, x: x**a * y**b * f(math.hypot(x, y)),
+            0.0, 16.0, 0.0, 16.0, epsabs=0.0, epsrel=1e-10,
+        )
+    else:
+        a, b, c = alpha
+        half, _ = tplquad(
+            lambda z, y, x: x**a * y**b * z**c * f(math.sqrt(x * x + y * y + z * z)),
+            0.0, 16.0, 0.0, 16.0, 0.0, 16.0, epsabs=0.0, epsrel=1e-10,
+        )
+    want = 2 ** len(alpha) * half
+    assert want < 0.0  # the profile's negative tail dominates these moments
+    got = radial_moment(alpha, f, len(alpha)).to_float()
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "u0,kmax",
+    [
+        (Radial(profile=_sign_changing_profile, dim=2), 8),
+        (Generic1D(func=lambda x: 1.0 if -1.0 <= x <= 0.5 else 0.0, breakpoints=(-1.0, 0.5)), 9),
+    ],
+    ids=["radial", "generic1d"],
+)
+def test_table_equals_moment_per_index(u0, kmax):
+    # one quadrature per degree in the table, one per index here: same bits
+    table = build_moment_table(u0, kmax)
+    for a, got in table.entries.items():
+        want = moment(u0, a)
+        assert (got.sign, got.logmag) == (want.sign, want.logmag), a.components
+    with pytest.raises(DomainError):
+        moment(u0, (2,) * (u0.dim + 1))
 
 
 # --- generic 1d data and dispatch ----------------------------------------

@@ -396,7 +396,11 @@ def _gathering_blocks(table, t, k):
             break
         if m.sign == 0:
             continue
-        logmag = m.logmag + kernel_approx._term_scale(a.degree, cfg) - a.log_factorial()
+        logmag = (
+            m.logmag
+            + kernel_approx._term_scale(a.degree, cfg)
+            - math.fsum(math.lgamma(c + 1.0) for c in a.components)
+        )
         coeff = m.sign * math.exp(logmag)
         if coeff != 0.0:
             rows.setdefault(a.degree, []).append((*a.components, coeff))
