@@ -42,6 +42,25 @@ from .svg import line_plot
 _ASSERT_SLACK = 1.0 + 1e-9
 
 
+#: Every option a command may read; each command registers the ones it reads.
+_OPTIONS = {
+    "--dim": dict(type=int, default=1),
+    "--t0": dict(type=float, default=1.0, help="Gaussian datum width"),
+    "--t": dict(type=float, default=2.0, help="evaluation time"),
+    "--amplitude": dict(type=float, default=1.0),
+    "--kmax": dict(type=int, default=40),
+    "--grid-extent": dict(type=float, default=None),
+    "--grid-points": dict(type=int, default=801),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--plot": dict(action="store_true", help="write an SVG next to --out"),
+    "--all-k": dict(action="store_true", help="include odd truncation orders"),
+    "--out": dict(required=True, help="output path"),
+}
+
+_SERIES = ("--dim", "--t0", "--t", "--amplitude", "--kmax")
+_TABLE = ("--format", "--plot", "--all-k", "--out")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatseries",
@@ -49,45 +68,26 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("error-curve", "sup errors against the rigorous bound"),
-        ("divergence", "origin growth for t below the envelope width"),
-        ("eigen-compare", "eigen expansion vs moment expansion"),
-        ("decomp-check", "decomposition residual suite"),
-        ("moments", "dump the moment table"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--dim", type=int, default=1)
-        cmd.add_argument("--t0", type=float, default=1.0,
-                        help="Gaussian datum width")
-        cmd.add_argument("--t", type=float, default=2.0,
-                        help="evaluation time")
-        cmd.add_argument("--amplitude", type=float, default=1.0)
-        cmd.add_argument("--kmax", type=int, default=40)
-        cmd.add_argument("--grid-extent", type=float, default=None)
-        cmd.add_argument("--grid-points", type=int, default=801)
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--plot", action="store_true",
-                        help="write an SVG next to --out")
-        cmd.add_argument("--all-k", action="store_true",
-                        help="include odd truncation orders")
-        cmd.add_argument("--out", required=True, help="output path")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        # no prefix matching: "--t" must not reach --t0 where --t is not read
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for option in options:
+            cmd.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def _validate(args) -> None:
+    given = vars(args)
     problems = []
-    if args.dim < 1:
+    if "dim" in given and args.dim < 1:
         problems.append("--dim must be >= 1")
-    if args.t0 <= 0.0:
-        problems.append("--t0 must be > 0")
-    if args.t <= 0.0:
-        problems.append("--t must be > 0")
-    if args.amplitude <= 0.0:
-        problems.append("--amplitude must be > 0")
-    if args.kmax < 0 or args.kmax > 200:
+    for name in ("t0", "t", "amplitude", "grid_extent"):
+        value = given.get(name)
+        if value is not None and not 0.0 < value < math.inf:
+            problems.append(f"--{name.replace('_', '-')} must be finite and > 0")
+    if "kmax" in given and not 0 <= args.kmax <= 200:
         problems.append("--kmax must be in [0, 200]")
-    if args.grid_points < 3 or args.grid_points % 2 == 0:
+    if "grid_points" in given and (args.grid_points < 3 or args.grid_points % 2 == 0):
         problems.append("--grid-points must be odd and >= 3")
     if args.command == "error-curve" and args.dim > 2:
         problems.append("error-curve supports --dim 1 or 2")
@@ -152,6 +152,12 @@ def cmd_error_curve(args) -> None:
             _plot_path(args.out),
             line_plot(series, "sup error vs truncation order", "k", "error"),
         )
+    nonfinite = [
+        p.k for p in curve.points
+        if not (math.isfinite(p.sup_error) and math.isfinite(p.F_k))
+    ]
+    if nonfinite:
+        raise AssertionFailure(f"non-finite sup error or bound at k={nonfinite}")
     bad = [p.k for p in curve.points if p.sup_error > p.F_k * _ASSERT_SLACK]
     if bad:
         raise AssertionFailure(
@@ -329,12 +335,27 @@ def cmd_moments(args) -> None:
         _write(args.out, csv_text(table.COLUMNS, table.rows()))
 
 
+#: name: (handler, help, the options it reads)
 _COMMANDS = {
-    "error-curve": cmd_error_curve,
-    "divergence": cmd_divergence,
-    "eigen-compare": cmd_eigen_compare,
-    "decomp-check": cmd_decomp_check,
-    "moments": cmd_moments,
+    "error-curve": (
+        cmd_error_curve,
+        "sup errors against the rigorous bound",
+        _SERIES + ("--grid-extent", "--grid-points") + _TABLE,
+    ),
+    "divergence": (
+        cmd_divergence, "origin growth for t below the envelope width", _SERIES + _TABLE,
+    ),
+    "eigen-compare": (
+        cmd_eigen_compare, "eigen expansion vs moment expansion", _SERIES + _TABLE,
+    ),
+    "decomp-check": (
+        cmd_decomp_check, "decomposition residual suite", ("--amplitude", "--format", "--out"),
+    ),
+    "moments": (
+        cmd_moments,
+        "dump the moment table",
+        ("--dim", "--t0", "--amplitude", "--kmax", "--format", "--out"),
+    ),
 }
 
 
@@ -350,7 +371,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command][0](args)
     except AssertionFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1

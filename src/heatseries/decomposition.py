@@ -10,7 +10,13 @@ where m_j are the moments and the remainder density is
     F_a(x) = (-1)^a (x^a / a!) a integral_1^inf (1 - 1/s)^{a-1} s^{a-1}
              f(x s) ds
 
-(one dimension, a = k+1).  Pairing both sides with a smooth test function
+(one dimension, a = k+1).  The substitution w = |x| (s - 1) turns this
+into the Cauchy form of the Taylor remainder,
+
+    F_a(x) = (-sgn x)^a / (a-1)! integral_0^inf w^{a-1} f(x + sgn(x) w) dw,
+
+an integral of f over the half-line beyond x, which is how it is
+evaluated.  Pairing both sides with a smooth test function
 phi gives the identity checked by decomposition_residual:
 
     integral f phi = sum_{j <= k} m_j(f) phi^{(j)}(0) / j!
@@ -28,17 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrabilityError
-from .quadrature import integrate_line_rows, integrate_rows, on_array
-from .specfun import hermite, log_factorial
-
-
-#: Doubling shells of the s-integral before the remainder is declared
-#: divergent.
-S_DOUBLINGS = 60
-
-#: Shells of the s-integral evaluated together (a divisor of S_DOUBLINGS).
-S_BLOCK = 4
+from .errors import DomainError
+from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
+from .specfun import hermite
 
 
 @dataclass(frozen=True)
@@ -59,12 +57,12 @@ class RemainderFunction:
 def remainder(f: Callable[[float], float], alpha: int, x):
     """Evaluate F_alpha at x, a float or an array of floats.
 
-    The defining integral over t in (0, 1] is taken in the substituted
-    variable s = 1/t, which moves the singular endpoint to infinity where
-    f's decay controls it; the s-integral is summed over doubling shells
-    [2^i, 2^{i+1}] until the newest shell is negligible, all points of x
-    together.  An s-integral still growing after S_DOUBLINGS shells raises
-    IntegrabilityError.
+    The Cauchy form
+
+        F_a(x) = (-sgn x)^a / (a-1)! integral_0^inf w^{a-1} f(x + sgn(x) w) dw
+
+    is one half-line row per nonzero x, all rows in one batch; F_a(0) = 0.
+    A row whose tail cannot be certified raises IntegrabilityError.
     """
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
@@ -74,49 +72,14 @@ def remainder(f: Callable[[float], float], alpha: int, x):
     nonzero = np.flatnonzero(flat)
     if nonzero.size:
         xs = flat[nonzero]
-        sign = -1.0 if alpha % 2 else 1.0
-        total = _s_integral(on_array(f), alpha, xs)
-        out[nonzero] = (
-            sign * (xs**alpha / math.exp(log_factorial(alpha))) * alpha * total
+        direction = np.sign(xs)
+        fa = on_array(f)
+        total = integrate_halfline_rows(
+            lambda rows, w: w ** (alpha - 1) * fa(xs[rows] + direction[rows] * w),
+            [()] * xs.size,
         )
+        out[nonzero] = (-direction) ** alpha * total / math.factorial(alpha - 1)
     return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
-
-
-def _s_integral(f, a: int, xs: np.ndarray) -> np.ndarray:
-    """integral_1^inf (1 - 1/s)^{a-1} s^{a-1} f(x s) ds for every x in xs.
-
-    Shells are integrated S_BLOCK at a time, each shell its own row, then
-    added in order until the first negligible one; shells past it are
-    discarded, so the sum is the one a shell-by-shell loop would give.
-    """
-    k = a - 1
-    total = np.zeros(xs.size)
-    active = np.arange(xs.size)
-    shell_lo = 2.0 ** np.arange(S_BLOCK)
-    for first in range(0, S_DOUBLINGS, S_BLOCK):
-        x_of_row = np.repeat(xs[active], S_BLOCK)
-        lo = np.tile(2.0**first * shell_lo, active.size)
-        pieces = integrate_rows(
-            lambda rows, s: (1.0 - 1.0 / s) ** k * s ** (a - 1) * f(x_of_row[rows] * s),
-            np.arange(x_of_row.size),
-            lo,
-            2.0 * lo,
-            x_of_row.size,
-        ).reshape(active.size, S_BLOCK)
-        running = np.ones(active.size, dtype=bool)
-        for j in range(S_BLOCK):
-            open_ = np.flatnonzero(running)
-            rows = active[open_]
-            piece = pieces[open_, j]
-            total[rows] += piece
-            running[open_] = np.abs(piece) > 1e-16 * np.abs(total[rows]) + 1e-300
-        active = active[running]
-        if not active.size:
-            return total
-    raise IntegrabilityError(
-        f"remainder s-integral still above the cutoff after {S_DOUBLINGS} "
-        "doublings; f does not decay fast enough for this order"
-    )
 
 
 def remainder_l1_norm(f: Callable[[float], float], alpha: int) -> float:

@@ -140,8 +140,12 @@ def validity_integral(u, t: float, dim: int) -> float:
     Gaussian-type integrand e^{-beta r^2} gives increment ratios around
     e^{-beta h^2 (2k+1)}, which fall below 1/2 within a few shells for any
     decay rate beta the sweep distinguishes, while a growing integrand
-    keeps every ratio at 1 or above.  Rates within about 0.3% of the
-    borderline are conservatively called divergent.
+    keeps every ratio at 1 or above.  Close to the borderline t = t0 of a
+    Gaussian datum there is no clean verdict.  Measured with exact
+    Gaussian evaluators, t up to about 1.003 t0 is called divergent, and a
+    shell quadrature exhausts its panel budget and raises
+    IntegrabilityError for t in about 1.004-1.025 t0 in dim 1 and
+    1.007-1.03 t0 in dim 2.
     """
     if t <= 0.0:
         raise DomainError("validity_integral requires t > 0")

@@ -57,8 +57,8 @@ class ApproxConfig:
             raise DomainError("dim must be >= 1")
         if self.k < 0:
             raise DomainError("truncation order k must be >= 0")
-        if self.t <= 0.0:
-            raise DomainError("evaluation time t must be > 0")
+        if not 0.0 < self.t < math.inf:
+            raise DomainError("evaluation time t must be positive and finite")
 
 
 @dataclass

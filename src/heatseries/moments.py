@@ -45,10 +45,10 @@ class Gaussian:
     dim: int = 1
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise DomainError("Gaussian amplitude must be positive")
-        if self.width <= 0.0:
-            raise DomainError("Gaussian width must be positive")
+        if not 0.0 < self.amplitude < math.inf:
+            raise DomainError("Gaussian amplitude must be positive and finite")
+        if not 0.0 < self.width < math.inf:
+            raise DomainError("Gaussian width must be positive and finite")
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
 

@@ -18,7 +18,13 @@ row with a non-finite panel value returns that value without refinement.
 Integrals over R or [0, inf) are accumulated over doubling shells, per
 row, until the newest shell contributes less than TAIL_FRACTION of the
 running total, which certifies the discarded tail for integrands with
-Gaussian-type decay.
+Gaussian-type decay.  This is the package's one tail rule.  Decay is
+judged only past each row's peak: a row raises IntegrabilityError when a
+shell is still at least half the size of the shell 3 doublings earlier and
+both lie at or after the row's largest shell so far.  An integrable row
+whose mass sits past the first shells (r^n e^{-r} peaks near r = n) is
+certified once its shells fall, and a row whose shells never peak
+exhausts MAX_DOUBLINGS and raises.
 
 Integrands of the row functions are called as ``g(rows, x)``: ``x`` holds
 the nodes of a stack of panels, one panel per line, and ``rows`` (one entry
@@ -199,6 +205,9 @@ def _unbounded_rows(g, breakpoints, line):
     total = integrate_rows(g, *panels, nrows)
     active = np.arange(nrows)
     sizes: list[np.ndarray] = []
+    # each row's largest shell so far: its step and its size
+    peak = np.zeros(nrows, dtype=np.intp)
+    peak_size = np.zeros(nrows)
     for step in range(MAX_DOUBLINGS):
         lo, hi = extent[active], 2.0 * extent[active]
         if line:
@@ -217,8 +226,13 @@ def _unbounded_rows(g, breakpoints, line):
         done = size <= TAIL_FRACTION * np.abs(total[active]) + _ABS_FLOOR
         sizes.append(np.zeros(nrows))
         sizes[-1][active] = size
-        if step >= 3 and np.any(~done & (size >= 0.5 * sizes[step - 3][active])):
-            # shells stopped decaying; the tail cannot be certified
+        grew = size > peak_size[active]
+        peak[active[grew]] = step
+        peak_size[active[grew]] = size[grew]
+        past_peak = peak[active] <= step - 3
+        if step >= 3 and np.any(~done & past_peak & (size >= 0.5 * sizes[step - 3][active])):
+            # shells stopped decaying past their peak; the tail cannot be
+            # certified
             raise IntegrabilityError(
                 "shell contributions stopped decaying; integrand tail does "
                 "not appear integrable"

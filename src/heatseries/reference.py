@@ -36,8 +36,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
-        if self.extent <= 0.0:
-            raise DomainError("extent must be > 0")
+        if not 0.0 < self.extent < math.inf:
+            raise DomainError("extent must be positive and finite")
         if self.points < 3 or self.points % 2 == 0:
             raise DomainError("points must be odd and >= 3")
 

@@ -4,10 +4,11 @@ A table is a tuple of column names plus rows of plain values; csv_text
 writes a header line and one line per row, json_array one object per row
 with keys in column order.  A cell's text is set by its value's type:
 float -> f17 (17 significant digits, which round-trip doubles, so identical
-inputs give byte-identical files); int -> decimal; None -> empty in CSV,
-null in JSON; bool -> true/false; str -> JSON-quoted, and in CSV quoted
-only when it holds a comma, a quote or a line break; a tuple of ints (a
-multi-index) -> space-joined in CSV, an array in JSON.
+inputs give byte-identical files), in JSON with ".0" appended to an
+integral value so that it reads back as a float; int -> decimal; None ->
+empty in CSV, null in JSON; bool -> true/false; str -> JSON-quoted, and in
+CSV quoted only when it holds a comma, a quote or a line break; a tuple of
+ints (a multi-index) -> space-joined in CSV, an array in JSON.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from typing import Iterable, Iterator, Sequence
 
 def f17(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _json_float(value: float) -> str:
+    """f17, with ".0" on an integral value (-0.0, 2.0, 1e16), which f17
+    writes as a bare integer that a JSON reader takes for an int."""
+    text = f17(value)
+    return text + ".0" if text.lstrip("-").isdigit() else text
 
 
 def _csv_str(value: str) -> str:
@@ -35,7 +43,7 @@ _CSV, _JSON = 0, 1
 _CELLS = {
     bool: (_BOOL, _BOOL),
     numbers.Integral: (str, str),
-    numbers.Real: (f17, f17),
+    numbers.Real: (f17, _json_float),
     type(None): (lambda _: "", lambda _: "null"),
     str: (_csv_str, json.dumps),
     tuple: (
@@ -46,7 +54,7 @@ _CELLS = {
 
 # A column of floats alone or ints alone (bool is a type of its own) is
 # formatted by the row template itself ("%.17g" % value equals f17(value)),
-# without a call per cell.
+# without a call per cell; in JSON, only while no float in it is integral.
 _INLINE = {float: "%.17g", int: "%d"}
 
 
@@ -58,7 +66,9 @@ def _columns(
     for column in zip(*rows, strict=True):
         kinds = set(map(type, column))
         spec = _INLINE.get(next(iter(kinds))) if len(kinds) == 1 else None
-        if spec is None:
+        if spec == "%.17g" and side == _JSON and any(map(float.is_integer, column)):
+            column, spec = list(map(_json_float, column)), "%s"
+        elif spec is None:
             formats = {kind: _cell(kind, side) for kind in kinds}
             column = [formats[type(v)](v) for v in column]
         specs.append(spec or "%s")

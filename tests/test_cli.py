@@ -10,10 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heatseries
 import heatseries.cli as cli
-from heatseries import MomentTable
+from heatseries import ApproxConfig, DomainError, Gaussian, GridSpec, MomentTable
 from heatseries.reference import ErrorCurve, ErrorPoint
 
 
@@ -149,7 +150,7 @@ def test_eigen_compare(tmp_path):
 
 def test_decomp_check(tmp_path):
     out = tmp_path / "dec.csv"
-    code = run("decomp-check", "--dim", "1", "--out", str(out))
+    code = run("decomp-check", "--out", str(out))
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "check,case,value,bound,ok"
@@ -304,6 +305,96 @@ def test_failed_assertion_exits_1(tmp_path, monkeypatch):
         "--grid-points", "51", "--out", str(out),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_curve_exits_1(tmp_path, monkeypatch, value):
+    # a NaN measurement passes "sup_error > F_k" and an infinite bound
+    # certifies nothing; neither may exit 0
+    def fake_curve(*args, **kwargs):
+        return ErrorCurve(
+            points=[ErrorPoint(k=0, sup_error=0.1, F_k=value, G_k=None),
+                    ErrorPoint(k=2, sup_error=value, F_k=0.5, G_k=None)]
+        )
+
+    monkeypatch.setattr(cli, "error_curve", fake_curve)
+    code = run(
+        "error-curve", "--dim", "1", "--kmax", "2",
+        "--grid-points", "51", "--out", str(tmp_path / "forced.csv"),
+    )
+    assert code == 1
+
+
+# --- which options each command reads --------------------------------------
+
+#: The options each command reads; every other option is a usage error.
+READS = {
+    "error-curve": ("--dim", "--t0", "--t", "--amplitude", "--kmax", "--grid-extent",
+                    "--grid-points", "--format", "--plot", "--all-k"),
+    "divergence": ("--dim", "--t0", "--t", "--amplitude", "--kmax", "--format",
+                   "--plot", "--all-k"),
+    "eigen-compare": ("--dim", "--t0", "--t", "--amplitude", "--kmax", "--format",
+                      "--plot", "--all-k"),
+    "moments": ("--dim", "--t0", "--amplitude", "--kmax", "--format"),
+    "decomp-check": ("--amplitude", "--format"),
+}
+
+#: A valid value for each option that takes one.
+VALUES = {
+    "--dim": "1", "--t0": "1", "--t": "0.5", "--amplitude": "1", "--kmax": "2",
+    "--grid-extent": "5", "--grid-points": "101", "--format": "csv",
+}
+
+FLOATS = ("--t0", "--t", "--amplitude", "--grid-extent")
+
+
+def _option_argv(option, value=None):
+    if option in VALUES:
+        return [option, VALUES[option] if value is None else value]
+    return [option]
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        (command, option)
+        for command, reads in READS.items()
+        for option in READS["error-curve"]
+        if option not in reads
+    ],
+)
+def test_option_foreign_to_command_exits_2(command, option, tmp_path):
+    argv = [command, *_option_argv(option), "--out", str(tmp_path / "x.csv")]
+    assert run(*argv) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,option",
+    [(command, option) for command, reads in READS.items() for option in reads if option in FLOATS],
+)
+def test_nonfinite_float_option_exits_2(command, option, value, tmp_path):
+    argv = [command, *_option_argv(option, value), "--out", str(tmp_path / "x.csv")]
+    assert run(*argv) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    good=st.floats(min_value=1e-3, max_value=1e3),
+    field=st.sampled_from(["amplitude", "width", "extent", "t"]),
+)
+def test_constructors_reject_nonfinite(bad, good, field):
+    make = {
+        "amplitude": lambda: Gaussian(amplitude=bad, width=good, dim=1),
+        "width": lambda: Gaussian(amplitude=good, width=bad, dim=2),
+        "extent": lambda: GridSpec(dim=1, extent=bad, points=11),
+        "t": lambda: ApproxConfig(dim=1, k=2, t=bad),
+    }[field]
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_version_flag(capsys):

@@ -189,6 +189,29 @@ def test_remainder_on_array_equals_scalar_calls(f, alpha):
     assert got.tolist() == want  # bit for bit
 
 
+def _remainder_by_s_integral(f, a, x):
+    """F_a(x) from the definition, (-1)^a (x^a / a!) a times the integral of
+    (1 - 1/s)^{a-1} s^{a-1} f(x s) over s >= 1, by QUADPACK split where
+    the integrand's mass sits (near s = 1/|x|)."""
+    g = lambda s: (1.0 - 1.0 / s) ** (a - 1) * s ** (a - 1) * f(x * s)
+    edges = [1.0] + [m / abs(x) for m in (0.25, 1.0, 4.0, 16.0, 64.0) if m / abs(x) > 1.0]
+    pieces = [
+        quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    pieces.append(quad(g, edges[-1], math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+    return (-1) ** a * x**a / math.factorial(a) * a * math.fsum(pieces)
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 5])
+@pytest.mark.parametrize("x", [1e-6, -1e-6, 0.4, -0.4, 9.0, -9.0])
+def test_remainder_matches_the_s_integral(alpha, x):
+    # the Cauchy form against the defining s-integral, an independent route
+    f = Gaussian(amplitude=1.3, width=0.6, dim=1)
+    want = _remainder_by_s_integral(f, alpha, x)
+    assert remainder(f, alpha, x) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_remainder_raises_when_s_integral_diverges():
     # f = 1/(1+x^2) at alpha = 2: the s-integrand behaves like 1/(x^2 s), so
     # every doubling shell adds about ln(2)/x^2 and the integral diverges

@@ -201,6 +201,25 @@ def test_radial_moment_vs_cartesian_quadrature(alpha):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_exponential_table_to_degree_60(dim):
+    # r^{n+d-1} e^{-r} peaks near r = n past the first doubling shells; the
+    # closed form is Gamma(n+d) 2 prod Gamma((a_i+1)/2) / Gamma((n+d)/2)
+    table = build_moment_table(Radial(profile=lambda r: math.exp(-r), dim=dim), 60)
+    for a, got in table.entries.items():
+        if any(c % 2 for c in a.components):
+            assert got.sign == 0
+            continue
+        n = a.degree
+        log_want = (
+            math.lgamma(n + dim) + math.log(2.0)
+            + math.fsum(math.lgamma((c + 1) / 2.0) for c in a.components)
+            - math.lgamma((n + dim) / 2.0)
+        )
+        assert got.sign == 1
+        assert math.exp(got.logmag - log_want) == pytest.approx(1.0, rel=1e-12), a.components
+
+
 @pytest.mark.parametrize(
     "u0,kmax",
     [

@@ -48,6 +48,13 @@ def test_halfline_power_weight():
     assert got == pytest.approx(0.5, rel=1e-11)
 
 
+def test_halfline_mass_past_the_first_shells():
+    # r^60 e^{-r} peaks at r = 60, three shells past the first interval;
+    # its shells grow before they decay, and the integral is 60!
+    got = integrate_halfline(lambda r: r**60 * math.exp(-r))
+    assert got == pytest.approx(math.factorial(60), rel=1e-12)
+
+
 def test_nonintegrable_tail_raises():
     with pytest.raises(IntegrabilityError):
         integrate_line(lambda x: 1.0 / (1.0 + x * x) * x * x)

@@ -30,7 +30,7 @@ JSON = (
     '"check":"l1_bound","case":"width=0.5,alpha=1","alpha":[0,2,1]},'
     '{"k":-3,"value":0.33333333333333331,"bound":2.5e-300,"ok":false,'
     '"check":"residual","case":"say \\"hi\\"","alpha":[10]},'
-    '{"k":12,"value":10000000000000000,"bound":-7.25,"ok":true,'
+    '{"k":12,"value":10000000000000000.0,"bound":-7.25,"ok":true,'
     '"check":"plain","case":"x","alpha":[4,0]}]'
 )
 
@@ -83,6 +83,23 @@ def test_json_reads_back_with_stdlib_loads():
         assert obj["ok"] is row[3]
         assert (obj["check"], obj["case"]) == row[4:6]
         assert tuple(obj["alpha"]) == row[6]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["float-column", "mixed-column"])
+def test_json_integral_floats_read_back_as_floats(mixed):
+    # f17 writes these as bare integers ("-0", "10000000000000000", "2");
+    # JSON gives them a float token, CSV keeps f17
+    values = [-0.0, 1e16, 2.0]
+    rows = [(v,) for v in values] + ([(None,)] if mixed else [])
+    objects = json.loads(json_array(("v",), rows))
+    for obj, value in zip(objects, values):
+        assert type(obj["v"]) is float
+        assert bits(obj["v"]) == bits(value)
+    assert json_array(("v",), [(v,) for v in values]) == (
+        '[{"v":-0.0},{"v":10000000000000000.0},{"v":2.0}]'
+    )
+    assert csv_text(("v",), [(v,) for v in values]) == "v\n-0\n10000000000000000\n2\n"
+    assert json_array(("v",), [(np.float64(2.0),), (None,)]) == '[{"v":2.0},{"v":null}]'
 
 
 def test_numpy_scalars_format_like_python_numbers():
