@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .kernel_approx import _point_terms
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .quadrature import integrate_interval
-from .signedlog import SignedLog, aligned_sum
-from .specfun import hermite_weighted_sequence, log_factorial, log_gamma
+from .signedlog import SignedLog, aligned_sum_arrays
+from .specfun import log_factorial, log_gamma
 
 _LOG_PI = math.log(math.pi)
 _LOG2 = math.log(2.0)
@@ -36,6 +37,8 @@ class SimilarityPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(float(c) for c in self.z))
+        if not all(map(math.isfinite, self.z)) or not math.isfinite(self.tau):
+            raise DomainError(f"similarity point ({self.z}, {self.tau}) is not finite")
 
     @property
     def dim(self) -> int:
@@ -44,8 +47,8 @@ class SimilarityPoint:
 
 def to_similarity(x, t: float) -> SimilarityPoint:
     """(x, t) -> (z, tau) with z = x / (2 sqrt t), tau = ln t."""
-    if t <= 0.0:
-        raise DomainError("to_similarity requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("to_similarity requires finite t > 0")
     pt = (float(x),) if isinstance(x, (int, float)) else tuple(float(c) for c in x)
     root = 2.0 * math.sqrt(t)
     return SimilarityPoint(z=tuple(c / root for c in pt), tau=math.log(t))
@@ -78,8 +81,8 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     the closed moment-evolution recursion, so every datum variant is
     supported without nested quadrature.
     """
-    if t0_coeff < 0.0:
-        raise DomainError("t0_coeff must be >= 0")
+    if not 0.0 <= t0_coeff < math.inf:
+        raise DomainError("t0_coeff must be finite and >= 0")
     d = u0.dim
     table = build_moment_table(u0, k_max)
     if t0_coeff > 0.0:
@@ -99,25 +102,19 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
 def eval_expansion(coeffs: EigenCoeffs, p: SimilarityPoint, k: int) -> float:
     """Truncated eigenfunction sum at (z, tau), SignedLog-aligned.
 
-    Valid as an expansion of the solution only for tau >= ln(t0_coeff);
-    the sum itself is evaluable anywhere.
+    Every term a_alpha e^{-|alpha| tau / 2} prod_i H_{alpha_i}(z_i) e^{-z_i^2}
+    of degree <= k is a sign and a log magnitude gathered from the table's
+    array view, reduced like :func:`kernel_approx.eval_uk` with the bits of
+    a per-term SignedLog loop.  Valid as an expansion of the solution only
+    for tau >= ln(t0_coeff); the sum itself is evaluable anywhere.
     """
     if p.dim != coeffs.dim:
         raise DomainError("point dimension does not match coefficients")
     if k > coeffs.k_max:
         raise DomainError("truncation order exceeds coefficient table")
-    weighted = [hermite_weighted_sequence(k, zi) for zi in p.z]
-    terms = []
-    for a, c in coeffs.entries.items():
-        if a.degree > k:
-            break
-        if c.sign == 0:
-            continue
-        term = c * SignedLog.from_log(-0.5 * a.degree * p.tau)
-        for axis, ai in enumerate(a.components):
-            term = term * weighted[axis][ai]
-        terms.append(term)
-    return aligned_sum(terms).to_float()
+    offsets = coeffs.columns().per_entry([-0.5 * j * p.tau for j in range(k + 1)])
+    signs, logmag, _ = _point_terms(coeffs, k, offsets, p.z)
+    return aligned_sum_arrays(signs, logmag).to_float()
 
 
 def is_within_validity(coeffs: EigenCoeffs, p: SimilarityPoint) -> bool:
@@ -147,8 +144,8 @@ def validity_integral(u, t: float, dim: int) -> float:
     IntegrabilityError for t in about 1.004-1.025 t0 in dim 1 and
     1.007-1.03 t0 in dim 2.
     """
-    if t <= 0.0:
-        raise DomainError("validity_integral requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("validity_integral requires finite t > 0")
     if dim < 1:
         raise DomainError("dim must be >= 1")
     root = 2.0 * math.sqrt(t)

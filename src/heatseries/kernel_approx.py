@@ -6,8 +6,9 @@ The order-k approximation to the Cauchy solution with initial datum u0 is
         sum_{|alpha| <= k} (m_alpha / alpha!) (4t)^{-(|alpha|+d)/2}
         prod_i H_{alpha_i}(x_i / (2 sqrt(t)))
 
-with m_alpha the moments of u0.  Point evaluation keeps every term in
-SignedLog form and reduces by exponent alignment.  Grid evaluation walks
+with m_alpha the moments of u0.  Point evaluation keeps every term as a
+sign and a log magnitude, gathered over the moment table's array view, and
+reduces by exponent alignment.  Grid evaluation walks
 the grid in bands of axis-0 rows small enough to stay in a core's L2 cache
 and accumulates each degree block on a band as one matrix product of
 Hermite tables with per-term double coefficients; a sweep of sup errors
@@ -25,10 +26,10 @@ import numpy as np
 from . import backend
 from .errors import DomainError, UnsupportedVariantError
 from .moments import Gaussian, MomentTable, MultiIndex, constant_C
-from .signedlog import SignedLog, aligned_sum
+from .signedlog import SignedLog, aligned_sum, aligned_sum_arrays
 from .specfun import (
     hermite_weighted,
-    hermite_weighted_sequence,
+    hermite_weighted_logs,
     laguerre,
     log_factorial,
     log_gamma,
@@ -77,17 +78,19 @@ def _as_point(x, dim: int) -> tuple[float, ...]:
     if np.isscalar(x):
         if dim != 1:
             raise DomainError(f"scalar point given for dim {dim}")
-        return (float(x),)
+        x = (x,)
     pt = tuple(float(c) for c in x)
     if len(pt) != dim:
         raise DomainError(f"point of length {len(pt)} given for dim {dim}")
+    if not all(map(math.isfinite, pt)):
+        raise DomainError(f"point coordinates must be finite, got {pt}")
     return pt
 
 
 def heat_kernel(x, t: float, dim: int | None = None) -> float:
     """Fundamental solution (4 pi t)^{-d/2} exp(-|x|^2 / 4t)."""
-    if t <= 0.0:
-        raise DomainError("heat_kernel requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("heat_kernel requires finite t > 0")
     if dim is None:
         dim = 1 if np.isscalar(x) else len(x)
     pt = _as_point(x, dim)
@@ -103,8 +106,8 @@ def kernel_derivative(alpha, x, t: float) -> SignedLog:
         D^alpha G = pi^{-d/2} (4t)^{-(|alpha|+d)/2} (-1)^{|alpha|}
                     prod_i H_{alpha_i}(y_i) e^{-y_i^2},   y = x / (2 sqrt t).
     """
-    if t <= 0.0:
-        raise DomainError("kernel_derivative requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("kernel_derivative requires finite t > 0")
     a = MultiIndex.of(alpha)
     d = a.dim
     pt = _as_point(x, d)
@@ -123,13 +126,45 @@ def _term_scale(degree: int, cfg: ApproxConfig) -> float:
     return -0.5 * cfg.dim * _LOG_PI - 0.5 * (degree + cfg.dim) * math.log(4.0 * cfg.t)
 
 
+def _point_terms(
+    table: MomentTable, k: int, offsets: np.ndarray, ys: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The live terms of a point sum over the entries of degree <= k,
+
+        term_alpha = moment_alpha * exp(offsets[alpha]) * prod_i w(alpha_i, ys[i]),
+
+    w(n, y) = H_n(y) e^{-y^2}, as (signs, logmags, cuts): the log magnitude
+    is added up left to right as the per-term SignedLog products did,
+    ``logmag + offset``, then each axis's weighted-Hermite log in turn, so
+    every term has the same bits.  Terms with a zero moment, which the view
+    leaves out, or an exact Hermite zero are dropped; the live terms of
+    degree j are the range cuts[j - 1]:cuts[j].
+    """
+    columns = table.columns()
+    n = columns.ends[k]
+    signs = columns.signs[:n]
+    logmag = columns.logmag[:n] + offsets
+    for axis, y in enumerate(ys):
+        w_signs, w_logs = hermite_weighted_logs(k, y)
+        alpha_i = columns.components[:n, axis]
+        logmag += np.array(w_logs)[alpha_i]
+        signs = signs * np.array(w_signs, np.int8)[alpha_i]
+    live = np.flatnonzero(signs)
+    cuts = np.searchsorted(live, columns.ends[: k + 1])
+    return signs[live], logmag[live], cuts
+
+
 def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
     """Evaluate u_k at one point with full SignedLog care.
 
-    Terms are walked by ascending total degree and lexicographic order
-    within a degree; the final reduction aligns every term to the largest
-    exponent and sums the aligned mantissas with compensated arithmetic.
-    Multi-indices whose moment is exactly zero are skipped.
+    Each term m_alpha / alpha! (4t)^{-(|alpha|+d)/2} pi^{-d/2}
+    prod_i H_{alpha_i}(y_i) e^{-y_i^2} is a sign and a log magnitude,
+    gathered for every multi-index of degree <= k at once from the table's
+    array view (:meth:`MomentTable.columns`); multi-indices whose moment is
+    exactly zero are skipped.  The value and each degree's partial are
+    reduced by aligning every term to the largest exponent and summing the
+    aligned mantissas with ``math.fsum``, with the bits of a per-term
+    SignedLog loop in table order.
     """
     if table.dim != cfg.dim:
         raise DomainError("table dimension does not match config")
@@ -139,31 +174,18 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
         )
     pt = _as_point(x, cfg.dim)
     scale = 2.0 * math.sqrt(cfg.t)
-    weighted = [
-        hermite_weighted_sequence(cfg.k, xi / scale) for xi in pt
-    ]
-    ln_factorial = [log_factorial(c) for c in range(cfg.k + 1)]
-    all_terms: list[SignedLog] = []
-    by_degree: dict[int, list[SignedLog]] = {}
-    for a, m in table.entries.items():
-        if a.degree > cfg.k:
-            break
-        if m.sign == 0:
-            continue
-        term = m * SignedLog.from_log(
-            _term_scale(a.degree, cfg) - math.fsum(map(ln_factorial.__getitem__, a.components))
-        )
-        for axis, ai in enumerate(a.components):
-            term = term * weighted[axis][ai]
-        if term.sign == 0:
-            continue
-        all_terms.append(term)
-        by_degree.setdefault(a.degree, []).append(term)
-    value = aligned_sum(all_terms)
+    columns = table.columns()
+    offsets = (
+        columns.per_entry([_term_scale(j, cfg) for j in range(cfg.k + 1)])
+        - columns.ln_factorials[: columns.ends[cfg.k]]
+    )
+    signs, logmag, cuts = _point_terms(table, cfg.k, offsets, [xi / scale for xi in pt])
     partials = [
-        (j, aligned_sum(terms).to_float()) for j, terms in sorted(by_degree.items())
+        (j, aligned_sum_arrays(signs[lo:hi], logmag[lo:hi]).to_float())
+        for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
+        if hi > lo
     ]
-    return ApproxResult(value=value.to_float(), terms=partials)
+    return ApproxResult(value=aligned_sum_arrays(signs, logmag).to_float(), terms=partials)
 
 
 def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> float:
@@ -189,8 +211,8 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
         raise DomainError("table dimension does not match config")
     if cfg.k > table.k_max:
         raise DomainError("truncation order exceeds table k_max")
-    if r < 0.0:
-        raise DomainError("radius must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("radius must be finite and >= 0")
     u0 = table.source
     d, t, t0 = cfg.dim, cfg.t, u0.width
     arg = r * r / (4.0 * t)

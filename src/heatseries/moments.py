@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Callable, ClassVar, Iterator, Union
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
 from .serial import json_array, json_cell
 from .signedlog import ZERO, SignedLog, aligned_sum
-from .specfun import log_gamma, log_gamma_halves
+from .specfun import log_factorial, log_gamma, log_gamma_halves
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
@@ -330,13 +332,19 @@ class MomentTable:
     multi_indices_up_to yields them (degrees ascending, lexicographic
     within a degree); the constructor raises DomainError otherwise, so a
     consumer walks the entries and stops at the first degree above its
-    truncation order.
+    truncation order.  The dict is not mutated in place after construction:
+    that one check, and the array view :meth:`columns` caches, hold for it
+    as long as it is the table's ``entries``.  A changed table is a new
+    dict assigned to ``entries`` (or a new table).
     """
 
     dim: int
     k_max: int
     entries: dict[MultiIndex, SignedLog]
     source: InitialDatum | None = None
+    _columns: MomentColumns | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     #: wire format: header fields (JSON key, attribute, type), then entry rows
     HEADER: ClassVar[tuple] = (("dim", "dim", int), ("kmax", "k_max", int))
@@ -376,6 +384,13 @@ class MomentTable:
                 f"(dim {self.dim}, k_max {self.k_max})"
             ) from None
 
+    def columns(self) -> MomentColumns:
+        """The entries as arrays, built on first use and kept for as long as
+        ``entries`` is the same dict."""
+        if self._columns is None or self._columns.entries is not self.entries:
+            self._columns = MomentColumns(self)
+        return self._columns
+
     def indices(self) -> Iterator[MultiIndex]:
         """Degrees ascending, lexicographic within a degree."""
         return iter(self.entries)
@@ -409,6 +424,53 @@ class MomentTable:
         if len(entries) != len(rows):
             raise DomainError("table JSON repeats a multi-index")
         return cls(**header, entries=entries)
+
+
+class MomentColumns:
+    """The nonzero entries of a moment table as arrays, in table order, for
+    evaluators that reduce every term of a degree range at once.  An entry
+    whose moment is exactly zero contributes no term, and most of a
+    symmetric datum's entries are such zeros, so they are left out.
+
+    ``components`` is N x d (uint16 while k_max fits), ``signs`` int8 (+-1)
+    and ``logmag`` float64.  ``counts[j]`` is the number of kept entries of
+    degree j and ``ends[j]`` that of degree <= j, so degree j is the row
+    range ends[j - 1]:ends[j].  ``entries`` is the dict the view was built
+    from.
+    """
+
+    def __init__(self, table: MomentTable):
+        self.entries = table.entries
+        live = [(a, m) for a, m in self.entries.items() if m.sign]
+        n, d = len(live), table.dim
+        self.components = np.fromiter(
+            chain.from_iterable(a.components for a, _ in live),
+            dtype=np.uint16 if table.k_max <= 0xFFFF else np.uint32,
+            count=n * d,
+        ).reshape(n, d)
+        self.signs = np.fromiter((m.sign for _, m in live), np.int8, n)
+        self.logmag = np.fromiter((m.logmag for _, m in live), np.float64, n)
+        degrees = self.components.sum(axis=1, dtype=np.int64)
+        self.counts = np.bincount(degrees, minlength=table.k_max + 1)
+        self.ends = np.cumsum(self.counts)
+
+    def per_entry(self, per_degree) -> np.ndarray:
+        """One value per degree 0..k, repeated over that degree's entries."""
+        return np.repeat(np.asarray(per_degree, np.float64), self.counts[: len(per_degree)])
+
+    @cached_property
+    def ln_factorials(self) -> np.ndarray:
+        """ln alpha! per entry: ``math.fsum`` of ln c! over the components.
+        In dim <= 2 one correctly rounded add gives the same bits."""
+        comps = self.components
+        lookup = [log_factorial(c) for c in range(int(comps.max(initial=0)) + 1)]
+        if comps.shape[1] <= 2:
+            return np.array(lookup)[comps].sum(axis=1)
+        return np.fromiter(
+            (math.fsum(map(lookup.__getitem__, row)) for row in comps.tolist()),
+            np.float64,
+            len(comps),
+        )
 
 
 def _header_field(raw: dict, key: str, kind: type):
@@ -463,8 +525,8 @@ def moments_at_time(table: MomentTable, t: float) -> MomentTable:
     each evolved moment is a polynomial in t with coefficients assembled
     here by integrating the system degree by degree.
     """
-    if t < 0.0:
-        raise DomainError("moments_at_time requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise DomainError("moments_at_time requires finite t >= 0")
     polys: dict[tuple[int, ...], list[SignedLog]] = {}
     for a, value in table.entries.items():
         comps = a.components

@@ -47,9 +47,16 @@ class GridSpec:
 
 
 def default_grid(dim: int, t_max: float, width: float, points: int = 801) -> GridSpec:
-    """Extent 16 sqrt(t_max) + 4 sqrt(width): wide enough that both the
-    solution and the truncations are negligible at the boundary."""
-    extent = 2.0 * math.sqrt(t_max) * 8.0 + 4.0 * math.sqrt(width)
+    """Extent max(16 sqrt(t_max) + 4 sqrt(width), 13 sqrt(t_max + width)):
+    wide enough that both the solution and the truncations are negligible
+    at the boundary.  The solution spreads as t + width, and the coverage
+    check needs e^{-E^2/4(t + width)} <= 1e-16, E >= 12.14 sqrt(t + width);
+    the second term gives that below t = 0.61 width, where the first falls
+    short, and the first term's extent is kept above."""
+    extent = max(
+        2.0 * math.sqrt(t_max) * 8.0 + 4.0 * math.sqrt(width),
+        13.0 * math.sqrt(t_max + width),
+    )
     return GridSpec(dim=dim, extent=extent, points=points)
 
 
@@ -60,13 +67,15 @@ def exact_gaussian_solution(
 
         u(x, t) = amplitude (t0 / (t + t0))^{d/2} e^{-|x|^2 / 4(t + t0)}.
     """
-    if amplitude <= 0.0 or width <= 0.0:
-        raise DomainError("exact_gaussian_solution needs positive amplitude/width")
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
+    if not (0.0 < amplitude < math.inf and 0.0 < width < math.inf):
+        raise DomainError("exact_gaussian_solution needs positive finite amplitude/width")
+    if not 0.0 <= t < math.inf:
+        raise DomainError("t must be finite and >= 0")
     pt = (float(x),) if np.isscalar(x) else tuple(float(c) for c in x)
     if len(pt) != dim:
         raise DomainError("point length does not match dim")
+    if not all(map(math.isfinite, pt)):
+        raise DomainError(f"point coordinates must be finite, got {pt}")
     sq = math.fsum(c * c for c in pt)
     spread = t + width
     return (

@@ -1,6 +1,6 @@
 """Special-function kernel: Hermite and generalized Laguerre recurrences
-and log-Gamma; Gaussian-weighted Hermite values come back as SignedLog
-scalars (defined in signedlog).
+and log-Gamma; Gaussian-weighted Hermite values come back as signs and
+logs, or as SignedLog scalars (defined in signedlog).
 
 The polynomials are evaluated through three-term recurrences and log-Gamma
 is the C library's ``lgamma`` (through ``math.lgamma``); no series is
@@ -79,23 +79,34 @@ def hermite(n: int, x: float) -> float:
 def hermite_weighted(n: int, x: float) -> SignedLog:
     """H_n(x) * exp(-x^2) as a SignedLog, overflow-safe for any order
     up to the recurrence cap: the last entry of
-    :func:`hermite_weighted_sequence`.
+    :func:`hermite_weighted_logs`.
     """
     _check_depth(n, "hermite_weighted")
-    return hermite_weighted_sequence(n, x)[-1]
+    signs, logs = hermite_weighted_logs(n, x)
+    return SignedLog(signs[-1], logs[-1]) if signs[-1] else ZERO
 
 
 def hermite_weighted_sequence(n_max: int, x: float) -> list[SignedLog]:
-    """All of H_0(x) e^{-x^2} .. H_{n_max}(x) e^{-x^2} from one recurrence pass.
+    """All of H_0(x) e^{-x^2} .. H_{n_max}(x) e^{-x^2} as SignedLog values:
+    :func:`hermite_weighted_logs` entry by entry."""
+    _check_depth(n_max, "hermite_weighted_sequence")
+    signs, logs = hermite_weighted_logs(n_max, x)
+    return [SignedLog(s, v) if s else ZERO for s, v in zip(signs, logs)]
+
+
+def hermite_weighted_logs(n_max: int, x: float) -> tuple[list[int], list[float]]:
+    """H_0(x) e^{-x^2} .. H_{n_max}(x) e^{-x^2} from one recurrence pass, as
+    (signs, logs): sign in {-1, 0, 1} and ln |H_n(x)| - x^2, with log 0.0
+    where the value is exactly zero.
 
     The recurrence runs on values scaled by a running power of two, so the
     rescaling steps are exact and only the pair of multiply-adds per step
     rounds.
     """
-    _check_depth(n_max, "hermite_weighted_sequence")
+    _check_depth(n_max, "hermite_weighted_logs")
     shift = -x * x  # log of the common scale carried outside the recurrence
     prev, cur = 0.0, 1.0  # scaled H_{-1}, H_0
-    out = [_scaled_signedlog(cur, shift)]
+    signs, logs = [1], [shift + math.log(cur)]
     for m in range(n_max):
         prev, cur = cur, 2.0 * x * cur - 2.0 * m * prev
         big = max(abs(prev), abs(cur))
@@ -104,14 +115,13 @@ def hermite_weighted_sequence(n_max: int, x: float) -> list[SignedLog]:
             prev = math.ldexp(prev, -exp2)
             cur = math.ldexp(cur, -exp2)
             shift += exp2 * math.log(2.0)
-        out.append(_scaled_signedlog(cur, shift))
-    return out
-
-
-def _scaled_signedlog(mantissa: float, shift: float) -> SignedLog:
-    if mantissa == 0.0:
-        return ZERO
-    return SignedLog(1 if mantissa > 0.0 else -1, shift + math.log(abs(mantissa)))
+        if cur == 0.0:
+            signs.append(0)
+            logs.append(0.0)
+        else:
+            signs.append(1 if cur > 0.0 else -1)
+            logs.append(shift + math.log(abs(cur)))
+    return signs, logs
 
 
 def laguerre(n: int, a: float, x: float) -> float:

@@ -1,0 +1,318 @@
+"""The columnar point kernel against the per-term SignedLog loop it replaced.
+
+``eval_uk`` and ``eval_expansion`` gather every term of a truncation from
+the moment table's cached array view.  The loops below are the per-term
+evaluators they replaced, kept verbatim with their own Hermite recurrence
+and reduction, and the kernel must reproduce them bit for bit: the value,
+every (degree, partial) pair, and the sign of zero.  The cache tests pin
+when a view is built, and the last test pins that non-finite input stops
+at the point and time boundaries.
+"""
+
+import copy
+import functools
+import math
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heatseries import (
+    ApproxConfig,
+    DomainError,
+    EigenCoeffs,
+    Gaussian,
+    Generic1D,
+    MomentTable,
+    SignedLog,
+    SimilarityPoint,
+    build_moment_table,
+    eigen_coeffs,
+    eval_expansion,
+    eval_uk,
+    eval_uk_radial_origin,
+    exact_gaussian_solution,
+    heat_kernel,
+    kernel_derivative,
+    moments_at_time,
+    to_similarity,
+    validity_integral,
+)
+from heatseries import moments
+from heatseries.signedlog import ZERO
+from heatseries.specfun import log_factorial
+
+_LOG_PI = math.log(math.pi)
+KMAX = {1: 120, 2: 120, 3: 40}
+
+
+# --- the per-term reference ----------------------------------------------
+
+def reference_hermite_sequence(n_max, x):
+    shift = -x * x
+    prev, cur = 0.0, 1.0
+
+    def scaled(mantissa, shift):
+        if mantissa == 0.0:
+            return ZERO
+        return SignedLog(1 if mantissa > 0.0 else -1, shift + math.log(abs(mantissa)))
+
+    out = [scaled(cur, shift)]
+    for m in range(n_max):
+        prev, cur = cur, 2.0 * x * cur - 2.0 * m * prev
+        big = max(abs(prev), abs(cur))
+        if big > 1e250:
+            exp2 = math.frexp(big)[1]
+            prev = math.ldexp(prev, -exp2)
+            cur = math.ldexp(cur, -exp2)
+            shift += exp2 * math.log(2.0)
+        out.append(scaled(cur, shift))
+    return out
+
+
+def reference_aligned_sum(terms):
+    live = [t for t in terms if t.sign != 0]
+    if not live:
+        return ZERO
+    peak = max(t.logmag for t in live)
+    if peak == -math.inf:
+        return ZERO
+    total = math.fsum(t.sign * math.exp(t.logmag - peak) for t in live)
+    if total == 0.0:
+        return ZERO
+    return SignedLog(1 if total > 0.0 else -1, peak + math.log(abs(total)))
+
+
+def reference_eval_uk(table, cfg, x):
+    scale = 2.0 * math.sqrt(cfg.t)
+    weighted = [reference_hermite_sequence(cfg.k, float(xi) / scale) for xi in x]
+    ln_factorial = [log_factorial(c) for c in range(cfg.k + 1)]
+    all_terms, by_degree = [], {}
+    for a, m in table.entries.items():
+        if a.degree > cfg.k:
+            break
+        if m.sign == 0:
+            continue
+        term_scale = -0.5 * cfg.dim * _LOG_PI - 0.5 * (a.degree + cfg.dim) * math.log(4.0 * cfg.t)
+        term = m * SignedLog.from_log(
+            term_scale - math.fsum(map(ln_factorial.__getitem__, a.components))
+        )
+        for axis, ai in enumerate(a.components):
+            term = term * weighted[axis][ai]
+        if term.sign == 0:
+            continue
+        all_terms.append(term)
+        by_degree.setdefault(a.degree, []).append(term)
+    partials = [
+        (j, reference_aligned_sum(terms).to_float()) for j, terms in sorted(by_degree.items())
+    ]
+    return reference_aligned_sum(all_terms).to_float(), partials
+
+
+def reference_eval_expansion(coeffs, p, k):
+    weighted = [reference_hermite_sequence(k, zi) for zi in p.z]
+    terms = []
+    for a, c in coeffs.entries.items():
+        if a.degree > k:
+            break
+        if c.sign == 0:
+            continue
+        term = c * SignedLog.from_log(-0.5 * a.degree * p.tau)
+        for axis, ai in enumerate(a.components):
+            term = term * weighted[axis][ai]
+        terms.append(term)
+    return reference_aligned_sum(terms).to_float()
+
+
+def bits(x: float) -> bytes:
+    """The IEEE bytes of x: equal bits, sign of zero included."""
+    return struct.pack("<d", x)
+
+
+# --- tables ---------------------------------------------------------------
+
+def _shuffled_signs(table, seed):
+    """The table with pseudo-random signs (zeros included) and shifted logs,
+    so the reduction sees cancellation as well as Gaussian data's one sign."""
+    rng = random.Random(seed)
+
+    def redraw(m):
+        sign = rng.choice((-1, 1, 1, 0)) if m.sign else 0
+        return SignedLog(sign, m.logmag + rng.uniform(-3.0, 3.0)) if sign else ZERO
+
+    entries = {a: redraw(m) for a, m in table.entries.items()}
+    kind = EigenCoeffs if isinstance(table, EigenCoeffs) else MomentTable
+    return kind(dim=table.dim, k_max=table.k_max, entries=entries)
+
+
+@functools.lru_cache(maxsize=None)
+def moment_table(dim, kind):
+    if kind == "generic":
+        h = 0.8
+        u0 = Generic1D(func=lambda x: 1.5 if -h <= x <= h else 0.0, breakpoints=(-h, h))
+        return build_moment_table(u0, 60)
+    table = build_moment_table(Gaussian(1.3, 0.9, dim), KMAX[dim])
+    return _shuffled_signs(table, dim) if kind == "signed" else table
+
+
+@functools.lru_cache(maxsize=None)
+def coefficient_table(dim, kind):
+    if kind == "evolved":  # coefficients at t0_coeff > 0, from moments_at_time
+        return eigen_coeffs(Gaussian(1.3, 0.9, dim), 0.45, 60 if dim == 2 else KMAX[dim])
+    coeffs = eigen_coeffs(Gaussian(1.3, 0.9, dim), 0.0, KMAX[dim])
+    return _shuffled_signs(coeffs, 10 + dim) if kind == "signed" else coeffs
+
+
+CASES = [(1, "gauss"), (1, "signed"), (1, "generic"), (2, "gauss"), (2, "signed"),
+         (3, "gauss"), (3, "signed")]
+COEFF_CASES = [(1, "gauss"), (1, "signed"), (1, "evolved"), (2, "gauss"), (2, "signed"),
+               (2, "evolved"), (3, "gauss"), (3, "signed")]
+
+coordinate = st.one_of(
+    st.just(0.0),  # H_odd(0) = 0: exact Hermite zeros
+    st.just(-0.0),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.floats(-60.0, 60.0, allow_nan=False),  # far out: tiny values, rescaled recurrence
+)
+
+
+@st.composite
+def point_cases(draw):
+    dim, kind = draw(st.sampled_from(CASES))
+    table = moment_table(dim, kind)
+    k = draw(st.integers(0, table.k_max))
+    t = draw(st.floats(0.2, 3.0))
+    x = tuple(draw(coordinate) for _ in range(dim))
+    return table, ApproxConfig(dim=dim, k=k, t=t), x
+
+
+@st.composite
+def expansion_cases(draw):
+    dim, kind = draw(st.sampled_from(COEFF_CASES))
+    coeffs = coefficient_table(dim, kind)
+    k = draw(st.integers(0, coeffs.k_max))
+    z = tuple(draw(coordinate) / 4.0 for _ in range(dim))
+    tau = draw(st.floats(math.log(0.2), math.log(3.0)))
+    return coeffs, SimilarityPoint(z=z, tau=tau), k
+
+
+# --- bit identity ----------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(point_cases())
+def test_eval_uk_matches_per_term_loop_bit_for_bit(case):
+    table, cfg, x = case
+    want_value, want_partials = reference_eval_uk(table, cfg, x)
+    got = eval_uk(table, cfg, x)
+    assert bits(got.value) == bits(want_value)
+    assert [j for j, _ in got.terms] == [j for j, _ in want_partials]
+    assert [bits(c) for _, c in got.terms] == [bits(c) for _, c in want_partials]
+
+
+@settings(max_examples=120, deadline=None)
+@given(expansion_cases())
+def test_eval_expansion_matches_per_term_loop_bit_for_bit(case):
+    coeffs, p, k = case
+    assert bits(eval_expansion(coeffs, p, k)) == bits(reference_eval_expansion(coeffs, p, k))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eval_uk_on_the_axes_matches_per_term_loop(dim):
+    table = moment_table(dim, "gauss")
+    for k in (0, 1, 7, KMAX[dim]):
+        for t in (0.2, 1.0, 3.0):
+            cfg = ApproxConfig(dim=dim, k=k, t=t)
+            for x in ((0.0,) * dim, (1.7,) + (0.0,) * (dim - 1), (0.0,) * (dim - 1) + (-25.0,)):
+                value, partials = reference_eval_uk(table, cfg, x)
+                got = eval_uk(table, cfg, x)
+                assert bits(got.value) == bits(value)
+                assert [(j, bits(c)) for j, c in got.terms] == [(j, bits(c)) for j, c in partials]
+
+
+# --- the cached view -------------------------------------------------------
+
+def test_a_second_evaluation_builds_no_new_view(monkeypatch):
+    built = []
+
+    class Counting(moments.MomentColumns):
+        def __init__(self, table):
+            built.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(moments, "MomentColumns", Counting)
+    table = build_moment_table(Gaussian(1.0, 1.0, 2), 20)
+    cfg = ApproxConfig(dim=2, k=20, t=1.5)
+    first = eval_uk(table, cfg, (0.3, -0.4))
+    view = table.columns()
+    second = eval_uk(table, cfg, (0.3, -0.4))
+    eval_uk(table, ApproxConfig(dim=2, k=6, t=0.7), (1.0, 2.0))
+    assert built == [table]
+    assert table.columns() is view
+    assert bits(first.value) == bits(second.value)
+    coeffs = eigen_coeffs(Gaussian(1.0, 1.0, 2), 0.0, 10)
+    eval_expansion(coeffs, SimilarityPoint(z=(0.1, 0.2), tau=0.0), 10)
+    eval_expansion(coeffs, SimilarityPoint(z=(0.3, 0.2), tau=0.5), 4)
+    assert built == [table, coeffs]
+
+
+def test_a_copy_with_new_entries_evaluates_from_them():
+    table = build_moment_table(Gaussian(1.0, 1.0, 2), 12)
+    cfg = ApproxConfig(dim=2, k=12, t=1.5)
+    x = (0.4, 0.9)
+    before = eval_uk(table, cfg, x)  # caches the view on table
+    changed = copy.copy(table)  # shares the cached view until entries change
+    changed.entries = dict(table.entries)
+    alpha = next(a for a, m in changed.entries.items() if m.sign and a.degree)
+    m = changed.entries[alpha]
+    changed.entries[alpha] = SignedLog(m.sign, m.logmag + 1e-3)
+    fresh = MomentTable(dim=2, k_max=12, entries=changed.entries)
+    got = eval_uk(changed, cfg, x)
+    assert got.value != before.value
+    assert bits(got.value) == bits(eval_uk(fresh, cfg, x).value)
+    assert bits(eval_uk(table, cfg, x).value) == bits(before.value)
+    assert changed.columns().entries is changed.entries
+    assert table.columns().entries is table.entries
+
+
+# --- non-finite input ------------------------------------------------------
+
+_T1 = build_moment_table(Gaussian(1.0, 1.0, 1), 4)
+_T2 = build_moment_table(Gaussian(1.0, 1.0, 2), 4)
+_CFG1, _CFG2 = ApproxConfig(dim=1, k=4, t=1.0), ApproxConfig(dim=2, k=4, t=1.0)
+_COEFFS = eigen_coeffs(Gaussian(1.0, 1.0, 2), 0.0, 4)
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_uk(_T2, _CFG2, (_NAN, 0.0)),
+    lambda: eval_uk(_T2, _CFG2, (0.0, _INF)),
+    lambda: eval_uk(_T1, _CFG1, -_INF),
+    lambda: eval_uk(_T1, _CFG1, _NAN),
+    lambda: eval_uk_radial_origin(_T2, _CFG2, _NAN),
+    lambda: eval_uk_radial_origin(_T2, _CFG2, _INF),
+    lambda: heat_kernel(0.5, _NAN),
+    lambda: heat_kernel(0.5, _INF),
+    lambda: heat_kernel((0.5, _NAN), 1.0),
+    lambda: kernel_derivative((2, 1), (0.5, 0.5), _NAN),
+    lambda: kernel_derivative((2, 1), (0.5, _INF), 1.0),
+    lambda: eval_expansion(_COEFFS, SimilarityPoint(z=(_NAN, 0.0), tau=0.0), 4),
+    lambda: eval_expansion(_COEFFS, SimilarityPoint(z=(0.0, 0.0), tau=_NAN), 4),
+    lambda: SimilarityPoint(z=(0.0, -_INF), tau=0.0),
+    lambda: SimilarityPoint(z=(0.0,), tau=_INF),
+    lambda: moments_at_time(_T2, _NAN),
+    lambda: moments_at_time(_T2, _INF),
+    lambda: eigen_coeffs(Gaussian(1.0, 1.0, 1), _NAN, 4),
+    lambda: eigen_coeffs(Gaussian(1.0, 1.0, 1), _INF, 4),
+    lambda: to_similarity(0.5, _NAN),
+    lambda: to_similarity(0.5, _INF),
+    lambda: to_similarity((_INF, 0.0), 1.0),
+    lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _NAN),
+    lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _INF),
+    lambda: exact_gaussian_solution(1.0, 1.0, 2, (0.5, _NAN), 1.0),
+    lambda: exact_gaussian_solution(_INF, 1.0, 1, 0.5, 1.0),
+    lambda: validity_integral(lambda r, t: 0.0, _NAN, 1),
+])
+def test_non_finite_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -8,6 +8,7 @@ the PDE itself via finite differences.
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ def test_grid_spec_validation():
     assert g.points == 801
     axis = g.axes()[0]
     assert axis[len(axis) // 2] == 0.0  # origin is a node
+
+
+@pytest.mark.parametrize("t0", [0.8, 1.0, 1.25])
+@pytest.mark.parametrize("factor", [0.05, 0.2, 0.5])
+def test_default_grid_covers_t_plus_t0(t0, factor):
+    """The solution spreads as t + t0; below the width the default extent
+    still keeps the clipped tail under the coverage check's 1e-16."""
+    t = factor * t0
+    u0 = Gaussian(amplitude=1.0, width=t0, dim=1)
+    grid = default_grid(1, t, t0, points=41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sup_error(u0, build_moment_table(u0, 3), ApproxConfig(dim=1, k=2, t=t), grid)
+
+
+def test_default_grid_extent_above_the_width_is_unchanged():
+    assert default_grid(1, 2.0, 1.0).extent == 2.0 * math.sqrt(2.0) * 8.0 + 4.0
 
 
 def test_coverage_warning_on_clipped_grid():
