@@ -5,8 +5,10 @@ degree-(k+1) absolute moments of the datum and the sharp sup bound on
 Gaussian-weighted Hermite functions; error_bound_F_sweep gives it at many
 orders from one pass over a moment table.  envelope_bound_G specializes it to
 data dominated by a Gaussian envelope, where the moment sum collapses to a
-closed form.  divergence_lower_bound certifies growth of |u_k(0, t)| below
-the envelope width.
+closed form.  For Gaussian data the series at the origin is a closed-form
+binomial series (gaussian_origin_blocks), from which divergence_lower_bound
+certifies the growth of |u_k(0, t)| below the envelope width, t < t0, in
+every dimension.
 """
 
 from __future__ import annotations
@@ -14,15 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .kernel_approx import ApproxConfig
 from .moments import Gaussian, MomentTable, moment_factors
-from .signedlog import SignedLog, aligned_sum
+from .signedlog import ZERO, SignedLog, aligned_sum
 from .specfun import log_factorial, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+#: log of the relative rounding allowance of :func:`divergence_lower_bound`,
+#: 1e-13.  Near a tie (q just above 1 at k = 2, or d = 1, q = 2, k = 2, where
+#: the formula is 0 exactly) the formula and a floating-point |u_k(0, t)| are
+#: both rounding noise.  Over d = 1-3, q in (1, 8] and even k <= 200 (k <= 80
+#: in d = 3), the formula exceeded eval_uk's |u_k(0, t)| by at most 7.6e-16
+#: of the magnitudes it combines; the allowance is that measurement with a
+#: margin of about 100.
+_LOG_ROUNDING = math.log(1e-13)
 
 
 def bonan_clark_log(n: int) -> float:
@@ -110,6 +119,13 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     ]
 
 
+def _check_envelope(amplitude: float, width: float) -> None:
+    if not (0.0 < amplitude < math.inf and 0.0 < width < math.inf):
+        raise DomainError(
+            f"Gaussian amplitude and width must be finite and > 0, got {amplitude}, {width}"
+        )
+
+
 def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> SignedLog:
     """Closed-form envelope bound for |u0| <= amplitude * e^{-|x|^2/4 width}:
 
@@ -118,8 +134,7 @@ def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> Signe
 
     At d=1 and t = t0 this is C (k+2)^{-1/12}.
     """
-    if amplitude <= 0.0 or width <= 0.0:
-        raise DomainError("envelope_bound_G requires positive amplitude and width")
+    _check_envelope(amplitude, width)
     d, k, t = cfg.dim, cfg.k, cfg.t
     logmag = (
         math.log(amplitude)
@@ -132,60 +147,63 @@ def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> Signe
     return SignedLog(1, logmag)
 
 
+def gaussian_origin_blocks(
+    amplitude: float, width: float, dim: int, t: float, N: int
+) -> list[SignedLog]:
+    """The blocks a_0..a_N of u_k(0, t) = sum_{n <= floor(k/2)} a_n for the
+    datum C e^{-|x|^2/4 t0}, with q = t0/t:
+
+        a_n = C q^{d/2} (-q)^n Gamma(n + d/2) / (Gamma(d/2) n!).
+
+    a_n is the degree-2n term of the series at the origin; the odd-degree
+    terms vanish there.  Summed to infinity this is the binomial series of
+    u(0, t) = C q^{d/2} (1 + q)^{-d/2}, which converges for q < 1 only.
+    """
+    _check_envelope(amplitude, width)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"evaluation time t must be finite and > 0, got {t}")
+    if dim < 1 or N < 0:
+        raise DomainError(f"need dim >= 1 and N >= 0, got dim {dim}, N {N}")
+    log_q = math.log(width / t)
+    base = math.log(amplitude) + 0.5 * dim * log_q - math.lgamma(0.5 * dim)
+    return [
+        SignedLog(
+            -1 if n % 2 else 1,
+            base + n * log_q + math.lgamma(n + 0.5 * dim) - math.lgamma(n + 1.0),
+        )
+        for n in range(N + 1)
+    ]
+
+
 def divergence_lower_bound(
     amplitude: float, width: float, cfg: ApproxConfig
 ) -> SignedLog:
     """Lower bound on |u_k(0, t)| for Gaussian data below the width, t < t0.
 
-    dim >= 2 (certified):
-        C / ((4t)^{d/2} Gamma(d/2)) (t0/t - 1) (t0/t)^{floor(k/2) - 1}
+    With the blocks a_n of :func:`gaussian_origin_blocks` and N = floor(k/2),
+    |a_{n+1}| / |a_n| = q (n + d/2) / (n + 1), which from the first n0 with
+    q (n0 + d/2) >= n0 + 1 on stays >= 1 (n0 = 0 whenever d >= 2 or q >= 2).
+    Pairing the alternating blocks from the top then gives, in every
+    dimension,
 
-    dim == 1 (shape only, prefactor normalised to 1; see
-    fit_divergence_prefactor):
-        (t0/t)^{floor(k/2)} sqrt(1 / (floor(k/2) - 1)),  floor(k/2) >= 2.
+        |u_k(0, t)| >= |a_N| - |a_{N-1}| - sum_{n < n0} |a_n|,   a_{-1} = 0,
+
+    less 1e-13 times the sum of the magnitudes it combines, and returned
+    as ZERO where that is not positive.
     """
-    if amplitude <= 0.0 or width <= 0.0:
-        raise DomainError("divergence_lower_bound requires positive amplitude/width")
-    d, k, t = cfg.dim, cfg.k, cfg.t
+    d, t = cfg.dim, cfg.t
     if not t < width:
         raise DomainError("divergence_lower_bound applies only for t < width")
-    half = k // 2
-    ratio = width / t
-    if d == 1:
-        if half < 2:
-            raise DomainError("the dim-1 shape needs floor(k/2) >= 2")
-        return SignedLog(
-            1, half * math.log(ratio) - 0.5 * math.log(half - 1.0)
-        )
-    logmag = (
-        math.log(amplitude)
-        - 0.5 * d * math.log(4.0 * t)
-        - log_gamma(d / 2.0)
-        + math.log(ratio - 1.0)
-        + (half - 1) * math.log(ratio)
-    )
-    return SignedLog(1, logmag)
-
-
-def fit_divergence_prefactor(
-    ks, values, width: float, t: float
-) -> tuple[float, float]:
-    """Least-squares fit of log|u_k(0, t)| against the dim-1 divergence shape.
-
-    Returns (B, slope): B is exp of the mean log offset from the shape
-    (t0/t)^{floor(k/2)} / sqrt(floor(k/2) - 1), and slope is the fitted
-    log-growth of |u_k| per unit k (expected near log(t0/t) / 2).  The fit
-    is diagnostic; nothing downstream treats B as certified.
-    """
-    ks = np.asarray(list(ks), dtype=float)
-    logs = np.log(np.abs(np.asarray(list(values), dtype=float)))
-    if ks.size < 2:
-        raise DomainError("need at least two points to fit")
-    halves = np.floor(ks / 2.0)
-    shape = halves * math.log(width / t) - 0.5 * np.log(halves - 1.0)
-    offset = float(np.mean(logs - shape))
-    slope = float(np.polyfit(ks, logs, 1)[0])
-    return math.exp(offset), slope
+    N = cfg.k // 2
+    blocks = gaussian_origin_blocks(amplitude, width, d, t, N)
+    q = width / t
+    n0 = next((n for n in range(N + 1) if q * (n + 0.5 * d) >= n + 1), N + 1)
+    terms = [abs(blocks[N])] + [-abs(a) for a in blocks[:n0]]
+    if N >= 1:
+        terms.append(-abs(blocks[N - 1]))
+    allowance = [SignedLog(-1, a.logmag + _LOG_ROUNDING) for a in terms]
+    bound = aligned_sum(terms + allowance)
+    return bound if bound.sign > 0 else ZERO
 
 
 @dataclass
@@ -196,13 +214,6 @@ class BoundReport:
     F_k: SignedLog
     G_k: SignedLog | None = None
     divergence_lb: SignedLog | None = None
-    lb_shape_only: bool = False
-
-
-def divergence_bound_applies(width: float, cfg: ApproxConfig) -> bool:
-    """Whether divergence_lower_bound is defined at cfg for datum width
-    ``width``: below the width, and past the dim-1 shape's first orders."""
-    return cfg.t < width and (cfg.dim >= 2 or cfg.k // 2 >= 2)
 
 
 def bound_report(table: MomentTable, cfg: ApproxConfig) -> BoundReport:
@@ -225,9 +236,8 @@ def _report(table: MomentTable, cfg: ApproxConfig, f_k: SignedLog) -> BoundRepor
     src = table.source
     if isinstance(src, Gaussian):
         report.G_k = envelope_bound_G(src.amplitude, src.width, cfg)
-        if divergence_bound_applies(src.width, cfg):
-            report.divergence_lb = divergence_lower_bound(
-                src.amplitude, src.width, cfg
-            )
-            report.lb_shape_only = cfg.dim == 1
+        if cfg.t < src.width:
+            lb = divergence_lower_bound(src.amplitude, src.width, cfg)
+            if lb.sign > 0:
+                report.divergence_lb = lb
     return report

@@ -19,11 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import (
-    divergence_bound_applies,
-    divergence_lower_bound,
-    fit_divergence_prefactor,
-)
+from .bounds import divergence_lower_bound
 from .decomposition import (
     decomposition_residual,
     gaussian_test_function,
@@ -174,10 +170,10 @@ def cmd_divergence(args) -> None:
         cfg = ApproxConfig(dim=args.dim, k=k, t=args.t)
         result = eval_uk(table, cfg, origin)
         block = next((c for j, c in result.terms if j == k), 0.0)
-        lb = None
-        if divergence_bound_applies(args.t0, cfg):
-            lb = divergence_lower_bound(args.amplitude, args.t0, cfg).to_float()
-        rows.append((k, result.value, abs(result.value), lb, block))
+        lb = divergence_lower_bound(args.amplitude, args.t0, cfg)
+        rows.append(
+            (k, result.value, abs(result.value), lb.to_float() if lb.sign else None, block)
+        )
     columns = ("k", "uk0", "abs_uk0", "lb", "block")
     _write(args.out, table_text(args.format, columns, rows))
     if args.plot:
@@ -192,29 +188,14 @@ def cmd_divergence(args) -> None:
             _plot_path(args.out),
             line_plot(series, "origin growth below the width", "k", "|u_k(0,t)|"),
         )
-    if args.dim == 1:
-        fit_rows = [(k, av) for k, _, av, _, _ in rows if k >= 20 and av > 0.0]
-        if len(fit_rows) >= 2:
-            prefactor, slope = fit_divergence_prefactor(
-                [k for k, _ in fit_rows],
-                [v for _, v in fit_rows],
-                args.t0,
-                args.t,
-            )
-            expected = 0.5 * math.log(args.t0 / args.t)
-            print(
-                "dim-1 shape fit: B=%s slope=%s expected_slope=%s"
-                % (f17(prefactor), f17(slope), f17(expected))
-            )
-    else:
-        bad = [
-            k for k, _, av, lb, _ in rows
-            if lb is not None and av * _ASSERT_SLACK < lb
-        ]
-        if bad:
-            raise AssertionFailure(
-                f"|u_k(0,t)| fell below the certified bound at k={bad}"
-            )
+    bad = [
+        k for k, _, av, lb, _ in rows
+        if not math.isfinite(av) or lb is not None and av * _ASSERT_SLACK < lb
+    ]
+    if bad:
+        raise AssertionFailure(
+            f"|u_k(0,t)| is not finite or fell below the certified bound at k={bad}"
+        )
 
 
 def cmd_eigen_compare(args) -> None:

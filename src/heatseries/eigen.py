@@ -73,6 +73,11 @@ class EigenCoeffs(MomentTable):
 
     coeff = MomentTable.moment
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.t0_coeff < math.inf:
+            raise DomainError(f"t0_coeff must be finite and >= 0, got {self.t0_coeff}")
+
 
 def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     """Coefficients a_alpha = 2^{-|alpha|-d} pi^{-d/2} m_alpha(t0_coeff) / alpha!.

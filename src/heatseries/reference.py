@@ -104,9 +104,11 @@ def convolve_oracle(u0, x, t: float) -> float:
     case of the batch the reference field uses, so a node's value does not
     depend on whether it was computed alone or with the whole grid.
     """
-    if t <= 0.0:
-        raise DomainError("convolve_oracle requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"convolve_oracle requires finite t > 0, got {t}")
     coords = [float(x)] if np.isscalar(x) else [float(c) for c in x]
+    if not all(map(math.isfinite, coords)):
+        raise DomainError(f"convolve_oracle point coordinates must be finite, got {coords}")
     return float(_oracle(u0, np.array([coords]), t)[0])
 
 

@@ -1,10 +1,12 @@
 """Upper and lower error bounds: frozen closed-form values, decay rates,
-the weighted-Hermite sup bound, and the divergence shape fit."""
+the weighted-Hermite sup bound, and the Gaussian origin series with the
+divergence bound built on it."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatseries import (
     ApproxConfig,
@@ -27,7 +29,8 @@ from heatseries import (
     envelope_bound_G,
     error_bound_F,
     error_bound_F_sweep,
-    fit_divergence_prefactor,
+    eval_uk,
+    gaussian_origin_blocks,
     moments,
     multi_indices_of_degree,
 )
@@ -133,8 +136,11 @@ def test_envelope_G_tail_ratio_geometric():
 
 
 def test_envelope_G_domain():
-    with pytest.raises(DomainError):
-        envelope_bound_G(0.0, 1.0, ApproxConfig(dim=1, k=0, t=1.0))
+    for amplitude, width in [
+        (0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ]:
+        with pytest.raises(DomainError):
+            envelope_bound_G(amplitude, width, ApproxConfig(dim=1, k=0, t=1.0))
 
 
 def test_F_below_G_for_gaussian_data(table_d1):
@@ -148,14 +154,88 @@ def test_F_below_G_for_gaussian_data(table_d1):
             assert f.logmag <= g.logmag + 1e-9
 
 
-# --- divergence lower bound ----------------------------------------------
+# --- Gaussian origin series and the divergence lower bound ---------------
+
+#: the grid of datum amplitudes and ratios q = t0/t the origin blocks are
+#: checked on; q > 1 is t below the width, where the series diverges
+ORIGIN_AMPLITUDES = (1.0, 2.5)
+ORIGIN_RATIOS = (1.05, 1.25, 2.0, 6.7)
+
+
+@pytest.fixture(scope="module")
+def origin_tables(moment_table):
+    """origin_tables[(dim, C)] -> a Gaussian moment table of degree >= 80."""
+    tables = {(d, 1.0): moment_table(d) for d in (1, 2, 3)}
+    for d in (1, 2, 3):
+        tables[(d, 2.5)] = build_moment_table(
+            Gaussian(amplitude=2.5, width=1.0, dim=d), 80
+        )
+    return tables
+
+
+def _origin_value(table, k, t):
+    return eval_uk(table, ApproxConfig(dim=table.dim, k=k, t=t), (0.0,) * table.dim)
+
+
+@pytest.mark.parametrize("q", ORIGIN_RATIOS)
+@pytest.mark.parametrize("amplitude", ORIGIN_AMPLITUDES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_origin_blocks_match_eval_uk_partials(origin_tables, dim, amplitude, q):
+    # u_k(0, t) summed degree by degree from the moment table equals the
+    # partial sums of the closed-form blocks for every even k <= 80
+    t = 1.0 / q
+    blocks = [b.to_float() for b in gaussian_origin_blocks(amplitude, 1.0, dim, t, 40)]
+    terms = dict(_origin_value(origin_tables[(dim, amplitude)], 80, t).terms)
+    for k in range(0, 81, 2):
+        n = k // 2
+        measured = math.fsum(c for j, c in terms.items() if j <= k)
+        closed = math.fsum(blocks[: n + 1])
+        scale = math.fsum(map(abs, blocks[: n + 1]))
+        assert abs(measured - closed) <= 1e-13 * scale, (k, measured, closed)
+
+
+def test_origin_blocks_domain():
+    for args in [
+        (math.nan, 1.0, 1, 0.5, 2),
+        (1.0, math.inf, 1, 0.5, 2),
+        (1.0, 1.0, 1, math.nan, 2),
+        (1.0, 1.0, 0, 0.5, 2),
+        (1.0, 1.0, 1, 0.5, -1),
+    ]:
+        with pytest.raises(DomainError):
+            gaussian_origin_blocks(*args)
+
+
+def _closed_form_bound(dim, q, k):
+    """|a_N| - |a_{N-1}| - sum_{n < n0} |a_n| at unit amplitude and width,
+    every block from math.lgamma in plain floats."""
+    N = k // 2
+    mags = [
+        math.exp(
+            0.5 * dim * math.log(q) + n * math.log(q)
+            + math.lgamma(n + 0.5 * dim) - math.lgamma(0.5 * dim) - math.lgamma(n + 1.0)
+        )
+        for n in range(N + 1)
+    ]
+    n0 = next(n for n in range(N + 2) if q * (n + 0.5 * dim) >= n + 1)
+    return mags[N] - (mags[N - 1] if N else 0.0) - math.fsum(mags[:n0])
+
+
+@pytest.mark.parametrize(
+    "dim, expected", [(1, 7.66e7), (2, 1.07e9), (3, 9.66e9)]
+)
+def test_divergence_lower_bound_closed_form_at_k60(dim, expected):
+    got = divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=dim, k=60, t=0.5)).to_float()
+    assert got == pytest.approx(_closed_form_bound(dim, 2.0, 60), rel=1e-12)
+    assert got == pytest.approx(expected, rel=5e-3)
+
 
 def test_divergence_lower_bound_frozen():
     got = divergence_lower_bound(
         1.0, 1.0, ApproxConfig(dim=2, k=10, t=0.5)
     ).to_float()
-    # 1/((4t)^{d/2} Gamma(1)) (t0/t - 1) (t0/t)^{4} = (1/2) * 1 * 16
-    assert got == pytest.approx(8.0, rel=1e-12)
+    # d = 2, q = 2: |a_5| - |a_4| = 2^6 - 2^5
+    assert got == pytest.approx(32.0, rel=1e-12)
 
 
 def test_divergence_lower_bound_growth():
@@ -172,27 +252,43 @@ def test_divergence_lower_bound_domain():
     with pytest.raises(DomainError):
         divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=2, k=10, t=1.5))
     with pytest.raises(DomainError):
-        divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=1, k=2, t=0.5))
-    # dim 1 needs floor(k/2) >= 2; k = 4 is the first admissible order
-    divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=1, k=4, t=0.5))
+        divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=2, k=10, t=1.0))
+    for amplitude, width in [(math.nan, 1.0), (0.0, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            divergence_lower_bound(amplitude, width, ApproxConfig(dim=1, k=4, t=0.5))
+    # d = 1, q = 2, k = 2: |a_1| = |a_0|, so the bound is exactly 0
+    assert divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=1, k=2, t=0.5)).is_zero
+    # close to the width in dim 1 the first blocks shrink (n0 = 10 at q = 1.05)
+    near = ApproxConfig(dim=1, k=18, t=1.0 / 1.05)
+    assert divergence_lower_bound(1.0, 1.0, near).is_zero
 
 
-def test_fit_recovers_exact_shape():
-    # synthesize values lying exactly on the dim-1 shape: B = 1 and the
-    # fitted slope sits near log(t0/t)/2
-    width, t = 1.0, 0.5
-    ks = np.arange(20, 81, 2)
-    halves = ks // 2
-    values = np.exp(halves * math.log(width / t) - 0.5 * np.log(halves - 1.0))
-    B, slope = fit_divergence_prefactor(ks, values, width, t)
-    assert B == pytest.approx(1.0, rel=1e-9)
-    expected = 0.5 * math.log(width / t)
-    assert abs(slope - expected) < 0.1 * abs(expected)
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    q=st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
+    k=st.integers(min_value=0, max_value=80),
+)
+def test_divergence_lower_bound_below_origin_value(moment_table, dim, q, k):
+    t = 1.0 / q
+    if not t < 1.0:
+        return
+    lb = divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=dim, k=k, t=t))
+    value = _origin_value(moment_table(dim), k, t).value
+    assert lb.to_float() <= abs(value) * (1.0 + 1e-9)
 
 
-def test_fit_needs_two_points():
-    with pytest.raises(DomainError):
-        fit_divergence_prefactor([10], [2.0], 1.0, 0.5)
+@pytest.mark.parametrize("dim, q, k", [
+    (2, 1.0 + 1e-9, 2), (2, 1.0 + 1e-12, 2), (2, 1.0 + 1e-15, 6),
+    (3, 1.0 + 1e-12, 2), (1, 2.0, 2),
+])
+def test_divergence_lower_bound_at_near_ties(moment_table, dim, q, k):
+    # the formula and |u_k(0, t)| agree here to rounding, or are both 0:
+    # the rounding allowance keeps the bound below the evaluated value
+    t = 1.0 / q
+    lb = divergence_lower_bound(1.0, 1.0, ApproxConfig(dim=dim, k=k, t=t))
+    value = _origin_value(moment_table(dim), k, t).value
+    assert lb.to_float() <= abs(value) * (1.0 + 1e-9)
 
 
 # --- assembled report -----------------------------------------------------
@@ -203,15 +299,20 @@ def test_bound_report_gaussian_below_width():
     assert rep.F_k.sign == 1
     assert rep.G_k is not None
     assert rep.divergence_lb is not None
-    assert rep.divergence_lb.to_float() == pytest.approx(8.0, rel=1e-12)
-    assert not rep.lb_shape_only
+    assert rep.divergence_lb.to_float() == pytest.approx(32.0, rel=1e-12)
 
 
-def test_bound_report_dim1_flags_shape_only():
-    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), 11)
-    rep = bound_report(table, ApproxConfig(dim=1, k=10, t=0.5))
-    assert rep.divergence_lb is not None
-    assert rep.lb_shape_only
+def test_bound_report_dim1_lb_below_origin_value():
+    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), 41)
+    for k in range(0, 41):
+        cfg = ApproxConfig(dim=1, k=k, t=0.5)
+        rep = bound_report(table, cfg)
+        value = abs(eval_uk(table, cfg, 0.0).value)
+        if k // 2 == 1:
+            # the bound is 0 there, so the report leaves it out
+            assert rep.divergence_lb is None
+        else:
+            assert rep.divergence_lb.to_float() <= value * (1.0 + 1e-9)
 
 
 def test_bound_report_above_width_has_no_lb():

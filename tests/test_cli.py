@@ -104,16 +104,41 @@ def test_divergence_dim2(tmp_path):
             assert float(abs_uk0) >= float(lb) * (1.0 - 1e-9)
 
 
-def test_divergence_dim1_reports_fit(tmp_path, capsys):
-    out = tmp_path / "div1.csv"
-    code = run(
-        "divergence", "--dim", "1", "--t0", "1", "--t", "0.5",
-        "--kmax", "40", "--out", str(out),
+def test_divergence_asserts_bound_in_dims_1_and_3(tmp_path, monkeypatch, capsys):
+    def divergence(dim):
+        out = tmp_path / f"div{dim}.csv"
+        code = run(
+            "divergence", "--dim", str(dim), "--t0", "1", "--t", "0.5",
+            "--kmax", "40", "--out", str(out),
+        )
+        return code, [line.split(",") for line in out.read_text().split()[1:]]
+
+    for dim in (1, 3):
+        code, rows = divergence(dim)
+        assert code == 0
+        bounds = [(float(av), float(lb)) for _, _, av, lb, _ in rows if lb]
+        assert len(bounds) >= len(rows) - 1
+        assert all(lb <= av * (1.0 + 1e-9) for av, lb in bounds)
+    assert capsys.readouterr().out == ""
+
+    real = cli.divergence_lower_bound
+    monkeypatch.setattr(
+        cli, "divergence_lower_bound",
+        lambda *args: real(*args) * heatseries.SignedLog.from_float(2.0),
     )
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "dim-1 shape fit" in text
-    assert "expected_slope" in text
+    for dim in (1, 3):
+        assert divergence(dim)[0] == 1
+
+
+def test_divergence_overflow_exits_1(tmp_path):
+    # (t0/t)^{k/2} = 1e400 at k = 200 overflows u_k(0, t) and the bound alike
+    out = tmp_path / "div.csv"
+    code = run(
+        "divergence", "--dim", "1", "--t0", "1", "--t", "1e-4",
+        "--kmax", "200", "--out", str(out),
+    )
+    assert code == 1
+    assert "inf" in out.read_text()
 
 
 def test_divergence_requires_t_below_t0(tmp_path):

@@ -127,6 +127,21 @@ def test_coeffs_json_roundtrip():
             assert back.entries[a].logmag == pytest.approx(c.logmag, abs=1e-15)
 
 
+def test_coeffs_json_rejects_negative_t0_coeff():
+    text = eigen_coeffs(UNIT1, 0.0, 2).to_json()
+    bad = text.replace('"t0_coeff":0.0', '"t0_coeff":-1.0')
+    assert bad != text
+    with pytest.raises(DomainError):
+        EigenCoeffs.from_json(bad)
+
+
+@pytest.mark.parametrize("t0_coeff", [-1.0, math.nan, math.inf])
+def test_coeffs_reject_invalid_t0_coeff(t0_coeff):
+    entries = eigen_coeffs(UNIT1, 0.0, 2).entries
+    with pytest.raises(DomainError):
+        EigenCoeffs(dim=1, k_max=2, entries=entries, t0_coeff=t0_coeff)
+
+
 # --- expansion vs truncated series ----------------------------------------
 
 def test_order_zero_expansion_is_weighted_mass():

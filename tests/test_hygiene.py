@@ -108,3 +108,13 @@ def test_scan_flags_unused_names():
         "    return name\n"
     )
     assert unused_names(source) == ["os", "MultiIndex", "R", "_LOG_PI", "_orphan", "_Orphan"]
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a re-export that outlives its definition fails the import itself; one
+    # dropped from the imports but left in __all__ fails here
+    tree = ast.parse(Path(heatseries.__file__).read_text())
+    imported = set(_imported_names(tree))
+    assert set(heatseries.__all__) == imported
+    assert len(heatseries.__all__) == len(imported)
+    assert all(hasattr(heatseries, name) for name in heatseries.__all__)

@@ -55,6 +55,16 @@ def test_exact_solution_time_zero_is_datum():
         assert got == pytest.approx(math.exp(-x * x / 4.0), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "x, t",
+    [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), ((0.0, math.inf), 1.0)],
+)
+def test_convolve_oracle_rejects_nonfinite_input(x, t):
+    u0 = Gaussian(amplitude=1.0, width=1.0, dim=1 if np.isscalar(x) else len(x))
+    with pytest.raises(DomainError):
+        convolve_oracle(u0, x, t)
+
+
 def test_exact_solution_bounds_and_domain():
     assert 0.0 < exact_gaussian_solution(1.0, 1.0, 2, (3.0, 1.0), 5.0) < 1.0
     with pytest.raises(DomainError):
