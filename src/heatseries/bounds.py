@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .kernel_approx import ApproxConfig
-from .moments import Gaussian, MomentTable, moment_factors
-from .signedlog import ZERO, SignedLog, aligned_sum
+from .moments import Gaussian, MomentTable, component_sums, moment_factors
+from .signedlog import ZERO, SignedLog, aligned_sum, aligned_sum_arrays
 from .specfun import log_factorial, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -74,13 +76,13 @@ def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
 
 def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]:
     """F(k) of :func:`error_bound_F` at time t for every k in ``orders``,
-    from one pass over the degree shells stored in ``table.entries``.
+    from one pass over the degree shells of the table's multi-indices.
 
     The absolute moments come factored from :func:`moment_factors`:
     a factor each shell shares, and a per-component log lookup.  Each
     multi-index's weight is the sum of its components' lookups, -ln(c!)/2
     and -ln(c+1)/12; each shell's weights are reduced by exponent alignment
-    (:func:`aligned_sum`) and scaled by the shell's shared factor.
+    (:func:`aligned_sum_arrays`) and scaled by the shell's shared factor.
     """
     orders = list(orders)
     if not 0.0 < t < math.inf:
@@ -103,14 +105,11 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
         math.fsum((logs[c], -0.5 * log_factorial(c), -math.log(c + 1.0) / 12.0))
         for c in range(top + 1)
     ]
-    shells: dict[int, list[SignedLog]] = {n: [] for n in shared}
-    for a in table.entries:
-        if a.degree > top:
-            break
-        terms = shells.get(a.degree)
-        if terms is not None:
-            terms.append(SignedLog(1, math.fsum(map(weight.__getitem__, a.components))))
-    sums = {n: shared[n] * aligned_sum(terms) for n, terms in shells.items()}
+    sums = {}
+    for n in shared:
+        components = table.components[table.ends[n] - table.counts[n] : table.ends[n]]
+        weights = component_sums(weight, components)
+        sums[n] = shared[n] * aligned_sum_arrays(np.ones(len(weights), np.int8), weights)
     d = table.dim
     log_2t = math.log(2.0 * t)
     return [

@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .kernel_approx import _point_terms
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .quadrature import integrate_interval
-from .signedlog import SignedLog, aligned_sum_arrays
-from .specfun import log_factorial, log_gamma
+from .signedlog import aligned_sum_arrays
+from .specfun import log_gamma
 
 _LOG_PI = math.log(math.pi)
 _LOG2 = math.log(2.0)
@@ -61,20 +63,21 @@ def from_similarity(p: SimilarityPoint) -> tuple[tuple[float, ...], float]:
     return tuple(c * root for c in p.z), t
 
 
-@dataclass
 class EigenCoeffs(MomentTable):
     """Expansion coefficients a_alpha computed from the solution moments at
     time ``t0_coeff`` (0 means the initial datum itself), held and written
     as a moment table whose header also carries ``t0_coeff``."""
 
-    t0_coeff: float = 0.0
-
     HEADER = MomentTable.HEADER + (("t0_coeff", "t0_coeff", float),)
 
     coeff = MomentTable.moment
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, dim: int, k_max: int, entries, source=None, t0_coeff: float = 0.0):
+        self.t0_coeff = t0_coeff
+        super().__init__(dim, k_max, entries, source)
+
+    def _check_header(self) -> None:
+        super()._check_header()
         if not 0.0 <= self.t0_coeff < math.inf:
             raise DomainError(f"t0_coeff must be finite and >= 0, got {self.t0_coeff}")
 
@@ -83,8 +86,10 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     """Coefficients a_alpha = 2^{-|alpha|-d} pi^{-d/2} m_alpha(t0_coeff) / alpha!.
 
     The moments of the evolved solution come from the initial table through
-    the closed moment-evolution recursion, so every datum variant is
-    supported without nested quadrature.
+    the closed-form moment evolution, so every datum variant is supported
+    without nested quadrature.  The table's log magnitudes are shifted by
+    one per-degree scale less ln alpha!, each row's logs added as a
+    per-entry SignedLog product adds them.
     """
     if not 0.0 <= t0_coeff < math.inf:
         raise DomainError("t0_coeff must be finite and >= 0")
@@ -92,16 +97,11 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     table = build_moment_table(u0, k_max)
     if t0_coeff > 0.0:
         table = moments_at_time(table, t0_coeff)
-    ln_factorial = [log_factorial(c) for c in range(k_max + 1)]
-    entries = {
-        a: m * SignedLog.from_log(
-            -(a.degree + d) * _LOG2
-            - 0.5 * d * _LOG_PI
-            - math.fsum(map(ln_factorial.__getitem__, a.components))
-        )
-        for a, m in table.entries.items()
-    }
-    return EigenCoeffs(dim=d, k_max=k_max, t0_coeff=t0_coeff, entries=entries)
+    scale = np.array([-(j + d) * _LOG2 - 0.5 * d * _LOG_PI for j in range(k_max + 1)])
+    logmag = table.logmag + (scale[table.degrees] - table.ln_factorials)
+    return EigenCoeffs.from_arrays(
+        table.signs, logmag, dim=d, k_max=k_max, t0_coeff=t0_coeff
+    )
 
 
 def eval_expansion(coeffs: EigenCoeffs, p: SimilarityPoint, k: int) -> float:
@@ -109,7 +109,7 @@ def eval_expansion(coeffs: EigenCoeffs, p: SimilarityPoint, k: int) -> float:
 
     Every term a_alpha e^{-|alpha| tau / 2} prod_i H_{alpha_i}(z_i) e^{-z_i^2}
     of degree <= k is a sign and a log magnitude gathered from the table's
-    array view, reduced like :func:`kernel_approx.eval_uk` with the bits of
+    arrays, reduced like :func:`kernel_approx.eval_uk` with the bits of
     a per-term SignedLog loop.  Valid as an expansion of the solution only
     for tau >= ln(t0_coeff); the sum itself is evaluable anywhere.
     """
@@ -117,8 +117,8 @@ def eval_expansion(coeffs: EigenCoeffs, p: SimilarityPoint, k: int) -> float:
         raise DomainError("point dimension does not match coefficients")
     if k > coeffs.k_max:
         raise DomainError("truncation order exceeds coefficient table")
-    offsets = coeffs.columns().per_entry([-0.5 * j * p.tau for j in range(k + 1)])
-    signs, logmag, _ = _point_terms(coeffs, k, offsets, p.z)
+    scales = [-0.5 * j * p.tau for j in range(k + 1)]
+    signs, logmag, _ = _point_terms(coeffs, k, scales, p.z)
     return aligned_sum_arrays(signs, logmag).to_float()
 
 

@@ -7,7 +7,7 @@ The order-k approximation to the Cauchy solution with initial datum u0 is
         prod_i H_{alpha_i}(x_i / (2 sqrt(t)))
 
 with m_alpha the moments of u0.  Point evaluation keeps every term as a
-sign and a log magnitude, gathered over the moment table's array view, and
+sign and a log magnitude, gathered over the moment table's arrays, and
 reduces by exponent alignment.  Grid evaluation walks
 the grid in bands of axis-0 rows small enough to stay in a core's L2 cache
 and accumulates each degree block on a band as one matrix product of
@@ -18,6 +18,7 @@ measures every order inside a band before moving to the next.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +32,6 @@ from .specfun import (
     hermite_weighted,
     hermite_weighted_logs,
     laguerre,
-    log_factorial,
     log_gamma,
 )
 
@@ -127,30 +127,38 @@ def _term_scale(degree: int, cfg: ApproxConfig) -> float:
 
 
 def _point_terms(
-    table: MomentTable, k: int, offsets: np.ndarray, ys: Sequence[float]
+    table: MomentTable,
+    k: int,
+    scales: Sequence[float],
+    ys: Sequence[float],
+    ln_factorials: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live terms of a point sum over the entries of degree <= k,
 
-        term_alpha = moment_alpha * exp(offsets[alpha]) * prod_i w(alpha_i, ys[i]),
+        term_alpha = moment_alpha * exp(offset_alpha) * prod_i w(alpha_i, ys[i]),
 
+    offset_alpha = scales[|alpha|], less ln_factorials[alpha] when given, and
     w(n, y) = H_n(y) e^{-y^2}, as (signs, logmags, cuts): the log magnitude
     is added up left to right as the per-term SignedLog products did,
     ``logmag + offset``, then each axis's weighted-Hermite log in turn, so
-    every term has the same bits.  Terms with a zero moment, which the view
-    leaves out, or an exact Hermite zero are dropped; the live terms of
-    degree j are the range cuts[j - 1]:cuts[j].
+    every term has the same bits.  Terms with a zero moment or an exact
+    Hermite zero are dropped; the live terms of degree j are the range
+    cuts[j - 1]:cuts[j].
     """
-    columns = table.columns()
-    n = columns.ends[k]
-    signs = columns.signs[:n]
-    logmag = columns.logmag[:n] + offsets
+    rows = np.flatnonzero(table.signs[: table.ends[k]])
+    offsets = np.asarray(scales, np.float64)[table.degrees[rows]]
+    if ln_factorials is not None:
+        offsets = offsets - ln_factorials[rows]
+    signs = table.signs[rows]
+    logmag = table.logmag[rows] + offsets
+    components = table.components[rows]
     for axis, y in enumerate(ys):
         w_signs, w_logs = hermite_weighted_logs(k, y)
-        alpha_i = columns.components[:n, axis]
+        alpha_i = components[:, axis]
         logmag += np.array(w_logs)[alpha_i]
         signs = signs * np.array(w_signs, np.int8)[alpha_i]
     live = np.flatnonzero(signs)
-    cuts = np.searchsorted(live, columns.ends[: k + 1])
+    cuts = np.searchsorted(live, np.searchsorted(rows, table.ends[: k + 1]))
     return signs[live], logmag[live], cuts
 
 
@@ -160,8 +168,8 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
     Each term m_alpha / alpha! (4t)^{-(|alpha|+d)/2} pi^{-d/2}
     prod_i H_{alpha_i}(y_i) e^{-y_i^2} is a sign and a log magnitude,
     gathered for every multi-index of degree <= k at once from the table's
-    array view (:meth:`MomentTable.columns`); multi-indices whose moment is
-    exactly zero are skipped.  The value and each degree's partial are
+    arrays; multi-indices whose moment is exactly zero are skipped.  The
+    value and each degree's partial are
     reduced by aligning every term to the largest exponent and summing the
     aligned mantissas with ``math.fsum``, with the bits of a per-term
     SignedLog loop in table order.
@@ -174,12 +182,10 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
         )
     pt = _as_point(x, cfg.dim)
     scale = 2.0 * math.sqrt(cfg.t)
-    columns = table.columns()
-    offsets = (
-        columns.per_entry([_term_scale(j, cfg) for j in range(cfg.k + 1)])
-        - columns.ln_factorials[: columns.ends[cfg.k]]
+    scales = [_term_scale(j, cfg) for j in range(cfg.k + 1)]
+    signs, logmag, cuts = _point_terms(
+        table, cfg.k, scales, [xi / scale for xi in pt], table.ln_factorials
     )
-    signs, logmag, cuts = _point_terms(table, cfg.k, offsets, [xi / scale for xi in pt])
     partials = [
         (j, aligned_sum_arrays(signs[lo:hi], logmag[lo:hi]).to_float())
         for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
@@ -291,26 +297,22 @@ class SeriesGridEvaluator:
             # of a degree block, n1 ascending, are then one ascending
             # strided view, which BLAS takes without a copy
             self._tables[1] = np.ascontiguousarray(self._tables[1][::-1])
-        ln_factorial = [log_factorial(c) for c in range(k + 1)]
-        term_scale = [_term_scale(j, cfg) for j in range(k + 1)]
-        per_degree: dict[int, dict[int, float]] = {}  # degree -> {n1: coeff}
-        for a, m in table.entries.items():
-            j = a.degree
-            if j > k:
-                break
-            if m.sign == 0:
-                continue
-            logmag = m.logmag + term_scale[j] - math.fsum(
-                map(ln_factorial.__getitem__, a.components)
+        # m_alpha/alpha! (4t)^{-(j+d)/2} pi^{-d/2} of every live row, its logs
+        # added in the order moment, scale, ln alpha!, which fixes its bits
+        rows = np.flatnonzero(table.signs[: table.ends[k]])
+        degrees = table.degrees[rows]
+        term_scale = np.array([_term_scale(j, cfg) for j in range(k + 1)])
+        logmag = (table.logmag[rows] + term_scale[degrees]) - table.ln_factorials[rows]
+        if (logmag > 700.0).any():
+            raise DomainError(
+                "series coefficient exceeds the double range; "
+                "use eval_uk for this regime"
             )
-            if logmag > 700.0:
-                raise DomainError(
-                    "series coefficient exceeds the double range; "
-                    "use eval_uk for this regime"
-                )
-            coeff = m.sign * math.exp(logmag)
+        values = map(operator.mul, table.signs[rows].tolist(), map(math.exp, logmag.tolist()))
+        per_degree: dict[int, dict[int, float]] = {}  # degree -> {n1: coeff}
+        for j, n1, coeff in zip(degrees.tolist(), table.components[rows, 0].tolist(), values):
             if coeff != 0.0:
-                per_degree.setdefault(j, {})[a.components[0]] = coeff
+                per_degree.setdefault(j, {})[n1] = coeff
         # degree -> (axis-0 rows n1 = lo, lo + step, .., hi as a slice, the
         # matching axis-1 rows j - n1 at k - j + n1 of the reversed table,
         # coefficients with zeros where the degree skips an n1 in between)

@@ -1,7 +1,8 @@
 """Initial data, multi-indices, and moment tables.
 
 A moment table holds the signed moments ``integral of x^alpha * u0`` for all
-multi-indices up to a degree cap, stored as SignedLog scalars.  Every
+multi-indices up to a degree cap, as sign and log-magnitude arrays over one
+canonical index of multi-indices per dimension.  Every
 moment, signed or absolute, is a factor its degree shell shares times a
 per-component lookup (:func:`moment_factors`): Gaussian data gets closed
 forms, radial data one half-line integral per total degree, and generic
@@ -12,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, ClassVar, Iterator, Union
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
 from .quadrature import integrate_halfline, integrate_line
-from .serial import json_array, json_cell
-from .signedlog import ZERO, SignedLog, aligned_sum
+from .serial import Rendered, json_array_of_columns, json_cell
+from .signedlog import ZERO, SignedLog
 from .specfun import log_factorial, log_gamma, log_gamma_halves
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -89,30 +89,19 @@ InitialDatum = Union[Gaussian, Radial, Generic1D]
 # multi-indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Nonnegative integer exponents, one per coordinate."""
 
     components: tuple[int, ...]
-    degree: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        comps = tuple(int(c) for c in self.components)
+        comps = tuple(map(int, self.components))
         if not comps:
             raise DomainError("multi-index needs at least one component")
-        if any(c < 0 for c in comps):
+        if min(comps) < 0:
             raise DomainError(f"negative multi-index component in {comps}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "degree", sum(comps))
-
-    @classmethod
-    def _trusted(cls, comps: tuple[int, ...], degree: int) -> "MultiIndex":
-        """A multi-index from components a builder generated itself, without
-        re-validating each one; MomentTable checks the assembled set."""
-        a = object.__new__(cls)
-        object.__setattr__(a, "components", comps)
-        object.__setattr__(a, "degree", degree)
-        return a
 
     @staticmethod
     def of(value, dim: int | None = None) -> "MultiIndex":
@@ -121,6 +110,10 @@ class MultiIndex:
         if isinstance(value, int):
             return MultiIndex((value,) * 1 if dim in (None, 1) else _axis(value, dim))
         return MultiIndex(tuple(value))
+
+    @property
+    def degree(self) -> int:
+        return sum(self.components)
 
     @property
     def dim(self) -> int:
@@ -321,92 +314,280 @@ def constant_C(j: int, dim: int) -> SignedLog:
 
 
 # ---------------------------------------------------------------------------
+# the canonical index
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def component_sums(lookup, components: np.ndarray) -> np.ndarray:
+    """sum_i lookup[alpha_i] for every row alpha of ``components``, rounded
+    as ``math.fsum`` of the row rounds it: in dim <= 2 one add is that
+    rounding, in dim >= 3 each row goes through ``math.fsum``."""
+    values = np.asarray(lookup, np.float64)[components]
+    if values.shape[1] <= 2:
+        return values.sum(axis=1)
+    return np.fromiter(map(math.fsum, values.tolist()), np.float64, len(values))
+
+
+class _Canon:
+    """Every multi-index of degree <= k_max in dim d, in table order: degrees
+    ascending, lexicographic within a degree.  The compositions of j into p
+    parts are those of j - c into p - 1 parts behind each first part c in
+    turn, so each degree is stacked from the degrees below it, one part
+    count at a time.  A table of a smaller degree cap reads a prefix of
+    these read-only arrays; the per-row lookups and keys are extended on
+    demand."""
+
+    def __init__(self, k_max: int, dim: int):
+        dtype = np.uint16 if k_max <= 0xFFFF else np.uint32
+        shells = [np.full((1, 1), j, dtype) for j in range(k_max + 1)]
+        for _ in range(dim - 1):
+            shells = [
+                np.column_stack((
+                    np.repeat(np.arange(j + 1, dtype=dtype), [len(s) for s in shells[j::-1]]),
+                    np.concatenate(shells[j::-1]),
+                ))
+                for j in range(k_max + 1)
+            ]
+        self.k_max = k_max
+        self.components = _frozen(np.concatenate(shells))
+        self.counts = _frozen(np.array([len(s) for s in shells], np.int64))
+        self.ends = _frozen(np.cumsum(self.counts))
+        self.degrees = _frozen(np.repeat(np.arange(k_max + 1, dtype=dtype), self.counts))
+        self._ln_factorials = _frozen(np.empty(0))
+        self._multi_indices: list[MultiIndex] = []
+        self._alpha_json: list[Rendered] = []
+
+    def ln_factorials(self, n: int) -> np.ndarray:
+        """ln alpha! of the first n rows, the sum of ln c! over the
+        components rounded as by :func:`component_sums`."""
+        have = len(self._ln_factorials)
+        if have < n:
+            lookup = [log_factorial(c) for c in range(self.k_max + 1)]
+            more = component_sums(lookup, self.components[have:n])
+            self._ln_factorials = _frozen(np.concatenate((self._ln_factorials, more)))
+        return self._ln_factorials[:n]
+
+    def multi_indices(self, n: int) -> list[MultiIndex]:
+        """The first n rows as MultiIndex keys, shared by every table's
+        ``entries``.  The rows are valid multi-indices, so each key is set
+        up without the constructor's checks."""
+        keys = self._multi_indices
+        for components in map(tuple, self.components[len(keys) : n].tolist()):
+            key = object.__new__(MultiIndex)
+            object.__setattr__(key, "components", components)
+            keys.append(key)
+        return keys[:n]
+
+    def alpha_json(self, n: int) -> list[Rendered]:
+        """The JSON cell of the first n multi-indices, as json_cell writes it."""
+        if len(self._alpha_json) < n:
+            rows = self.components[len(self._alpha_json) : n].tolist()
+            self._alpha_json += [Rendered(json_cell(tuple(row))) for row in rows]
+        return self._alpha_json[:n]
+
+
+_CANONS: dict[int, _Canon] = {}  # dim -> the largest index built so far
+
+
+def _canon(k_max: int, dim: int) -> _Canon:
+    canon = _CANONS.get(dim)
+    if canon is None or canon.k_max < k_max:
+        canon = _CANONS[dim] = _Canon(k_max, dim)
+    return canon
+
+
+def _ranks(components: np.ndarray) -> np.ndarray:
+    """The table row of each multi-index: the multi-indices of lower degree,
+    comb(n - 1 + d, d), plus, at each component but the last, those of the
+    same degree that take a smaller value there with the same components
+    before it, comb(r + m, m) - comb(r - a + m, m) for remaining total r,
+    component a and m parts after it (the hockey-stick sum of the counts
+    comb(r - c + m - 1, m - 1) over c < a)."""
+    components = components.astype(np.int64)
+    d = components.shape[1]
+    rest = components.sum(axis=1)
+    rank = _comb(rest - 1 + d, d)
+    for i in range(d - 1):
+        m = d - 1 - i
+        rank += _comb(rest + m, m) - _comb(rest - components[:, i] + m, m)
+        rest = rest - components[:, i]
+    return rank
+
+
+def _comb(n: np.ndarray, m: int) -> np.ndarray:
+    """comb(n, m) elementwise for n >= 0 (0 where n < m), exactly: the
+    running product is comb(n, i + 1) after step i."""
+    out = np.ones_like(n)
+    for i in range(m):
+        out = out * (n - i) // (i + 1)
+    return out
+
+
+def _is_full(n: int, k_max: int, dim: int) -> bool:
+    """Whether n rows are a full table, n == comb(k_max + dim, dim), decided
+    without a binomial much larger than n: comb(k_max + dim, i) grows with
+    i up to min(k_max, dim), so the product stops once it passes n (a
+    header may claim a huge dim and k_max)."""
+    top, count = k_max + dim, 1
+    for i in range(1, min(k_max, dim) + 1):
+        count = count * (top + 1 - i) // i
+        if count > n:
+            return False
+    return count == n
+
+
+# ---------------------------------------------------------------------------
 # moment tables
 
 
-@dataclass
 class MomentTable:
     """Signed moments for every multi-index with degree <= k_max.
 
-    ``entries`` holds exactly those multi-indices, each once, in the order
-    multi_indices_up_to yields them (degrees ascending, lexicographic
-    within a degree); the constructor raises DomainError otherwise, so a
-    consumer walks the entries and stops at the first degree above its
-    truncation order.  The dict is not mutated in place after construction:
-    that one check, and the array view :meth:`columns` caches, hold for it
-    as long as it is the table's ``entries``.  A changed table is a new
-    dict assigned to ``entries`` (or a new table).
-    """
+    The table is columns over every such multi-index, each once, in table
+    order (degrees ascending, lexicographic within a degree), zeros
+    included:
 
-    dim: int
-    k_max: int
-    entries: dict[MultiIndex, SignedLog]
-    source: InitialDatum | None = None
-    _columns: MomentColumns | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    - ``components``: N x d (uint16 while k_max fits), the index every
+      table of this dim and degree cap shares;
+    - ``signs``: int8, -1, 0 or 1;
+    - ``logmag``: float64, the log of the magnitude, 0.0 where the sign is 0;
+    - ``counts[j]``, the number of multi-indices of degree j, and
+      ``ends[j]``, that of degree <= j: degree j is rows ends[j-1]:ends[j].
+
+    Every column is a read-only array, and every package route reads them.
+    ``entries`` is the same table as a dict of MultiIndex -> SignedLog for
+    callers outside the package, built on first read.  Assigning a dict to
+    ``entries`` checks it as the constructor does (exactly the
+    multi-indices above, in table order, else DomainError) and replaces the
+    columns from it.  The columns are never rebuilt from that dict later,
+    so a changed table is a new dict assigned to ``entries``, not one
+    changed in place.
+    """
 
     #: wire format: header fields (JSON key, attribute, type), then entry rows
     HEADER: ClassVar[tuple] = (("dim", "dim", int), ("kmax", "k_max", int))
     COLUMNS: ClassVar[tuple] = ("alpha", "sign", "logmag")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, k_max: int, entries, source: InitialDatum | None = None):
+        self.dim, self.k_max, self.source = dim, k_max, source
+        self.entries = entries
+
+    @classmethod
+    def from_arrays(cls, signs, logmag, *, dim: int, k_max: int, source=None, **header):
+        """A table from its sign and log-magnitude columns in table order;
+        ``header`` sets the further fields of a subclass's HEADER."""
+        table = cls.__new__(cls)
+        table.dim, table.k_max, table.source = dim, k_max, source
+        table.__dict__.update(header)
+        table._store(signs, logmag)
+        return table
+
+    def _check_header(self) -> None:
         if self.dim < 1 or self.k_max < 0:
             raise DomainError(f"table dim {self.dim} or k_max {self.k_max} below range")
-        previous = (-1,)
-        for a in self.entries:
-            here = (a.degree, a.components)
-            if not previous < here or a.degree > self.k_max or a.dim != self.dim:
-                raise DomainError(
-                    f"multi-index {a.components} out of place: a table of dim "
-                    f"{self.dim} holds every degree <= {self.k_max} once, degrees "
-                    "ascending, lexicographic within a degree"
-                )
-            previous = here
-        n = len(self.entries)
-        # a full table has more than min(k_max, dim) entries; testing that
-        # first keeps comb() cheap for a header with huge dim and kmax
-        if n <= min(self.k_max, self.dim) or n != math.comb(
-            self.k_max + self.dim, self.dim
-        ):
+
+    def _store(self, signs, logmag) -> None:
+        """Check the header and the columns, and make them the table's."""
+        self._check_header()
+        signs, logmag = np.asarray(signs), np.asarray(logmag, np.float64)
+        n = len(signs)
+        if signs.shape != (n,) or logmag.shape != (n,) or not _is_full(n, self.k_max, self.dim):
             raise DomainError(
                 f"table of dim {self.dim}, k_max {self.k_max} misses multi-indices "
                 f"(it holds {n})"
             )
+        if not np.isin(signs, (-1, 0, 1)).all():
+            raise DomainError("table sign outside -1, 0 and 1")
+        live = signs != 0
+        if not np.isfinite(logmag[live]).all():
+            raise DomainError("table logmag of a nonzero moment is not finite")
+        self._canon = _canon(self.k_max, self.dim)
+        self.components = self._canon.components[:n]
+        self.counts = self._canon.counts[: self.k_max + 1]
+        self.ends = self._canon.ends[: self.k_max + 1]
+        self.signs = _frozen(signs.astype(np.int8))
+        self.logmag = _frozen(np.where(live, logmag, 0.0))
+        self._entries = None
+
+    @property
+    def entries(self) -> dict[MultiIndex, SignedLog]:
+        """The table as a dict in table order: the last dict assigned, or
+        one built from the columns."""
+        if self._entries is None:
+            values = [ZERO] * len(self.signs)
+            live = np.flatnonzero(self.signs)
+            signs, logmag = self.signs[live].tolist(), self.logmag[live].tolist()
+            for row, value in zip(live.tolist(), map(SignedLog, signs, logmag)):
+                values[row] = value
+            self._entries = dict(zip(self._canon.multi_indices(len(values)), values))
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries: dict[MultiIndex, SignedLog]) -> None:
+        self._check_header()
+        n = len(entries)
+        if _is_full(n, self.k_max, self.dim):
+            try:
+                comps = np.array([a.components for a in entries], np.int64)
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                comps = None
+            index = _canon(self.k_max, self.dim).components[:n]
+            if comps is None or comps.shape != index.shape or (comps != index).any():
+                raise DomainError(
+                    f"a table of dim {self.dim} holds every degree <= {self.k_max} "
+                    "once, degrees ascending, lexicographic within a degree"
+                )
+        values = entries.values()
+        self._store([m.sign for m in values], [m.logmag for m in values])
+        self._entries = entries
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """|alpha| of every row."""
+        return self._canon.degrees[: len(self.signs)]
+
+    @property
+    def ln_factorials(self) -> np.ndarray:
+        """ln alpha! of every row, each rounded as ``math.fsum`` of its
+        components' ln c! rounds it."""
+        return self._canon.ln_factorials(len(self.signs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim}, k_max={self.k_max}, source={self.source!r})"
 
     def moment(self, alpha) -> SignedLog:
         a = MultiIndex.of(alpha)
-        try:
-            return self.entries[a]
-        except KeyError:
+        if a.dim != self.dim or a.degree > self.k_max:
             raise DomainError(
                 f"multi-index {a.components} outside table "
                 f"(dim {self.dim}, k_max {self.k_max})"
-            ) from None
-
-    def columns(self) -> MomentColumns:
-        """The entries as arrays, built on first use and kept for as long as
-        ``entries`` is the same dict."""
-        if self._columns is None or self._columns.entries is not self.entries:
-            self._columns = MomentColumns(self)
-        return self._columns
+            )
+        row = int(_ranks(np.array([a.components]))[0])
+        sign = int(self.signs[row])
+        return SignedLog(sign, float(self.logmag[row])) if sign else ZERO
 
     def indices(self) -> Iterator[MultiIndex]:
         """Degrees ascending, lexicographic within a degree."""
-        return iter(self.entries)
+        return iter(self._canon.multi_indices(len(self.signs)))
 
     def rows(self) -> list[tuple]:
         """One COLUMNS row per entry, in table order; a zero writes logmag 0."""
-        return [
-            (a.components, m.sign, m.logmag if m.sign != 0 else 0.0)
-            for a, m in self.entries.items()
-        ]
+        return list(
+            zip(map(tuple, self.components.tolist()), self.signs.tolist(), self.logmag.tolist())
+        )
 
     def to_json(self) -> str:
         header = "".join(
             '"%s":%s,' % (key, json_cell(getattr(self, a))) for key, a, _ in self.HEADER
         )
-        return '{%s"entries":%s}' % (header, json_array(self.COLUMNS, self.rows()))
+        values = (
+            self._canon.alpha_json(len(self.signs)), self.signs.tolist(), self.logmag.tolist()
+        )
+        return '{%s"entries":%s}' % (header, json_array_of_columns(self.COLUMNS, values))
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
@@ -419,58 +600,8 @@ class MomentTable:
         if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
             raise DomainError('table JSON needs an object with an "entries" array')
         header = {attr: _header_field(raw, key, kind) for key, attr, kind in cls.HEADER}
-        rows = raw["entries"]
-        entries = dict(map(_entry, rows))
-        if len(entries) != len(rows):
-            raise DomainError("table JSON repeats a multi-index")
-        return cls(**header, entries=entries)
-
-
-class MomentColumns:
-    """The nonzero entries of a moment table as arrays, in table order, for
-    evaluators that reduce every term of a degree range at once.  An entry
-    whose moment is exactly zero contributes no term, and most of a
-    symmetric datum's entries are such zeros, so they are left out.
-
-    ``components`` is N x d (uint16 while k_max fits), ``signs`` int8 (+-1)
-    and ``logmag`` float64.  ``counts[j]`` is the number of kept entries of
-    degree j and ``ends[j]`` that of degree <= j, so degree j is the row
-    range ends[j - 1]:ends[j].  ``entries`` is the dict the view was built
-    from.
-    """
-
-    def __init__(self, table: MomentTable):
-        self.entries = table.entries
-        live = [(a, m) for a, m in self.entries.items() if m.sign]
-        n, d = len(live), table.dim
-        self.components = np.fromiter(
-            chain.from_iterable(a.components for a, _ in live),
-            dtype=np.uint16 if table.k_max <= 0xFFFF else np.uint32,
-            count=n * d,
-        ).reshape(n, d)
-        self.signs = np.fromiter((m.sign for _, m in live), np.int8, n)
-        self.logmag = np.fromiter((m.logmag for _, m in live), np.float64, n)
-        degrees = self.components.sum(axis=1, dtype=np.int64)
-        self.counts = np.bincount(degrees, minlength=table.k_max + 1)
-        self.ends = np.cumsum(self.counts)
-
-    def per_entry(self, per_degree) -> np.ndarray:
-        """One value per degree 0..k, repeated over that degree's entries."""
-        return np.repeat(np.asarray(per_degree, np.float64), self.counts[: len(per_degree)])
-
-    @cached_property
-    def ln_factorials(self) -> np.ndarray:
-        """ln alpha! per entry: ``math.fsum`` of ln c! over the components.
-        In dim <= 2 one correctly rounded add gives the same bits."""
-        comps = self.components
-        lookup = [log_factorial(c) for c in range(int(comps.max(initial=0)) + 1)]
-        if comps.shape[1] <= 2:
-            return np.array(lookup)[comps].sum(axis=1)
-        return np.fromiter(
-            (math.fsum(map(lookup.__getitem__, row)) for row in comps.tolist()),
-            np.float64,
-            len(comps),
-        )
+        signs, logmag = _read_rows(raw["entries"], header["dim"], header["k_max"])
+        return cls.from_arrays(signs, logmag, **header)
 
 
 def _header_field(raw: dict, key: str, kind: type):
@@ -482,78 +613,149 @@ def _header_field(raw: dict, key: str, kind: type):
     return value
 
 
-def _entry(row) -> tuple[MultiIndex, SignedLog]:
-    """One wire row as (multi-index, value)."""
+def _read_rows(rows: list, dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sign and log-magnitude columns of wire rows, each column checked
+    as a whole: the row count first, before anything the size of the
+    claimed table is allocated, then the Python types, so that no bool or
+    float passes for an integer, then the multi-indices against the
+    canonical index.  :meth:`MomentTable.from_arrays` checks the values."""
+    n = len(rows)
+    if dim < 1 or k_max < 0 or not _is_full(n, k_max, dim):
+        raise DomainError(f"table of dim {dim}, k_max {k_max} misses multi-indices (it holds {n})")
+    if set(map(type, rows)) != {dict}:
+        row = next(r for r in rows if type(r) is not dict)
+        raise DomainError(f"table row {row!r} is not an object")
     try:
-        alpha, sign, logmag = row["alpha"], row["sign"], row["logmag"]
-    except (KeyError, TypeError):
+        alphas = [row["alpha"] for row in rows]
+        signs = [row["sign"] for row in rows]
+        logmags = [row["logmag"] for row in rows]
+    except KeyError:
+        row = next(r for r in rows if not set(MomentTable.COLUMNS) <= r.keys())
         raise DomainError(f"table row {row!r} needs alpha, sign and logmag") from None
-    if not (isinstance(alpha, list) and all(type(c) is int for c in alpha)):
-        raise DomainError(f"table row alpha {alpha!r} is not a list of integers")
-    if type(sign) is not int or sign not in (-1, 0, 1):
-        raise DomainError(f"table row sign {sign!r} is not -1, 0 or 1")
-    if type(logmag) not in (int, float) or (sign != 0 and not math.isfinite(logmag)):
-        raise DomainError(f"table row logmag {logmag!r} is not a finite number")
-    return MultiIndex(tuple(alpha)), ZERO if sign == 0 else SignedLog(sign, float(logmag))
+    if set(map(type, alphas)) != {list} or set(map(len, alphas)) != {dim} or not (
+        set(map(type, chain.from_iterable(alphas))) <= {int}
+    ):
+        alpha = next(
+            a for a in alphas
+            if type(a) is not list or len(a) != dim or any(type(c) is not int for c in a)
+        )
+        raise DomainError(f"table row alpha {alpha!r} is not a list of {dim} integers")
+    if not set(map(type, signs)) <= {int}:
+        sign = next(s for s in signs if type(s) is not int)
+        raise DomainError(f"table row sign {sign!r} is not an integer")
+    if not set(map(type, logmags)) <= {int, float}:
+        logmag = next(v for v in logmags if type(v) not in (int, float))
+        raise DomainError(f"table row logmag {logmag!r} is not a number")
+    try:
+        comps = np.fromiter(chain.from_iterable(alphas), np.int64, n * dim).reshape(n, dim)
+        # int64, not int8: a sign past int8 must reach the range check, not wrap
+        signs = np.fromiter(signs, np.int64, n)
+        logmag = np.fromiter(logmags, np.float64, n)
+    except OverflowError:
+        raise DomainError("table row holds a number beyond the range of its column") from None
+    misplaced = np.flatnonzero((comps != _canon(k_max, dim).components[:n]).any(axis=1))
+    if len(misplaced):
+        raise DomainError(
+            f"multi-index {tuple(comps[misplaced[0]].tolist())} out of place: a table of "
+            f"dim {dim} holds every degree <= {k_max} once, degrees ascending, "
+            "lexicographic within a degree"
+        )
+    return signs, logmag
 
 
 def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
     """Moments of u0 for every |alpha| <= k_max, in table order, from one
     :func:`moment_factors` lookup (at most one quadrature per degree): the
-    same bits as :func:`moment` called once per multi-index."""
+    same bits as :func:`moment` called once per multi-index, the shell's
+    log plus the components' logs summed as ``math.fsum`` sums them."""
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     shared, logs = moment_factors(u0, range(k_max + 1), absolute=False)
-    vanishes = [v is None for v in logs]
-    entries = {}
-    for j in range(k_max + 1):
-        sign, scale = shared[j].sign, shared[j].logmag
-        for comps in compositions(j, u0.dim):
-            if sign == 0 or any(map(vanishes.__getitem__, comps)):
-                value = ZERO
-            else:
-                value = SignedLog(sign, scale + math.fsum(map(logs.__getitem__, comps)))
-            entries[MultiIndex._trusted(comps, j)] = value
-    return MomentTable(dim=u0.dim, k_max=k_max, entries=entries, source=u0)
+    canon = _canon(k_max, u0.dim)
+    n = int(canon.ends[k_max])
+    comps, degrees = canon.components[:n], canon.degrees[:n]
+    signs = np.array([shared[j].sign for j in range(k_max + 1)], np.int8)[degrees]
+    vanishes = np.array([v is None for v in logs])
+    if vanishes.any():
+        signs[vanishes[comps].any(axis=1)] = 0
+    live = np.flatnonzero(signs)
+    scale = np.array([shared[j].logmag for j in range(k_max + 1)])
+    lookup = [0.0 if v is None else v for v in logs]
+    logmag = np.zeros(n)
+    logmag[live] = scale[degrees[live]] + component_sums(lookup, comps[live])
+    return MomentTable.from_arrays(signs, logmag, dim=u0.dim, k_max=k_max, source=u0)
 
 
 def moments_at_time(table: MomentTable, t: float) -> MomentTable:
     """Moments of the heat evolution u(., t) from the initial moments.
 
-    Under the heat flow, d/dt m_alpha = sum_i alpha_i (alpha_i - 1)
-    m_{alpha - 2 e_i}, a lower-triangular linear system in total degree, so
-    each evolved moment is a polynomial in t with coefficients assembled
-    here by integrating the system degree by degree.
+    Along each axis u(., t) is u0 spread by y + sqrt(2t) Z with Z standard
+    normal, and E[(y + sqrt(2t) Z)^a] = sum_j a! t^j / ((a - 2j)! j!) y^(a-2j),
+    so axis i maps the moments as
+
+        m_alpha <- sum_{2j <= alpha_i} m_{alpha - 2j e_i} alpha_i! t^j / ((alpha_i - 2j)! j!),
+
+    and the axes compose to the semigroup's closed form.  Each axis is one
+    pass over the table's rows in log space (:func:`_evolve_axis`).  The
+    sums are compensated but not correctly rounded, so a logmag can differ
+    from an exactly rounded evaluation in its last bits; t == 0 returns the
+    table's own bits.
     """
     if not 0.0 <= t < math.inf:
         raise DomainError("moments_at_time requires finite t >= 0")
-    polys: dict[tuple[int, ...], list[SignedLog]] = {}
-    for a, value in table.entries.items():
-        comps = a.components
-        poly = [value]
-        # derivative contribution from each axis, two degrees down
-        sources = [
-            (float(c * (c - 1)), polys[comps[:i] + (c - 2,) + comps[i + 1 :]])
-            for i, c in enumerate(comps)
-            if c >= 2
-        ]
-        if sources:
-            depth = max(len(p) for _, p in sources)
-            for m in range(depth):
-                terms = [
-                    SignedLog.from_float(w) * p[m]
-                    for w, p in sources
-                    if m < len(p)
-                ]
-                # integrate t^m -> t^{m+1} / (m+1)
-                coeff = aligned_sum(terms) * SignedLog.from_float(1.0 / (m + 1.0))
-                poly.append(coeff)
-        polys[comps] = poly
-    t_log = SignedLog.from_float(t)
-    entries = {}
-    for a, poly in zip(table.entries, polys.values()):
-        if t == 0.0:
-            entries[a] = poly[0]
-        else:
-            entries[a] = aligned_sum(c * t_log**m for m, c in enumerate(poly))
-    return MomentTable(dim=table.dim, k_max=table.k_max, entries=entries, source=None)
+    signs, logmag = table.signs, table.logmag
+    if t > 0.0:
+        ln_factorial = np.array([log_factorial(c) for c in range(table.k_max + 1)])
+        for axis in range(table.dim):
+            signs, logmag = _evolve_axis(
+                table.components, axis, signs, logmag, ln_factorial, math.log(t)
+            )
+    return MomentTable.from_arrays(signs, logmag, dim=table.dim, k_max=table.k_max)
+
+
+def _evolve_axis(components, axis, signs, logmag, ln_factorial, log_t):
+    """One axis of :func:`moments_at_time` over every row at once.
+
+    The sources alpha - 2j e_i of shift j are reached through one map of
+    row shifts (the row of alpha - 2 e_i), applied j times, so memory stays
+    a few arrays of one entry per row; the shifts are walked twice, once
+    for each row's largest term log and once to add the terms aligned to it
+    with Neumaier's compensated sum.
+    """
+    a = components[:, axis].astype(np.int64)
+    movable = np.flatnonzero(a >= 2)
+    down = np.full(len(a), -1)
+    shifted = components[movable].astype(np.int64)
+    shifted[:, axis] -= 2
+    down[movable] = _ranks(shifted)
+
+    def shifts():
+        """(rows, their live sources, each term's log) for j = 1, 2, .."""
+        rows, src, j = movable, down[movable], 1
+        while len(rows):
+            live = np.flatnonzero(signs[src])
+            r, s = rows[live], src[live]
+            coeff = ln_factorial[a[r]] - ln_factorial[a[r] - 2 * j] - ln_factorial[j] + j * log_t
+            yield r, s, logmag[s] + coeff
+            j += 1
+            keep = a[rows] >= 2 * j
+            rows, src = rows[keep], down[src[keep]]
+
+    peak = np.where(signs != 0, logmag, -np.inf)
+    for r, _, term in shifts():
+        peak[r] = np.maximum(peak[r], term)
+    total = np.zeros(len(a))
+    live = np.flatnonzero(signs)
+    total[live] = signs[live] * np.exp(logmag[live] - peak[live])  # each row's own moment
+    carry = np.zeros(len(a))
+    for r, s, term in shifts():
+        x = signs[s] * np.exp(term - peak[r])
+        before = total[r]
+        after = before + x
+        carry[r] += np.where(np.abs(before) >= np.abs(x), (before - after) + x, (x - after) + before)
+        total[r] = after
+    total += carry
+    nonzero = total != 0.0
+    out = np.zeros(len(a))
+    out[nonzero] = peak[nonzero] + np.log(np.abs(total[nonzero]))
+    return np.sign(total).astype(np.int8), out

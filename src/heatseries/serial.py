@@ -8,7 +8,8 @@ inputs give byte-identical files), in JSON with ".0" appended to an
 integral value so that it reads back as a float; int -> decimal; None ->
 empty in CSV, null in JSON; bool -> true/false; str -> JSON-quoted, and in
 CSV quoted only when it holds a comma, a quote or a line break; a tuple of
-ints (a multi-index) -> space-joined in CSV, an array in JSON.
+ints (a multi-index) -> space-joined in CSV, an array in JSON; a
+:class:`Rendered` text -> itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ def f17(value: float) -> str:
 def _json_float(value: float) -> str:
     """f17, with ".0" on an integral value (-0.0, 2.0, 1e16), which f17
     writes as a bare integer that a JSON reader takes for an int."""
-    text = f17(value)
+    return _json_number(f17(value))
+
+
+def _json_number(text: str) -> str:
+    """An f17 text as JSON writes it: ".0" added where it reads as an integer."""
     return text + ".0" if text.lstrip("-").isdigit() else text
 
 
@@ -35,12 +40,18 @@ def _csv_str(value: str) -> str:
     return value
 
 
+class Rendered(str):
+    """A cell's text, already written as the table's format writes it: a
+    writer that formats many tables over the same cells renders them once."""
+
+
 _BOOL = {True: "true", False: "false"}.__getitem__
 
 # value type -> (CSV cell, JSON cell), indexed by _CSV and _JSON; the first
 # type that matches wins, so a bool is not written as an integer
 _CSV, _JSON = 0, 1
 _CELLS = {
+    Rendered: (str, str),
     bool: (_BOOL, _BOOL),
     numbers.Integral: (str, str),
     numbers.Real: (f17, _json_float),
@@ -52,22 +63,24 @@ _CELLS = {
     ),
 }
 
-# A column of floats alone or ints alone (bool is a type of its own) is
-# formatted by the row template itself ("%.17g" % value equals f17(value)),
-# without a call per cell; in JSON, only while no float in it is integral.
-_INLINE = {float: "%.17g", int: "%d"}
+# A column of floats alone, ints alone (bool is a type of its own) or
+# rendered texts alone is formatted by the row template itself ("%.17g" %
+# value equals f17(value)), without a call per cell; in JSON, only while no
+# float in it is integral.
+_INLINE = {float: "%.17g", int: "%d", Rendered: "%s"}
 
 
 def _columns(
-    side: int, names: Sequence[str], rows: Iterable[Sequence]
+    side: int, names: Sequence[str], values: Iterable[Sequence]
 ) -> tuple[list[str], Iterator]:
-    """The %-spec of every column, and the rows of values that fill them."""
+    """The %-spec of every column, and the rows of values that fill them,
+    from the values of each column."""
     specs, columns = [], []
-    for column in zip(*rows, strict=True):
+    for column in values:
         kinds = set(map(type, column))
         spec = _INLINE.get(next(iter(kinds))) if len(kinds) == 1 else None
         if spec == "%.17g" and side == _JSON and any(map(float.is_integer, column)):
-            column, spec = list(map(_json_float, column)), "%s"
+            column, spec = _json_floats(column), "%s"
         elif spec is None:
             formats = {kind: _cell(kind, side) for kind in kinds}
             column = [formats[type(v)](v) for v in column]
@@ -75,7 +88,15 @@ def _columns(
         columns.append(column)
     if columns and len(columns) != len(names):
         raise ValueError(f"rows of {len(columns)} values for columns {names}")
-    return specs, zip(*columns)
+    return specs, zip(*columns, strict=True)
+
+
+def _json_floats(column: Sequence[float]) -> list[str]:
+    """_json_float of every value, with the ".0" test run once per distinct
+    text rather than once per cell."""
+    texts = list(map("%.17g".__mod__, column))
+    cells = {text: _json_number(text) for text in set(texts)}
+    return list(map(cells.__getitem__, texts))
 
 
 def _cell(kind: type, side: int):
@@ -92,7 +113,7 @@ def json_cell(value) -> str:
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Header line plus one line per row, each ending in a newline."""
-    specs, values = _columns(_CSV, columns, rows)
+    specs, values = _columns(_CSV, columns, zip(*rows, strict=True))
     lines = [",".join(map(_csv_str, columns))]
     lines.extend(map(",".join(specs).__mod__, values))
     return "\n".join(lines) + "\n"
@@ -100,7 +121,12 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def json_array(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """JSON array of one object per row, keys in column order."""
-    specs, values = _columns(_JSON, columns, rows)
+    return json_array_of_columns(columns, zip(*rows, strict=True))
+
+
+def json_array_of_columns(columns: Sequence[str], values: Iterable[Sequence]) -> str:
+    """:func:`json_array` of the rows whose column i holds values[i]."""
+    specs, values = _columns(_JSON, columns, values)
     keys = (json.dumps(c).replace("%", "%%") for c in columns)
     template = "{%s}" % ",".join(map("%s:%s".__mod__, zip(keys, specs)))
     return "[%s]" % ",".join(map(template.__mod__, values))

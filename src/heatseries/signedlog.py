@@ -147,8 +147,9 @@ def aligned_sum_arrays(signs, logmags) -> SignedLog:
     """:func:`aligned_sum` of the terms ``signs[i] * exp(logmags[i])``, given
     as numpy arrays with every sign nonzero: the same bits, with the
     alignment done on the arrays and one ``math.exp`` per term.  Kept apart
-    from :func:`aligned_sum`, whose callers in moment evolution reduce a few
-    terms at a time, where building arrays would cost more than the sum."""
+    from :func:`aligned_sum`, whose callers (the radial Laguerre route and
+    the origin series bounds) reduce a few SignedLog terms at a time, where
+    building arrays would cost more than the sum."""
     if not len(logmags):
         return ZERO
     peak = float(logmags.max())

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via cli.main."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -279,6 +280,37 @@ def test_moments_csv_and_json_agree(tmp_path):
     table = json.loads((tmp_path / "m.json").read_text())
     assert all(isinstance(row["alpha"], list) for row in table["entries"])
     assert_same_table((tmp_path / "m.csv").read_text(), table["entries"])
+
+
+# --- byte identity ----------------------------------------------------------
+
+#: sha256 of every file each command writes, taken before the moment table
+#: became arrays (x86-64, glibc libm, OpenBLAS): the array table must write
+#: the same bytes.  Another libm or BLAS may move last digits.
+GOLDEN = {
+    ("moments", "--dim", "3", "--kmax", "40", "--format", "json"): {
+        "out.txt": "c17f77d6f347120196518bb88b15e78678fb945a5254c72321aaa9529b7def68",
+    },
+    ("moments", "--dim", "3", "--kmax", "40", "--format", "csv"): {
+        "out.txt": "0a865bed3cba4887a212ab6cf9278d0c5fa8a4cec3709b37a48b85efabae631f",
+    },
+    ("eigen-compare", "--dim", "2", "--kmax", "30"): {
+        "out.txt": "48b11ef4d384ba017346ffd05262d08b0db3f698c64d881e61837a4b09c243fa",
+        "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
+    ("error-curve", "--dim", "2", "--kmax", "60"): {
+        "out.txt": "8ab19e52dd7d6b939ba4bae8cbdc6b25088c15bfea01c70c479b155622cb85f2",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_outputs_are_byte_identical(argv, tmp_path):
+    assert run(*argv, "--out", str(tmp_path / "out.txt")) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN[argv]
 
 
 # --- exit codes and argument validation -----------------------------------

@@ -118,3 +118,20 @@ def test_package_exports_exactly_what_it_imports():
     assert set(heatseries.__all__) == imported
     assert len(heatseries.__all__) == len(imported)
     assert all(hasattr(heatseries, name) for name in heatseries.__all__)
+
+
+def _reads_entries(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "entries" for node in ast.walk(tree)
+    )
+
+
+def test_only_moments_reads_table_entries():
+    # the table's dict form exists for callers outside the package; every
+    # package route reads the arrays, so no package module but moments.py
+    # may build it
+    package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
+    readers = [p.name for p in package if _reads_entries(ast.parse(p.read_text()))]
+    assert readers == ["moments.py"]
+    assert _reads_entries(ast.parse("table.entries[a].sign"))
+    assert not _reads_entries(ast.parse("MomentTable(dim=1, k_max=2, entries={})"))

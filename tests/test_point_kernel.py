@@ -1,12 +1,13 @@
 """The columnar point kernel against the per-term SignedLog loop it replaced.
 
 ``eval_uk`` and ``eval_expansion`` gather every term of a truncation from
-the moment table's cached array view.  The loops below are the per-term
+the moment table's arrays.  The loops below are the per-term
 evaluators they replaced, kept verbatim with their own Hermite recurrence
 and reduction, and the kernel must reproduce them bit for bit: the value,
-every (degree, partial) pair, and the sign of zero.  The cache tests pin
-when a view is built, and the last test pins that non-finite input stops
-at the point and time boundaries.
+every (degree, partial) pair, and the sign of zero.  The array tests pin
+that a table's arrays are read-only and change only when a new dict is
+assigned to ``entries``, and the last test pins that non-finite input
+stops at the point and time boundaries.
 """
 
 import copy
@@ -39,7 +40,6 @@ from heatseries import (
     to_similarity,
     validity_integral,
 )
-from heatseries import moments
 from heatseries.signedlog import ZERO
 from heatseries.specfun import log_factorial
 
@@ -230,49 +230,71 @@ def test_eval_uk_on_the_axes_matches_per_term_loop(dim):
                 assert [(j, bits(c)) for j, c in got.terms] == [(j, bits(c)) for j, c in partials]
 
 
-# --- the cached view -------------------------------------------------------
+# --- the table's arrays ---------------------------------------------------
 
-def test_a_second_evaluation_builds_no_new_view(monkeypatch):
-    built = []
-
-    class Counting(moments.MomentColumns):
-        def __init__(self, table):
-            built.append(table)
-            super().__init__(table)
-
-    monkeypatch.setattr(moments, "MomentColumns", Counting)
-    table = build_moment_table(Gaussian(1.0, 1.0, 2), 20)
-    cfg = ApproxConfig(dim=2, k=20, t=1.5)
-    first = eval_uk(table, cfg, (0.3, -0.4))
-    view = table.columns()
-    second = eval_uk(table, cfg, (0.3, -0.4))
-    eval_uk(table, ApproxConfig(dim=2, k=6, t=0.7), (1.0, 2.0))
-    assert built == [table]
-    assert table.columns() is view
-    assert bits(first.value) == bits(second.value)
-    coeffs = eigen_coeffs(Gaussian(1.0, 1.0, 2), 0.0, 10)
-    eval_expansion(coeffs, SimilarityPoint(z=(0.1, 0.2), tau=0.0), 10)
-    eval_expansion(coeffs, SimilarityPoint(z=(0.3, 0.2), tau=0.5), 4)
-    assert built == [table, coeffs]
+@pytest.mark.parametrize("make", [
+    lambda: build_moment_table(Gaussian(1.0, 1.0, 2), 8),
+    lambda: MomentTable.from_json(build_moment_table(Gaussian(1.0, 1.0, 3), 5).to_json()),
+    lambda: moments_at_time(build_moment_table(Gaussian(1.0, 1.0, 2), 8), 0.5),
+    lambda: eigen_coeffs(Gaussian(1.0, 1.0, 2), 0.0, 8),
+    lambda: MomentTable(dim=2, k_max=KMAX[2], entries=dict(moment_table(2, "signed").entries)),
+], ids=["built", "from_json", "evolved", "eigen", "constructed"])
+def test_table_arrays_are_read_only(make):
+    table = make()
+    for name in ("components", "signs", "logmag", "counts", "ends"):
+        array = getattr(table, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
-def test_a_copy_with_new_entries_evaluates_from_them():
+def test_assigning_entries_revalidates_and_evaluates_from_them():
     table = build_moment_table(Gaussian(1.0, 1.0, 2), 12)
     cfg = ApproxConfig(dim=2, k=12, t=1.5)
     x = (0.4, 0.9)
-    before = eval_uk(table, cfg, x)  # caches the view on table
-    changed = copy.copy(table)  # shares the cached view until entries change
-    changed.entries = dict(table.entries)
-    alpha = next(a for a, m in changed.entries.items() if m.sign and a.degree)
-    m = changed.entries[alpha]
-    changed.entries[alpha] = SignedLog(m.sign, m.logmag + 1e-3)
-    fresh = MomentTable(dim=2, k_max=12, entries=changed.entries)
-    got = eval_uk(changed, cfg, x)
+    before = eval_uk(table, cfg, x)
+    entries = dict(table.entries)
+    alpha = next(a for a, m in entries.items() if m.sign and a.degree)
+    m = entries[alpha]
+    entries[alpha] = SignedLog(m.sign, m.logmag + 1e-3)
+    table.entries = entries
+    assert table.entries is entries
+    assert table.moment(alpha) == entries[alpha]
+    got = eval_uk(table, cfg, x)
     assert got.value != before.value
+    fresh = MomentTable(dim=2, k_max=12, entries=dict(entries))
     assert bits(got.value) == bits(eval_uk(fresh, cfg, x).value)
+    # a dict that is not a full table in table order is refused, and the
+    # table keeps what it held
+    keys = list(entries)
+    for bad in (
+        {a: entries[a] for a in keys[1:]},
+        {a: entries[a] for a in [keys[1], keys[0], *keys[2:]]},
+        {**entries, alpha: SignedLog(2, 0.0)},
+        {**entries, alpha: SignedLog(1, math.inf)},
+    ):
+        with pytest.raises(DomainError):
+            table.entries = bad
+        assert table.entries is entries
+        assert bits(eval_uk(table, cfg, x).value) == bits(got.value)
+
+
+def test_copy_then_assignment_leaves_the_original_bits():
+    table = build_moment_table(Gaussian(1.0, 1.0, 2), 12)
+    cfg = ApproxConfig(dim=2, k=12, t=1.5)
+    x = (0.4, 0.9)
+    before = eval_uk(table, cfg, x)
+    signs, logmag, original = table.signs.copy(), table.logmag.copy(), dict(table.entries)
+    changed = copy.copy(table)
+    entries = dict(table.entries)
+    alpha = next(a for a, m in entries.items() if m.sign and a.degree)
+    entries[alpha] = SignedLog(entries[alpha].sign, entries[alpha].logmag + 1e-3)
+    changed.entries = entries
+    assert eval_uk(changed, cfg, x).value != before.value
     assert bits(eval_uk(table, cfg, x).value) == bits(before.value)
-    assert changed.columns().entries is changed.entries
-    assert table.columns().entries is table.entries
+    assert table.signs.tobytes() == signs.tobytes()
+    assert table.logmag.tobytes() == logmag.tobytes()
+    assert table.entries == original and table.entries is not entries
 
 
 # --- non-finite input ------------------------------------------------------

@@ -9,7 +9,14 @@ import struct
 import numpy as np
 import pytest
 
-from heatseries.serial import csv_text, f17, json_array, table_text
+from heatseries.serial import (
+    Rendered,
+    csv_text,
+    f17,
+    json_array,
+    json_array_of_columns,
+    table_text,
+)
 
 COLUMNS = ("k", "value", "bound", "ok", "check", "case", "alpha")
 ROWS = [
@@ -127,3 +134,15 @@ def test_rows_must_match_the_columns():
         json_array(("a", "b"), [(1, 2.0), (3,)])
     with pytest.raises(ValueError):
         csv_text(("a", "b"), [(1, 2.0, None)])
+    with pytest.raises(ValueError):
+        json_array_of_columns(("a", "b"), ([1, 3], [2.0]))
+
+
+def test_columns_and_rendered_cells_write_like_rows():
+    # a rendered cell is written as it is, in a column of its own or mixed
+    alpha = [Rendered("[0,1]"), Rendered("[1,0]")]
+    rows = [(a, s, v) for a, s, v in zip(alpha, [1, 0], [-2.5, 0.0])]
+    text = json_array(("alpha", "sign", "logmag"), rows)
+    assert text == '[{"alpha":[0,1],"sign":1,"logmag":-2.5},{"alpha":[1,0],"sign":0,"logmag":0.0}]'
+    assert json_array_of_columns(("alpha", "sign", "logmag"), zip(*rows)) == text
+    assert csv_text(("a", "b"), [(Rendered("x y"), 1), (None, 2)]) == "a,b\nx y,1\n,2\n"
