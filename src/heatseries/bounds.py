@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .kernel_approx import ApproxConfig
 from .moments import Gaussian, MomentTable, component_sums, moment_factors
-from .signedlog import ZERO, SignedLog, aligned_sum, aligned_sum_arrays
+from .signedlog import ZERO, SignedLog, aligned_sum_arrays
 from .specfun import log_factorial, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -197,11 +197,11 @@ def divergence_lower_bound(
     blocks = gaussian_origin_blocks(amplitude, width, d, t, N)
     q = width / t
     n0 = next((n for n in range(N + 1) if q * (n + 0.5 * d) >= n + 1), N + 1)
-    terms = [abs(blocks[N])] + [-abs(a) for a in blocks[:n0]]
-    if N >= 1:
-        terms.append(-abs(blocks[N - 1]))
-    allowance = [SignedLog(-1, a.logmag + _LOG_ROUNDING) for a in terms]
-    bound = aligned_sum(terms + allowance)
+    logs = [a.logmag for a in [blocks[N], *blocks[:n0], *blocks[N - 1 : N]]]
+    logs += [v + _LOG_ROUNDING for v in logs]
+    # |a_N| adds; every other magnitude and each allowance subtracts
+    signs = np.array([1] + [-1] * (len(logs) - 1), np.int8)
+    bound = aligned_sum_arrays(signs, np.array(logs))
     return bound if bound.sign > 0 else ZERO
 
 

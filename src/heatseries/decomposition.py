@@ -67,6 +67,8 @@ def remainder(f: Callable[[float], float], alpha: int, x):
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
     points = np.asarray(x, dtype=float)
+    if not np.isfinite(points).all():
+        raise DomainError("remainder needs finite points")
     flat = points.ravel()
     out = np.zeros(flat.size)
     nonzero = np.flatnonzero(flat)
@@ -111,8 +113,8 @@ class TestFunction:
 def gaussian_test_function(a: float = 1.0, max_order: int = 12) -> TestFunction:
     """phi(x) = e^{-a x^2}; derivatives via the Hermite closed form
     d^n/dx^n e^{-y^2} = (-1)^n H_n(y) e^{-y^2} with y = sqrt(a) x."""
-    if a <= 0.0:
-        raise DomainError("Gaussian test function needs a > 0")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"Gaussian test function needs finite a > 0, got {a}")
     root = math.sqrt(a)
 
     def deriv(n: int, x):
@@ -131,9 +133,9 @@ def poly_gaussian_test_function(
     Derivatives come from the Leibniz rule; polynomial derivatives are
     exact, the Gaussian factor reuses the Hermite closed form.
     """
-    if a <= 0.0:
-        raise DomainError("test function needs a > 0")
     coeffs = tuple(float(c) for c in coeffs)
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError(f"test function coefficients must be finite, got {coeffs}")
     gauss = gaussian_test_function(a, max_order)
 
     def poly_deriv(m: int, x):

@@ -26,14 +26,9 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError, UnsupportedVariantError
-from .moments import Gaussian, MomentTable, MultiIndex, constant_C
-from .signedlog import SignedLog, aligned_sum, aligned_sum_arrays
-from .specfun import (
-    hermite_weighted,
-    hermite_weighted_logs,
-    laguerre,
-    log_gamma,
-)
+from .moments import Gaussian, MomentTable, MultiIndex
+from .signedlog import SignedLog, aligned_sum_arrays
+from .specfun import hermite_weighted, hermite_weighted_logs, laguerre_sequence
 
 _LOG_PI = math.log(math.pi)
 
@@ -198,14 +193,20 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
     """u_k at radius r for Gaussian data via the Laguerre form.
 
     For a Gaussian datum (amplitude C, width t0) in dimension d >= 2, the
-    even-degree blocks of the expansion collapse radially to
+    degree-2n block of the expansion depends on the point through r only and
+    is one term of the Laguerre generating function: with q = t0/t and
+    x = r^2/4t,
 
-        u_k(r, t) = (4 pi t)^{-d/2} e^{-r^2/4t} (C/2) (4 t0)^{d/2}
-            sum_{j even <= k} (-2 t0/t)^{j/2} Gamma((j+d)/2) C(j, d)
-            L_{j/2}^{((d-2)/2)}(r^2 / 4t).
+        u_k(r, t) = C q^{d/2} e^{-x} sum_{n <= floor(k/2)} (-q)^n L_n^{(d/2-1)}(x),
+
+    the odd-degree blocks vanishing with the datum's odd moments.  Since
+    sum_n L_n^{(a)}(x) z^n = (1-z)^{-a-1} e^{-xz/(1-z)} for |z| < 1, the full
+    sum at q < 1 is the exact solution C (t0/(t+t0))^{d/2} e^{-r^2/4(t+t0)};
+    for q > 1 the terms grow without bound.  The terms come from one
+    Laguerre recurrence pass, so the route costs O(k).
 
     Must agree with :func:`eval_uk` at |x| = r; the two routes share no
-    code beyond the special-function layer.
+    code beyond the special-function and summation layers.
     """
     if not isinstance(table.source, Gaussian):
         raise UnsupportedVariantError(
@@ -220,29 +221,14 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
     if not 0.0 <= r < math.inf:
         raise DomainError("radius must be finite and >= 0")
     u0 = table.source
-    d, t, t0 = cfg.dim, cfg.t, u0.width
-    arg = r * r / (4.0 * t)
-    log_ratio = math.log(2.0 * t0 / t)
-    terms = []
-    for j in range(0, cfg.k + 1, 2):
-        half = j // 2
-        mag = (
-            0.5 * j * log_ratio
-            + log_gamma((j + d) / 2.0)
-            + constant_C(j, d).logmag
-        )
-        lag = laguerre(half, (d - 2) / 2.0, arg)
-        sign = -1 if half % 2 else 1
-        terms.append(
-            SignedLog.from_log(mag, sign) * SignedLog.from_float(lag)
-        )
-    series = aligned_sum(terms)
-    prefactor = SignedLog.from_log(
-        math.log(u0.amplitude / 2.0)
-        + 0.5 * d * math.log(4.0 * t0)
-        - 0.5 * d * math.log(4.0 * math.pi * t)
-        - arg
-    )
+    d = cfg.dim
+    x = r * r / (4.0 * cfg.t)
+    log_q = math.log(u0.width / cfg.t)
+    lags = np.array(laguerre_sequence(cfg.k // 2, 0.5 * d - 1.0, x))
+    n = np.flatnonzero(lags)
+    signs = np.where(n % 2, -1, 1) * np.where(lags[n] < 0.0, -1, 1)
+    series = aligned_sum_arrays(signs, n * log_q + np.log(np.abs(lags[n])))
+    prefactor = SignedLog.from_log(math.log(u0.amplitude) + 0.5 * d * log_q - x)
     return (prefactor * series).to_float()
 
 

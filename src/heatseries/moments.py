@@ -25,7 +25,6 @@ from .serial import Rendered, json_array_of_columns, json_cell
 from .signedlog import ZERO, SignedLog
 from .specfun import log_factorial, log_gamma, log_gamma_halves
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 
 
@@ -283,34 +282,6 @@ def radial_moment(alpha, profile: Callable[[float], float], dim: int) -> SignedL
     one half-line integral and the sphere identity of :func:`moment_factors`;
     odd components give exact zero."""
     return moment(Radial(profile, dim), alpha)
-
-
-def constant_C(j: int, dim: int) -> SignedLog:
-    """Angular constant relating the order-j radial integral of a radial
-    datum to its multi-index moments of total degree j (j even), as the
-    Laguerre form of :func:`kernel_approx.eval_uk_radial_origin` uses it.
-
-    Even dim:  (2 pi)^{d/2} / (2^{(j+d-2)/2} Gamma((j+d)/2))
-    Odd dim:   (2 pi)^{(d-1)/2} 2^{(j+d+1)/2} Gamma((j+d+1)/2) / Gamma(j+d)
-    """
-    if j < 0 or j % 2 != 0:
-        raise DomainError(f"constant_C needs even j >= 0, got {j}")
-    if dim < 1:
-        raise DomainError("dimension must be >= 1")
-    if dim % 2 == 0:
-        logmag = (
-            0.5 * dim * _LOG_2PI
-            - 0.5 * (j + dim - 2) * _LOG2
-            - log_gamma((j + dim) / 2.0)
-        )
-    else:
-        logmag = (
-            0.5 * (dim - 1) * _LOG_2PI
-            + 0.5 * (j + dim + 1) * _LOG2
-            + log_gamma((j + dim + 1) / 2.0)
-            - log_gamma(float(j + dim))
-        )
-    return SignedLog(1, logmag)
 
 
 # ---------------------------------------------------------------------------

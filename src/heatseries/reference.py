@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import bound_report_sweep
 from .errors import DomainError, UnsupportedVariantError
-from .kernel_approx import ApproxConfig, SeriesGridEvaluator
+from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import csv_text, json_array
@@ -71,12 +71,7 @@ def exact_gaussian_solution(
         raise DomainError("exact_gaussian_solution needs positive finite amplitude/width")
     if not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and >= 0")
-    pt = (float(x),) if np.isscalar(x) else tuple(float(c) for c in x)
-    if len(pt) != dim:
-        raise DomainError("point length does not match dim")
-    if not all(map(math.isfinite, pt)):
-        raise DomainError(f"point coordinates must be finite, got {pt}")
-    sq = math.fsum(c * c for c in pt)
+    sq = math.fsum(c * c for c in _as_point(x, dim))
     spread = t + width
     return (
         amplitude
@@ -100,16 +95,14 @@ def convolve_oracle(u0, x, t: float) -> float:
     """Solution at one point by direct quadrature of kernel * datum; the
     independent reference for everything else in this module.
 
-    ``x`` is a float or a sequence of coordinates.  This is the one-point
-    case of the batch the reference field uses, so a node's value does not
-    depend on whether it was computed alone or with the whole grid.
+    ``x`` is a float (dim 1) or a sequence of ``u0.dim`` coordinates.  This
+    is the one-point case of the batch the reference field uses, so a node's
+    value does not depend on whether it was computed alone or with the whole
+    grid.
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"convolve_oracle requires finite t > 0, got {t}")
-    coords = [float(x)] if np.isscalar(x) else [float(c) for c in x]
-    if not all(map(math.isfinite, coords)):
-        raise DomainError(f"convolve_oracle point coordinates must be finite, got {coords}")
-    return float(_oracle(u0, np.array([coords]), t)[0])
+    return float(_oracle(u0, np.array([_as_point(x, u0.dim)]), t)[0])
 
 
 def _oracle(u0, points: np.ndarray, t: float) -> np.ndarray:

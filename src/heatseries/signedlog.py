@@ -14,6 +14,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class SignedLog:
@@ -124,32 +126,25 @@ ONE = SignedLog(1, 0.0)
 
 
 def aligned_sum(terms: Iterable[SignedLog]) -> SignedLog:
-    """Sum SignedLog terms by exponent alignment.
-
-    All nonzero terms are rescaled by the largest log magnitude and the
-    aligned mantissas are reduced with :func:`math.fsum`, so the only
-    precision loss is the final rounding plus underflow of terms more than
-    ~700 nats below the peak (whose relative contribution is < 1e-300).
-    """
+    """Sum SignedLog terms by exponent alignment: :func:`aligned_sum_arrays`
+    of the nonzero terms."""
     live = [t for t in terms if t.sign != 0]
-    if not live:
-        return ZERO
-    peak = max(t.logmag for t in live)
-    if peak == -math.inf:
-        return ZERO
-    total = math.fsum(t.sign * math.exp(t.logmag - peak) for t in live)
-    if total == 0.0:
-        return ZERO
-    return SignedLog(1 if total > 0.0 else -1, peak + math.log(abs(total)))
+    return aligned_sum_arrays(
+        np.array([t.sign for t in live], np.int8),
+        np.array([t.logmag for t in live], np.float64),
+    )
 
 
-def aligned_sum_arrays(signs, logmags) -> SignedLog:
-    """:func:`aligned_sum` of the terms ``signs[i] * exp(logmags[i])``, given
-    as numpy arrays with every sign nonzero: the same bits, with the
-    alignment done on the arrays and one ``math.exp`` per term.  Kept apart
-    from :func:`aligned_sum`, whose callers (the radial Laguerre route and
-    the origin series bounds) reduce a few SignedLog terms at a time, where
-    building arrays would cost more than the sum."""
+def aligned_sum_arrays(signs: np.ndarray, logmags: np.ndarray) -> SignedLog:
+    """Sum the terms ``signs[i] * exp(logmags[i])``, every sign nonzero, by
+    exponent alignment.
+
+    All terms are rescaled by the largest log magnitude and the aligned
+    mantissas are reduced with :func:`math.fsum`, so the only precision loss
+    is the final rounding plus underflow of terms more than ~700 nats below
+    the peak (whose relative contribution is < 1e-300).  Since ``fsum``
+    rounds once, the result does not depend on the order of the terms.
+    """
     if not len(logmags):
         return ZERO
     peak = float(logmags.max())

@@ -125,16 +125,22 @@ def hermite_weighted_logs(n_max: int, x: float) -> tuple[list[int], list[float]]
 
 
 def laguerre(n: int, a: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^{(a)}(x) for a > -1.
+    """Generalized Laguerre polynomial L_n^{(a)}(x) for finite a > -1: the last
+    entry of :func:`laguerre_sequence`."""
+    return laguerre_sequence(n, a, x)[-1]
 
-    Uses (n+1) L_{n+1} = (2n + 1 + a - x) L_n - (n + a) L_{n-1}.
+
+def laguerre_sequence(n_max: int, a: float, x: float) -> list[float]:
+    """L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) for finite a > -1 from one pass of
+
+        (n+1) L_{n+1} = (2n + 1 + a - x) L_n - (n + a) L_{n-1}.
     """
-    if a <= -1.0:
-        raise DomainError(f"laguerre requires a > -1, got a={a}")
-    _check_depth(n, "laguerre")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + a - x
-    for m in range(1, n):
+    if not -1.0 < a < math.inf:
+        raise DomainError(f"laguerre requires finite a > -1, got a={a}")
+    _check_depth(n_max, "laguerre")
+    prev, cur = 0.0, 1.0  # L_{-1}, L_0
+    out = [cur]
+    for m in range(n_max):
         prev, cur = cur, ((2.0 * m + 1.0 + a - x) * cur - (m + a) * prev) / (m + 1.0)
-    return cur
+        out.append(cur)
+    return out

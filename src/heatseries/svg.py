@@ -23,16 +23,15 @@ def line_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    logy: bool = True,
 ) -> str:
-    """Render (label, xs, ys) triples; nonpositive ys are dropped when the
-    y axis is logarithmic."""
+    """Render (label, xs, ys) triples on a log-scaled y axis; nonpositive
+    and non-finite ys are dropped."""
     cleaned = []
     for label, xs, ys in series:
         pairs = [
             (float(x), float(y))
             for x, y in zip(xs, ys)
-            if math.isfinite(y) and (not logy or y > 0.0)
+            if 0.0 < y < math.inf
         ]
         if pairs:
             cleaned.append((label, pairs))
@@ -45,10 +44,7 @@ def line_plot(
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if logy:
-        y_lo, y_hi = math.log10(min(ys_all)), math.log10(max(ys_all))
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
+    y_lo, y_hi = math.log10(min(ys_all)), math.log10(max(ys_all))
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
@@ -59,8 +55,7 @@ def line_plot(
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        v = math.log10(y) if logy else y
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - math.log10(y)) / (y_hi - y_lo) * plot_h
 
     parts: list[str] = []
     parts.append(
@@ -82,7 +77,6 @@ def line_plot(
     # y ticks
     for i in range(5):
         v = y_lo + (y_hi - y_lo) * i / 4.0
-        y_val = 10.0**v if logy else v
         y_pix = _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
         parts.append(
             '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#000"/>'
@@ -90,7 +84,7 @@ def line_plot(
         )
         parts.append(
             '<text x="%s" y="%s" text-anchor="end" font-size="11">%s</text>'
-            % (_fmt(_MARGIN_L - 8), _fmt(y_pix + 4), _fmt(y_val))
+            % (_fmt(_MARGIN_L - 8), _fmt(y_pix + 4), _fmt(10.0**v))
         )
     # series
     for idx, (label, pairs) in enumerate(cleaned):

@@ -120,6 +120,28 @@ def test_poly_gaussian_test_function_derivatives():
         assert phi.deriv(n, -0.8) == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: remainder(f_unit, 2, math.inf),
+        lambda: remainder(f_unit, 2, -math.inf),
+        lambda: remainder(f_unit, 2, math.nan),
+        lambda: remainder(f_unit, 2, np.array([0.5, math.nan])),
+        lambda: gaussian_test_function(math.nan),
+        lambda: gaussian_test_function(math.inf),
+        lambda: poly_gaussian_test_function((1.0, math.nan), 1.0),
+        lambda: poly_gaussian_test_function((1.0, 0.0, 1.0), math.inf),
+    ],
+    ids=[
+        "remainder-inf", "remainder-minus-inf", "remainder-nan", "remainder-array-nan",
+        "gauss-a-nan", "gauss-a-inf", "poly-coeff-nan", "poly-a-inf",
+    ],
+)
+def test_nonfinite_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_test_function_guards():
     with pytest.raises(DomainError):
         gaussian_test_function(0.0)

@@ -135,3 +135,22 @@ def test_only_moments_reads_table_entries():
     assert readers == ["moments.py"]
     assert _reads_entries(ast.parse("table.entries[a].sign"))
     assert not _reads_entries(ast.parse("MomentTable(dim=1, k_max=2, entries={})"))
+
+
+def _calls_aligned_sum(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and "aligned_sum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def test_no_package_module_calls_the_list_form_aligned_sum():
+    # every package route reduces sign and log arrays with
+    # aligned_sum_arrays; the SignedLog-list adapter is for callers outside
+    # the package
+    package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
+    assert [p.name for p in package if _calls_aligned_sum(ast.parse(p.read_text()))] == []
+    assert _calls_aligned_sum(ast.parse("aligned_sum(terms)"))
+    assert _calls_aligned_sum(ast.parse("signedlog.aligned_sum(terms)"))
+    assert not _calls_aligned_sum(ast.parse("aligned_sum_arrays(signs, logs)"))

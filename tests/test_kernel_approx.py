@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatseries import (
     ApproxConfig,
@@ -16,6 +17,7 @@ from heatseries import (
     build_moment_table,
     eval_uk,
     eval_uk_radial_origin,
+    gaussian_origin_blocks,
     heat_kernel,
     kernel_derivative,
 )
@@ -146,6 +148,50 @@ def test_radial_form_matches_multi_index_sum(table_d2, k, r):
     via_radial = eval_uk_radial_origin(table_d2, cfg, r)
     via_tensor = eval_uk(table_d2, cfg, (r, 0.0)).value
     assert via_radial == pytest.approx(via_tensor, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("q", [0.4, 0.8, 1.25, 2.5])
+def test_radial_form_at_origin_is_the_origin_series(dim, q):
+    # two closed forms of u_k(0, t): the Laguerre sum at x = 0, where
+    # L_n^{(d/2-1)}(0) = Gamma(n + d/2) / (Gamma(d/2) n!), and the binomial
+    # blocks of the origin series; q < 1 converges, q > 1 diverges
+    table = build_moment_table(Gaussian(amplitude=1.7, width=0.9, dim=dim), 120)
+    t = 0.9 / q
+    blocks = [a.to_float() for a in gaussian_origin_blocks(1.7, 0.9, dim, t, 60)]
+    for k in range(0, 121, 2):
+        want = math.fsum(blocks[: k // 2 + 1])
+        scale = math.fsum(abs(a) for a in blocks[: k // 2 + 1])
+        got = eval_uk_radial_origin(table, ApproxConfig(dim=dim, k=k, t=t), 0.0)
+        assert abs(got - want) <= 1e-12 * scale, (k, got, want)
+
+
+_REGIME_TABLES = {
+    dim: build_moment_table(Gaussian(amplitude=1.3, width=0.8, dim=dim), k)
+    for dim, k in ((2, 60), (3, 40))
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    t_ratio=st.floats(1.5, 2.5),
+    r_frac=st.floats(0.0, 1.0),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_radial_form_matches_eval_uk_on_the_point_regime(dim, t_ratio, r_frac, direction):
+    # t in [1.5, 2.5] t0, r <= 4 sqrt(t), d2 k60 and d3 k40, any direction
+    norm = math.sqrt(math.fsum(c * c for c in direction[:dim]))
+    if norm < 1e-3:
+        direction, norm = [1.0, 0.0, 0.0], 1.0
+    table = _REGIME_TABLES[dim]
+    t = 0.8 * t_ratio
+    r = r_frac * 4.0 * math.sqrt(t)
+    cfg = ApproxConfig(dim=dim, k=table.k_max, t=t)
+    via_tensor = eval_uk(table, cfg, [r * c / norm for c in direction[:dim]])
+    magnitude = math.fsum(abs(c) for _, c in via_tensor.terms)
+    gap = abs(eval_uk_radial_origin(table, cfg, r) - via_tensor.value)
+    assert gap <= 1e-13 * max(magnitude, abs(via_tensor.value))
 
 
 def test_radial_form_guards(table_d1, table_d2):

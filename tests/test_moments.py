@@ -25,7 +25,6 @@ from heatseries import (
     aligned_sum,
     build_moment_table,
     compositions,
-    constant_C,
     eigen_coeffs,
     gaussian_abs_moment,
     gaussian_moment,
@@ -137,27 +136,7 @@ def test_gaussian_moment_domain():
         gaussian_moment((2,), 1.0, 0.0)
 
 
-# --- angular constants and radial data -----------------------------------
-
-def test_constant_C_frozen():
-    assert constant_C(0, 2).to_float() == pytest.approx(6.2831853071795862, rel=1e-13)
-    assert constant_C(2, 2).to_float() == pytest.approx(3.1415926535897931, rel=1e-13)
-    assert constant_C(0, 3).to_float() == pytest.approx(12.566370614359172, rel=1e-13)
-
-
-def test_constant_C_sphere_area_identity():
-    # at j = 0 the constant is the area of the unit sphere, 2 pi^{d/2}/Gamma(d/2)
-    for d in (1, 2, 3, 4, 5):
-        want = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        assert constant_C(0, d).to_float() == pytest.approx(want, rel=1e-12)
-
-
-def test_constant_C_domain():
-    with pytest.raises(DomainError):
-        constant_C(3, 2)  # odd degree
-    with pytest.raises(DomainError):
-        constant_C(2, 0)
-
+# --- radial data ----------------------------------------------------------
 
 def test_radial_moment_exponential_profile():
     # dim 2, profile e^{-r}: m_(0,0) = 2 pi int_0^inf r e^{-r} dr = 2 pi

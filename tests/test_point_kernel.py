@@ -4,7 +4,8 @@
 the moment table's arrays.  The loops below are the per-term
 evaluators they replaced, kept verbatim with their own Hermite recurrence
 and reduction, and the kernel must reproduce them bit for bit: the value,
-every (degree, partial) pair, and the sign of zero.  The array tests pin
+every (degree, partial) pair, and the sign of zero.  The list form
+``aligned_sum`` must likewise reproduce the reference reduction.  The array tests pin
 that a table's arrays are read-only and change only when a new dict is
 assigned to ``entries``, and the last test pins that non-finite input
 stops at the point and time boundaries.
@@ -28,6 +29,7 @@ from heatseries import (
     MomentTable,
     SignedLog,
     SimilarityPoint,
+    aligned_sum,
     build_moment_table,
     eigen_coeffs,
     eval_expansion,
@@ -198,6 +200,20 @@ def expansion_cases(draw):
 
 
 # --- bit identity ----------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.builds(
+        SignedLog.from_log,
+        st.one_of(st.floats(-800.0, 800.0), st.just(-math.inf)),
+        st.sampled_from([-1, 0, 1]),
+    ),
+    max_size=30,
+))
+def test_aligned_sum_matches_reference_bit_for_bit(terms):
+    got, want = aligned_sum(iter(terms)), reference_aligned_sum(terms)
+    assert (got.sign, bits(got.logmag)) == (want.sign, bits(want.logmag))
+
 
 @settings(max_examples=150, deadline=None)
 @given(point_cases())

@@ -65,6 +65,16 @@ def test_convolve_oracle_rejects_nonfinite_input(x, t):
         convolve_oracle(u0, x, t)
 
 
+@pytest.mark.parametrize(
+    "dim, x",
+    [(1, (1.0, 5.0)), (2, (1.0, 0.5, 0.0)), (2, 1.0)],
+    ids=["dim1-pair", "dim2-triple", "dim2-scalar"],
+)
+def test_convolve_oracle_rejects_a_point_of_the_wrong_length(dim, x):
+    with pytest.raises(DomainError):
+        convolve_oracle(Gaussian(amplitude=1.0, width=1.0, dim=dim), x, 2.0)
+
+
 def test_exact_solution_bounds_and_domain():
     assert 0.0 < exact_gaussian_solution(1.0, 1.0, 2, (3.0, 1.0), 5.0) < 1.0
     with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
 import math
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heatseries import (
     DomainError,
@@ -11,7 +13,7 @@ from heatseries import (
     log_factorial,
     log_gamma,
 )
-from heatseries.specfun import RECURRENCE_DEPTH_CAP, log_gamma_halves
+from heatseries.specfun import RECURRENCE_DEPTH_CAP, laguerre_sequence, log_gamma_halves
 
 
 # --- Hermite -------------------------------------------------------------
@@ -182,8 +184,22 @@ def test_laguerre_low_orders():
 
 
 def test_laguerre_domain():
-    with pytest.raises(DomainError):
-        laguerre(2, -1.0, 0.3)
+    for a in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            laguerre(2, a, 0.3)
+        with pytest.raises(DomainError):
+            laguerre_sequence(2, a, 0.3)
+
+
+@given(
+    n=st.integers(0, 120),
+    a=st.floats(-0.99, 4.0),
+    x=st.floats(0.0, 60.0),
+)
+def test_laguerre_is_the_last_entry_of_the_sequence(n, a, x):
+    bits = lambda v: struct.pack("<d", v)
+    seq = laguerre_sequence(n, a, x)
+    assert [bits(v) for v in seq] == [bits(laguerre(m, a, x)) for m in range(n + 1)]
 
 
 @pytest.mark.parametrize("m", range(0, 9))
