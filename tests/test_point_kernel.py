@@ -4,11 +4,11 @@
 the moment table's arrays.  The loops below are the per-term
 evaluators they replaced, kept verbatim with their own Hermite recurrence
 and reduction, and the kernel must reproduce them bit for bit: the value,
-every (degree, partial) pair, and the sign of zero.  The list form
-``aligned_sum`` must likewise reproduce the reference reduction.  The array tests pin
-that a table's arrays are read-only and change only when a new dict is
-assigned to ``entries``, and the last test pins that non-finite input
-stops at the point and time boundaries.
+every (degree, partial) pair, and the sign of zero; the list form
+``aligned_sum`` must reproduce the reference reduction the same way.  The
+array tests pin that a table's arrays are read-only and change only when a
+new dict is assigned to ``entries``, and the last test pins that non-finite
+input stops at the point and time boundaries.
 """
 
 import copy
