@@ -9,6 +9,7 @@ directly and shares no code with the closed form).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import astuple, dataclass, fields
 
@@ -17,7 +18,7 @@ import numpy as np
 from .bounds import bound_report_sweep
 from .errors import DomainError, UnsupportedVariantError
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
-from .moments import Gaussian, Generic1D, MomentTable
+from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import csv_text, json_array
 
@@ -26,7 +27,9 @@ from .serial import csv_text, json_array
 class GridSpec:
     """Symmetric tensor grid: ``points`` per axis on [-extent, extent].
 
-    ``points`` must be odd so the origin is a node.
+    ``points`` must be odd.  Each axis is its non-negative half mirrored,
+    so the origin is an exact node and the axis equals its own negation
+    reversed, bit for bit.
     """
 
     dim: int
@@ -34,6 +37,10 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
+        for name in ("dim", "points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
         if not 0.0 < self.extent < math.inf:
@@ -42,7 +49,8 @@ class GridSpec:
             raise DomainError("points must be odd and >= 3")
 
     def axes(self) -> list[np.ndarray]:
-        axis = np.linspace(-self.extent, self.extent, self.points)
+        half = np.linspace(0.0, self.extent, self.points // 2 + 1)
+        axis = np.concatenate([-half[:0:-1], half])
         return [axis.copy() for _ in range(self.dim)]
 
 
@@ -210,14 +218,33 @@ def _check_coverage(u0, grid: GridSpec, t: float) -> None:
         )
 
 
+def _sweep_axes(u0, table: MomentTable, grid: GridSpec, k: int) -> list[np.ndarray]:
+    """The axes an error sweep to order k evaluates on.
+
+    When u0 is Gaussian or Radial and no live table row of degree <= k has
+    an odd component, the reference and every u_k are even in each
+    coordinate, and at mirrored nodes of the symmetric grid they agree bit
+    for bit.  The sweep then takes only the nodes with every coordinate
+    >= 0, which hold every value of the grid; otherwise it takes them all.
+    """
+    if table.dim != grid.dim:
+        raise DomainError(f"table dim {table.dim} does not match grid dim {grid.dim}")
+    axes = grid.axes()
+    rows = slice(0, table.ends[min(k, table.k_max)])
+    odd = table.components[rows][table.signs[rows] != 0] % 2
+    if isinstance(u0, (Gaussian, Radial)) and not odd.any():
+        axes = [ax[grid.points // 2 :] for ax in axes]
+    return axes
+
+
 def sup_error(
     u0, table: MomentTable, cfg: ApproxConfig, grid: GridSpec
 ) -> float:
     """max over the grid of |reference - u_k|."""
     if grid.dim != cfg.dim:
         raise DomainError("grid dimension does not match config")
+    axes = _sweep_axes(u0, table, grid, cfg.k)
     _check_coverage(u0, grid, cfg.t)
-    axes = grid.axes()
     evaluator = SeriesGridEvaluator(table, cfg.t, axes, k_cap=cfg.k)
     reference = _reference_field(u0, axes, cfg.t)
     return evaluator.sup_errors(reference, [cfg.k])[0]
@@ -269,8 +296,10 @@ def error_curve(
     order.  The sup errors of every order come from one banded sweep
     (:meth:`SeriesGridEvaluator.sup_errors`) that accumulates each row band
     incrementally and holds no truncation field of the whole grid, so the
-    sweep costs about as much as the single largest k.  The bounds of every
-    order come from one pass over the table (:func:`bound_report_sweep`).
+    sweep costs about as much as the single largest k.  For even data the
+    sweep covers only the grid's non-negative orthant, which holds every
+    value of the grid (:func:`_sweep_axes`).  The bounds of every order come
+    from one pass over the table (:func:`bound_report_sweep`).
     """
     if table.k_max < k_max + 1:
         raise DomainError(
@@ -278,8 +307,8 @@ def error_curve(
         )
     if grid.dim != dim:
         raise DomainError("grid dimension does not match dim")
+    axes = _sweep_axes(u0, table, grid, k_max)
     _check_coverage(u0, grid, t)
-    axes = grid.axes()
     evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
     reference = _reference_field(u0, axes, t)
     orders = range(0, k_max + 1, 2 if even_only else 1)

@@ -301,6 +301,13 @@ GOLDEN = {
     ("error-curve", "--dim", "2", "--kmax", "60"): {
         "out.txt": "8ab19e52dd7d6b939ba4bae8cbdc6b25088c15bfea01c70c479b155622cb85f2",
     },
+    ("error-curve", "--dim", "1", "--t0", "1", "--t", "2", "--kmax", "40"): {
+        "out.txt": "2fc9caefcc2d87885f169efe54fbc8b93ebdcf3d10d7f76b8b6534fa486af6e5",
+    },
+    # below t0: the divergent side, with the lb column
+    ("error-curve", "--dim", "2", "--t0", "1", "--t", "0.5", "--kmax", "60"): {
+        "out.txt": "1cecb38742928fa471b943a761e9dcba5660032f4e03141d9b5278396f394fb3",
+    },
 }
 
 

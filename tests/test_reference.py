@@ -35,6 +35,7 @@ from heatseries import (
     multi_indices_up_to,
     sup_error,
 )
+import heatseries.reference as reference_module
 from heatseries import kernel_approx
 from heatseries.reference import _reference_field
 
@@ -186,6 +187,33 @@ def test_grid_spec_validation():
     assert g.points == 801
     axis = g.axes()[0]
     assert axis[len(axis) // 2] == 0.0  # origin is a node
+
+
+@pytest.mark.parametrize(
+    "dim,points",
+    [(1, 5.0), (1.5, 5), (True, 5), (1, True), (2.0, 41), ("1", 5), (1, None)],
+)
+def test_grid_spec_rejects_non_integer_sizes(dim, points):
+    with pytest.raises(DomainError):
+        GridSpec(dim=dim, extent=5.0, points=points)
+
+
+def test_grid_spec_accepts_numpy_integers():
+    grid = GridSpec(dim=np.int64(2), extent=5.0, points=np.int32(5))
+    assert [len(ax) for ax in grid.axes()] == [5, 5]
+
+
+@pytest.mark.parametrize("points", [3, 41, 801, 4001])
+@pytest.mark.parametrize("extent", [1.7, 18.3, 25.123456, default_grid(1, 2.0, 1.0).extent])
+def test_grid_axes_are_mirror_exact(extent, points):
+    axis = GridSpec(dim=1, extent=extent, points=points).axes()[0]
+    assert len(axis) == points
+    assert axis[0] == -extent and axis[-1] == extent
+    assert np.all(np.diff(axis) > 0.0)
+    centre = axis[points // 2]
+    assert centre == 0.0 and math.copysign(1.0, centre) == 1.0
+    # equal as numbers, so the mirrored zero's sign is the one bit ignored
+    assert np.array_equal(axis, -axis[::-1])
 
 
 @pytest.mark.parametrize("t0", [0.8, 1.0, 1.25])
@@ -410,15 +438,125 @@ def test_error_curve_holds_no_truncation_field():
     # bands, their temporaries and the Hermite tables stay below one more
     u0 = Gaussian(1.0, 1.0, 2)
     table = build_moment_table(u0, 21)
-    grid = default_grid(2, 2.0, 1.0, points=401)
-    grid_bytes = 8 * grid.points**2
+    # and an even datum is swept on the non-negative quarter of the grid
+    grid = default_grid(2, 2.0, 1.0, points=801)
+    quarter_bytes = 8 * (grid.points // 2 + 1) ** 2
     tracemalloc.start()
     try:
         error_curve(u0, table, 2, 2.0, 20, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * grid_bytes
+    assert peak <= 2 * quarter_bytes
+
+
+# --- the fold of even data onto the non-negative orthant ------------------
+
+@pytest.fixture
+def swept_shapes(monkeypatch):
+    """Record the grid shape of every evaluator the error sweeps build."""
+    shapes = []
+
+    class Recording(SeriesGridEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            shapes.append(self.shape)
+
+    monkeypatch.setattr(reference_module, "SeriesGridEvaluator", Recording)
+    return shapes
+
+
+def _full_grid_sweep(u0, table, t, grid, orders):
+    """Sup errors over every node of the grid, with no fold."""
+    axes = grid.axes()
+    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=orders[-1])
+    return evaluator.sup_errors(_reference_field(u0, axes, t), orders)
+
+
+def _with_live_odd_row(table, degree):
+    """A copy of ``table`` whose first multi-index of ``degree`` with an
+    odd component carries a small live moment."""
+    signs, logmag = table.signs.copy(), table.logmag.copy()
+    lo, hi = table.ends[degree - 1], table.ends[degree]
+    row = lo + np.flatnonzero((table.components[lo:hi] % 2).any(axis=1))[0]
+    signs[row], logmag[row] = 1, -30.0
+    return MomentTable.from_arrays(
+        signs, logmag, dim=table.dim, k_max=table.k_max, source=table.source
+    )
+
+
+@pytest.mark.parametrize(
+    "u0,t,k_max,grid",
+    [
+        (Gaussian(1.0, 1.0, 1), 2.0, 60, default_grid(1, 2.0, 1.0, points=4001)),
+        (Gaussian(1.3, 0.9, 1), 0.5, 40, default_grid(1, 0.5, 0.9, points=401)),
+        (Gaussian(1.0, 1.0, 1), 2.0, 12, GridSpec(dim=1, extent=18.3, points=3)),
+        (Gaussian(1.0, 1.0, 2), 2.0, 60, default_grid(2, 2.0, 1.0, points=161)),
+        (Gaussian(2.5, 0.7, 2), 0.4, 40, default_grid(2, 0.4, 0.7, points=41)),
+        (Gaussian(1.0, 1.0, 2), 3.7, 20, GridSpec(dim=2, extent=25.123456, points=3)),
+        (RADIAL, 1.5, 10, GridSpec(dim=2, extent=6.0, points=41)),
+    ],
+    ids=["gauss-d1-4001", "gauss-d1-below-t0", "gauss-d1-3pts", "gauss-d2-161",
+         "gauss-d2-below-t0", "gauss-d2-3pts", "radial-d2"],
+)
+def test_even_data_fold_equals_full_grid_sweep(swept_shapes, u0, t, k_max, grid):
+    table = build_moment_table(u0, k_max + 1)
+    orders = list(range(k_max + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 3-point grids are clipped
+        curve = error_curve(u0, table, grid.dim, t, k_max, grid, even_only=False)
+        single = sup_error(u0, table, ApproxConfig(dim=grid.dim, k=k_max, t=t), grid)
+    half = (grid.points // 2 + 1,) * grid.dim
+    assert swept_shapes == [half, half]
+    want = _full_grid_sweep(u0, table, t, grid, orders)
+    assert [p.sup_error for p in curve.points] == want  # bit for bit
+    assert single == want[-1]
+
+
+def test_odd_row_beyond_the_swept_degrees_still_folds(swept_shapes):
+    u0, t, k_max = Gaussian(1.0, 1.0, 2), 2.0, 20
+    grid = default_grid(2, t, 1.0, points=41)
+    table = _with_live_odd_row(build_moment_table(u0, k_max + 1), k_max + 1)
+    curve = error_curve(u0, table, 2, t, k_max, grid)
+    assert swept_shapes == [(21, 21)]
+    orders = list(range(0, k_max + 1, 2))
+    assert [p.sup_error for p in curve.points] == _full_grid_sweep(u0, table, t, grid, orders)
+
+
+@pytest.mark.parametrize(
+    "u0,t,k_max,grid,odd_degree",
+    [
+        (INDICATOR, 0.7, 9, GridSpec(dim=1, extent=9.0, points=41), None),
+        (OFF_CENTRE, 0.7, 9, GridSpec(dim=1, extent=9.0, points=41), None),
+        (Gaussian(1.0, 1.0, 1), 2.0, 20, default_grid(1, 2.0, 1.0, points=201), 7),
+        (Gaussian(1.0, 1.0, 2), 2.0, 20, default_grid(2, 2.0, 1.0, points=41), 20),
+        (RADIAL, 1.5, 10, GridSpec(dim=2, extent=6.0, points=41), 3),
+    ],
+    ids=["centred-generic1d", "off-centre-generic1d", "gauss-d1-odd-row",
+         "gauss-d2-odd-row", "radial-odd-row"],
+)
+def test_no_fold_without_even_data(swept_shapes, u0, t, k_max, grid, odd_degree):
+    table = build_moment_table(u0, k_max + 1)
+    if odd_degree is not None:
+        table = _with_live_odd_row(table, odd_degree)
+    orders = list(range(k_max + 1))
+    curve = error_curve(u0, table, grid.dim, t, k_max, grid, even_only=False)
+    single = sup_error(u0, table, ApproxConfig(dim=grid.dim, k=k_max, t=t), grid)
+    full = (grid.points,) * grid.dim
+    assert swept_shapes == [full, full]
+    want = _full_grid_sweep(u0, table, t, grid, orders)
+    assert [p.sup_error for p in curve.points] == want
+    assert single == want[-1]
+
+
+def test_error_sweeps_reject_a_table_of_another_dim():
+    table = build_moment_table(UNIT, 5)
+    grid = default_grid(2, 2.0, 1.0, points=41)
+    u0 = Gaussian(1.0, 1.0, 2)
+    with pytest.raises(DomainError, match="table dim 1 .*grid dim 2"):
+        error_curve(u0, table, 2, 2.0, 4, grid)
+    with pytest.raises(DomainError, match="table dim 1 .*grid dim 2"):
+        sup_error(u0, table, ApproxConfig(dim=2, k=4, t=2.0), grid)
 
 
 # --- the gather-free kernel against the gathering one --------------------
