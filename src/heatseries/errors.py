@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer size argument."""
+
+import numbers
 
 
 class HeatSeriesError(Exception):
@@ -20,3 +23,10 @@ class IntegrabilityError(HeatSeriesError, RuntimeError):
 
 class UnsupportedVariantError(HeatSeriesError, TypeError):
     """The initial-datum variant cannot support the requested operation."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is an integer: a numpy integer
+    passes, a bool or a float with an integral value does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")

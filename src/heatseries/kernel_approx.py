@@ -18,14 +18,13 @@ measures every order inside a band before moving to the next.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import backend
-from .errors import DomainError, UnsupportedVariantError
+from .errors import DomainError, UnsupportedVariantError, check_integer
 from .moments import Gaussian, MomentTable, MultiIndex
 from .signedlog import SignedLog, aligned_sum_arrays
 from .specfun import hermite_weighted, hermite_weighted_logs, laguerre_sequence
@@ -49,6 +48,8 @@ class ApproxConfig:
     t: float
 
     def __post_init__(self):
+        check_integer("dim", self.dim)
+        check_integer("k", self.k)
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
         if self.k < 0:
@@ -237,8 +238,8 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
 
 
 class SeriesGridEvaluator:
-    """Incremental evaluation of u_k over a tensor grid, one degree block at
-    a time, so a sweep over k costs the same as the largest single k.
+    """Evaluation of u_k over a tensor grid, one degree block at a time, so
+    a sweep over k costs the same as the largest single k.
 
     Coefficients m_alpha/alpha! (4t)^{-(j+d)/2} pi^{-d/2} are assembled in
     log space and exponentiated into doubles, which is safe whenever each
@@ -247,12 +248,13 @@ class SeriesGridEvaluator:
     Supports dim 1 and 2.
 
     The grid is walked in bands of axis-0 rows small enough to stay in a
-    core's L2 cache.  :meth:`field_up_to` keeps the whole field, allocated
-    on its first call; :meth:`sup_errors` measures against a reference one
+    core's L2 cache.  :meth:`field_up_to` returns a new field of the whole
+    grid on each call; :meth:`sup_errors` measures against a reference one
     band at a time and keeps only that band.  Both run the same GEMMs on
-    the same bands, so they give the same bits.  Each degree block's rows of
-    both Hermite tables are strided views that BLAS reads in place: the
-    block keeps its axis-0 orders as one strided run with dense
+    the same bands, bands outside and degrees inside, so they give the same
+    bits, and no attribute changes after construction.  Each degree block's
+    rows of both Hermite tables are strided views that BLAS reads in place:
+    the block keeps its axis-0 orders as one strided run with dense
     coefficients, and the axis-1 table is stored in reverse row order.
     """
 
@@ -267,8 +269,8 @@ class SeriesGridEvaluator:
             raise DomainError("grid evaluation supports dim 1 and 2")
         if len(axes) != table.dim:
             raise DomainError("one axis array per dimension is required")
-        if t <= 0.0:
-            raise DomainError("t must be > 0")
+        if k_cap is not None:
+            check_integer("k_cap", k_cap)
         self.dim = table.dim
         self.t = t
         k = self.k_cap = table.k_max if k_cap is None else min(k_cap, table.k_max)
@@ -284,39 +286,35 @@ class SeriesGridEvaluator:
             # strided view, which BLAS takes without a copy
             self._tables[1] = np.ascontiguousarray(self._tables[1][::-1])
         # m_alpha/alpha! (4t)^{-(j+d)/2} pi^{-d/2} of every live row, its logs
-        # added in the order moment, scale, ln alpha!, which fixes its bits
+        # added in the order moment, scale, ln alpha!, then math.exp, which
+        # fixes its bits; a coefficient that underflows to 0 is dropped
         rows = np.flatnonzero(table.signs[: table.ends[k]])
-        degrees = table.degrees[rows]
         term_scale = np.array([_term_scale(j, cfg) for j in range(k + 1)])
-        logmag = (table.logmag[rows] + term_scale[degrees]) - table.ln_factorials[rows]
+        logmag = (table.logmag[rows] + term_scale[table.degrees[rows]]) - table.ln_factorials[rows]
         if (logmag > 700.0).any():
             raise DomainError(
                 "series coefficient exceeds the double range; "
                 "use eval_uk for this regime"
             )
-        values = map(operator.mul, table.signs[rows].tolist(), map(math.exp, logmag.tolist()))
-        per_degree: dict[int, dict[int, float]] = {}  # degree -> {n1: coeff}
-        for j, n1, coeff in zip(degrees.tolist(), table.components[rows, 0].tolist(), values):
-            if coeff != 0.0:
-                per_degree.setdefault(j, {})[n1] = coeff
-        # degree -> (axis-0 rows n1 = lo, lo + step, .., hi as a slice, the
-        # matching axis-1 rows j - n1 at k - j + n1 of the reversed table,
+        values = table.signs[rows] * np.fromiter(map(math.exp, logmag.tolist()), float, len(rows))
+        rows, values = rows[values != 0.0], values[values != 0.0]
+        n1 = table.components[rows, 0].astype(np.int64)
+        # degree j, the terms in its table rows ends[j] - counts[j]:ends[j] ->
+        # (axis-0 rows n1 = lo, lo + step, .., hi as a slice, the matching
+        # axis-1 rows j - n1 at k - j + n1 of the reversed table,
         # coefficients with zeros where the degree skips an n1 in between)
+        starts = np.searchsorted(rows, table.ends[: k + 1] - table.counts[: k + 1])
+        stops = np.searchsorted(rows, table.ends[: k + 1])
         self._blocks: dict[int, tuple] = {}
-        for j, terms in per_degree.items():
-            n1 = list(terms)
-            lo, hi = n1[0], n1[-1]
-            step = math.gcd(*(b - a for a, b in zip(n1, n1[1:]))) or 1
+        for j in np.flatnonzero(stops > starts).tolist():
+            block = n1[starts[j] : stops[j]]
+            lo, hi = int(block[0]), int(block[-1])
+            step = int(np.gcd.reduce(np.diff(block))) or 1
             coeffs = np.zeros((hi - lo) // step + 1)
-            coeffs[[(n - lo) // step for n in n1]] = list(terms.values())
-            self._blocks[j] = (
-                slice(lo, hi + 1, step),
-                slice(k - j + lo, k - j + hi + 1, step),
-                coeffs,
-            )
+            coeffs[(block - lo) // step] = values[starts[j] : stops[j]]
+            rows2 = slice(k - j + lo, k - j + hi + 1, step)
+            self._blocks[j] = (slice(lo, hi + 1, step), rows2, coeffs)
         self.shape = tuple(len(ax) for ax in axes)
-        self._field = None
-        self._built = -1
 
     def _bands(self) -> list[tuple[int, int]]:
         """Ranges [i0, i1) of axis-0 rows, about ``_BAND_BYTES`` of field each.
@@ -343,34 +341,34 @@ class SeriesGridEvaluator:
         else:
             backend.accumulate_series_2d(out, t1, self._tables[1], rows1, rows2, coeffs)
 
+    def _check_orders(self, orders: Sequence[int]) -> list[int]:
+        """``orders`` as a list, checked ascending, >= 0 and within the cap."""
+        orders = list(orders)
+        if orders != sorted(orders) or min(orders, default=0) < 0:
+            raise DomainError("orders must be ascending and >= 0")
+        if orders and orders[-1] > self.k_cap:
+            raise DomainError(f"k={orders[-1]} exceeds evaluator cap {self.k_cap}")
+        return orders
+
     def field_up_to(self, k: int) -> np.ndarray:
-        """Cumulative field for truncation order k (read-only view)."""
-        if k > self.k_cap:
-            raise DomainError(f"k={k} exceeds evaluator cap {self.k_cap}")
-        if k < self._built:
-            raise DomainError("degrees must be requested in ascending order")
-        if self._field is None:
-            self._field = np.zeros(self.shape, dtype=np.float64)
+        """The field of u_k over the whole grid, a new array on each call."""
+        self._check_orders([k])
+        field = np.zeros(self.shape)
         for i0, i1 in self._bands():
-            for j in range(self._built + 1, k + 1):
-                self._accumulate(self._field[i0:i1], i0, i1, j)
-        self._built = max(self._built, k)
-        return self._field
+            for j in range(k + 1):
+                self._accumulate(field[i0:i1], i0, i1, j)
+        return field
 
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:
         """max over the grid of |reference - u_k| for each k in ``orders``.
 
-        ``orders`` must be ascending.  Each band of :meth:`_bands` is
-        accumulated degree by degree up to the last order and measured
-        after each order, so no field of the whole grid is held.  The
-        per-band maxima are reduced with ``np.max``, so a NaN node gives NaN
-        at every order, as one whole-grid ``max_abs_diff`` would.
+        ``orders`` must be ascending and non-negative.  Each band of
+        :meth:`_bands` is accumulated degree by degree up to the last order
+        and measured after each order, so no field of the whole grid is
+        held.  The per-band maxima are reduced with ``np.max``, so a NaN node
+        gives NaN at every order, as one whole-grid ``max_abs_diff`` would.
         """
-        orders = list(orders)
-        if orders != sorted(orders):
-            raise DomainError("orders must be ascending")
-        if orders and orders[-1] > self.k_cap:
-            raise DomainError(f"k={orders[-1]} exceeds evaluator cap {self.k_cap}")
+        orders = self._check_orders(orders)
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != self.shape:
             raise DomainError("reference shape does not match the grid")

@@ -19,7 +19,7 @@ from typing import Callable, ClassVar, Iterator, Union
 
 import numpy as np
 
-from .errors import DomainError, IntegrabilityError, UnsupportedVariantError
+from .errors import DomainError, IntegrabilityError, UnsupportedVariantError, check_integer
 from .quadrature import integrate_halfline, integrate_line
 from .serial import Rendered, json_array_of_columns, json_cell
 from .signedlog import ZERO, SignedLog
@@ -50,6 +50,7 @@ class Gaussian:
             raise DomainError("Gaussian amplitude must be positive and finite")
         if not 0.0 < self.width < math.inf:
             raise DomainError("Gaussian width must be positive and finite")
+        check_integer("dim", self.dim)
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
 
@@ -65,6 +66,7 @@ class Radial:
     dim: int
 
     def __post_init__(self):
+        check_integer("dim", self.dim)
         if self.dim < 2:
             raise DomainError("Radial data requires dim >= 2; use Generic1D")
 
@@ -79,6 +81,11 @@ class Generic1D:
     func: Callable[[float], float]
     breakpoints: tuple[float, ...] = ()
     dim: int = 1
+
+    def __post_init__(self):
+        check_integer("dim", self.dim)
+        if self.dim != 1:
+            raise DomainError(f"Generic1D data are one-dimensional, got dim {self.dim}")
 
 
 InitialDatum = Union[Gaussian, Radial, Generic1D]
@@ -639,6 +646,7 @@ def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
     :func:`moment_factors` lookup (at most one quadrature per degree): the
     same bits as :func:`moment` called once per multi-index, the shell's
     log plus the components' logs summed as ``math.fsum`` sums them."""
+    check_integer("k_max", k_max)
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     shared, logs = moment_factors(u0, range(k_max + 1), absolute=False)

@@ -9,14 +9,13 @@ directly and shares no code with the closed form).
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .bounds import bound_report_sweep
-from .errors import DomainError, UnsupportedVariantError
+from .errors import DomainError, UnsupportedVariantError, check_integer
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
@@ -37,10 +36,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        for name in ("dim", "points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        check_integer("dim", self.dim)
+        check_integer("points", self.points)
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
         if not 0.0 < self.extent < math.inf:
@@ -61,6 +58,8 @@ def default_grid(dim: int, t_max: float, width: float, points: int = 801) -> Gri
     check needs e^{-E^2/4(t + width)} <= 1e-16, E >= 12.14 sqrt(t + width);
     the second term gives that below t = 0.61 width, where the first falls
     short, and the first term's extent is kept above."""
+    if not (0.0 <= t_max < math.inf and 0.0 <= width < math.inf):
+        raise DomainError(f"t_max {t_max!r} and width {width!r} must be finite and >= 0")
     extent = max(
         2.0 * math.sqrt(t_max) * 8.0 + 4.0 * math.sqrt(width),
         13.0 * math.sqrt(t_max + width),
@@ -214,7 +213,7 @@ def _check_coverage(u0, grid: GridSpec, t: float) -> None:
         warnings.warn(
             "grid extent may clip the solution support; sup errors can be "
             "underestimated",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -227,8 +226,6 @@ def _sweep_axes(u0, table: MomentTable, grid: GridSpec, k: int) -> list[np.ndarr
     for bit.  The sweep then takes only the nodes with every coordinate
     >= 0, which hold every value of the grid; otherwise it takes them all.
     """
-    if table.dim != grid.dim:
-        raise DomainError(f"table dim {table.dim} does not match grid dim {grid.dim}")
     axes = grid.axes()
     rows = slice(0, table.ends[min(k, table.k_max)])
     odd = table.components[rows][table.signs[rows] != 0] % 2
@@ -237,17 +234,26 @@ def _sweep_axes(u0, table: MomentTable, grid: GridSpec, k: int) -> list[np.ndarr
     return axes
 
 
+def _sweep(u0, table: MomentTable, dim: int, t: float, grid: GridSpec, k: int, orders):
+    """max over the grid of |reference - u_j| for each j in ``orders``, the
+    last of which is k: the one error sweep of :func:`error_curve` and
+    :func:`sup_error`."""
+    if not grid.dim == table.dim == dim:
+        raise DomainError(f"table dim {table.dim} and grid dim {grid.dim} must equal dim {dim}")
+    if table.source is not None and u0 != table.source:
+        raise DomainError(f"the table was built from {table.source!r}, not from {u0!r}")
+    axes = _sweep_axes(u0, table, grid, k)
+    _check_coverage(u0, grid, t)
+    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k)
+    return evaluator.sup_errors(_reference_field(u0, axes, t), orders)
+
+
 def sup_error(
     u0, table: MomentTable, cfg: ApproxConfig, grid: GridSpec
 ) -> float:
-    """max over the grid of |reference - u_k|."""
-    if grid.dim != cfg.dim:
-        raise DomainError("grid dimension does not match config")
-    axes = _sweep_axes(u0, table, grid, cfg.k)
-    _check_coverage(u0, grid, cfg.t)
-    evaluator = SeriesGridEvaluator(table, cfg.t, axes, k_cap=cfg.k)
-    reference = _reference_field(u0, axes, cfg.t)
-    return evaluator.sup_errors(reference, [cfg.k])[0]
+    """max over the grid of |reference - u_k|: the one-order case of the
+    sweep of :func:`error_curve`."""
+    return _sweep(u0, table, cfg.dim, cfg.t, grid, cfg.k, [cfg.k])[0]
 
 
 @dataclass
@@ -293,7 +299,8 @@ def error_curve(
     """Measured sup errors and bounds for k = 0..k_max.
 
     The table must extend to degree k_max + 1 so F is defined at the last
-    order.  The sup errors of every order come from one banded sweep
+    order, and a table that records its datum must record u0.  The sup
+    errors of every order come from one banded sweep
     (:meth:`SeriesGridEvaluator.sup_errors`) that accumulates each row band
     incrementally and holds no truncation field of the whole grid, so the
     sweep costs about as much as the single largest k.  For even data the
@@ -305,15 +312,9 @@ def error_curve(
         raise DomainError(
             f"error_curve to k_max={k_max} needs table degree {k_max + 1}"
         )
-    if grid.dim != dim:
-        raise DomainError("grid dimension does not match dim")
-    axes = _sweep_axes(u0, table, grid, k_max)
-    _check_coverage(u0, grid, t)
-    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
-    reference = _reference_field(u0, axes, t)
     orders = range(0, k_max + 1, 2 if even_only else 1)
     points = []
-    sups = evaluator.sup_errors(reference, orders)
+    sups = _sweep(u0, table, dim, t, grid, k_max, orders)
     for k, sup, report in zip(orders, sups, bound_report_sweep(table, t, orders)):
         g_k, lb = (
             None if bound is None else bound.to_float()

@@ -2,7 +2,9 @@
 differences, the point evaluator against the grid evaluator, and the
 radial Laguerre route against the multi-index route."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from heatseries import (
     ApproxConfig,
     DomainError,
     Gaussian,
+    Generic1D,
+    MomentTable,
+    Radial,
     SeriesGridEvaluator,
     UnsupportedVariantError,
     build_moment_table,
@@ -21,6 +26,7 @@ from heatseries import (
     heat_kernel,
     kernel_derivative,
 )
+from heatseries import kernel_approx
 
 
 def test_heat_kernel_values():
@@ -240,8 +246,6 @@ def test_grid_evaluator_incremental_consistency(table_d1):
         np.testing.assert_array_equal(
             SeriesGridEvaluator(exact, 2.0, [axis]).field_up_to(k), fresh
         )
-    with pytest.raises(DomainError):
-        inc.field_up_to(4)  # backwards
 
 
 def test_grid_evaluator_overflow_guard(table_d1):
@@ -250,3 +254,138 @@ def test_grid_evaluator_overflow_guard(table_d1):
     axis = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(DomainError):
         SeriesGridEvaluator(table_d1, 1e-16, [axis], k_cap=44)
+
+
+def test_field_up_to_returns_a_new_field_each_call(table_d1, table_d2):
+    for table in (table_d1, table_d2):
+        axes = [np.linspace(-4.0, 4.0, 17)] * table.dim
+        evaluator = SeriesGridEvaluator(table, 2.0, axes, k_cap=8)
+        attributes = dict(vars(evaluator))
+        field4 = evaluator.field_up_to(4)
+        want4 = field4.copy()
+        field4 += 1.0  # a caller's edit stays in the caller's array
+        want8 = SeriesGridEvaluator(table, 2.0, axes, k_cap=8).field_up_to(8)
+        np.testing.assert_array_equal(evaluator.field_up_to(8), want8)
+        np.testing.assert_array_equal(evaluator.field_up_to(4), want4)  # any order
+        np.testing.assert_array_equal(evaluator.field_up_to(8), want8)
+        assert vars(evaluator).keys() == attributes.keys()
+        assert all(vars(evaluator)[name] is value for name, value in attributes.items())
+
+
+def test_orders_must_be_non_negative(table_d1):
+    evaluator = SeriesGridEvaluator(table_d1, 2.0, [np.linspace(-4.0, 4.0, 17)], k_cap=8)
+    reference = np.zeros(17)
+    for call in (
+        lambda: evaluator.sup_errors(reference, [-1]),
+        lambda: evaluator.sup_errors(reference, [-1, 2]),
+        lambda: evaluator.field_up_to(-3),
+    ):
+        with pytest.raises(DomainError, match=">= 0"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(dim=1, k=2.5, t=1.0),
+        dict(dim=1, k=2.0, t=1.0),
+        dict(dim=1, k=True, t=1.0),
+        dict(dim=1.0, k=2, t=1.0),
+        dict(dim=True, k=2, t=1.0),
+    ],
+    ids=["k-2.5", "k-2.0", "k-True", "dim-1.0", "dim-True"],
+)
+def test_approx_config_rejects_non_integer_sizes(kwargs):
+    with pytest.raises(DomainError, match="must be an integer"):
+        ApproxConfig(**kwargs)
+
+
+@pytest.mark.parametrize("k_cap", [3.5, 3.0, True])
+def test_grid_evaluator_rejects_non_integer_k_cap(table_d1, k_cap):
+    with pytest.raises(DomainError, match="must be an integer"):
+        SeriesGridEvaluator(table_d1, 2.0, [np.linspace(-1.0, 1.0, 5)], k_cap=k_cap)
+
+
+def test_numpy_integer_sizes_are_accepted(table_d1):
+    cfg = ApproxConfig(dim=np.int32(1), k=np.int64(6), t=2.0)
+    assert eval_uk(table_d1, cfg, 0.3) == eval_uk(table_d1, ApproxConfig(dim=1, k=6, t=2.0), 0.3)
+    axis = np.linspace(-4.0, 4.0, 17)
+    np.testing.assert_array_equal(
+        SeriesGridEvaluator(table_d1, 2.0, [axis], k_cap=np.int64(6)).field_up_to(6),
+        SeriesGridEvaluator(table_d1, 2.0, [axis], k_cap=6).field_up_to(6),
+    )
+
+
+# --- the evaluator's coefficient blocks against a per-term assembly ------
+
+def _per_term_blocks(table, t, k):
+    """degree -> (axis-0 rows, axis-1 rows, coefficients), assembled term by
+    term into one dict per degree: the blocks as the evaluator built them
+    before it cut them from the table's degree ranges."""
+    cfg = ApproxConfig(dim=table.dim, k=k, t=t)
+    rows = np.flatnonzero(table.signs[: table.ends[k]])
+    degrees = table.degrees[rows]
+    term_scale = np.array([kernel_approx._term_scale(j, cfg) for j in range(k + 1)])
+    logmag = (table.logmag[rows] + term_scale[degrees]) - table.ln_factorials[rows]
+    values = map(operator.mul, table.signs[rows].tolist(), map(math.exp, logmag.tolist()))
+    per_degree = {}  # degree -> {n1: coeff}
+    for j, n1, coeff in zip(degrees.tolist(), table.components[rows, 0].tolist(), values):
+        if coeff != 0.0:
+            per_degree.setdefault(j, {})[n1] = coeff
+    blocks = {}
+    for j, terms in per_degree.items():
+        n1 = list(terms)
+        lo, hi = n1[0], n1[-1]
+        step = math.gcd(*(b - a for a, b in zip(n1, n1[1:]))) or 1
+        coeffs = np.zeros((hi - lo) // step + 1)
+        coeffs[[(n - lo) // step for n in n1]] = list(terms.values())
+        blocks[j] = (slice(lo, hi + 1, step), slice(k - j + lo, k - j + hi + 1, step), coeffs)
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _datum_table(name):
+    """A degree-40 table of Gaussian (t0 = 0.9), radial or 1-D data."""
+    return build_moment_table(
+        {
+            "gaussian-d1": Gaussian(1.3, 0.9, 1),
+            "gaussian-d2": Gaussian(1.3, 0.9, 2),
+            "radial-d2": Radial(profile=lambda r: math.exp(-r * r / 3.6) * (1.0 + r), dim=2),
+            "generic-d1": Generic1D(
+                func=lambda x: 1.0 if 0.3 <= x <= 1.5 else 0.0, breakpoints=(0.3, 1.5)
+            ),
+        }[name],
+        40,
+    )
+
+
+def _random_table(seed, dim, k):
+    """Random signs, a random share of them zero, and log magnitudes of
+    which about one in ten sits where exp underflows to 0 or a subnormal."""
+    rng = np.random.default_rng(seed)
+    n = math.comb(k + dim, dim)
+    zeros = rng.random(n) < rng.choice([0.0, 0.3, 0.7, 0.95])
+    signs = np.where(zeros, 0, rng.choice([-1, 1], n)).astype(np.int8)
+    logmag = rng.uniform(-20.0, 20.0, n) - np.where(rng.random(n) < 0.1, 735.0, 0.0)
+    return MomentTable.from_arrays(signs, np.where(zeros, 0.0, logmag), dim=dim, k_max=k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    source=st.sampled_from(
+        ["random-d1", "random-d2", "gaussian-d1", "gaussian-d2", "radial-d2", "generic-d1"]
+    ),
+    k=st.integers(0, 40),
+    t=st.sampled_from([0.2, 0.5, 0.9, 1.3, 2.0, 3.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_equal_the_per_term_assembly(source, k, t, seed):
+    kind, dim = source.rsplit("-d", 1)
+    table = _random_table(seed, int(dim), k) if kind == "random" else _datum_table(source)
+    axes = [np.linspace(-3.0, 3.0, 5)] * int(dim)
+    got = SeriesGridEvaluator(table, t, axes, k_cap=k)._blocks
+    want = _per_term_blocks(table, t, k)
+    assert list(got) == list(want)
+    for j, (rows1, rows2, coeffs) in want.items():
+        assert got[j][:2] == (rows1, rows2)
+        assert got[j][2].tobytes() == coeffs.tobytes()  # bit for bit

@@ -258,6 +258,45 @@ def test_datum_validation():
         Radial(profile=lambda r: r, dim=1)  # radial reduction needs dim >= 2
 
 
+@pytest.mark.parametrize("dim", [0, 2, 3])
+def test_generic1d_is_one_dimensional(dim):
+    # a dim-2 table of 1-D moments would give (1, 1), (0, 2) and (2, 0)
+    # all the moment m_2
+    with pytest.raises(DomainError, match="one-dimensional"):
+        Generic1D(func=lambda x: math.exp(-x * x), dim=dim)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Gaussian(1.0, 1.0, dim=2.0),
+        lambda: Gaussian(1.0, 1.0, dim=True),
+        lambda: Gaussian(1.0, 1.0, dim=1.5),
+        lambda: Radial(profile=lambda r: math.exp(-r), dim=2.0),
+        lambda: Radial(profile=lambda r: math.exp(-r), dim=True),
+        lambda: Generic1D(func=lambda x: math.exp(-x * x), dim=True),
+        lambda: Generic1D(func=lambda x: math.exp(-x * x), dim=1.0),
+        lambda: build_moment_table(Gaussian(1.0, 1.0, 1), 2.0),
+        lambda: build_moment_table(Gaussian(1.0, 1.0, 1), True),
+    ],
+    ids=[
+        "gaussian-dim-2.0", "gaussian-dim-True", "gaussian-dim-1.5",
+        "radial-dim-2.0", "radial-dim-True", "generic-dim-True", "generic-dim-1.0",
+        "kmax-2.0", "kmax-True",
+    ],
+)
+def test_integer_sizes_reject_non_integers(make):
+    with pytest.raises(DomainError, match="must be an integer"):
+        make()
+
+
+def test_integer_sizes_accept_numpy_integers():
+    table = build_moment_table(Gaussian(1.0, 1.0, dim=np.int64(2)), np.int32(3))
+    assert (table.dim, table.k_max) == (2, 3)
+    assert Radial(profile=lambda r: math.exp(-r), dim=np.int16(3)).dim == 3
+    assert Generic1D(func=lambda x: math.exp(-x * x), dim=np.int64(1)).dim == 1
+
+
 # --- tables ---------------------------------------------------------------
 
 def test_build_table_gaussian_values():

@@ -233,11 +233,21 @@ def test_default_grid_extent_above_the_width_is_unchanged():
     assert default_grid(1, 2.0, 1.0).extent == 2.0 * math.sqrt(2.0) * 8.0 + 4.0
 
 
+@pytest.mark.parametrize(
+    "t_max,width",
+    [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)],
+)
+def test_default_grid_rejects_out_of_domain_input(t_max, width):
+    with pytest.raises(DomainError):
+        default_grid(1, t_max, width)
+
+
 def test_coverage_warning_on_clipped_grid():
     table = build_moment_table(UNIT, 3)
     tiny = GridSpec(dim=1, extent=2.0, points=41)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         sup_error(UNIT, table, ApproxConfig(dim=1, k=2, t=2.0), tiny)
+    assert record[0].filename == __file__  # the warning names the caller
 
 
 def test_sup_error_identical_fields_is_zero():
@@ -557,6 +567,30 @@ def test_error_sweeps_reject_a_table_of_another_dim():
         error_curve(u0, table, 2, 2.0, 4, grid)
     with pytest.raises(DomainError, match="table dim 1 .*grid dim 2"):
         sup_error(u0, table, ApproxConfig(dim=2, k=4, t=2.0), grid)
+
+
+def test_error_sweeps_measure_the_tables_own_datum():
+    table = build_moment_table(UNIT, 11)
+    grid = default_grid(1, 2.0, 1.0, points=201)
+    cfg = ApproxConfig(dim=1, k=10, t=2.0)
+    other = Gaussian(2.0, 1.0, 1)
+    with pytest.raises(DomainError, match="built from"):
+        error_curve(other, table, 1, 2.0, 10, grid)
+    with pytest.raises(DomainError, match="built from"):
+        sup_error(other, table, cfg, grid)
+    # an equal datum, and a table that records no datum, measure the same
+    want = sup_error(UNIT, table, cfg, grid)
+    assert sup_error(Gaussian(1, 1, 1), table, cfg, grid) == want
+    bare = MomentTable.from_json(table.to_json())
+    assert bare.source is None
+    assert sup_error(UNIT, bare, cfg, grid) == want
+    assert sup_error(other, bare, cfg, grid) > 0.4
+
+
+def test_error_curve_rejects_a_negative_order():
+    grid = default_grid(1, 2.0, 1.0, points=41)
+    with pytest.raises(DomainError):
+        error_curve(UNIT, build_moment_table(UNIT, 3), 1, 2.0, -1, grid)
 
 
 # --- the gather-free kernel against the gathering one --------------------
