@@ -15,15 +15,25 @@ into the Cauchy form of the Taylor remainder,
 
     F_a(x) = (-sgn x)^a / (a-1)! integral_0^inf w^{a-1} f(x + sgn(x) w) dw,
 
-an integral of f over the half-line beyond x, which is how it is
-evaluated.  Pairing both sides with a smooth test function
-phi gives the identity checked by decomposition_residual:
+an integral of f over the half-line beyond x; F_a(0) = 0.  For a Gaussian
+f = C e^{-x^2/(4 t0)} the substitution s = (|x| + w) / (2 sqrt(t0)) and
+the repeated integrals of erfc (DLMF §7.18) give it in closed form,
+
+    F_a(x) = (-sgn x)^a C (2 sqrt(t0))^a (sqrt(pi)/2) i^{a-1}erfc(|x| / (2 sqrt(t0))).
+
+Every other datum is integrated in the Cauchy form by quadrature.
+
+Pairing both sides with a smooth test function phi gives the identity
+checked by decomposition_residual:
 
     integral f phi = sum_{j <= k} m_j(f) phi^{(j)}(0) / j!
         + (-1)^{k+1} integral F_{k+1} phi^{(k+1)},
 
 the (-1)^{k+1} coming from moving the k+1 derivatives onto phi.  The
-remainder obeys ||F_a||_1 <= ||x^a f||_1 / a!.
+remainder obeys ||F_a||_1 <= ||x^a f||_1 / a!, with equality when f >= 0:
+F_a then has one sign on each half-line, and Fubini's theorem turns
+integral_0^inf |F_a| into integral_0^inf x^a f / a! (and likewise on the
+negative half-line).
 """
 
 from __future__ import annotations
@@ -35,18 +45,37 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .moments import Gaussian, Generic1D
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
-from .specfun import hermite
+from .specfun import IERFC_MAX_ORDER, hermite, ierfc
+
+#: What the functions here accept as f: a callable of one float (or of an
+#: array, when it declares ``array_native``), a one-dimensional Gaussian or
+#: a Generic1D datum.
+Datum = Callable[[float], float] | Gaussian | Generic1D
+
+
+def _one_dimensional(f) -> tuple[Callable, tuple[float, ...]]:
+    """f's callable and breakpoints; DomainError unless f is a callable or
+    datum of dimension 1."""
+    dim = getattr(f, "dim", 1)
+    if dim != 1:
+        raise DomainError(f"the decomposition needs one-dimensional data, got dim {dim}")
+    func, breakpoints = (f.func, f.breakpoints) if isinstance(f, Generic1D) else (f, ())
+    if not callable(func):
+        raise DomainError(f"the decomposition needs a callable datum, got {type(func).__name__}")
+    return func, tuple(breakpoints)
 
 
 @dataclass(frozen=True)
 class RemainderFunction:
     """The order-a remainder density F_a for a fixed f, callable in x."""
 
-    func: Callable[[float], float]
+    func: Datum
     alpha: int
 
     def __post_init__(self):
+        _one_dimensional(self.func)
         if self.alpha < 1:
             raise DomainError("remainder order must be >= 1")
 
@@ -54,16 +83,21 @@ class RemainderFunction:
         return remainder(self.func, self.alpha, x)
 
 
-def remainder(f: Callable[[float], float], alpha: int, x):
-    """Evaluate F_alpha at x, a float or an array of floats.
+def remainder(f: Datum, alpha: int, x):
+    """Evaluate F_alpha at x, a float or an array of floats; F_a(0) = 0.
 
-    The Cauchy form
+    A one-dimensional Gaussian with alpha - 1 <= IERFC_MAX_ORDER takes the
+    closed form in i^{alpha-1}erfc.  Any other f takes the Cauchy form
 
-        F_a(x) = (-sgn x)^a / (a-1)! integral_0^inf w^{a-1} f(x + sgn(x) w) dw
+        F_a(x) = (-sgn x)^a / (a-1)! integral_0^inf w^{a-1} f(x + sgn(x) w) dw,
 
-    is one half-line row per nonzero x, all rows in one batch; F_a(0) = 0.
-    A row whose tail cannot be certified raises IntegrabilityError.
+    one half-line row per nonzero x, all rows in one batch, split where
+    x + sgn(x) w meets a Generic1D breakpoint.  A row whose tail cannot be
+    certified raises IntegrabilityError.  Wrapping a Gaussian, as in
+    ``Generic1D(f)`` or ``lambda x: f(x)``, sends it down the quadrature
+    route.
     """
+    func, breakpoints = _one_dimensional(f)
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
     points = np.asarray(x, dtype=float)
@@ -75,22 +109,36 @@ def remainder(f: Callable[[float], float], alpha: int, x):
     if nonzero.size:
         xs = flat[nonzero]
         direction = np.sign(xs)
-        fa = on_array(f)
-        total = integrate_halfline_rows(
-            lambda rows, w: w ** (alpha - 1) * fa(xs[rows] + direction[rows] * w),
-            [()] * xs.size,
-        )
-        out[nonzero] = (-direction) ** alpha * total / math.factorial(alpha - 1)
+        if isinstance(f, Gaussian) and alpha - 1 <= IERFC_MAX_ORDER:
+            out[nonzero] = (-direction) ** alpha * _gaussian_tail(f, alpha, np.abs(xs))
+        else:
+            fa = on_array(func)
+            total = integrate_halfline_rows(
+                lambda rows, w: w ** (alpha - 1) * fa(xs[rows] + direction[rows] * w),
+                [tuple(s * (p - x) for p in breakpoints if s * (p - x) > 0.0)
+                 for x, s in zip(xs.tolist(), direction.tolist())],
+            )
+            out[nonzero] = (-direction) ** alpha * total / math.factorial(alpha - 1)
     return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
 
 
-def remainder_l1_norm(f: Callable[[float], float], alpha: int) -> float:
-    """||F_alpha||_1 by outer quadrature over x (the inner integral is the
-    remainder evaluation itself, one batch per outer panel level)."""
+def _gaussian_tail(f: Gaussian, alpha: int, distance: np.ndarray) -> np.ndarray:
+    """|F_alpha| at distance |x| from 0 for a one-dimensional Gaussian:
+    C (2 sqrt(t0))^a (sqrt(pi)/2) i^{a-1}erfc(|x| / (2 sqrt(t0)))."""
+    scale = 2.0 * math.sqrt(f.width)
+    factor = f.amplitude * scale**alpha * (0.5 * math.sqrt(math.pi))
+    return factor * ierfc(alpha - 1, distance / scale)
+
+
+def remainder_l1_norm(f: Datum, alpha: int) -> float:
+    """||F_alpha||_1 by quadrature over x of |remainder|: one quadrature for
+    a Gaussian, a nested one (a remainder batch per outer panel level) for
+    any other f."""
+    _, breakpoints = _one_dimensional(f)
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
     value = integrate_line_rows(
-        lambda rows, x: np.abs(remainder(f, alpha, x)), [(0.0,)]
+        lambda rows, x: np.abs(remainder(f, alpha, x)), [(0.0, *breakpoints)]
     )
     return float(value[0])
 
@@ -160,7 +208,7 @@ def poly_gaussian_test_function(
 
 
 def decomposition_residual(
-    f: Callable[[float], float],
+    f: Datum,
     k: int,
     phi: TestFunction,
     breakpoints: Sequence[float] = (),
@@ -168,22 +216,25 @@ def decomposition_residual(
     """|<f, phi> - Taylor terms - remainder pairing|; zero up to quadrature
     error when the decomposition holds.
 
-    Every integral here is independent quadrature: moments, the f-phi
-    pairing, and the remainder pairing share no closed forms.  The pairing
-    <f, phi> (row 0) and the moments m_0..m_k (rows 1..k+1) are one batch.
+    The pairing <f, phi> (row 0) and the moments m_0..m_k (rows 1..k+1) are
+    one line-quadrature batch over f, split at ``breakpoints`` and at a
+    Generic1D's own.  The remainder pairing is one more line quadrature of
+    F_{k+1} phi^{(k+1)}: over the closed-form F_{k+1} for a Gaussian f, over
+    the half-line quadrature of F_{k+1} (a nested quadrature) otherwise.
     """
+    func, own = _one_dimensional(f)
     if k < 0:
         raise DomainError("k must be >= 0")
     if phi.max_order < k + 1:
         raise DomainError("test function derivatives do not reach order k+1")
-    fa = on_array(f)
+    fa = on_array(func)
 
     def against_f(rows, x):
         fx = fa(x)
         return np.where(rows == 0, phi.deriv(0, x), x ** np.maximum(rows - 1, 0)) * fx
 
     lhs, *moments = integrate_line_rows(
-        against_f, [tuple(breakpoints)] * (k + 2)
+        against_f, [(*breakpoints, *own)] * (k + 2)
     )
     taylor = 0.0
     for j, moment in enumerate(moments):
@@ -191,6 +242,6 @@ def decomposition_residual(
     pair_sign = -1.0 if (k + 1) % 2 else 1.0
     pairing = pair_sign * integrate_line_rows(
         lambda rows, x: remainder(f, k + 1, x) * phi.deriv(k + 1, x),
-        [(0.0,)],
+        [(0.0, *own)],
     )[0]
     return float(abs(lhs - taylor - pairing))

@@ -268,6 +268,19 @@ def integrate_halfline_rows(
     return _unbounded_rows(g, breakpoints, False)
 
 
+def error_allowance(abs_integral: float) -> float:
+    """The most error the acceptance rules above leave in one row of
+    integrate_line_rows or integrate_halfline_rows whose integrand g has
+    integral |g| = abs_integral: EPSABS in each of its at most
+    1 + MAX_DOUBLINGS integrate_rows calls, EPSREL of each call's |value|
+    (together at most EPSREL abs_integral), ROUNDING_ULPS ulps of |g| left
+    uncharged on its accepted panels, and TAIL_FRACTION of the total for
+    the discarded tail (certified for Gaussian-type decay)."""
+    return (1 + MAX_DOUBLINGS) * EPSABS + (
+        EPSREL + ROUNDING_ULPS * _EPS + TAIL_FRACTION
+    ) * abs_integral
+
+
 def integrate_interval(
     f: Callable[[float], float],
     a: float,

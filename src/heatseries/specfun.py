@@ -1,6 +1,7 @@
-"""Special-function kernel: Hermite and generalized Laguerre recurrences
-and log-Gamma; Gaussian-weighted Hermite values come back as signs and
-logs, or as SignedLog scalars (defined in signedlog).
+"""Special-function kernel: Hermite and generalized Laguerre recurrences,
+log-Gamma and the repeated integrals of erfc; Gaussian-weighted Hermite
+values come back as signs and logs, or as SignedLog scalars (defined in
+signedlog).
 
 The polynomials are evaluated through three-term recurrences and log-Gamma
 is the C library's ``lgamma`` (through ``math.lgamma``); no series is
@@ -10,12 +11,29 @@ truncated adaptively, so results are deterministic.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .errors import DomainError
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from .errors import DomainError, check_integer
 from .signedlog import ZERO, SignedLog
 
 #: Hard cap on recurrence depth for the polynomial evaluators.
 RECURRENCE_DEPTH_CAP = 400
+
+#: Highest order :func:`ierfc` evaluates, and the relative accuracy its
+#: tests hold it to for every order up to this one.
+IERFC_MAX_ORDER = 8
+IERFC_RTOL = 1e-13
+
+#: :func:`ierfc` uses the forward recurrence below this z and, from it
+#: on, a Gauss-Legendre rule on equal panels of [0, _IERFC_CUTOFF].
+IERFC_SWITCH = 0.75
+_IERFC_CUTOFF = 64.0
+_IERFC_PANELS = 8
+
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def log_gamma(z: float) -> float:
@@ -48,6 +66,97 @@ def log_factorial(n: int) -> float:
     if n < 0:
         raise DomainError(f"log_factorial requires n >= 0, got {n}")
     return log_gamma(n + 1.0)
+
+
+def ierfc(n: int, z):
+    """Repeated integral of the complementary error function (DLMF §7.18),
+
+        i^n erfc(z) = (2/sqrt(pi)) integral_z^inf (s - z)^n / n! e^{-s^2} ds,
+
+    for an integer -1 <= n <= IERFC_MAX_ORDER and finite z >= 0, a float or
+    an array; i^{-1}erfc(z) = (2/sqrt(pi)) e^{-z^2} and i^0 erfc = erfc.
+
+    Below z = IERFC_SWITCH the forward recurrence
+
+        n i^n erfc(z) = -z i^{n-1}erfc(z) + (1/2) i^{n-2}erfc(z)
+
+    runs up from i^{-1}erfc and erfc (``math.erfc``).  It is unstable for
+    z > 0, where it amplifies a solution that grows against i^n erfc: over
+    n <= 8 its relative error reaches about 4e-12 by z = 2 and 1e-6 by
+    z = 6.  From IERFC_SWITCH on, the substitution s = z + v / (2z) gives
+    a positive integrand,
+
+        i^n erfc(z) = (2/sqrt(pi)) e^{-z^2} (2z)^{-n-1} / n!
+                      integral_0^inf v^n e^{-v} e^{-v^2 / (4 z^2)} dv,
+
+    evaluated by the 24-point Gauss-Legendre rule on each of 8 equal panels
+    of [0, 64]; the part past v = 64, at most
+    e^{-1024 / z^2} n! e^{-64} sum_{j <= n} 64^j / j!, is under 1e-18 of the
+    integral for n <= 8.
+    e^{-z^2} is taken as e^{-h^2} e^{-(z-h)(z+h)} with h the leading 26
+    bits of z, so h^2 is exact and the large argument is not rounded.
+
+    Tested for every order -1 <= n <= 8 and z on [0, 26.5], where the
+    value is a normal float: the relative error stays below IERFC_RTOL
+    (measured: at most 6.3e-15).  Past z ~ 26.6 the value leaves the
+    normal range.
+    """
+    check_integer("ierfc order", n)
+    if not -1 <= n <= IERFC_MAX_ORDER:
+        raise DomainError(f"ierfc order must be an integer in [-1, {IERFC_MAX_ORDER}], got {n!r}")
+    z = np.asarray(z, dtype=float)
+    if not (np.isfinite(z).all() and (z >= 0.0).all()):
+        raise DomainError("ierfc needs finite z >= 0")
+    flat = z.ravel()
+    if n == -1:
+        out = _TWO_OVER_SQRT_PI * _exp_minus_square(flat)
+    else:
+        out = np.empty(flat.size)
+        low = flat < IERFC_SWITCH
+        out[low] = _ierfc_forward(n, flat[low])
+        out[~low] = _ierfc_scaled(n, flat[~low])
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+def _exp_minus_square(z: np.ndarray) -> np.ndarray:
+    """e^{-z^2} for z >= 0 without rounding z^2: Veltkamp's split leaves h
+    with 26 significant bits.  Past z = 40 the value is 0 either way."""
+    z = np.minimum(z, 40.0)
+    scaled = z * 134217729.0  # 2^27 + 1
+    h = scaled - (scaled - z)
+    with np.errstate(under="ignore"):
+        return np.exp(-h * h) * np.exp(-(z - h) * (z + h))
+
+
+def _ierfc_forward(n: int, z: np.ndarray) -> np.ndarray:
+    prev = _TWO_OVER_SQRT_PI * np.exp(-z * z)
+    cur = np.fromiter(map(math.erfc, z.tolist()), dtype=float, count=z.size)
+    for m in range(1, n + 1):
+        prev, cur = cur, (-z * cur + 0.5 * prev) / m
+    return cur
+
+
+def _ierfc_scaled(n: int, z: np.ndarray) -> np.ndarray:
+    nodes, weights = _scaled_rule(n)
+    with np.errstate(over="ignore", under="ignore"):
+        decay = np.exp(-(nodes * nodes) / (4.0 * z * z)[:, None])
+        # one pairwise sum per row, so a value does not depend on the others
+        integral = (decay * weights).sum(axis=-1)
+        return _TWO_OVER_SQRT_PI * _exp_minus_square(z) / (2.0 * z) ** (n + 1) * integral
+
+
+@lru_cache(maxsize=None)
+def _scaled_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v and weights w v^n e^{-v} / n! of the 24-point Gauss-Legendre
+    rule on each of _IERFC_PANELS equal panels of [0, _IERFC_CUTOFF].  One
+    entry per order, at most IERFC_MAX_ORDER + 2 of them."""
+    x, w = leggauss(24)
+    half = 0.5 * _IERFC_CUTOFF / _IERFC_PANELS
+    mids = half * (2.0 * np.arange(_IERFC_PANELS) + 1.0)
+    nodes = (mids[:, None] + half * x).ravel()
+    weights = np.tile(half * w, _IERFC_PANELS) * nodes**n * np.exp(-nodes) / math.factorial(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _check_depth(n: int, name: str) -> None:

@@ -181,8 +181,10 @@ def test_decomp_check(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "check,case,value,bound,ok"
     assert all(line.endswith(",true") for line in lines[1:])
-    kinds = {line.split(",")[0] for line in lines[1:]}
-    assert kinds == {"l1_bound", "residual"}
+    kinds = [line.split(",")[0] for line in lines[1:]]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "l1_bound": 18, "residual": 30, "remainder_routes": 15,
+    }
 
 
 # --- moments --------------------------------------------------------------

@@ -15,7 +15,9 @@ from scipy.integrate import quad
 from heatseries import (
     DomainError,
     Gaussian,
+    Generic1D,
     IntegrabilityError,
+    Radial,
     RemainderFunction,
     build_moment_table,
     decomposition_residual,
@@ -240,3 +242,60 @@ def test_remainder_raises_when_s_integral_diverges():
     # logarithmically; the shells run out instead of certifying a sum
     with pytest.raises(IntegrabilityError):
         remainder(lambda x: 1.0 / (1.0 + x * x), 2, 0.5)
+
+
+# --- the closed form for Gaussian data ------------------------------------
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", range(1, 7))
+def test_closed_form_matches_the_quadrature_route(width, alpha):
+    # Generic1D(f) hides the Gaussian, so it takes the Cauchy-form quadrature
+    f = Gaussian(amplitude=1.0, width=width, dim=1)
+    xs = np.linspace(-12.0, 12.0, 97)
+    closed = remainder(f, alpha, xs)
+    quadrature = remainder(Generic1D(f), alpha, xs)
+    assert np.max(np.abs(closed - quadrature)) <= 2e-15 * np.max(np.abs(closed))
+
+
+def test_plain_callable_takes_the_quadrature_route():
+    f = Gaussian(amplitude=1.3, width=0.6, dim=1)
+    xs = np.array([-2.0, 0.5, 3.0])
+    assert remainder(lambda x: f(x), 3, xs).tolist() == remainder(Generic1D(f), 3, xs).tolist()
+
+
+def test_generic1d_breakpoints_split_the_remainder_integral():
+    # the indicator of [-1, 1]: F_1(x) = -(1 - x) on (0, 1], 0 beyond, and
+    # F_2(x) = (1 - x)^2 / 2 there
+    box = Generic1D(lambda x: 1.0 if abs(x) <= 1.0 else 0.0, breakpoints=(-1.0, 1.0))
+    xs = np.array([0.25, 0.5, 0.9, -0.5])
+    assert remainder(box, 1, xs) == pytest.approx([-0.75, -0.5, -0.1, 0.5], rel=1e-12)
+    assert remainder(box, 2, xs) == pytest.approx(
+        [0.28125, 0.125, 0.005, 0.125], rel=1e-12
+    )
+    assert remainder(box, 1, 1.5) == 0.0
+
+
+NOT_ONE_DIMENSIONAL = [
+    Gaussian(amplitude=1.0, width=1.0, dim=2),
+    Radial(profile=lambda r: math.exp(-r * r), dim=2),
+    2.5,
+    Generic1D(func=None),
+]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: remainder(f, 2, 0.7),
+        lambda f: remainder_l1_norm(f, 2),
+        lambda f: decomposition_residual(f, 1, PHIS[0]),
+        lambda f: RemainderFunction(func=f, alpha=2),
+    ],
+    ids=["remainder", "l1-norm", "residual", "remainder-function"],
+)
+@pytest.mark.parametrize(
+    "datum", NOT_ONE_DIMENSIONAL, ids=["gaussian-dim2", "radial-dim2", "float", "generic-none"]
+)
+def test_data_that_are_not_one_dimensional_raise_domain_error(call, datum):
+    with pytest.raises(DomainError):
+        call(datum)

@@ -1,6 +1,9 @@
 import math
 import struct
+import sys
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +16,16 @@ from heatseries import (
     log_factorial,
     log_gamma,
 )
-from heatseries.specfun import RECURRENCE_DEPTH_CAP, laguerre_sequence, log_gamma_halves
+from heatseries import specfun
+from heatseries.quadrature import error_allowance, integrate_halfline_rows
+from heatseries.specfun import (
+    IERFC_MAX_ORDER,
+    IERFC_RTOL,
+    RECURRENCE_DEPTH_CAP,
+    ierfc,
+    laguerre_sequence,
+    log_gamma_halves,
+)
 
 
 # --- Hermite -------------------------------------------------------------
@@ -208,3 +220,106 @@ def test_even_hermite_laguerre_link(m, x):
     # H_{2m}(x) = (-1)^m 2^{2m} m! L_m^{(-1/2)}(x^2)
     right = (-1.0) ** m * 4.0**m * math.factorial(m) * laguerre(m, -0.5, x * x)
     assert hermite(2 * m, x) == pytest.approx(right, rel=1e-11, abs=1e-9)
+
+
+# --- repeated integrals of erfc ------------------------------------------
+
+@pytest.mark.parametrize("n", range(-1, IERFC_MAX_ORDER + 1))
+def test_ierfc_at_zero(n):
+    # i^n erfc(0) = 1 / (2^n Gamma(1 + n/2))
+    assert ierfc(n, 0.0) == pytest.approx(1.0 / (2.0**n * math.gamma(1.0 + n / 2.0)), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", range(0, IERFC_MAX_ORDER + 1))
+@pytest.mark.parametrize("z", [0.0, 0.3, 0.75, 1.2, 2.5, 6.0, 12.0])
+def test_ierfc_against_its_defining_integral(n, z):
+    # e^{z^2} i^n erfc(z) = (2/sqrt(pi)) / n! integral_0^inf u^n e^{-2zu-u^2} du,
+    # the definition with s = z + u, integrated by the package quadrature
+    integral = integrate_halfline_rows(
+        lambda rows, u: u**n * np.exp(-u * (2.0 * z + u)), [()]
+    )[0]
+    scale = 2.0 / math.sqrt(math.pi) / math.factorial(n)
+    allowed = scale * error_allowance(integral) + IERFC_RTOL * scale * integral
+    assert abs(ierfc(n, z) * math.exp(z * z) - scale * integral) <= allowed
+
+
+def _ierfc_reference(zs: np.ndarray) -> np.ndarray:
+    """i^n erfc(z) for n = -1..IERFC_MAX_ORDER (rows) without ierfc's routes.
+
+    Below z = 0.25: the Taylor series at 0, sum_k (-z)^k / k! i^{n-k}erfc(0),
+    with i^m erfc(0) = 1 / (2^m Gamma(1 + m/2)) for every integer m.  From
+    0.25 on: i^{-1}erfc(z) times the ratios r_m = i^m erfc / i^{m-1}erfc of
+    the continued fraction r_m = 1 / (2z + 2(m+1) r_{m+1}), run down from
+    m = 6000; every quantity in it is positive.  e^{-z^2} comes from 40-digit
+    decimal arithmetic.
+    """
+    orders = range(-1, IERFC_MAX_ORDER + 1)
+    out = np.empty((len(orders), zs.size))
+    small = zs < 0.25
+    at_zero = lambda m: 0.0 if m <= -2 and m % 2 == 0 else 1.0 / (2.0**m * math.gamma(1.0 + m / 2.0))
+    for i, n in enumerate(orders):
+        out[i, small] = [
+            math.fsum((-z) ** k / math.factorial(k) * at_zero(n - k) for k in range(60))
+            for z in zs[small]
+        ]
+    z = zs[~small]
+    ratio = np.zeros(z.size)
+    ratios = {}
+    for m in range(6000, -1, -1):
+        ratio = 1.0 / (2.0 * z + 2.0 * (m + 1) * ratio)
+        if m <= IERFC_MAX_ORDER:
+            ratios[m] = ratio
+    with localcontext() as ctx:
+        ctx.prec = 40
+        gauss = np.array([float((-(Decimal(v) ** 2)).exp()) for v in z.tolist()])
+    value = 2.0 / math.sqrt(math.pi) * gauss
+    for i, n in enumerate(orders):
+        if n >= 0:
+            value = value * ratios[n]
+        out[i, ~small] = value
+    return out
+
+
+_IERFC_ZS = np.concatenate([
+    np.linspace(0.0, 3.0, 121), np.linspace(3.0, 26.5, 95),
+    specfun.IERFC_SWITCH + np.array([-1e-9, 0.0, 1e-9]),
+])
+
+
+def _ierfc_worst_error() -> float:
+    reference = _ierfc_reference(_IERFC_ZS)
+    worst = 0.0
+    for row, n in zip(reference, range(-1, IERFC_MAX_ORDER + 1)):
+        normal = row >= sys.float_info.min
+        got = ierfc(n, _IERFC_ZS[normal])
+        worst = max(worst, float(np.max(np.abs(got - row[normal]) / row[normal])))
+    return worst
+
+
+def test_ierfc_relative_accuracy():
+    # every order up to IERFC_MAX_ORDER, wherever the value is a normal float
+    assert _ierfc_worst_error() <= IERFC_RTOL
+
+
+def test_forward_recurrence_alone_misses_the_accuracy(monkeypatch):
+    # the recurrence amplifies rounding for z > 0; without the switch to the
+    # positive-integrand route the accuracy test above must fail
+    monkeypatch.setattr(specfun, "IERFC_SWITCH", math.inf)
+    assert _ierfc_worst_error() > IERFC_RTOL
+
+
+def test_ierfc_array_and_scalar_agree():
+    zs = np.array([[0.0, 0.5, 0.75], [1.0, 7.5, 30.0]])
+    got = ierfc(3, zs)
+    assert got.shape == zs.shape
+    assert got.tolist() == [[ierfc(3, float(z)) for z in line] for line in zs]
+
+
+@pytest.mark.parametrize(
+    "n,z",
+    [(-2, 1.0), (IERFC_MAX_ORDER + 1, 1.0), (1.0, 1.0), (True, 1.0), (2, -0.5),
+     (2, math.nan), (2, math.inf), (2, np.array([0.5, -1e-300]))],
+)
+def test_ierfc_domain(n, z):
+    with pytest.raises(DomainError):
+        ierfc(n, z)
