@@ -102,6 +102,8 @@ class MultiIndex:
     components: tuple[int, ...]
 
     def __post_init__(self):
+        for c in self.components:
+            check_integer("multi-index component", c)
         comps = tuple(map(int, self.components))
         if not comps:
             raise DomainError("multi-index needs at least one component")

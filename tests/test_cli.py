@@ -172,6 +172,32 @@ def test_eigen_compare(tmp_path):
     assert verdicts == ["false", "false", "true", "true"]
 
 
+@pytest.mark.parametrize("dim", ["1", "2"])
+@pytest.mark.parametrize("kmax", ["0", "1", "2", "6", "30", "200"])
+def test_eigen_compare_verdicts_do_not_follow_kmax(kmax, dim, tmp_path):
+    # the verdicts read a coefficient table of degree max(kmax, 40)
+    out = tmp_path / "eig.csv"
+    assert run("eigen-compare", "--dim", dim, "--kmax", kmax, "--out", str(out)) == 0
+    rows = (tmp_path / "eig-validity.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[1] for r in rows] == ["false", "false", "true", "true"]
+
+
+@pytest.mark.parametrize("bad_ks", [(4, 32), (0, 2, 4, 30, 32, 34)])
+def test_eigen_compare_nonfinite_discrepancy_exits_1(bad_ks, tmp_path, monkeypatch, capsys):
+    # max() would drop a NaN and "w > 1e-10" is false for one; past k = 30,
+    # where no tolerance applies, a NaN still fails the command
+    real = cli.eval_expansion
+    monkeypatch.setattr(
+        cli, "eval_expansion",
+        lambda coeffs, p, k: math.nan if k in bad_ks else real(coeffs, p, k),
+    )
+    out = tmp_path / "eig.csv"
+    assert run("eigen-compare", "--dim", "1", "--kmax", "34", "--out", str(out)) == 1
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [int(k) for k, w in rows if w == "nan"] == list(bad_ks)
+    assert f"non-finite expansion discrepancy at k={list(bad_ks)}" in capsys.readouterr().err
+
+
 # --- decomp-check ---------------------------------------------------------
 
 def test_decomp_check(tmp_path):
@@ -299,6 +325,14 @@ GOLDEN = {
     ("eigen-compare", "--dim", "2", "--kmax", "30"): {
         "out.txt": "48b11ef4d384ba017346ffd05262d08b0db3f698c64d881e61837a4b09c243fa",
         "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
+    # a kmax below the verdict's coefficient degree
+    ("eigen-compare", "--dim", "1", "--t0", "1", "--t", "2", "--kmax", "6"): {
+        "out.txt": "8c294c3b717117d6473b17d6fb550120fbf2b584c573e68f865dd6206511cb0b",
+        "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
+    ("eigen-compare", "--dim", "2", "--kmax", "30", "--format", "json"): {
+        "out.txt": "6fdd75e5e62d2ed34a9c8216671f4eaff54ae1ff7b41c766f2a69531b3f3e766",
     },
     ("error-curve", "--dim", "2", "--kmax", "60"): {
         "out.txt": "8ab19e52dd7d6b939ba4bae8cbdc6b25088c15bfea01c70c479b155622cb85f2",

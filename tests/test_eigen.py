@@ -190,6 +190,13 @@ def test_expansion_argument_checks():
         eval_expansion(coeffs, SimilarityPoint(z=(0.0,), tau=0.0), 6)
 
 
+@pytest.mark.parametrize("k", [-1, 2.0, 4.5, True, "2"])
+def test_expansion_rejects_bad_orders(k):
+    coeffs = eigen_coeffs(UNIT1, 0.0, 4)
+    with pytest.raises(DomainError):
+        eval_expansion(coeffs, SimilarityPoint(z=(0.0,), tau=0.0), k)
+
+
 # --- base-time (in)consistency --------------------------------------------
 
 @pytest.mark.xfail(
@@ -265,33 +272,82 @@ def test_heat_polynomials_recover_initial_moments(t_base):
 
 # --- validity criterion ---------------------------------------------------
 
-def _solution_evaluator(dim):
-    return lambda r, t: exact_gaussian_solution(
-        1.0, 1.0, dim, (r,) + (0.0,) * (dim - 1), t
-    )
+_GAUSS_COEFFS = {
+    (dim, degree): eigen_coeffs(Gaussian(amplitude=1.0, width=1.0, dim=dim), 0.0, degree)
+    for dim in (1, 2, 3)
+    for degree in (12, 40, 120)
+}
+
+
+def _energy(amplitude, t0, dim, t):
+    """Closed-form weighted energy of a Gaussian datum, t > t0."""
+    q = t0 / t
+    return amplitude**2 * (math.sqrt(math.pi) * t0) ** dim * (1.0 - q * q) ** (-0.5 * dim)
 
 
 def test_validity_integral_frozen_values():
-    got1 = validity_integral(_solution_evaluator(1), 2.0, 1)
-    assert got1 == pytest.approx(2.0466534158929770, rel=1e-9)  # 2 sqrt(3 pi)/3
-    got2 = validity_integral(_solution_evaluator(2), 2.0, 2)
-    assert got2 == pytest.approx(4.1887902047863905, rel=1e-9)  # 4 pi / 3
+    got1 = validity_integral(_GAUSS_COEFFS[1, 40], 2.0)
+    assert abs(got1 - 2.0 * math.sqrt(3.0 * math.pi) / 3.0) <= 1e-9
+    got2 = validity_integral(_GAUSS_COEFFS[2, 40], 2.0)
+    assert abs(got2 - 4.0 * math.pi / 3.0) <= 1e-9
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("factor", [0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
 def test_validity_verdict_matches_time_threshold(dim, factor):
     # finite exactly when t > t0; the t = t0 boundary diverges
     t = factor * 1.0
-    value = validity_integral(_solution_evaluator(dim), t, dim)
+    value = validity_integral(_GAUSS_COEFFS[dim, 40], t)
     assert math.isfinite(value) == (factor > 1.0)
 
 
-def test_validity_domain():
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_validity_finite_from_105_t0_at_degree_40(dim):
+    factors = [1.05 + 0.001 * i for i in range(951)] + [4.0, 10.0, 1e3, 1e6, 1e300]
+    assert all(math.isfinite(validity_integral(_GAUSS_COEFFS[dim, 40], f)) for f in factors)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [12, 40, 120])
+def test_validity_never_finite_at_or_below_t0(dim, degree):
+    # Raabe's quantity is below 1 for t <= t0 at every degree; above t0 no
+    # t raises either
+    coeffs = _GAUSS_COEFFS[dim, degree]
+    below = [0.5 + 0.001 * i for i in range(501)]
+    assert all(validity_integral(coeffs, f) == math.inf for f in below)
+    for f in (1.0 + 0.01 * i for i in range(1, 101)):
+        validity_integral(coeffs, f)
+
+
+@pytest.mark.parametrize("amplitude,t0", [(1.0, 1.0), (1.7, 0.6), (0.3, 2.5)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_validity_partial_sum_below_closed_form(amplitude, t0, dim):
+    # every shell is positive, so a finite verdict is a partial sum of the
+    # energy; 1e-13 covers the rounding of the logs and of the closed form
+    # (measured at most 4e-15 relative)
+    coeffs = eigen_coeffs(Gaussian(amplitude=amplitude, width=t0, dim=dim), 0.0, 40)
+    for factor in (1.05, 1.2, 1.5, 2.0, 3.0, 6.0, 50.0):
+        t = factor * t0
+        value = validity_integral(coeffs, t)
+        assert value <= _energy(amplitude, t0, dim, t) * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_validity_rejects_bad_time(t):
     with pytest.raises(DomainError):
-        validity_integral(_solution_evaluator(1), 0.0, 1)
+        validity_integral(_GAUSS_COEFFS[1, 12], t)
+
+
+def test_validity_requires_initial_datum_coefficients():
     with pytest.raises(DomainError):
-        validity_integral(_solution_evaluator(1), 1.0, 0)
+        validity_integral(eigen_coeffs(UNIT1, 1.0, 40), 2.0)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_validity_needs_two_nonzero_shells(degree):
+    # the odd shells of a Gaussian are zero: degree 1 holds one shell
+    with pytest.raises(DomainError):
+        validity_integral(eigen_coeffs(UNIT1, 0.0, degree), 2.0)
 
 
 def test_is_within_validity():

@@ -28,6 +28,7 @@ from heatseries import (
     eigen_coeffs,
     gaussian_abs_moment,
     gaussian_moment,
+    kernel_derivative,
     moment,
     moments_at_time,
     multi_indices_up_to,
@@ -68,6 +69,21 @@ def test_multi_index_validation():
     assert MultiIndex.of(3, dim=2).components == (3, 0)
     assert MultiIndex.of(3, dim=1).components == (3,)
     assert MultiIndex.of((1, 2)).degree == 3
+    assert MultiIndex((np.int64(2), np.uint8(1))).components == (2, 1)
+
+
+@pytest.mark.parametrize("alpha", [(2.7,), (-0.5,), ("3",), (True,), (2.0,)])
+@pytest.mark.parametrize("call", [
+    lambda a: MultiIndex(a),
+    lambda a: moment(Gaussian(1.0, 1.0), a),
+    lambda a: abs_moment(Gaussian(1.0, 1.0), a),
+    lambda a: build_moment_table(Gaussian(1.0, 1.0), 4).moment(a),
+    lambda a: kernel_derivative(a, 0.5, 1.0),
+], ids=["MultiIndex", "moment", "abs_moment", "MomentTable.moment", "kernel_derivative"])
+def test_multi_index_rejects_non_integer_components(call, alpha):
+    # none of these is truncated to an integer order
+    with pytest.raises(DomainError):
+        call(alpha)
 
 
 # --- Gaussian moments ----------------------------------------------------

@@ -349,7 +349,7 @@ _NAN, _INF = math.nan, math.inf
     lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _INF),
     lambda: exact_gaussian_solution(1.0, 1.0, 2, (0.5, _NAN), 1.0),
     lambda: exact_gaussian_solution(_INF, 1.0, 1, 0.5, 1.0),
-    lambda: validity_integral(lambda r, t: 0.0, _NAN, 1),
+    lambda: validity_integral(_COEFFS, _NAN),
 ])
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):
