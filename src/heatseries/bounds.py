@@ -48,16 +48,6 @@ def bonan_clark_log(n: int) -> float:
     )
 
 
-def bonan_clark_bound(n: int) -> float:
-    """Sup bound on |H_n(x)| e^{-x^2} over the line (inf past the double
-    range; use bonan_clark_log for large n)."""
-    log_value = bonan_clark_log(n)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
-
-
 def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
     """Unconditional bound on sup_x |u(x, t) - u_k(x, t)|:
 
@@ -215,14 +205,10 @@ class BoundReport:
     divergence_lb: SignedLog | None = None
 
 
-def bound_report(table: MomentTable, cfg: ApproxConfig) -> BoundReport:
-    """Assemble F plus whichever of G and the divergence bound apply."""
-    return _report(table, cfg, error_bound_F(table, cfg))
-
-
 def bound_report_sweep(table: MomentTable, t: float, orders) -> list[BoundReport]:
-    """bound_report at time t for every k in ``orders``, with every F_k from
-    one :func:`error_bound_F_sweep` pass."""
+    """F plus whichever of G and the divergence bound apply, at time t for
+    every k in ``orders``, with every F_k from one
+    :func:`error_bound_F_sweep` pass."""
     orders = list(orders)
     return [
         _report(table, ApproxConfig(dim=table.dim, k=k, t=t), f_k)

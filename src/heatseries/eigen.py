@@ -86,11 +86,7 @@ class EigenCoeffs(MomentTable):
 
     HEADER = MomentTable.HEADER + (("t0_coeff", "t0_coeff", float),)
 
-    coeff = MomentTable.moment
-
-    def __init__(self, dim: int, k_max: int, entries, source=None, t0_coeff: float = 0.0):
-        self.t0_coeff = t0_coeff
-        super().__init__(dim, k_max, entries, source)
+    t0_coeff = 0.0
 
     def _check_header(self) -> None:
         super()._check_header()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, ClassVar, Iterator, Union
@@ -112,12 +113,18 @@ class MultiIndex:
         object.__setattr__(self, "components", comps)
 
     @staticmethod
-    def of(value, dim: int | None = None) -> "MultiIndex":
+    def of(value) -> "MultiIndex":
+        """``value`` as a multi-index: an integer (a numpy integer too) is
+        one component, an iterable its components in turn."""
         if isinstance(value, MultiIndex):
             return value
-        if isinstance(value, int):
-            return MultiIndex((value,) * 1 if dim in (None, 1) else _axis(value, dim))
-        return MultiIndex(tuple(value))
+        if isinstance(value, numbers.Integral):
+            return MultiIndex((value,))  # whose check refuses a bool
+        try:
+            components = tuple(value)
+        except TypeError:
+            raise DomainError(f"multi-index {value!r} is neither an integer nor iterable") from None
+        return MultiIndex(components)
 
     @property
     def degree(self) -> int:
@@ -129,10 +136,6 @@ class MultiIndex:
 
     def __iter__(self):
         return iter(self.components)
-
-
-def _axis(n: int, dim: int) -> tuple[int, ...]:
-    return (n,) + (0,) * (dim - 1)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -157,17 +160,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in rests[total - first]:
             yield (first,) + rest
-
-
-def multi_indices_of_degree(degree: int, dim: int) -> Iterator[MultiIndex]:
-    for comp in compositions(degree, dim):
-        yield MultiIndex(comp)
-
-
-def multi_indices_up_to(k_max: int, dim: int) -> Iterator[MultiIndex]:
-    """Degrees ascending, lexicographic within a degree."""
-    for j in range(k_max + 1):
-        yield from multi_indices_of_degree(j, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +260,6 @@ def _one_index(u0: InitialDatum, alpha, absolute: bool) -> SignedLog:
     if any(v is None for v in lookups):
         return ZERO
     return shared[a.degree] * SignedLog(1, math.fsum(lookups))
-
-
-def gaussian_moment(alpha, amplitude: float, width: float) -> SignedLog:
-    """Signed moment of a Gaussian datum.
-
-    Odd components force exact zero; otherwise
-    ``C * (4 t0)^{(|alpha|+d)/2} * prod Gamma((alpha_i + 1)/2)``.
-    """
-    a = MultiIndex.of(alpha)
-    return moment(Gaussian(amplitude, width, a.dim), a)
-
-
-def gaussian_abs_moment(alpha, amplitude: float, width: float) -> SignedLog:
-    """L1 norm of x^alpha times a Gaussian datum (no parity shortcut)."""
-    a = MultiIndex.of(alpha)
-    return abs_moment(Gaussian(amplitude, width, a.dim), a)
-
-
-def radial_moment(alpha, profile: Callable[[float], float], dim: int) -> SignedLog:
-    """Signed moment of the radial datum profile(|x|) in dimension dim, from
-    one half-line integral and the sphere identity of :func:`moment_factors`;
-    odd components give exact zero."""
-    return moment(Radial(profile, dim), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +408,25 @@ class MomentTable:
       ``ends[j]``, that of degree <= j: degree j is rows ends[j-1]:ends[j].
 
     Every column is a read-only array, and every package route reads them.
-    ``entries`` is the same table as a dict of MultiIndex -> SignedLog for
-    callers outside the package, built on first read.  Assigning a dict to
-    ``entries`` checks it as the constructor does (exactly the
-    multi-indices above, in table order, else DomainError) and replaces the
-    columns from it.  The columns are never rebuilt from that dict later,
-    so a changed table is a new dict assigned to ``entries``, not one
-    changed in place.
+    :meth:`from_arrays` is the one constructor.  ``entries`` is the same
+    table as a dict of MultiIndex -> SignedLog for callers outside the
+    package, built on first read.  Assigning a dict to ``entries`` checks
+    it as :meth:`from_arrays` checks its columns, and its keys against the
+    multi-indices above (exactly those, in table order, else DomainError),
+    and replaces the columns from it.  The columns are never rebuilt from
+    that dict later, so a changed table is a new dict assigned to
+    ``entries``, not one changed in place.
     """
 
     #: wire format: header fields (JSON key, attribute, type), then entry rows
     HEADER: ClassVar[tuple] = (("dim", "dim", int), ("kmax", "k_max", int))
     COLUMNS: ClassVar[tuple] = ("alpha", "sign", "logmag")
 
-    def __init__(self, dim: int, k_max: int, entries, source: InitialDatum | None = None):
-        self.dim, self.k_max, self.source = dim, k_max, source
-        self.entries = entries
-
     @classmethod
     def from_arrays(cls, signs, logmag, *, dim: int, k_max: int, source=None, **header):
-        """A table from its sign and log-magnitude columns in table order;
-        ``header`` sets the further fields of a subclass's HEADER."""
+        """The table of the sign and log-magnitude columns, in table order,
+        checked as a whole; ``header`` sets the further fields of a
+        subclass's HEADER."""
         table = cls.__new__(cls)
         table.dim, table.k_max, table.source = dim, k_max, source
         table.__dict__.update(header)

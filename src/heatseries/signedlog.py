@@ -1,10 +1,11 @@
 """Scalars stored as a sign plus the log of their magnitude.
 
 Moment sums mix factorials, Gamma values and powers whose intermediate
-magnitudes overflow doubles long before the assembled quantities do, so
-products and quotients are carried in log space and sums are reduced by
-aligning every term to the largest exponent and running a compensated
-plain-arithmetic sum on the aligned mantissas.
+magnitudes overflow doubles long before the assembled quantities do, so a
+SignedLog is a sign/log record with a product, and sums are reduced in one
+place, :func:`aligned_sum_arrays`, by aligning every term to the largest
+exponent and running a compensated plain-arithmetic sum on the aligned
+mantissas.
 """
 
 from __future__ import annotations
@@ -49,80 +50,13 @@ class SignedLog:
             mag = math.inf
         return self.sign * mag
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def __neg__(self) -> "SignedLog":
-        if self.sign == 0:
-            return ZERO
-        return SignedLog(-self.sign, self.logmag)
-
-    def __abs__(self) -> "SignedLog":
-        if self.sign == 0:
-            return ZERO
-        return SignedLog(1, self.logmag)
-
     def __mul__(self, other: "SignedLog") -> "SignedLog":
         if self.sign == 0 or other.sign == 0:
             return ZERO
         return SignedLog(self.sign * other.sign, self.logmag + other.logmag)
 
-    def __truediv__(self, other: "SignedLog") -> "SignedLog":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by exact SignedLog zero")
-        if self.sign == 0:
-            return ZERO
-        return SignedLog(self.sign * other.sign, self.logmag - other.logmag)
-
-    def __add__(self, other: "SignedLog") -> "SignedLog":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.logmag >= other.logmag else (other, self)
-        gap = lo.logmag - hi.logmag  # <= 0
-        if self.sign == other.sign:
-            return SignedLog(hi.sign, hi.logmag + math.log1p(math.exp(gap)))
-        rest = -math.expm1(gap)  # 1 - exp(gap), exact cancellation -> 0
-        if rest == 0.0:
-            return ZERO
-        return SignedLog(hi.sign, hi.logmag + math.log(rest))
-
-    def __sub__(self, other: "SignedLog") -> "SignedLog":
-        return self + (-other)
-
-    def __pow__(self, exponent: float) -> "SignedLog":
-        if self.sign == 0:
-            if exponent <= 0:
-                raise ZeroDivisionError("zero to a nonpositive power")
-            return ZERO
-        if self.sign < 0:
-            if exponent != int(exponent):
-                raise ValueError("fractional power of a negative value")
-            sign = -1 if int(exponent) % 2 else 1
-            return SignedLog(sign, self.logmag * exponent)
-        return SignedLog(1, self.logmag * exponent)
-
-    # value ordering
-    def _key(self):
-        return (self.sign, self.sign * self.logmag)
-
-    def __lt__(self, other: "SignedLog") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "SignedLog") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "SignedLog") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "SignedLog") -> bool:
-        return self._key() >= other._key()
-
 
 ZERO = SignedLog(0, 0.0)
-ONE = SignedLog(1, 0.0)
 
 
 def aligned_sum(terms: Iterable[SignedLog]) -> SignedLog:

@@ -233,12 +233,6 @@ def hermite_weighted_logs(n_max: int, x: float) -> tuple[list[int], list[float]]
     return signs, logs
 
 
-def laguerre(n: int, a: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^{(a)}(x) for finite a > -1: the last
-    entry of :func:`laguerre_sequence`."""
-    return laguerre_sequence(n, a, x)[-1]
-
-
 def laguerre_sequence(n_max: int, a: float, x: float) -> list[float]:
     """L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) for finite a > -1 from one pass of
 

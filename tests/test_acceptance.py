@@ -29,8 +29,10 @@ from scipy.integrate import quad
 from heatseries import (
     ApproxConfig,
     Gaussian,
+    Radial,
+    abs_moment,
     backend,
-    bonan_clark_bound,
+    bonan_clark_log,
     build_moment_table,
     convolve_oracle,
     decomposition_residual,
@@ -40,11 +42,9 @@ from heatseries import (
     eval_uk,
     eval_uk_radial_origin,
     exact_gaussian_solution,
-    gaussian_abs_moment,
-    gaussian_moment,
     gaussian_test_function,
+    moment,
     poly_gaussian_test_function,
-    radial_moment,
     remainder_l1_norm,
 )
 from heatseries.eigen import SimilarityPoint, validity_integral
@@ -153,7 +153,7 @@ def test_criterion_5_weighted_hermite_sup_bound():
     table = backend.weighted_hermite_table(ys, 100)
     sups = np.max(np.abs(table), axis=1)
     worst_excess = max(
-        float(sups[n]) / bonan_clark_bound(n) for n in range(101)
+        float(sups[n]) / math.exp(bonan_clark_log(n)) for n in range(101)
     )
     ok = worst_excess <= 1.0 + 1e-10
     _report(
@@ -175,9 +175,7 @@ def test_criterion_6_decomposition_suite():
         f = lambda x, w=width: math.exp(-x * x / (4.0 * w))
         for alpha in range(1, 6):
             got = remainder_l1_norm(f, alpha)
-            bound = gaussian_abs_moment(
-                (alpha,), 1.0, width
-            ).to_float() / math.factorial(alpha)
+            bound = abs_moment(Gaussian(1.0, width), (alpha,)).to_float() / math.factorial(alpha)
             worst_l1_gap = max(worst_l1_gap, got - bound)
         for phi, k in itertools.product(phis, range(5)):
             worst_resid = max(worst_resid, decomposition_residual(f, k, phi))
@@ -258,12 +256,12 @@ def test_criterion_9_independent_oracles(moment_table):
         want, _ = quad(
             lambda x: x**n * math.exp(-x * x / 4.0), -np.inf, np.inf
         )
-        track(gaussian_moment((n,), 1.0, 1.0).to_float(), want)
+        track(moment(Gaussian(1.0, 1.0), (n,)).to_float(), want)
     # radial reduction vs tensor closed form, dim 2
     for alpha in [(0, 0), (2, 0), (2, 2), (4, 2), (6, 6), (12, 0), (8, 4)]:
         track(
-            radial_moment(alpha, lambda r: math.exp(-r * r / 4.0), 2).to_float(),
-            gaussian_moment(alpha, 1.0, 1.0).to_float(),
+            moment(Radial(lambda r: math.exp(-r * r / 4.0), 2), alpha).to_float(),
+            moment(Gaussian(1.0, 1.0, 2), alpha).to_float(),
         )
     # exact Gaussian evolution vs convolution quadrature
     for dim in (1, 2, 3):

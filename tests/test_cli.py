@@ -131,6 +131,27 @@ def test_divergence_asserts_bound_in_dims_1_and_3(tmp_path, monkeypatch, capsys)
         assert divergence(dim)[0] == 1
 
 
+@pytest.mark.parametrize("dim, t", [(1, 0.1), (1, 0.5), (2, 0.99), (3, 0.95)])
+def test_divergence_compares_with_the_bound_directly(tmp_path, monkeypatch, dim, t):
+    # the bound already subtracts its own rounding allowance, so the check
+    # has no slack of its own: at d1, t = 0.1, k = 0 |u_k(0, t)| is only
+    # 1 + 1e-13 times the bound, and a bound 1e-12 higher fails there
+    out = tmp_path / "div.csv"
+    argv = ("divergence", "--dim", str(dim), "--t", str(t), "--kmax", "40", "--out", str(out))
+    assert run(*argv) == 0
+    rows = [line.split(",") for line in out.read_text().split()[1:]]
+    ratios = [float(av) / float(lb) for _, _, av, lb, _ in rows if lb]
+    assert len(ratios) >= len(rows) - 1 and min(ratios) >= 1.0
+    if (dim, t) == (1, 0.1):
+        assert ratios[0] < 1.0 + 1e-12
+        real = cli.divergence_lower_bound
+        monkeypatch.setattr(
+            cli, "divergence_lower_bound",
+            lambda *args: real(*args) * heatseries.SignedLog.from_float(1.0 + 1e-12),
+        )
+        assert run(*argv) == 1
+
+
 def test_divergence_overflow_exits_1(tmp_path):
     # (t0/t)^{k/2} = 1e400 at k = 200 overflows u_k(0, t) and the bound alike
     out = tmp_path / "div.csv"

@@ -19,11 +19,11 @@ from heatseries import (
     IntegrabilityError,
     Radial,
     RemainderFunction,
+    abs_moment,
     build_moment_table,
     decomposition_residual,
     eval_uk,
     exact_gaussian_solution,
-    gaussian_abs_moment,
     gaussian_test_function,
     kernel_derivative,
     poly_gaussian_test_function,
@@ -84,9 +84,7 @@ def test_remainder_l1_frozen_values():
 def test_remainder_l1_moment_bound(width, alpha):
     f = lambda x: math.exp(-x * x / (4.0 * width))
     got = remainder_l1_norm(f, alpha)
-    bound = gaussian_abs_moment((alpha,), 1.0, width).to_float() / math.factorial(
-        alpha
-    )
+    bound = abs_moment(Gaussian(1.0, width), (alpha,)).to_float() / math.factorial(alpha)
     assert got <= bound + 1e-8
     # nonnegative data attain the bound, so this is really an equality test
     assert got == pytest.approx(bound, rel=1e-7)

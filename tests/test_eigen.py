@@ -25,6 +25,7 @@ from heatseries import (
     DomainError,
     EigenCoeffs,
     Gaussian,
+    MomentTable,
     SimilarityPoint,
     ApproxConfig,
     build_moment_table,
@@ -73,23 +74,23 @@ def test_similarity_domain():
 @pytest.mark.parametrize("t0c", [0.0, 1.0, 2.5])
 def test_mass_coefficient_is_one(t0c):
     coeffs = eigen_coeffs(UNIT1, t0c, 4)
-    assert coeffs.coeff((0,)).to_float() == pytest.approx(1.0, rel=1e-12)
+    assert coeffs.moment((0,)).to_float() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_odd_coefficients_vanish():
     coeffs = eigen_coeffs(UNIT1, 1.0, 5)
-    assert coeffs.coeff((1,)).sign == 0
-    assert coeffs.coeff((3,)).sign == 0
+    assert coeffs.moment((1,)).sign == 0
+    assert coeffs.moment((3,)).sign == 0
     c2 = eigen_coeffs(UNIT2, 0.0, 4)
-    assert c2.coeff((1, 2)).sign == 0
+    assert c2.moment((1, 2)).sign == 0
 
 
 def test_quadratic_coefficient_frozen():
     # a_2 = 2^{-3} pi^{-1/2} m_2(t0') / 2; m_2(1) = 8 sqrt(pi) -> 0.5
-    c1 = eigen_coeffs(UNIT1, 1.0, 2).coeff((2,)).to_float()
+    c1 = eigen_coeffs(UNIT1, 1.0, 2).moment((2,)).to_float()
     assert c1 == pytest.approx(0.5, rel=1e-12)
     # and m_2(2) = 12 sqrt(pi) -> 0.75: the same index, another base time
-    c2 = eigen_coeffs(UNIT1, 2.0, 2).coeff((2,)).to_float()
+    c2 = eigen_coeffs(UNIT1, 2.0, 2).moment((2,)).to_float()
     assert c2 == pytest.approx(0.75, rel=1e-12)
 
 
@@ -101,14 +102,14 @@ def test_quadratic_coefficient_vs_quadrature():
         math.inf,
     )
     want = 2.0**-3 * math.pi**-0.5 * m2 / 2.0
-    got = eigen_coeffs(UNIT1, 1.0, 2).coeff((2,)).to_float()
+    got = eigen_coeffs(UNIT1, 1.0, 2).moment((2,)).to_float()
     assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_coeff_out_of_table():
     coeffs = eigen_coeffs(UNIT1, 0.0, 4)
     with pytest.raises(DomainError):
-        coeffs.coeff((5,))
+        coeffs.moment((5,))
     with pytest.raises(DomainError):
         eigen_coeffs(UNIT1, -1.0, 4)
 
@@ -137,9 +138,23 @@ def test_coeffs_json_rejects_negative_t0_coeff():
 
 @pytest.mark.parametrize("t0_coeff", [-1.0, math.nan, math.inf])
 def test_coeffs_reject_invalid_t0_coeff(t0_coeff):
-    entries = eigen_coeffs(UNIT1, 0.0, 2).entries
+    coeffs = eigen_coeffs(UNIT1, 0.0, 2)
     with pytest.raises(DomainError):
-        EigenCoeffs(dim=1, k_max=2, entries=entries, t0_coeff=t0_coeff)
+        EigenCoeffs.from_arrays(
+            coeffs.signs, coeffs.logmag, dim=1, k_max=2, t0_coeff=t0_coeff
+        )
+
+
+def test_from_arrays_is_the_one_constructor():
+    coeffs = eigen_coeffs(UNIT1, 0.0, 4)
+    with pytest.raises(TypeError):
+        MomentTable(dim=1, k_max=4, entries=coeffs.entries)
+    with pytest.raises(TypeError):
+        EigenCoeffs(dim=1, k_max=4, entries=coeffs.entries)
+    # the header field a caller leaves out reads its default
+    back = EigenCoeffs.from_arrays(coeffs.signs, coeffs.logmag, dim=1, k_max=4)
+    assert back.t0_coeff == 0.0
+    assert back.to_json() == coeffs.to_json()
 
 
 # --- expansion vs truncated series ----------------------------------------

@@ -128,13 +128,14 @@ def _reads_entries(tree: ast.Module) -> bool:
 
 def test_only_moments_reads_table_entries():
     # the table's dict form exists for callers outside the package; every
-    # package route reads the arrays, so no package module but moments.py
-    # may build it
+    # package route reads the arrays, and moments.py only defines it, so no
+    # package module reads or assigns it
     package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
     readers = [p.name for p in package if _reads_entries(ast.parse(p.read_text()))]
-    assert readers == ["moments.py"]
+    assert readers == []
     assert _reads_entries(ast.parse("table.entries[a].sign"))
-    assert not _reads_entries(ast.parse("MomentTable(dim=1, k_max=2, entries={})"))
+    assert _reads_entries(ast.parse("self.entries = entries"))
+    assert not _reads_entries(ast.parse("def entries(self):\n    return self._entries"))
 
 
 def _calls_aligned_sum(tree: ast.Module) -> bool:

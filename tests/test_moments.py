@@ -2,7 +2,9 @@
 order, table evolution against the SignedLog recursion it replaced, the
 JSON wire format, and the table invariant that its loader enforces."""
 
+import copy
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -26,13 +28,9 @@ from heatseries import (
     build_moment_table,
     compositions,
     eigen_coeffs,
-    gaussian_abs_moment,
-    gaussian_moment,
     kernel_derivative,
     moment,
     moments_at_time,
-    multi_indices_up_to,
-    radial_moment,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -54,20 +52,28 @@ def test_compositions_count(total, parts):
     assert all(sum(c) == total for c in got)
 
 
+def _table_order(k_max, dim):
+    """Every multi-index of degree <= k_max by the definition of table
+    order: degrees ascending, lexicographic within a degree."""
+    box = itertools.product(range(k_max + 1), repeat=dim)
+    return sorted((a for a in box if sum(a) <= k_max), key=lambda a: (sum(a), a))
+
+
 @pytest.mark.parametrize("k,d", [(5, 1), (4, 2), (6, 3)])
 def test_multi_index_count(k, d):
-    got = list(multi_indices_up_to(k, d))
+    got = [a.components for a in _gaussian_table(d, k).indices()]
+    assert got == _table_order(k, d)
     assert len(got) == math.comb(k + d, d)
-    degrees = [a.degree for a in got]
+    degrees = list(map(sum, got))
     assert degrees == sorted(degrees)
 
 
 def test_multi_index_validation():
     with pytest.raises(DomainError):
         MultiIndex((-1, 2))
-    # scalars promote onto the first axis
-    assert MultiIndex.of(3, dim=2).components == (3, 0)
-    assert MultiIndex.of(3, dim=1).components == (3,)
+    # an integer is a one-component index
+    assert MultiIndex.of(3).components == (3,)
+    assert MultiIndex.of(np.int64(3)).components == (3,)
     assert MultiIndex.of((1, 2)).degree == 3
     assert MultiIndex((np.int64(2), np.uint8(1))).components == (2, 1)
 
@@ -86,6 +92,20 @@ def test_multi_index_rejects_non_integer_components(call, alpha):
         call(alpha)
 
 
+@pytest.mark.parametrize("call", [
+    lambda a: moment(Gaussian(1.0, 1.0), a),
+    lambda a: build_moment_table(Gaussian(1.0, 1.0), 4).moment(a),
+    lambda a: kernel_derivative(a, 0.3, 1.0),
+], ids=["moment", "MomentTable.moment", "kernel_derivative"])
+def test_integer_order_is_a_one_component_index(call):
+    # a numpy integer is an order like a Python one; a bare float or None
+    # is neither an integer nor a sequence of them
+    assert call(np.int64(2)) == call(2) == call((2,))
+    for bad in (2.0, None, True):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
 # --- Gaussian moments ----------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -98,31 +118,31 @@ def test_multi_index_rejects_non_integer_components(call, alpha):
     ],
 )
 def test_gaussian_moment_closed_form(alpha, expected):
-    got = gaussian_moment(alpha, 1.0, 1.0).to_float()
+    got = moment(Gaussian(1.0, 1.0, len(alpha)), alpha).to_float()
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_gaussian_moment_frozen():
-    assert gaussian_moment((2,), 1.0, 1.0).to_float() == pytest.approx(
+    assert moment(Gaussian(1.0, 1.0), (2,)).to_float() == pytest.approx(
         7.0898154036220644, rel=1e-13
     )
-    assert gaussian_moment((4,), 1.0, 1.0).to_float() == pytest.approx(
+    assert moment(Gaussian(1.0, 1.0), (4,)).to_float() == pytest.approx(
         42.538892421732385, rel=1e-13
     )
-    assert gaussian_moment((0, 0), 1.0, 1.0).to_float() == pytest.approx(
+    assert moment(Gaussian(1.0, 1.0, 2), (0, 0)).to_float() == pytest.approx(
         12.566370614359172, rel=1e-13  # 4 pi
     )
 
 
 @pytest.mark.parametrize("alpha", [(1,), (3,), (1, 2), (0, 5)])
 def test_gaussian_moment_odd_is_exact_zero(alpha):
-    assert gaussian_moment(alpha, 1.0, 1.0).sign == 0
+    assert moment(Gaussian(1.0, 1.0, len(alpha)), alpha).sign == 0
 
 
 @pytest.mark.parametrize("n", range(0, 21, 2))
 def test_gaussian_moment_vs_quadrature(n):
     want, err = quad(lambda x: x**n * math.exp(-x * x / 4.0), -np.inf, np.inf)
-    got = gaussian_moment((n,), 1.0, 1.0).to_float()
+    got = moment(Gaussian(1.0, 1.0), (n,)).to_float()
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -130,8 +150,8 @@ def test_gaussian_moment_vs_quadrature(n):
 @pytest.mark.parametrize("n", [0, 2, 4])
 def test_gaussian_moment_width_scaling(w, n):
     # m_alpha scales like (4w)^{(|alpha|+d)/2}
-    base = gaussian_moment((n,), 1.0, 1.0)
-    scaled = gaussian_moment((n,), 1.0, w)
+    base = moment(Gaussian(1.0, 1.0), (n,))
+    scaled = moment(Gaussian(1.0, w), (n,))
     assert scaled.logmag - base.logmag == pytest.approx(
         0.5 * (n + 1) * math.log(w), rel=1e-12
     )
@@ -139,26 +159,26 @@ def test_gaussian_moment_width_scaling(w, n):
 
 def test_gaussian_abs_moment():
     # || x e^{-x^2/4} ||_1 = 4
-    assert gaussian_abs_moment((1,), 1.0, 1.0).to_float() == pytest.approx(4.0, rel=1e-13)
+    assert abs_moment(Gaussian(1.0, 1.0), (1,)).to_float() == pytest.approx(4.0, rel=1e-13)
     want, _ = quad(lambda x: abs(x) ** 3 * math.exp(-x * x / 4.0), -np.inf, np.inf)
-    got = gaussian_abs_moment((3,), 1.0, 1.0).to_float()
+    got = abs_moment(Gaussian(1.0, 1.0), (3,)).to_float()
     assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_gaussian_moment_domain():
     with pytest.raises(DomainError):
-        gaussian_moment((2,), -1.0, 1.0)
+        moment(Gaussian(-1.0, 1.0), (2,))
     with pytest.raises(DomainError):
-        gaussian_moment((2,), 1.0, 0.0)
+        moment(Gaussian(1.0, 0.0), (2,))
 
 
 # --- radial data ----------------------------------------------------------
 
 def test_radial_moment_exponential_profile():
     # dim 2, profile e^{-r}: m_(0,0) = 2 pi int_0^inf r e^{-r} dr = 2 pi
-    got = radial_moment((0, 0), lambda r: math.exp(-r), 2).to_float()
+    got = moment(Radial(lambda r: math.exp(-r), 2), (0, 0)).to_float()
     assert got == pytest.approx(6.2831853071795862, rel=1e-10)
-    assert radial_moment((1, 1), lambda r: math.exp(-r), 2).sign == 0
+    assert moment(Radial(lambda r: math.exp(-r), 2), (1, 1)).sign == 0
 
 
 @pytest.mark.parametrize(
@@ -166,8 +186,8 @@ def test_radial_moment_exponential_profile():
 )
 def test_radial_vs_tensor_gaussian_dim2(alpha):
     # the radial reduction must agree with the separable closed form
-    via_radial = radial_moment(alpha, lambda r: math.exp(-r * r / 4.0), 2).to_float()
-    via_tensor = gaussian_moment(alpha, 1.0, 1.0).to_float()
+    via_radial = moment(Radial(lambda r: math.exp(-r * r / 4.0), 2), alpha).to_float()
+    via_tensor = moment(Gaussian(1.0, 1.0, len(alpha)), alpha).to_float()
     assert via_radial == pytest.approx(via_tensor, rel=1e-9)
 
 
@@ -196,7 +216,7 @@ def test_radial_moment_vs_cartesian_quadrature(alpha):
         )
     want = 2 ** len(alpha) * half
     assert want < 0.0  # the profile's negative tail dominates these moments
-    got = radial_moment(alpha, f, len(alpha)).to_float()
+    got = moment(Radial(f, len(alpha)), alpha).to_float()
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -328,10 +348,10 @@ def test_build_table_gaussian_values():
 
 @pytest.mark.parametrize("dim,kmax", [(1, 200), (2, 121), (3, 40)])
 def test_gaussian_table_equals_per_index_route(dim, kmax):
-    # the lookup-built table against gaussian_moment called once per index
-    amplitude, width = 1.3, 0.85
-    table = build_moment_table(Gaussian(amplitude=amplitude, width=width, dim=dim), kmax)
-    want = {a: gaussian_moment(a, amplitude, width) for a in multi_indices_up_to(kmax, dim)}
+    # the lookup-built table against moment called once per index
+    u0 = Gaussian(amplitude=1.3, width=0.85, dim=dim)
+    table = build_moment_table(u0, kmax)
+    want = {MultiIndex(a): moment(u0, a) for a in _table_order(kmax, dim)}
     assert list(table.entries) == list(want)  # same keys, same order
     for (a, got), m in zip(table.entries.items(), want.values()):
         assert (got.sign, got.logmag) == (m.sign, m.logmag), a.components  # bit for bit
@@ -347,7 +367,9 @@ def test_gaussian_table_entries_still_validated():
         entries = {a: table.entries[a] for a in order}
         if extra is not None:
             entries[extra] = table.entries[keys[0]]
-        return MomentTable(dim=2, k_max=6, entries=entries, source=table.source)
+        remade = copy.copy(table)
+        remade.entries = entries
+        return remade
 
     remake(keys)
     with pytest.raises(DomainError):
@@ -455,8 +477,10 @@ def reference_moments_at_time(table, t):
                 terms = [SignedLog.from_float(w) * p[m] for w, p in sources if m < len(p)]
                 poly.append(aligned_sum(terms) * SignedLog.from_float(1.0 / (m + 1.0)))
         polys[comps] = poly
-    t_log = SignedLog.from_float(t)
-    return [aligned_sum(c * t_log**m for m, c in enumerate(poly)) for poly in polys.values()]
+    return [
+        aligned_sum(c * SignedLog.from_log(m * math.log(t)) for m, c in enumerate(poly))
+        for poly in polys.values()
+    ]
 
 
 def _sign_mixing(x):
@@ -537,7 +561,7 @@ def test_tables_list_canonical_indices(make):
     # consumers walk the stored entries, so every producer must store them
     # in the enumeration order
     table = make()
-    assert list(table.indices()) == list(multi_indices_up_to(table.k_max, table.dim))
+    assert [a.components for a in table.indices()] == _table_order(table.k_max, table.dim)
 
 
 def _drop(raw):

@@ -1,9 +1,10 @@
-"""Mutants that ``decomp-check`` and ``eigen-compare`` must catch.
+"""Mutants that ``decomp-check``, ``eigen-compare``, ``error-curve`` and
+``divergence`` must catch.
 
-Each case breaks one piece of the decomposition or of the validity verdict
-with ``monkeypatch`` and expects the command to exit 1, with the named
-check failing.  A check that still passes on a mutant would show nothing
-about that piece.
+Each case breaks one piece of the decomposition, the validity verdict, the
+grid sweep, the reference or the origin series with ``monkeypatch`` and
+expects the command to exit 1, where the unmutated command exits 0.  A
+check that still passes on a mutant would show nothing about that piece.
 """
 
 import csv
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import test_eigen
-from heatseries import cli, decomposition, eigen
+from heatseries import SignedLog, bounds, cli, decomposition, eigen, kernel_approx, reference
 
 
 def _closed_form_scaled(monkeypatch):
@@ -109,3 +110,121 @@ def test_ratio_test_fails_at_t0(monkeypatch):
     monkeypatch.setattr(test_eigen, "validity_integral", _ratio_test)
     with pytest.raises(AssertionError):
         test_eigen.test_validity_verdict_matches_time_threshold(1, 1.0)
+
+
+# --- the grid sweep and reference of error-curve ---------------------------
+
+ERROR_CURVES = [
+    ("--dim", "1", "--t", "1.3", "--kmax", "60", "--grid-points", "201"),
+    ("--dim", "2", "--t", "2", "--kmax", "60", "--grid-points", "201"),
+]
+
+
+def _grid_block_scaled(degree, factor):
+    """The sweep with degree block ``degree`` times ``factor``; the top
+    block (the evaluator's cap) where ``degree`` is None."""
+    def mutate(monkeypatch):
+        init = kernel_approx.SeriesGridEvaluator.__init__
+
+        def mutant(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            j = self.k_cap if degree is None else degree
+            rows1, rows2, coeffs = self._blocks[j]
+            self._blocks[j] = (rows1, rows2, coeffs * factor)
+
+        monkeypatch.setattr(kernel_approx.SeriesGridEvaluator, "__init__", mutant)
+    return mutate
+
+
+def _reference_width_scaled(monkeypatch):
+    field = reference._exact_gaussian_field
+    monkeypatch.setattr(
+        reference,
+        "_exact_gaussian_field",
+        lambda amplitude, width, *args: field(amplitude, width * (1.0 + 1e-6), *args),
+    )
+
+
+def _error_curve(argv, tmp_path):
+    return cli.main(["error-curve", *argv, "--out", str(tmp_path / "curve.csv")])
+
+
+@pytest.mark.parametrize("argv", ERROR_CURVES, ids=["d1-t1.3", "d2-t2"])
+def test_error_curve_passes_unmutated(argv, tmp_path):
+    assert _error_curve(argv, tmp_path) == 0
+
+
+@pytest.mark.parametrize(
+    "mutate,argv",
+    [
+        (_grid_block_scaled(2, 1.001), ERROR_CURVES[0]),
+        (_grid_block_scaled(2, 1.001), ERROR_CURVES[1]),
+        (_reference_width_scaled, ERROR_CURVES[1]),
+    ],
+    ids=["degree-2-block-x1.001-d1", "degree-2-block-x1.001-d2", "reference-width-x(1+1e-6)-d2"],
+)
+def test_error_curve_catches(mutate, argv, monkeypatch, tmp_path, capsys):
+    mutate(monkeypatch)
+    assert _error_curve(argv, tmp_path) == 1
+    assert "exceeded the rigorous bound" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: error-curve checks the sup error against F_k only "
+    "from above, so a sweep whose top order misses its last block, and so "
+    "measures a larger error, still sits below F_k",
+)
+@pytest.mark.parametrize("argv", ERROR_CURVES, ids=["d1-t1.3", "d2-t2"])
+def test_error_curve_catches_a_dropped_top_block(argv, monkeypatch, tmp_path):
+    _grid_block_scaled(None, 0.0)(monkeypatch)
+    assert _error_curve(argv, tmp_path) == 1
+
+
+# --- the origin series of divergence ---------------------------------------
+
+DIVERGENCE_DIMS = ["1", "2", "3"]
+
+
+def _point_sum_drops_top_block(monkeypatch):
+    point_terms = kernel_approx._point_terms
+
+    def mutant(table, k, *args):
+        signs, logmag, cuts = point_terms(table, k, *args)
+        top = int(cuts[-2]) if k else 0
+        return signs[:top], logmag[:top], np.minimum(cuts, top)
+
+    monkeypatch.setattr(kernel_approx, "_point_terms", mutant)
+
+
+def _top_origin_block_scaled(monkeypatch):
+    blocks = bounds.gaussian_origin_blocks
+
+    def mutant(*args):
+        out = blocks(*args)
+        return out[:-1] + [out[-1] * SignedLog.from_float(1.01)]
+
+    monkeypatch.setattr(bounds, "gaussian_origin_blocks", mutant)
+
+
+def _divergence(dim, tmp_path):
+    argv = ["divergence", "--dim", dim, "--t", "0.5", "--kmax", "40"]
+    return cli.main(argv + ["--out", str(tmp_path / "div.csv")])
+
+
+@pytest.mark.parametrize("dim", DIVERGENCE_DIMS)
+def test_divergence_passes_unmutated(dim, tmp_path):
+    assert _divergence(dim, tmp_path) == 0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_point_sum_drops_top_block, _top_origin_block_scaled],
+    ids=["point-sum-drops-top-block", "top-origin-block-x1.01"],
+)
+@pytest.mark.parametrize("dim", DIVERGENCE_DIMS)
+def test_divergence_catches(mutate, dim, monkeypatch, tmp_path, capsys):
+    mutate(monkeypatch)
+    assert _divergence(dim, tmp_path) == 1
+    assert "fell below the certified bound" in capsys.readouterr().err

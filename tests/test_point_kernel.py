@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 from heatseries import (
     ApproxConfig,
     DomainError,
-    EigenCoeffs,
     Gaussian,
     Generic1D,
     MomentTable,
@@ -143,9 +142,10 @@ def _shuffled_signs(table, seed):
         sign = rng.choice((-1, 1, 1, 0)) if m.sign else 0
         return SignedLog(sign, m.logmag + rng.uniform(-3.0, 3.0)) if sign else ZERO
 
-    entries = {a: redraw(m) for a, m in table.entries.items()}
-    kind = EigenCoeffs if isinstance(table, EigenCoeffs) else MomentTable
-    return kind(dim=table.dim, k_max=table.k_max, entries=entries)
+    values = [redraw(m) for m in table.entries.values()]
+    return type(table).from_arrays(
+        [m.sign for m in values], [m.logmag for m in values], dim=table.dim, k_max=table.k_max
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,12 +248,19 @@ def test_eval_uk_on_the_axes_matches_per_term_loop(dim):
 
 # --- the table's arrays ---------------------------------------------------
 
+def _with_entries_assigned(table):
+    """A copy of the table whose columns come from its dict form."""
+    copied = copy.copy(table)
+    copied.entries = dict(table.entries)
+    return copied
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_moment_table(Gaussian(1.0, 1.0, 2), 8),
     lambda: MomentTable.from_json(build_moment_table(Gaussian(1.0, 1.0, 3), 5).to_json()),
     lambda: moments_at_time(build_moment_table(Gaussian(1.0, 1.0, 2), 8), 0.5),
     lambda: eigen_coeffs(Gaussian(1.0, 1.0, 2), 0.0, 8),
-    lambda: MomentTable(dim=2, k_max=KMAX[2], entries=dict(moment_table(2, "signed").entries)),
+    lambda: _with_entries_assigned(moment_table(2, "signed")),
 ], ids=["built", "from_json", "evolved", "eigen", "constructed"])
 def test_table_arrays_are_read_only(make):
     table = make()
@@ -278,7 +285,9 @@ def test_assigning_entries_revalidates_and_evaluates_from_them():
     assert table.moment(alpha) == entries[alpha]
     got = eval_uk(table, cfg, x)
     assert got.value != before.value
-    fresh = MomentTable(dim=2, k_max=12, entries=dict(entries))
+    fresh = MomentTable.from_arrays(
+        [m.sign for m in entries.values()], [m.logmag for m in entries.values()], dim=2, k_max=12
+    )
     assert bits(got.value) == bits(eval_uk(fresh, cfg, x).value)
     # a dict that is not a full table in table order is refused, and the
     # table keeps what it held

@@ -24,15 +24,13 @@ from heatseries import (
     MomentTable,
     Radial,
     SeriesGridEvaluator,
-    SignedLog,
-    ZERO,
     backend,
     build_moment_table,
+    compositions,
     convolve_oracle,
     default_grid,
     error_curve,
     exact_gaussian_solution,
-    multi_indices_up_to,
     sup_error,
 )
 import heatseries.reference as reference_module
@@ -675,14 +673,13 @@ def test_gather_free_sweep_zero_filled_block():
     rng = np.random.default_rng(11)
     k_max = 9
     gaps = {6: {2, 3}, 7: {1, 2, 4, 5, 6}, 9: {0, 4, 5}}  # degree -> zeroed n1
-    entries = {}
-    for a in multi_indices_up_to(k_max, 2):
-        n1 = a.components[0]
-        if n1 in gaps.get(a.degree, ()):
-            entries[a] = ZERO
-        else:
-            entries[a] = SignedLog(int(rng.choice([-1, 1])), float(rng.uniform(-1.0, 3.0)))
-    table = MomentTable(dim=2, k_max=k_max, entries=entries)
+    signs, logmag = [], []
+    for degree in range(k_max + 1):
+        for n1, _ in compositions(degree, 2):
+            zeroed = n1 in gaps.get(degree, ())
+            signs.append(0 if zeroed else int(rng.choice([-1, 1])))
+            logmag.append(0.0 if zeroed else float(rng.uniform(-1.0, 3.0)))
+    table = MomentTable.from_arrays(signs, logmag, dim=2, k_max=k_max)
     t = 1.2
     axes = GridSpec(dim=2, extent=9.0, points=201).axes()
     reference = _reference_field(Gaussian(1.0, 1.0, 2), axes, t)
@@ -698,7 +695,7 @@ def test_gather_free_sweep_zero_filled_block():
     # each result lies within gamma_{n+3+k} * sum |terms| of the exact sum
     # (Higham, 2nd ed., 4.2); the two differ by at most twice that, and a
     # sup error by that plus one rounding of the difference.
-    n = len(entries) + 3 + k_max
+    n = len(signs) + 3 + k_max
     u = np.finfo(float).eps / 2.0
     bound = 2.0 * (n * u / (1.0 - n * u)) * magnitude
     got = evaluator.field_up_to(k_max)

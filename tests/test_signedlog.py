@@ -1,11 +1,11 @@
-"""Sign/log-magnitude arithmetic: algebraic laws and float round-trips."""
+"""Sign/log-magnitude records: float round-trips, the product's laws and
+the peak-aligned sum."""
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
-from heatseries import ONE, ZERO, SignedLog, aligned_sum
+from heatseries import ZERO, SignedLog, aligned_sum
 
 finite = st.floats(
     min_value=-1e12,
@@ -26,11 +26,12 @@ def test_roundtrip(x):
 
 
 def test_zero_and_one():
-    assert ZERO.is_zero
+    one = SignedLog.from_float(1.0)
+    assert SignedLog.from_float(0.0) == ZERO == SignedLog.from_log(5.0, sign=0)
     assert ZERO.to_float() == 0.0
-    assert ONE.to_float() == 1.0
-    assert (ONE * ZERO).is_zero
-    assert (ZERO + ONE).to_float() == 1.0
+    assert one == SignedLog(1, 0.0) and one.to_float() == 1.0
+    assert one * ZERO == ZERO * one == ZERO
+    assert aligned_sum([ZERO, one]) == one
 
 
 @given(finite, finite)
@@ -40,18 +41,10 @@ def test_mul_matches_float(a, b):
 
 
 @given(finite, finite)
-def test_add_matches_float(a, b):
-    got = (SignedLog.from_float(a) + SignedLog.from_float(b)).to_float()
-    # additive cancellation loses relative accuracy like ordinary floats do
-    scale = max(abs(a), abs(b), 1e-300)
-    assert math.isclose(got, a + b, rel_tol=1e-12, abs_tol=1e-12 * scale)
-
-
-@given(finite, finite)
 def test_commutativity(a, b):
     sa, sb = SignedLog.from_float(a), SignedLog.from_float(b)
-    assert close((sa * sb).to_float(), (sb * sa).to_float(), rel=1e-15)
-    assert close((sa + sb).to_float(), (sb + sa).to_float(), rel=1e-15)
+    assert sa * sb == sb * sa
+    assert aligned_sum([sa, sb]) == aligned_sum([sb, sa])
 
 
 @given(finite, finite, finite)
@@ -64,38 +57,14 @@ def test_mul_associativity(a, b, c):
 
 def test_exact_cancellation():
     x = SignedLog.from_float(3.7)
-    assert (x - x).is_zero
-    assert (x + (-x)).is_zero
+    assert aligned_sum([x, SignedLog(-1, x.logmag)]) == ZERO
 
 
 def test_huge_magnitudes():
     big = SignedLog.from_log(50_000.0)
     assert big.to_float() == math.inf  # overflow only on conversion
-    ratio = big / SignedLog.from_log(49_999.0)
-    assert close(ratio.to_float(), math.e, rel=1e-12)
     prod = big * SignedLog.from_log(-50_000.0)
     assert close(prod.to_float(), 1.0, rel=1e-12)
-
-
-def test_pow():
-    x = SignedLog.from_float(2.0)
-    assert close((x**10).to_float(), 1024.0)
-    y = SignedLog.from_float(-3.0)
-    assert close((y**3).to_float(), -27.0)
-    assert (ZERO**2).is_zero
-
-
-@given(finite, finite)
-def test_comparisons_match_floats(a, b):
-    sa, sb = SignedLog.from_float(a), SignedLog.from_float(b)
-    if not math.isclose(a, b, rel_tol=1e-13, abs_tol=1e-300):
-        assert (sa < sb) == (a < b)
-        assert (sa >= sb) == (a >= b)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
 
 
 @given(st.lists(finite, min_size=1, max_size=40))
@@ -116,4 +85,4 @@ def test_aligned_sum_extreme_spread():
 
 
 def test_aligned_sum_empty_is_zero():
-    assert aligned_sum([]).is_zero
+    assert aligned_sum([]) == ZERO
