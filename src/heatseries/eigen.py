@@ -33,6 +33,7 @@ way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,18 @@ class SimilarityPoint:
 
 
 def to_similarity(x, t: float) -> SimilarityPoint:
-    """(x, t) -> (z, tau) with z = x / (2 sqrt t), tau = ln t."""
+    """(x, t) -> (z, tau) with z = x / (2 sqrt t), tau = ln t.  A real
+    number x (a numpy scalar too) is one coordinate, an iterable of real
+    numbers its coordinates in turn; anything else raises DomainError."""
     if not 0.0 < t < math.inf:
         raise DomainError("to_similarity requires finite t > 0")
-    pt = (float(x),) if isinstance(x, (int, float)) else tuple(float(c) for c in x)
+    try:
+        pt = (x,) if isinstance(x, numbers.Real) else tuple(x)
+    except TypeError:
+        pt = (x,)  # neither a number nor iterable: refused below
+    if isinstance(x, (str, bytes)) or not all(isinstance(c, numbers.Real) for c in pt):
+        raise DomainError(f"point {x!r} is neither a real number nor real coordinates")
+    pt = tuple(map(float, pt))
     root = 2.0 * math.sqrt(t)
     return SimilarityPoint(z=tuple(c / root for c in pt), tau=math.log(t))
 

@@ -14,11 +14,14 @@ class DomainError(HeatSeriesError, ValueError):
 
 class IntegrabilityError(HeatSeriesError, RuntimeError):
     """A quadrature did not converge, typically because the integrand
-    decays too slowly.  Carries the offending multi-index when there is one."""
+    decays too slowly.  Carries the offending multi-index when there is
+    one, and from a batch of quadrature rows the failed rows, ascending
+    (the message is the lowest one's)."""
 
-    def __init__(self, message, alpha=None):
+    def __init__(self, message, alpha=None, rows=()):
         super().__init__(message)
         self.alpha = alpha
+        self.rows = rows
 
 
 class UnsupportedVariantError(HeatSeriesError, TypeError):

@@ -5,8 +5,9 @@ multi-indices up to a degree cap, as sign and log-magnitude arrays over one
 canonical index of multi-indices per dimension.  Every
 moment, signed or absolute, is a factor its degree shell shares times a
 per-component lookup (:func:`moment_factors`): Gaussian data gets closed
-forms, radial data one half-line integral per total degree, and generic
-one-dimensional data one line integral per degree.
+forms, radial and generic one-dimensional data one quadrature batch, one
+row per degree (half-line rows for radial data, line rows for generic
+data).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, ClassVar, Iterator, Union
 import numpy as np
 
 from .errors import DomainError, IntegrabilityError, UnsupportedVariantError, check_integer
-from .quadrature import integrate_halfline, integrate_line
+from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import Rendered, json_array_of_columns, json_cell
 from .signedlog import ZERO, SignedLog
 from .specfun import log_factorial, log_gamma, log_gamma_halves
@@ -189,54 +190,79 @@ def moment_factors(
             = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+d)/2)
 
     gives shared 2 / Gamma((n+d)/2) times the half-line integral of
-    r^{n+d-1} profile(r), one per degree, and the same logs.  Generic1D
-    data has one multi-index per degree: shared is its line integral and
-    logs are 0.  An IntegrabilityError names the degree's first multi-index
-    in table order.
+    r^{n+d-1} profile(r), and the same logs.  Generic1D data has one
+    multi-index per degree: shared is its line integral and logs are 0.
+    The integrals are one quadrature batch, one row per degree that is not
+    structurally zero (:func:`_power_integrals`); an IntegrabilityError
+    names the first multi-index in table order of the lowest degree whose
+    row fails.
     """
     degrees = sorted(set(degrees))
     top = max(degrees, default=0)
     d = u0.dim
-    symmetric = True
+    symmetric = not isinstance(u0, Generic1D)
+    # every multi-index of odd degree has an odd component
+    vanishing = symmetric and not absolute
+    live = [n for n in degrees if not (vanishing and n % 2)]
     if isinstance(u0, Gaussian):
         log_amplitude, log_width = math.log(u0.amplitude), math.log(4.0 * u0.width)
-
-        def shell(n):
-            return SignedLog(1, log_amplitude + 0.5 * (n + d) * log_width)
+        values = [SignedLog(1, log_amplitude + 0.5 * (n + d) * log_width) for n in live]
     elif isinstance(u0, Radial):
-        def shell(n):
-            value = _power_integral(integrate_halfline, u0.profile, n + d - 1, absolute)
-            return SignedLog(1, _LOG2 - log_gamma((n + d) / 2.0)) * SignedLog.from_float(value)
+        values = [
+            SignedLog(1, _LOG2 - log_gamma((n + d) / 2.0)) * SignedLog.from_float(v)
+            for n, v in zip(live, _power_integrals(u0, live, absolute))
+        ]
     elif isinstance(u0, Generic1D):
-        symmetric = False
-
-        def shell(n):
-            return SignedLog.from_float(
-                _power_integral(integrate_line, u0.func, n, absolute, breakpoints=u0.breakpoints)
-            )
+        values = list(map(SignedLog.from_float, _power_integrals(u0, live, absolute)))
     else:
         raise UnsupportedVariantError(f"unknown initial-datum variant {type(u0)!r}")
-    vanishing = symmetric and not absolute
-    shared = {}
-    for n in degrees:
-        if vanishing and n % 2:
-            shared[n] = ZERO  # every multi-index of odd degree has an odd component
-            continue
-        try:
-            shared[n] = shell(n)
-        except IntegrabilityError as exc:
-            raise IntegrabilityError(str(exc), alpha=MultiIndex((0,) * (d - 1) + (n,))) from exc
+    computed = dict(zip(live, values))
+    shared = {n: computed.get(n, ZERO) for n in degrees}
     logs = log_gamma_halves(top) if symmetric else [0.0] * (top + 1)
     if vanishing:
         logs = [None if c % 2 else v for c, v in enumerate(logs)]
     return shared, logs
 
 
-def _power_integral(integrate, f, power: int, absolute: bool, breakpoints=()) -> float:
-    """``integrate`` applied to x^power f(x), or to its absolute value."""
-    if absolute:
-        return integrate(lambda x: abs(x**power * f(x)), breakpoints=breakpoints)
-    return integrate(lambda x: x**power * f(x), breakpoints=breakpoints)
+def _power_integrals(u0: Radial | Generic1D, degrees: list[int], absolute: bool) -> list[float]:
+    """One quadrature batch, one row per degree n: the half-line integral
+    of r^{n+d-1} profile(r) for Radial data, the line integral of x^n f(x)
+    for Generic1D data, or that of its absolute value.  A failed row's
+    IntegrabilityError names the first multi-index in table order of the
+    lowest failed degree."""
+    if not degrees:
+        return []
+    if isinstance(u0, Radial):
+        integrate, f, offset, breakpoints = integrate_halfline_rows, u0.profile, u0.dim - 1, ()
+    else:
+        integrate, f, offset, breakpoints = integrate_line_rows, u0.func, 0, u0.breakpoints
+    g = on_array(f)
+    powers = np.array(degrees, dtype=float) + offset
+
+    def integrand(rows, x):
+        # the rows share most of their nodes: f is called once per node
+        nodes, where = np.unique(x, return_inverse=True)
+        fx = g(nodes)[where.reshape(x.shape)]
+        values = _pow(x, powers[rows]) * fx
+        return np.abs(values) if absolute else values
+
+    try:
+        return integrate(integrand, [breakpoints] * len(degrees)).tolist()
+    except IntegrabilityError as exc:
+        n = degrees[exc.rows[0]]
+        raise IntegrabilityError(str(exc), alpha=MultiIndex((0,) * (u0.dim - 1) + (n,))) from exc
+
+
+@on_array
+def _pow(x: float, p: float) -> float:
+    """x ** p by the C library's pow, as Python's float power rounds it
+    (numpy's vector pow differs in the last bit for a few percent of
+    arguments), and +-inf past the double range, where a row of high
+    degree must not stop its batch."""
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.copysign(math.inf, x) if p % 2 else math.inf
 
 
 def moment(u0: InitialDatum, alpha) -> SignedLog:
@@ -612,9 +638,10 @@ def _read_rows(rows: list, dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray
 
 def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:
     """Moments of u0 for every |alpha| <= k_max, in table order, from one
-    :func:`moment_factors` lookup (at most one quadrature per degree): the
-    same bits as :func:`moment` called once per multi-index, the shell's
-    log plus the components' logs summed as ``math.fsum`` sums them."""
+    :func:`moment_factors` lookup (one quadrature batch, one row per
+    degree): the same bits as :func:`moment` called once per multi-index,
+    the shell's log plus the components' logs summed as ``math.fsum`` sums
+    them."""
     check_integer("k_max", k_max)
     if k_max < 0:
         raise DomainError("k_max must be >= 0")

@@ -12,19 +12,26 @@ same node values; a row is finished at once when the estimates of all its
 open panels fit in what is left of its tolerance.  Every other panel is
 bisected, and the panels of all rows still being refined are evaluated in
 one array call per bisection level.  A row that needs more than MAX_PANELS
-panels raises IntegrabilityError; no unconverged value is returned.  A
-row with a non-finite panel value returns that value without refinement.
+panels fails; no unconverged value is returned.  A row with a non-finite
+panel value returns that value without refinement.
 
 Integrals over R or [0, inf) are accumulated over doubling shells, per
 row, until the newest shell contributes less than TAIL_FRACTION of the
 running total, which certifies the discarded tail for integrands with
-Gaussian-type decay.  This is the package's one tail rule.  Decay is
-judged only past each row's peak: a row raises IntegrabilityError when a
-shell is still at least half the size of the shell 3 doublings earlier and
-both lie at or after the row's largest shell so far.  An integrable row
-whose mass sits past the first shells (r^n e^{-r} peaks near r = n) is
-certified once its shells fall, and a row whose shells never peak
-exhausts MAX_DOUBLINGS and raises.
+Gaussian-type decay.  This is the package's one tail rule.  Every row's
+first interval and first shell are one integrate_rows call, as rows r and
+nrows + r of a batch of twice as many rows; each later shell step is one
+call.  Decay is judged only past each row's peak: a row fails when a shell
+is still at least half the size of the shell 3 doublings earlier and both
+lie at or after the row's largest shell so far.  An integrable row whose
+mass sits past the first shells (r^n e^{-r} peaks near r = n) is certified
+once its shells fall, and a row whose shells never peak exhausts
+MAX_DOUBLINGS and fails.
+
+A failed row leaves its batch and the other rows are finished.  Then one
+IntegrabilityError is raised whose ``rows`` are the failed rows, ascending,
+and whose message is the lowest failed row's: the error the rows would
+have raised first had they been integrated one at a time in order.
 
 Integrands of the row functions are called as ``g(rows, x)``: ``x`` holds
 the nodes of a stack of panels, one panel per line, and ``rows`` (one entry
@@ -82,23 +89,44 @@ _WEIGHTS[2, :_N] = _W_COARSE
 #: weighted node values of the three sums) stays near 1 MB.
 _CHUNK = (1 << 20) // (8 * _WEIGHTS.size)
 
+#: Why a row of a batch failed, by code; code 0 is a row that did not fail.
+_FAILURES = (
+    None,
+    "quadrature did not converge within the panel budget",
+    "shell contributions stopped decaying; integrand tail does not appear integrable",
+    "tail still above the cutoff after exhausting interval doublings",
+)
+_PANELS, _STALLED, _EXHAUSTED = 1, 2, 3
+
+
+#: Entries the scalar adapter converts to Python floats at a time.
+_BLOCK = 4096
+
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def on_array(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """f applied to every entry of an array.
+def on_array(f: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """f applied to every entry of its array arguments, taken in step.
 
     This is the one adapter between scalar callables and the array core.
-    A callable that declares ``array_native = True`` (the package's own
-    data and test functions) is returned as it is.
+    Entries go to f as Python floats, _BLOCK of them converted at a time,
+    so that the Python floats of a whole chunk of nodes are never held at
+    once.  A callable that declares ``array_native = True`` (the package's
+    own data and test functions) is returned as it is.
     """
     if getattr(f, "array_native", False):
         return f
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        values = np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size)
-        return values.reshape(x.shape)
+    def apply(*arrays: np.ndarray) -> np.ndarray:
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+        flat = [a.ravel() for a in arrays]
+        values = np.empty(arrays[0].size)
+        for start in range(0, values.size, _BLOCK):
+            block = [a[start : start + _BLOCK].tolist() for a in flat]
+            values[start : start + len(block[0])] = np.fromiter(
+                map(f, *block), dtype=float, count=len(block[0])
+            )
+        return values.reshape(arrays[0].shape)
 
     return apply
 
@@ -145,8 +173,19 @@ def integrate_rows(
 
     ``row`` names the row (0 <= row < nrows) of each initial panel; a row
     with no panel integrates to 0.  Rows are refined together, one array
-    call per bisection level.
+    call per bisection level.  A row that runs out of panels leaves the
+    batch and the others are finished; then one IntegrabilityError names
+    the failed rows.
     """
+    accepted, failed = _refine(g, row, lo, hi, nrows)
+    if failed.any():
+        raise IntegrabilityError(_FAILURES[_PANELS], rows=tuple(np.flatnonzero(failed).tolist()))
+    return accepted
+
+
+def _refine(g: RowIntegrand, row, lo, hi, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """integrate_rows without the raise: the integral of each row, and
+    whether the row ran out of panels (its integral is then meaningless)."""
     row = np.asarray(row, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -154,6 +193,7 @@ def integrate_rows(
     used = np.bincount(row, minlength=nrows)
     accepted = np.zeros(nrows)
     spent = np.zeros(nrows)
+    failed = np.zeros(nrows, dtype=bool)
     with np.errstate(all="ignore"):
         while row.size:
             fine, absint, coarse = _panel_sums(g, row, lo, hi).T
@@ -172,15 +212,14 @@ def integrate_rows(
             row, lo, hi = row[keep], lo[keep], hi[keep]
             mid = lo + 0.5 * (hi - lo)
             used += 2 * np.bincount(row, minlength=nrows)
-            if row.size and (
-                used.max() > MAX_PANELS or np.any((mid == lo) | (mid == hi))
-            ):
-                raise IntegrabilityError(
-                    "quadrature did not converge within the panel budget"
-                )
+            failed[row[(mid == lo) | (mid == hi)]] = True
+            failed |= used > MAX_PANELS
+            if failed.any():
+                keep = ~failed[row]
+                row, lo, mid, hi = row[keep], lo[keep], mid[keep], hi[keep]
             row = np.concatenate([row, row])
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    return accepted
+    return accepted, failed
 
 
 def _initial_panels(breakpoints, line: bool):
@@ -199,29 +238,45 @@ def _initial_panels(breakpoints, line: bool):
     return (np.array(rows, dtype=np.intp), np.array(edges_lo), np.array(edges_hi)), extents
 
 
+def _shells(rows, extent, line: bool):
+    """Panels of the next doubling shell of each of ``rows``: [e, 2e], and
+    [-2e, -e] on the line, for e the row's extent."""
+    lo, hi = extent[rows], 2.0 * extent[rows]
+    if line:
+        return np.concatenate([rows, rows]), np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
+    return rows, lo, hi
+
+
 def _unbounded_rows(g, breakpoints, line):
-    panels, extent = _initial_panels(breakpoints, line)
+    (row, lo, hi), extent = _initial_panels(breakpoints, line)
     nrows = extent.size
-    total = integrate_rows(g, *panels, nrows)
-    active = np.arange(nrows)
+    # the first interval (row r) and the first shell (row nrows + r) of
+    # every row in one call
+    shell_row, shell_lo, shell_hi = _shells(np.arange(nrows), extent, line)
+    first, failed = _refine(
+        lambda rows, x: g(rows % nrows, x),
+        np.concatenate([row, nrows + shell_row]),
+        np.concatenate([lo, shell_lo]),
+        np.concatenate([hi, shell_hi]),
+        2 * nrows,
+    )
+    total = first[:nrows]
+    failure = np.where(failed[:nrows] | failed[nrows:], _PANELS, 0)
+    active = np.flatnonzero(failure == 0)
     sizes: list[np.ndarray] = []
     # each row's largest shell so far: its step and its size
     peak = np.zeros(nrows, dtype=np.intp)
     peak_size = np.zeros(nrows)
     for step in range(MAX_DOUBLINGS):
-        lo, hi = extent[active], 2.0 * extent[active]
-        if line:
-            piece = integrate_rows(
-                g,
-                np.concatenate([active, active]),
-                np.concatenate([lo, -hi]),
-                np.concatenate([hi, -lo]),
-                nrows,
-            )[active]
+        if step == 0:
+            piece = first[nrows + active]
         else:
-            piece = integrate_rows(g, active, lo, hi, nrows)[active]
+            value, failed = _refine(g, *_shells(active, extent, line), nrows)
+            failure[active[failed[active]]] = _PANELS
+            active = active[~failed[active]]
+            piece = value[active]
         total[active] += piece
-        extent[active] = hi
+        extent[active] *= 2.0
         size = np.abs(piece)
         done = size <= TAIL_FRACTION * np.abs(total[active]) + _ABS_FLOOR
         sizes.append(np.zeros(nrows))
@@ -229,20 +284,21 @@ def _unbounded_rows(g, breakpoints, line):
         grew = size > peak_size[active]
         peak[active[grew]] = step
         peak_size[active[grew]] = size[grew]
-        past_peak = peak[active] <= step - 3
-        if step >= 3 and np.any(~done & past_peak & (size >= 0.5 * sizes[step - 3][active])):
+        if step >= 3:
             # shells stopped decaying past their peak; the tail cannot be
             # certified
-            raise IntegrabilityError(
-                "shell contributions stopped decaying; integrand tail does "
-                "not appear integrable"
-            )
+            stalled = ~done & (peak[active] <= step - 3) & (size >= 0.5 * sizes[step - 3][active])
+            failure[active[stalled]] = _STALLED
+            done |= stalled
         active = active[~done]
         if not active.size:
-            return total
-    raise IntegrabilityError(
-        "tail still above the cutoff after exhausting interval doublings"
-    )
+            break
+    failure[active] = _EXHAUSTED
+    failed = np.flatnonzero(failure)
+    if failed.size:
+        # the message of the lowest failed row, as if the rows ran in order
+        raise IntegrabilityError(_FAILURES[failure[failed[0]]], rows=tuple(failed.tolist()))
+    return total
 
 
 def integrate_line_rows(
@@ -272,10 +328,12 @@ def error_allowance(abs_integral: float) -> float:
     """The most error the acceptance rules above leave in one row of
     integrate_line_rows or integrate_halfline_rows whose integrand g has
     integral |g| = abs_integral: EPSABS in each of its at most
-    1 + MAX_DOUBLINGS integrate_rows calls, EPSREL of each call's |value|
-    (together at most EPSREL abs_integral), ROUNDING_ULPS ulps of |g| left
-    uncharged on its accepted panels, and TAIL_FRACTION of the total for
-    the discarded tail (certified for Gaussian-type decay)."""
+    1 + MAX_DOUBLINGS pieces (the first interval and each shell, each
+    refined to its own tolerance, whether or not two share a call), EPSREL
+    of each piece's |value| (together at most EPSREL abs_integral),
+    ROUNDING_ULPS ulps of |g| left uncharged on its accepted panels, and
+    TAIL_FRACTION of the total for the discarded tail (certified for
+    Gaussian-type decay)."""
     return (1 + MAX_DOUBLINGS) * EPSABS + (
         EPSREL + ROUNDING_ULPS * _EPS + TAIL_FRACTION
     ) * abs_integral

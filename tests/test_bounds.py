@@ -33,6 +33,7 @@ from heatseries import (
     gaussian_origin_blocks,
     moments,
 )
+from heatseries.quadrature import integrate_halfline_rows, on_array
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +362,8 @@ def _radial_F_integral_per_index(u0, k, t):
     computed anew for every multi-index of degree k+1: each index's weight
     is the fsum of per-component terms, the weights are reduced by exponent
     alignment, and the sum is scaled by 2 / Gamma((n+d)/2) times the
-    integral.  Returns F and the per-index integrals."""
+    integral, each a one-row batch.  Returns F and the per-index
+    integrals."""
     d, n = u0.dim, k + 1
     weight = [
         math.fsum(
@@ -370,9 +372,9 @@ def _radial_F_integral_per_index(u0, k, t):
         for c in range(n + 1)
     ]
     shell = list(compositions(n, d))
+    integrand = on_array(lambda r: r ** (n + d - 1) * abs(u0.profile(r)))
     integrals = [
-        moments.integrate_halfline(lambda r: r ** (n + d - 1) * abs(u0.profile(r)))
-        for a in shell
+        float(integrate_halfline_rows(lambda rows, x: integrand(x), [()])[0]) for a in shell
     ]
     terms = [SignedLog(1, math.fsum(weight[c] for c in a)) for a in shell]
     shared = SignedLog(1, math.log(2.0) - math.lgamma((n + d) / 2.0)) * SignedLog.from_float(
@@ -382,6 +384,20 @@ def _radial_F_integral_per_index(u0, k, t):
         -0.5 * d * math.log(2.0 * math.pi) - 0.5 * (k + d + 1) * math.log(2.0 * t)
     )
     return prefactor * (shared * aligned_sum(terms)), integrals
+
+
+def _count_batches(monkeypatch, name):
+    """Replace moments' row function ``name`` by one that records the rows
+    of each call."""
+    rows = []
+    original = getattr(moments, name)
+
+    def counted(g, breakpoints):
+        rows.append(len(breakpoints))
+        return original(g, breakpoints)
+
+    monkeypatch.setattr(moments, name, counted)
+    return rows
 
 
 @pytest.mark.parametrize("dim,k", [(2, 7), (2, 8), (3, 5)])
@@ -395,20 +411,16 @@ def test_radial_F_shares_one_halfline_integral(monkeypatch, dim, k):
     assert len(set(integrals)) == 1
     independent = _per_index_F(u0, k, cfg.t)
 
-    calls = []
-    original = moments.integrate_halfline
-    monkeypatch.setattr(
-        moments, "integrate_halfline", lambda *a, **kw: calls.append(1) or original(*a, **kw)
-    )
+    rows = _count_batches(monkeypatch, "integrate_halfline_rows")
     got = error_bound_F(table, cfg)
     assert (got.sign, got.logmag) == (want.sign, want.logmag)  # bit for bit
-    assert len(calls) == 1
+    assert rows == [1]
     assert abs(got.logmag - independent.logmag) <= F_LOG_TOL
-    # the sweep over every order to k: one integral per degree 1..k+1, and
-    # each order's value is error_bound_F's bit for bit
-    calls.clear()
+    # the sweep over every order to k: one batch, one row per degree
+    # 1..k+1, and each order's value is error_bound_F's bit for bit
+    rows.clear()
     sweep = error_bound_F_sweep(table, cfg.t, range(k + 1))
-    assert len(calls) == k + 1
+    assert rows == [k + 1]
     for order, value in enumerate(sweep):
         single = error_bound_F(table, ApproxConfig(dim=dim, k=order, t=cfg.t))
         assert (value.sign, value.logmag) == (single.sign, single.logmag)
@@ -465,13 +477,9 @@ def test_F_sweep_takes_orders_in_any_order(table_d1):
 def test_F_sweep_generic_one_line_integral_per_order(monkeypatch):
     u0 = Generic1D(func=lambda x: 1.0 if -1.0 <= x <= 0.5 else 0.0, breakpoints=(-1.0, 0.5))
     table = build_moment_table(u0, 9)
-    calls = []
-    original = moments.integrate_line
-    monkeypatch.setattr(
-        moments, "integrate_line", lambda *a, **kw: calls.append(1) or original(*a, **kw)
-    )
+    rows = _count_batches(monkeypatch, "integrate_line_rows")
     sweep = error_bound_F_sweep(table, 0.8, range(0, 9, 2))
-    assert len(calls) == 5
+    assert rows == [5]  # one batch, one row per order
     for k, value in zip(range(0, 9, 2), sweep):
         want = _per_index_F(u0, k, 0.8)
         assert abs(value.logmag - want.logmag) <= F_LOG_TOL

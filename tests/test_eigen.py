@@ -17,6 +17,7 @@ time.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
@@ -67,6 +68,18 @@ def test_similarity_roundtrip(x, t):
 def test_similarity_domain():
     with pytest.raises(DomainError):
         to_similarity((1.0,), 0.0)
+
+
+@pytest.mark.parametrize("x", [2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)])
+def test_similarity_promotes_a_number_to_one_coordinate(x):
+    assert to_similarity(x, 1.0) == to_similarity((2.0,), 1.0)
+    assert to_similarity((x, np.int16(-4)), 4.0).z == (0.5, -1.0)
+
+
+@pytest.mark.parametrize("x", [np.float64(math.nan), np.float32(math.inf)])
+def test_similarity_rejects_non_finite_numpy_scalars(x):
+    with pytest.raises(DomainError):
+        to_similarity(x, 1.0)
 
 
 # --- coefficients ---------------------------------------------------------

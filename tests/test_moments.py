@@ -30,6 +30,7 @@ from heatseries import (
     eigen_coeffs,
     kernel_derivative,
     moment,
+    moments,
     moments_at_time,
 )
 
@@ -195,6 +196,10 @@ def _sign_changing_profile(r):
     return math.exp(-r * r / 4.0) * (1.0 - 0.3 * r)
 
 
+def _sign_mixing(x):
+    return math.exp(-((x - 0.7) ** 2)) * (1.0 - 0.8 * x)
+
+
 @pytest.mark.parametrize("alpha", [(2, 4), (2, 2, 2)])
 def test_radial_moment_vs_cartesian_quadrature(alpha):
     # x^alpha profile(|x|) integrated over Cartesian coordinates, without the
@@ -274,6 +279,45 @@ def test_heavy_tail_raises_integrability():
     with pytest.raises(IntegrabilityError) as info:
         build_moment_table(slow, 2)
     assert info.value.alpha is not None
+
+
+@pytest.mark.parametrize("top", [3, 30])
+@pytest.mark.parametrize("absolute", [False, True], ids=["signed", "absolute"])
+def test_batch_names_the_lowest_failed_degree(absolute, top):
+    # x^2 / (1 + x^4) exhausts the doublings; |x|^3 / (1 + x^4) stops
+    # decaying at shell step 3, sooner, and past degree 24 the powers
+    # overflow before the doublings run out: still degree 2 is named, as
+    # when the degrees ran one by one
+    u0 = Generic1D(func=lambda x: 1.0 / (1.0 + x**4))
+    with pytest.raises(IntegrabilityError) as info:
+        moments.moment_factors(u0, range(top + 1), absolute)
+    assert info.value.alpha == MultiIndex((2,))
+    assert str(info.value) == "tail still above the cutoff after exhausting interval doublings"
+    with pytest.raises(IntegrabilityError) as alone:
+        moments.moment_factors(u0, [3], True)
+    assert alone.value.alpha == MultiIndex((3,))
+    assert "stopped decaying" in str(alone.value)
+
+
+BATCHED_DATA = {
+    "radial-exp-d2": (Radial(profile=lambda r: math.exp(-r), dim=2), 60),
+    "radial-exp-d3": (Radial(profile=lambda r: math.exp(-r), dim=3), 60),
+    "indicator": (
+        Generic1D(func=lambda x: 1.0 if -1.0 <= x <= 0.5 else 0.0, breakpoints=(-1.0, 0.5)), 20
+    ),
+    "radial-sign-changing": (Radial(profile=_sign_changing_profile, dim=2), 20),
+    "generic-sign-mixing": (Generic1D(func=_sign_mixing), 20),
+}
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["signed", "absolute"])
+@pytest.mark.parametrize("name", sorted(BATCHED_DATA))
+def test_batched_degree_equals_its_one_row_batch(name, absolute):
+    u0, k = BATCHED_DATA[name]
+    shared, _ = moments.moment_factors(u0, range(k + 1), absolute)
+    for n in range(k + 1):
+        alone, _ = moments.moment_factors(u0, [n], absolute)
+        assert (shared[n].sign, shared[n].logmag) == (alone[n].sign, alone[n].logmag), n
 
 
 def test_abs_moment_dispatch():
@@ -481,10 +525,6 @@ def reference_moments_at_time(table, t):
         aligned_sum(c * SignedLog.from_log(m * math.log(t)) for m, c in enumerate(poly))
         for poly in polys.values()
     ]
-
-
-def _sign_mixing(x):
-    return math.exp(-((x - 0.7) ** 2)) * (1.0 - 0.8 * x)
 
 
 EVOLVED_DATA = {

@@ -354,6 +354,11 @@ _NAN, _INF = math.nan, math.inf
     lambda: to_similarity(0.5, _NAN),
     lambda: to_similarity(0.5, _INF),
     lambda: to_similarity((_INF, 0.0), 1.0),
+    lambda: to_similarity(None, 1.0),
+    lambda: to_similarity("0.5", 1.0),
+    lambda: to_similarity("12", 1.0),
+    lambda: to_similarity(b"12", 1.0),
+    lambda: to_similarity((0.5, None), 1.0),
     lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _NAN),
     lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _INF),
     lambda: exact_gaussian_solution(1.0, 1.0, 2, (0.5, _NAN), 1.0),
