@@ -29,9 +29,9 @@ from .decomposition import (
     remainder,
     remainder_l1_norm,
 )
-from .eigen import SimilarityPoint, eigen_coeffs, eval_expansion, validity_integral
+from .eigen import SimilarityPoint, eigen_coeffs, eval_expansion_sweep, validity_integral
 from .errors import HeatSeriesError
-from .kernel_approx import ApproxConfig, eval_uk
+from .kernel_approx import ApproxConfig, eval_uk_sweep
 from .moments import Gaussian, Generic1D, abs_moment, build_moment_table
 from .quadrature import error_allowance, integrate_line_rows
 from .reference import GridSpec, default_grid, error_curve
@@ -169,11 +169,10 @@ def cmd_error_curve(args) -> None:
 def cmd_divergence(args) -> None:
     u0 = Gaussian(amplitude=args.amplitude, width=args.t0, dim=args.dim)
     table = build_moment_table(u0, args.kmax)
-    origin = (0.0,) * args.dim
+    ks = _ks(args)
     rows = []
-    for k in _ks(args):
+    for k, result in zip(ks, eval_uk_sweep(table, args.t, (0.0,) * args.dim, ks)):
         cfg = ApproxConfig(dim=args.dim, k=k, t=args.t)
-        result = eval_uk(table, cfg, origin)
         block = next((c for j, c in result.terms if j == k), 0.0)
         lb = divergence_lower_bound(args.amplitude, args.t0, cfg)
         rows.append(
@@ -212,19 +211,16 @@ def cmd_eigen_compare(args) -> None:
     z_axis = [i * 0.5 for i in range(-6, 7)]
     tau = math.log(args.t)
     half_power = args.t ** (args.dim / 2.0)
-    rows = []
-    for k in _ks(args):
-        cfg = ApproxConfig(dim=args.dim, k=k, t=args.t)
-        gaps = []
-        for z in z_axis:
-            zs = (z,) + (0.0,) * (args.dim - 1)
-            point = SimilarityPoint(z=zs, tau=tau)
-            x = tuple(c * 2.0 * math.sqrt(args.t) for c in zs)
-            lhs = eval_expansion(coeffs, point, k)
-            rhs = half_power * eval_uk(table, cfg, x).value
-            gaps.append(lhs - rhs)
-        # np.max keeps a NaN, where max() would drop it
-        rows.append((k, float(np.max(np.abs(gaps)))))
+    ks = _ks(args)
+    gaps = []  # one row per point, one column per order
+    for z in z_axis:
+        zs = (z,) + (0.0,) * (args.dim - 1)
+        x = tuple(c * 2.0 * math.sqrt(args.t) for c in zs)
+        lhs = eval_expansion_sweep(coeffs, SimilarityPoint(z=zs, tau=tau), ks)
+        rhs = eval_uk_sweep(table, args.t, x, ks)
+        gaps.append([a - half_power * b.value for a, b in zip(lhs, rhs)])
+    # np.max keeps a NaN, where max() would drop it
+    rows = list(zip(ks, np.max(np.abs(gaps), axis=0).tolist()))
     sweep = [
         (factor * args.t0, math.isfinite(validity_integral(coeffs, factor * args.t0)))
         for factor in (0.5, 0.9, 1.1, 2.0)

@@ -33,13 +33,12 @@ way.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_integer
-from .kernel_approx import _point_terms
+from .errors import DomainError
+from .kernel_approx import _as_point, _point_terms, _sweep_orders
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .signedlog import aligned_sum_arrays
 
@@ -70,13 +69,7 @@ def to_similarity(x, t: float) -> SimilarityPoint:
     numbers its coordinates in turn; anything else raises DomainError."""
     if not 0.0 < t < math.inf:
         raise DomainError("to_similarity requires finite t > 0")
-    try:
-        pt = (x,) if isinstance(x, numbers.Real) else tuple(x)
-    except TypeError:
-        pt = (x,)  # neither a number nor iterable: refused below
-    if isinstance(x, (str, bytes)) or not all(isinstance(c, numbers.Real) for c in pt):
-        raise DomainError(f"point {x!r} is neither a real number nor real coordinates")
-    pt = tuple(map(float, pt))
+    pt = _as_point(x)
     root = 2.0 * math.sqrt(t)
     return SimilarityPoint(z=tuple(c / root for c in pt), tau=math.log(t))
 
@@ -132,16 +125,30 @@ def eval_expansion(coeffs: EigenCoeffs, p: SimilarityPoint, k: int) -> float:
     of degree <= k is a sign and a log magnitude gathered from the table's
     arrays, reduced like :func:`kernel_approx.eval_uk` with the bits of
     a per-term SignedLog loop.  Valid as an expansion of the solution only
-    for tau >= ln(t0_coeff); the sum itself is evaluable anywhere.
+    for tau >= ln(t0_coeff); the sum itself is evaluable anywhere.  This is
+    the one-order case of :func:`eval_expansion_sweep`, which gathers a
+    point's terms once for a whole sweep of orders and gives each order
+    these bits.
+    """
+    (value,) = eval_expansion_sweep(coeffs, p, [k])
+    return value
+
+
+def eval_expansion_sweep(coeffs: EigenCoeffs, p: SimilarityPoint, ks) -> list[float]:
+    """The truncated eigenfunction sum at (z, tau) for each order k in
+    ``ks``, which must be non-empty, ascending and within [0, k_max]; the
+    value for k equals ``eval_expansion(coeffs, p, k)`` bit for bit.
+
+    The point's terms are gathered once, at the largest order, and each
+    order's sum is one aligned sum over the prefix of them of degree <= k,
+    which holds the terms an order-k gather makes, with their bits.
     """
     if p.dim != coeffs.dim:
         raise DomainError("point dimension does not match coefficients")
-    check_integer("truncation order", k)
-    if not 0 <= k <= coeffs.k_max:
-        raise DomainError(f"truncation order {k} outside [0, {coeffs.k_max}]")
-    scales = [-0.5 * j * p.tau for j in range(k + 1)]
-    signs, logmag, _ = _point_terms(coeffs, k, scales, p.z)
-    return aligned_sum_arrays(signs, logmag).to_float()
+    ks = _sweep_orders(ks, coeffs.k_max)
+    scales = [-0.5 * j * p.tau for j in range(ks[-1] + 1)]
+    signs, logmag, cuts = _point_terms(coeffs, ks[-1], scales, p.z)
+    return [aligned_sum_arrays(signs[: cuts[k]], logmag[: cuts[k]]).to_float() for k in ks]
 
 
 def is_within_validity(coeffs: EigenCoeffs, p: SimilarityPoint) -> bool:

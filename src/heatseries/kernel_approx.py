@@ -18,6 +18,7 @@ measures every order inside a band before moving to the next.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,13 +71,24 @@ class ApproxResult:
     terms: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _as_point(x, dim: int) -> tuple[float, ...]:
-    if np.isscalar(x):
-        if dim != 1:
-            raise DomainError(f"scalar point given for dim {dim}")
-        x = (x,)
-    pt = tuple(float(c) for c in x)
-    if len(pt) != dim:
+def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
+    """``x`` as finite float coordinates, ``dim`` of them unless ``dim`` is
+    None.  A real number (a numpy scalar too) is one coordinate, an iterable
+    of real numbers its coordinates in turn; anything else, ``None``, a
+    string or bytes among it, raises DomainError."""
+    scalar = isinstance(x, numbers.Real)
+    try:
+        pt = (x,) if scalar else tuple(x)
+    except TypeError:
+        pt = (x,)  # neither a number nor iterable: refused below
+    if isinstance(x, (str, bytes, bytearray)) or not all(
+        isinstance(c, numbers.Real) for c in pt
+    ):
+        raise DomainError(f"point {x!r} is neither a real number nor real coordinates")
+    if scalar and dim not in (None, 1):
+        raise DomainError(f"scalar point given for dim {dim}")
+    pt = tuple(map(float, pt))
+    if dim is not None and len(pt) != dim:
         raise DomainError(f"point of length {len(pt)} given for dim {dim}")
     if not all(map(math.isfinite, pt)):
         raise DomainError(f"point coordinates must be finite, got {pt}")
@@ -87,11 +99,9 @@ def heat_kernel(x, t: float, dim: int | None = None) -> float:
     """Fundamental solution (4 pi t)^{-d/2} exp(-|x|^2 / 4t)."""
     if not 0.0 < t < math.inf:
         raise DomainError("heat_kernel requires finite t > 0")
-    if dim is None:
-        dim = 1 if np.isscalar(x) else len(x)
     pt = _as_point(x, dim)
     sq = math.fsum(c * c for c in pt)
-    return (4.0 * math.pi * t) ** (-dim / 2.0) * math.exp(-sq / (4.0 * t))
+    return (4.0 * math.pi * t) ** (-len(pt) / 2.0) * math.exp(-sq / (4.0 * t))
 
 
 def kernel_derivative(alpha, x, t: float) -> SignedLog:
@@ -158,6 +168,24 @@ def _point_terms(
     return signs[live], logmag[live], cuts
 
 
+def _sweep_orders(ks, k_max: int) -> list[int]:
+    """``ks`` as a list of truncation orders, checked non-empty, ascending,
+    integer and within [0, k_max]."""
+    try:
+        ks = list(ks)
+    except TypeError:
+        raise DomainError(f"truncation orders must be an iterable, got {ks!r}") from None
+    if not ks:
+        raise DomainError("a sweep needs at least one truncation order")
+    for k in ks:
+        check_integer("truncation order", k)
+        if not 0 <= k <= k_max:
+            raise DomainError(f"truncation order {k} outside [0, {k_max}]")
+    if ks != sorted(ks):
+        raise DomainError(f"truncation orders {ks} are not ascending")
+    return ks
+
+
 def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
     """Evaluate u_k at one point with full SignedLog care.
 
@@ -168,14 +196,30 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
     value and each degree's partial are
     reduced by aligning every term to the largest exponent and summing the
     aligned mantissas with ``math.fsum``, with the bits of a per-term
-    SignedLog loop in table order.
+    SignedLog loop in table order.  This is the one-order case of
+    :func:`eval_uk_sweep`, which gathers a point's terms once for a whole
+    sweep of orders and gives each order these bits.
     """
     if table.dim != cfg.dim:
         raise DomainError("table dimension does not match config")
-    if cfg.k > table.k_max:
-        raise DomainError(
-            f"truncation order {cfg.k} exceeds table k_max {table.k_max}"
-        )
+    (result,) = eval_uk_sweep(table, cfg.t, x, [cfg.k])
+    return result
+
+
+def eval_uk_sweep(table: MomentTable, t: float, x, ks: Sequence[int]) -> list[ApproxResult]:
+    """u_k at one point for each order k in ``ks``, which must be non-empty,
+    ascending and within [0, table.k_max]; the result for k equals
+    ``eval_uk(table, ApproxConfig(table.dim, k, t), x)`` bit for bit.
+
+    The point's terms are gathered once, at the largest order.  The terms
+    of order k are a prefix of them with the same bits: the table is sorted
+    by degree, the per-degree scales do not depend on k, and the Hermite
+    recurrence's entries up to n do not depend on its depth.  Each order's
+    value is then one aligned sum over its prefix, and each degree's partial
+    is reduced once and shared by every order that holds it.
+    """
+    ks = _sweep_orders(ks, table.k_max)
+    cfg = ApproxConfig(dim=table.dim, k=ks[-1], t=t)
     pt = _as_point(x, cfg.dim)
     scale = 2.0 * math.sqrt(cfg.t)
     scales = [_term_scale(j, cfg) for j in range(cfg.k + 1)]
@@ -187,7 +231,13 @@ def eval_uk(table: MomentTable, cfg: ApproxConfig, x) -> ApproxResult:
         for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
         if hi > lo
     ]
-    return ApproxResult(value=aligned_sum_arrays(signs, logmag).to_float(), terms=partials)
+    return [
+        ApproxResult(
+            value=aligned_sum_arrays(signs[: cuts[k]], logmag[: cuts[k]]).to_float(),
+            terms=[(j, c) for j, c in partials if j <= k],
+        )
+        for k in ks
+    ]
 
 
 def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> float:

@@ -206,11 +206,14 @@ def test_eigen_compare_verdicts_do_not_follow_kmax(kmax, dim, tmp_path):
 @pytest.mark.parametrize("bad_ks", [(4, 32), (0, 2, 4, 30, 32, 34)])
 def test_eigen_compare_nonfinite_discrepancy_exits_1(bad_ks, tmp_path, monkeypatch, capsys):
     # max() would drop a NaN and "w > 1e-10" is false for one; past k = 30,
-    # where no tolerance applies, a NaN still fails the command
-    real = cli.eval_expansion
+    # where no tolerance applies, a NaN still fails the command.  The NaN
+    # enters through the eigen sweep, at the orders in bad_ks of every point
+    real = cli.eval_expansion_sweep
     monkeypatch.setattr(
-        cli, "eval_expansion",
-        lambda coeffs, p, k: math.nan if k in bad_ks else real(coeffs, p, k),
+        cli, "eval_expansion_sweep",
+        lambda coeffs, p, ks: [
+            math.nan if k in bad_ks else value for k, value in zip(ks, real(coeffs, p, ks))
+        ],
     )
     out = tmp_path / "eig.csv"
     assert run("eigen-compare", "--dim", "1", "--kmax", "34", "--out", str(out)) == 1

@@ -32,6 +32,7 @@ from heatseries import (
     build_moment_table,
     eigen_coeffs,
     eval_expansion,
+    eval_expansion_sweep,
     eval_uk,
     exact_gaussian_solution,
     from_similarity,
@@ -223,6 +224,34 @@ def test_expansion_rejects_bad_orders(k):
     coeffs = eigen_coeffs(UNIT1, 0.0, 4)
     with pytest.raises(DomainError):
         eval_expansion(coeffs, SimilarityPoint(z=(0.0,), tau=0.0), k)
+
+
+# --- the k sweep ------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.5, 2.0], ids=["t<t0", "t>t0"])
+@pytest.mark.parametrize("z", ["origin", "axis", "off-axis"])
+def test_expansion_sweep_matches_each_order_bit_for_bit(dim, t, z):
+    coeffs = eigen_coeffs(Gaussian(amplitude=1.0, width=1.0, dim=dim), 0.0, 40)
+    zs = {
+        "origin": (0.0,) * dim,
+        "axis": (1.5,) + (0.0,) * (dim - 1),
+        "off-axis": (0.4, -1.1, 2.3)[:dim],
+    }[z]
+    point = SimilarityPoint(z=zs, tau=math.log(t))
+    for ks in (list(range(0, 41, 2)), list(range(41)), [7], [0, 40]):
+        got = eval_expansion_sweep(coeffs, point, ks)
+        want = [eval_expansion(coeffs, point, k) for k in ks]
+        assert [v.hex() for v in got] == [v.hex() for v in want]  # -0.0 included
+
+
+@pytest.mark.parametrize("ks", [
+    [], [4, 2], [-1, 2], [2, 5], [0, 2.0], [True], ["2"], 3,
+], ids=["empty", "descending", "negative", "past-k_max", "float", "bool", "str", "int"])
+def test_expansion_sweep_rejects_bad_orders(ks):
+    coeffs = eigen_coeffs(UNIT1, 0.0, 4)
+    with pytest.raises(DomainError):
+        eval_expansion_sweep(coeffs, SimilarityPoint(z=(0.0,), tau=0.0), ks)
 
 
 # --- base-time (in)consistency --------------------------------------------

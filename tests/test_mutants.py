@@ -2,9 +2,10 @@
 ``divergence`` must catch.
 
 Each case breaks one piece of the decomposition, the validity verdict, the
-grid sweep, the reference or the origin series with ``monkeypatch`` and
-expects the command to exit 1, where the unmutated command exits 0.  A
-check that still passes on a mutant would show nothing about that piece.
+expansion discrepancy, the grid sweep, the reference or the origin series
+with ``monkeypatch`` and expects the command to exit 1, where the unmutated
+command exits 0.  A check that still passes on a mutant would show nothing
+about that piece.
 """
 
 import csv
@@ -112,6 +113,89 @@ def test_ratio_test_fails_at_t0(monkeypatch):
         test_eigen.test_validity_verdict_matches_time_threshold(1, 1.0)
 
 
+# --- the expansion discrepancy of eigen-compare ---------------------------
+
+def _terms_mutated(change, *modules):
+    """``_point_terms`` with ``change`` applied to the (signs, logmag, cuts)
+    it returns, wherever each of ``modules`` looks the gather up."""
+    point_terms = kernel_approx._point_terms
+
+    def mutate(monkeypatch):
+        for module in modules:
+            monkeypatch.setattr(module, "_point_terms", lambda *args: change(*point_terms(*args)))
+    return mutate
+
+
+def _log_shift(signs, logmag, cuts):
+    return signs, logmag + 1e-9, cuts
+
+
+def _first_term_past_degree_0_dropped(signs, logmag, cuts):
+    i = int(cuts[0])
+    keep = np.arange(len(signs)) != i
+    return signs[keep], logmag[keep], cuts - (cuts > i)
+
+
+def _hermite_sign_flipped(n):
+    """The point path's weighted Hermite H_n with its sign flipped."""
+    def mutate(monkeypatch):
+        logs = kernel_approx.hermite_weighted_logs
+
+        def mutant(n_max, x):
+            signs, values = logs(n_max, x)
+            return [-s if m == n else s for m, s in enumerate(signs)], values
+
+        monkeypatch.setattr(kernel_approx, "hermite_weighted_logs", mutant)
+    return mutate
+
+
+def _eigen_compare(dim, tmp_path):
+    return cli.main(["eigen-compare", "--dim", dim, "--out", str(tmp_path / "eig.csv")])
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_eigen_compare_catches_an_eigen_side_log_shift(dim, monkeypatch, tmp_path, capsys):
+    _terms_mutated(_log_shift, eigen)(monkeypatch)
+    assert _eigen_compare(dim, tmp_path) == 1
+    assert "expansion discrepancy above 1e-10" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: eval_expansion and eval_uk share kernel_approx._point_terms "
+    "and its Hermite recurrence, so a defect there moves both sides of the "
+    "discrepancy alike and eigen-compare still exits 0",
+)
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _terms_mutated(_log_shift, kernel_approx, eigen),
+        _terms_mutated(_first_term_past_degree_0_dropped, kernel_approx, eigen),
+        _hermite_sign_flipped(8),
+    ],
+    ids=["shared-log-shift-1e-9", "shared-term-dropped", "shared-H8-sign-flipped"],
+)
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_eigen_compare_catches_a_shared_kernel_defect(mutate, dim, monkeypatch, tmp_path):
+    mutate(monkeypatch)
+    assert _eigen_compare(dim, tmp_path) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2 (shared kernel) and item 4: H_7 enters no term of the "
+    "centred Gaussian datum eigen-compare runs, whose odd moments vanish, so the "
+    "flip leaves every output byte-identical; an independent eigen side alone "
+    "will not catch it, a datum with odd moments would",
+)
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_eigen_compare_catches_an_H7_sign_flip(dim, monkeypatch, tmp_path):
+    _hermite_sign_flipped(7)(monkeypatch)
+    assert _eigen_compare(dim, tmp_path) == 1
+
+
 # --- the grid sweep and reference of error-curve ---------------------------
 
 ERROR_CURVES = [
@@ -198,6 +282,11 @@ def _point_sum_drops_top_block(monkeypatch):
     monkeypatch.setattr(kernel_approx, "_point_terms", mutant)
 
 
+def _cuts_one_degree_down(signs, logmag, cuts):
+    # a sweep's order k then sums the degrees <= k - 1
+    return signs, logmag, np.concatenate(([0], cuts[:-1]))
+
+
 def _top_origin_block_scaled(monkeypatch):
     blocks = bounds.gaussian_origin_blocks
 
@@ -220,8 +309,12 @@ def test_divergence_passes_unmutated(dim, tmp_path):
 
 @pytest.mark.parametrize(
     "mutate",
-    [_point_sum_drops_top_block, _top_origin_block_scaled],
-    ids=["point-sum-drops-top-block", "top-origin-block-x1.01"],
+    [
+        _point_sum_drops_top_block,
+        _terms_mutated(_cuts_one_degree_down, kernel_approx),
+        _top_origin_block_scaled,
+    ],
+    ids=["point-sum-drops-top-block", "sweep-prefix-off-by-one-block", "top-origin-block-x1.01"],
 )
 @pytest.mark.parametrize("dim", DIVERGENCE_DIMS)
 def test_divergence_catches(mutate, dim, monkeypatch, tmp_path, capsys):

@@ -7,8 +7,9 @@ and reduction, and the kernel must reproduce them bit for bit: the value,
 every (degree, partial) pair, and the sign of zero; the list form
 ``aligned_sum`` must reproduce the reference reduction the same way.  The
 array tests pin that a table's arrays are read-only and change only when a
-new dict is assigned to ``entries``, and the last test pins that non-finite
-input stops at the point and time boundaries.
+new dict is assigned to ``entries``, and the last tests pin that non-finite
+or non-numeric input stops at the point and time boundaries.  A k sweep
+(``eval_uk_sweep``) must give every order the bits of its one-order call.
 """
 
 import copy
@@ -17,6 +18,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,7 @@ from heatseries import (
     eval_expansion,
     eval_uk,
     eval_uk_radial_origin,
+    eval_uk_sweep,
     exact_gaussian_solution,
     heat_kernel,
     kernel_derivative,
@@ -246,6 +249,50 @@ def test_eval_uk_on_the_axes_matches_per_term_loop(dim):
                 assert [(j, bits(c)) for j, c in got.terms] == [(j, bits(c)) for j, c in partials]
 
 
+# --- the k sweep ------------------------------------------------------------
+
+def _sweep_matches_per_order(table, t, x, ks):
+    got = eval_uk_sweep(table, t, x, ks)
+    assert len(got) == len(ks)
+    for k, result in zip(ks, got):
+        want = eval_uk(table, ApproxConfig(dim=table.dim, k=k, t=t), x)
+        assert bits(result.value) == bits(want.value), k
+        assert [(j, bits(c)) for j, c in result.terms] == [(j, bits(c)) for j, c in want.terms], k
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.5, 2.0], ids=["t<t0", "t>t0"])
+@pytest.mark.parametrize("where", ["origin", "axis", "off-axis"])
+def test_eval_uk_sweep_matches_each_order_bit_for_bit(dim, t, where):
+    # the Gaussian tables have width t0 = 0.9: t = 0.5 is below it, where
+    # the truncations diverge, and t = 2 above
+    x = {
+        "origin": (0.0,) * dim,
+        "axis": (1.7,) + (0.0,) * (dim - 1),
+        "off-axis": (0.8, -1.3, 2.9)[:dim],
+    }[where]
+    for kind in ("gauss", "signed"):
+        table = moment_table(dim, kind)
+        _sweep_matches_per_order(table, t, x, list(range(0, table.k_max + 1, 2)))
+        _sweep_matches_per_order(table, t, x, list(range(table.k_max + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_cases(), st.data())
+def test_eval_uk_sweep_of_any_orders_matches_each_order(case, data):
+    table, cfg, x = case
+    ks = sorted(data.draw(st.lists(st.integers(0, table.k_max), min_size=1, max_size=6)))
+    _sweep_matches_per_order(table, cfg.t, x, ks)
+
+
+@pytest.mark.parametrize("ks", [
+    [], [4, 2], [-1, 2], [2, 5], [0, 2.0], [True], ["2"], 3, None,
+], ids=["empty", "descending", "negative", "past-k_max", "float", "bool", "str", "int", "None"])
+def test_eval_uk_sweep_rejects_bad_orders(ks):
+    with pytest.raises(DomainError):
+        eval_uk_sweep(_T1, 1.0, 0.5, ks)
+
+
 # --- the table's arrays ---------------------------------------------------
 
 def _with_entries_assigned(table):
@@ -364,7 +411,33 @@ _NAN, _INF = math.nan, math.inf
     lambda: exact_gaussian_solution(1.0, 1.0, 2, (0.5, _NAN), 1.0),
     lambda: exact_gaussian_solution(_INF, 1.0, 1, 0.5, 1.0),
     lambda: validity_integral(_COEFFS, _NAN),
+    # not a number at all: None, text, bytes, a non-numeric coordinate, or
+    # a point of the wrong length
+    lambda: eval_uk(_T1, _CFG1, None),
+    lambda: eval_uk(_T1, _CFG1, "0.5"),
+    lambda: eval_uk(_T1, _CFG1, b"1"),
+    lambda: eval_uk(_T1, _CFG1, ("0.5",)),
+    lambda: eval_uk(_T2, _CFG2, (0.5, None)),
+    lambda: eval_uk(_T2, _CFG2, 0.5),
+    lambda: eval_uk(_T2, _CFG2, (0.5, 0.5, 0.5)),
+    lambda: eval_uk_sweep(_T2, 1.0, (0.5, "0.5"), [4]),
+    lambda: eval_uk_sweep(_T1, _NAN, 0.5, [4]),
+    lambda: heat_kernel(None, 1.0),
+    lambda: heat_kernel("0.5", 1.0),
+    lambda: heat_kernel(b"12", 1.0),
+    lambda: heat_kernel((0.5, object()), 1.0),
+    lambda: kernel_derivative((2,), "0.5", 1.0),
+    lambda: kernel_derivative((2, 1), None, 1.0),
 ])
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("x", [0.5, np.float64(0.5), np.float32(0.5), np.int64(2), 2])
+def test_a_real_number_is_one_coordinate(x):
+    pt = (float(x),)
+    assert bits(eval_uk(_T1, _CFG1, x).value) == bits(eval_uk(_T1, _CFG1, pt).value)
+    assert heat_kernel(x, 1.0) == heat_kernel(pt, 1.0)
+    assert kernel_derivative((3,), x, 1.0) == kernel_derivative((3,), pt, 1.0)
+    assert eval_uk(_T2, _CFG2, (x, np.int16(-1))).value == eval_uk(_T2, _CFG2, (float(x), -1.0)).value
