@@ -14,13 +14,12 @@ every dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .kernel_approx import ApproxConfig
-from .moments import Gaussian, MomentTable, component_sums, moment_factors
+from .moments import MomentTable, component_sums, moment_factors
 from .signedlog import ZERO, SignedLog, aligned_sum_arrays
 from .specfun import log_factorial, log_gamma
 
@@ -77,8 +76,10 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     orders = list(orders)
     if not 0.0 < t < math.inf:
         raise DomainError(f"evaluation time t must be finite and > 0, got {t}")
-    if any(k < 0 for k in orders):
-        raise DomainError("truncation order k must be >= 0")
+    for k in orders:
+        check_integer("truncation order k", k)
+        if k < 0:
+            raise DomainError("truncation order k must be >= 0")
     top = max(orders, default=-1) + 1
     if top > table.k_max:
         raise DomainError(
@@ -194,35 +195,3 @@ def divergence_lower_bound(
     bound = aligned_sum_arrays(signs, np.array(logs))
     return bound if bound.sign > 0 else ZERO
 
-
-@dataclass
-class BoundReport:
-    """All applicable bounds at one truncation order."""
-
-    k: int
-    F_k: SignedLog
-    G_k: SignedLog | None = None
-    divergence_lb: SignedLog | None = None
-
-
-def bound_report_sweep(table: MomentTable, t: float, orders) -> list[BoundReport]:
-    """F plus whichever of G and the divergence bound apply, at time t for
-    every k in ``orders``, with every F_k from one
-    :func:`error_bound_F_sweep` pass."""
-    orders = list(orders)
-    return [
-        _report(table, ApproxConfig(dim=table.dim, k=k, t=t), f_k)
-        for k, f_k in zip(orders, error_bound_F_sweep(table, t, orders))
-    ]
-
-
-def _report(table: MomentTable, cfg: ApproxConfig, f_k: SignedLog) -> BoundReport:
-    report = BoundReport(k=cfg.k, F_k=f_k)
-    src = table.source
-    if isinstance(src, Gaussian):
-        report.G_k = envelope_bound_G(src.amplitude, src.width, cfg)
-        if cfg.t < src.width:
-            lb = divergence_lower_bound(src.amplitude, src.width, cfg)
-            if lb.sign > 0:
-                report.divergence_lb = lb
-    return report

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import HeatSeriesError
 from .kernel_approx import ApproxConfig, eval_uk_sweep
 from .moments import Gaussian, Generic1D, abs_moment, build_moment_table
 from .quadrature import error_allowance, integrate_line_rows
-from .reference import GridSpec, default_grid, error_curve
+from .reference import COLUMNS, GridSpec, default_grid, error_curve
 from .serial import csv_text, f17, json_array, table_text
 from .specfun import IERFC_RTOL, log_factorial
 from .svg import line_plot
@@ -139,8 +140,7 @@ def cmd_error_curve(args) -> None:
         u0, table, args.dim, args.t, args.kmax, grid,
         even_only=not args.all_k,
     )
-    text = curve.to_csv() if args.format == "csv" else curve.to_json()
-    _write(args.out, text)
+    _write(args.out, table_text(args.format, COLUMNS, map(astuple, curve.points)))
     if args.plot:
         ks = [p.k for p in curve.points]
         series = [

@@ -67,22 +67,6 @@ def _one_dimensional(f) -> tuple[Callable, tuple[float, ...]]:
     return func, tuple(breakpoints)
 
 
-@dataclass(frozen=True)
-class RemainderFunction:
-    """The order-a remainder density F_a for a fixed f, callable in x."""
-
-    func: Datum
-    alpha: int
-
-    def __post_init__(self):
-        _one_dimensional(self.func)
-        if self.alpha < 1:
-            raise DomainError("remainder order must be >= 1")
-
-    def __call__(self, x):
-        return remainder(self.func, self.alpha, x)
-
-
 def remainder(f: Datum, alpha: int, x):
     """Evaluate F_alpha at x, a float or an array of floats; F_a(0) = 0.
 
@@ -207,19 +191,14 @@ def poly_gaussian_test_function(
     return TestFunction(deriv=deriv, max_order=max_order)
 
 
-def decomposition_residual(
-    f: Datum,
-    k: int,
-    phi: TestFunction,
-    breakpoints: Sequence[float] = (),
-) -> float:
+def decomposition_residual(f: Datum, k: int, phi: TestFunction) -> float:
     """|<f, phi> - Taylor terms - remainder pairing|; zero up to quadrature
     error when the decomposition holds.
 
     The pairing <f, phi> (row 0) and the moments m_0..m_k (rows 1..k+1) are
-    one line-quadrature batch over f, split at ``breakpoints`` and at a
-    Generic1D's own.  The remainder pairing is one more line quadrature of
-    F_{k+1} phi^{(k+1)}: over the closed-form F_{k+1} for a Gaussian f, over
+    one line-quadrature batch over f, split at a Generic1D's breakpoints.
+    The remainder pairing is one more line quadrature of F_{k+1}
+    phi^{(k+1)}: over the closed-form F_{k+1} for a Gaussian f, over
     the half-line quadrature of F_{k+1} (a nested quadrature) otherwise.
     """
     func, own = _one_dimensional(f)
@@ -233,9 +212,7 @@ def decomposition_residual(
         fx = fa(x)
         return np.where(rows == 0, phi.deriv(0, x), x ** np.maximum(rows - 1, 0)) * fx
 
-    lhs, *moments = integrate_line_rows(
-        against_f, [(*breakpoints, *own)] * (k + 2)
-    )
+    lhs, *moments = integrate_line_rows(against_f, [own] * (k + 2))
     taylor = 0.0
     for j, moment in enumerate(moments):
         taylor += moment * phi.deriv(j, 0.0) / math.factorial(j)

@@ -74,13 +74,6 @@ def to_similarity(x, t: float) -> SimilarityPoint:
     return SimilarityPoint(z=tuple(c / root for c in pt), tau=math.log(t))
 
 
-def from_similarity(p: SimilarityPoint) -> tuple[tuple[float, ...], float]:
-    """Inverse map: (z, tau) -> (x, t)."""
-    t = math.exp(p.tau)
-    root = 2.0 * math.sqrt(t)
-    return tuple(c * root for c in p.z), t
-
-
 class EigenCoeffs(MomentTable):
     """Expansion coefficients a_alpha computed from the solution moments at
     time ``t0_coeff`` (0 means the initial datum itself), held and written
@@ -149,14 +142,6 @@ def eval_expansion_sweep(coeffs: EigenCoeffs, p: SimilarityPoint, ks) -> list[fl
     scales = [-0.5 * j * p.tau for j in range(ks[-1] + 1)]
     signs, logmag, cuts = _point_terms(coeffs, ks[-1], scales, p.z)
     return [aligned_sum_arrays(signs[: cuts[k]], logmag[: cuts[k]]).to_float() for k in ks]
-
-
-def is_within_validity(coeffs: EigenCoeffs, p: SimilarityPoint) -> bool:
-    """Whether (z, tau) lies in the regime where the expansion represents
-    the solution (t > t0_coeff)."""
-    if coeffs.t0_coeff == 0.0:
-        return True
-    return p.tau > math.log(coeffs.t0_coeff)
 
 
 def _energy_shells(coeffs: EigenCoeffs, t: float) -> np.ndarray:

@@ -392,8 +392,10 @@ class SeriesGridEvaluator:
             backend.accumulate_series_2d(out, t1, self._tables[1], rows1, rows2, coeffs)
 
     def _check_orders(self, orders: Sequence[int]) -> list[int]:
-        """``orders`` as a list, checked ascending, >= 0 and within the cap."""
+        """``orders`` as a list, checked integer, ascending, >= 0 and within the cap."""
         orders = list(orders)
+        for k in orders:
+            check_integer("truncation order", k)
         if orders != sorted(orders) or min(orders, default=0) < 0:
             raise DomainError("orders must be ascending and >= 0")
         if orders and orders[-1] > self.k_cap:

@@ -452,7 +452,10 @@ class MomentTable:
     def from_arrays(cls, signs, logmag, *, dim: int, k_max: int, source=None, **header):
         """The table of the sign and log-magnitude columns, in table order,
         checked as a whole; ``header`` sets the further fields of a
-        subclass's HEADER."""
+        subclass's HEADER, and any other keyword raises DomainError."""
+        unknown = sorted(set(header) - {attr for _, attr, _ in cls.HEADER})
+        if unknown:
+            raise DomainError(f"{cls.__name__} has no header field {', '.join(unknown)}")
         table = cls.__new__(cls)
         table.dim, table.k_max, table.source = dim, k_max, source
         table.__dict__.update(header)

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import bound_report_sweep
+from .bounds import divergence_lower_bound, envelope_bound_G, error_bound_F_sweep
 from .errors import DomainError, UnsupportedVariantError, check_integer
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
-from .serial import csv_text, json_array
 
 
 @dataclass(frozen=True)
@@ -273,18 +272,11 @@ class ErrorPoint:
 
 
 COLUMNS = tuple(f.name for f in fields(ErrorPoint))
-CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass
 class ErrorCurve:
     points: list[ErrorPoint]
-
-    def to_csv(self) -> str:
-        return csv_text(COLUMNS, map(astuple, self.points))
-
-    def to_json(self) -> str:
-        return json_array(COLUMNS, map(astuple, self.points)) + "\n"
 
 
 def error_curve(
@@ -305,9 +297,11 @@ def error_curve(
     incrementally and holds no truncation field of the whole grid, so the
     sweep costs about as much as the single largest k.  For even data the
     sweep covers only the grid's non-negative orthant, which holds every
-    value of the grid (:func:`_sweep_axes`).  The bounds of every order come
-    from one pass over the table (:func:`bound_report_sweep`).
+    value of the grid (:func:`_sweep_axes`).  F of every order comes from
+    one pass over the table (:func:`error_bound_F_sweep`); a Gaussian u0
+    adds G and, below its width, the divergence bound where it is positive.
     """
+    check_integer("k_max", k_max)
     if table.k_max < k_max + 1:
         raise DomainError(
             f"error_curve to k_max={k_max} needs table degree {k_max + 1}"
@@ -315,14 +309,15 @@ def error_curve(
     orders = range(0, k_max + 1, 2 if even_only else 1)
     points = []
     sups = _sweep(u0, table, dim, t, grid, k_max, orders)
-    for k, sup, report in zip(orders, sups, bound_report_sweep(table, t, orders)):
-        g_k, lb = (
-            None if bound is None else bound.to_float()
-            for bound in (report.G_k, report.divergence_lb)
-        )
-        points.append(
-            ErrorPoint(k=k, sup_error=sup, F_k=report.F_k.to_float(), G_k=g_k, lb=lb)
-        )
+    for k, sup, f_k in zip(orders, sups, error_bound_F_sweep(table, t, orders)):
+        point = ErrorPoint(k=k, sup_error=sup, F_k=f_k.to_float())
+        if isinstance(u0, Gaussian):
+            cfg = ApproxConfig(dim=dim, k=k, t=t)
+            point.G_k = envelope_bound_G(u0.amplitude, u0.width, cfg).to_float()
+            if t < u0.width:
+                lb = divergence_lower_bound(u0.amplitude, u0.width, cfg)
+                point.lb = lb.to_float() if lb.sign > 0 else None
+        points.append(point)
     by_order = {p.k: p for p in points}
     for p in points:
         after = by_order.get(p.k + 2)

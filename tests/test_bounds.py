@@ -22,13 +22,14 @@ from heatseries import (
     aligned_sum,
     backend,
     bonan_clark_log,
-    bound_report_sweep,
     build_moment_table,
     compositions,
+    default_grid,
     divergence_lower_bound,
     envelope_bound_G,
     error_bound_F,
     error_bound_F_sweep,
+    error_curve,
     eval_uk,
     gaussian_origin_blocks,
     moments,
@@ -291,45 +292,63 @@ def test_divergence_lower_bound_at_near_ties(moment_table, dim, q, k):
     assert lb.to_float() <= abs(value) * (1.0 + 1e-9)
 
 
-# --- assembled report -----------------------------------------------------
+# --- the bounds an error-curve row reports --------------------------------
+
+def _rows(u0, t, k_max, even_only=True):
+    """k -> the error-curve row of order k, measured on a small grid."""
+    table = build_moment_table(u0, k_max + 1)
+    grid = default_grid(u0.dim, t, 1.0, points=21)
+    curve = error_curve(u0, table, u0.dim, t, k_max, grid, even_only=even_only)
+    return {p.k: p for p in curve.points}
+
 
 def test_bound_report_gaussian_below_width():
-    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=2), 11)
-    [rep] = bound_report_sweep(table, 0.5, [10])
-    assert rep.F_k.sign == 1
-    assert rep.G_k is not None
-    assert rep.divergence_lb is not None
-    assert rep.divergence_lb.to_float() == pytest.approx(32.0, rel=1e-12)
+    row = _rows(Gaussian(amplitude=1.0, width=1.0, dim=2), 0.5, 10)[10]
+    assert row.F_k > 0.0
+    assert row.G_k is not None
+    assert row.lb == pytest.approx(32.0, rel=1e-12)
 
 
 def test_bound_report_dim1_lb_below_origin_value():
-    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), 41)
-    for k in range(0, 41):
-        [rep] = bound_report_sweep(table, 0.5, [k])
+    u0 = Gaussian(amplitude=1.0, width=1.0, dim=1)
+    table = build_moment_table(u0, 41)
+    rows = _rows(u0, 0.5, 40, even_only=False)
+    assert list(rows) == list(range(41))
+    for k, row in rows.items():
         value = abs(eval_uk(table, ApproxConfig(dim=1, k=k, t=0.5), 0.0).value)
         if k // 2 == 1:
-            # the bound is 0 there, so the report leaves it out
-            assert rep.divergence_lb is None
+            # the bound is 0 there, so the row leaves it out
+            assert row.lb is None
         else:
-            assert rep.divergence_lb.to_float() <= value * (1.0 + 1e-9)
+            assert row.lb <= value * (1.0 + 1e-9)
 
 
 def test_bound_report_above_width_has_no_lb():
-    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=1), 11)
-    [rep] = bound_report_sweep(table, 2.0, [10])
-    assert rep.divergence_lb is None
-    assert rep.G_k is not None
+    row = _rows(Gaussian(amplitude=1.0, width=1.0, dim=1), 2.0, 10)[10]
+    assert row.lb is None
+    assert row.G_k is not None
 
 
 def test_bound_report_generic_source_has_no_envelope():
     ind = Generic1D(
         func=lambda x: 1.0 if abs(x) <= 1.0 else 0.0, breakpoints=(-1.0, 1.0)
     )
-    table = build_moment_table(ind, 5)
-    [rep] = bound_report_sweep(table, 2.0, [4])
-    assert rep.G_k is None
-    assert rep.divergence_lb is None
-    assert rep.F_k.sign == 1
+    row = _rows(ind, 2.0, 4)[4]
+    assert row.G_k is None
+    assert row.lb is None
+    assert row.F_k > 0.0
+
+
+def test_bound_report_sweep_equals_per_order_reports():
+    # every row's bounds are those of the one-order functions, bit for bit
+    u0 = Gaussian(amplitude=1.0, width=1.0, dim=2)
+    table = build_moment_table(u0, 13)
+    for k, row in _rows(u0, 0.5, 12).items():
+        cfg = ApproxConfig(dim=2, k=k, t=0.5)
+        lb = divergence_lower_bound(1.0, 1.0, cfg)
+        assert row.F_k == error_bound_F(table, cfg).to_float()
+        assert row.G_k == envelope_bound_G(1.0, 1.0, cfg).to_float()
+        assert row.lb == (lb.to_float() if lb.sign else None)
 
 
 # --- radial absolute moments: one half-line integral per degree ----------
@@ -490,17 +509,12 @@ def test_F_sweep_domain(table_d1):
         error_bound_F_sweep(table_d1, 1.0, [0, 21])  # needs degree 22
     with pytest.raises(DomainError):
         error_bound_F_sweep(table_d1, 1.0, [-1])
+    for order in (2.0, True):  # not integers
+        with pytest.raises(DomainError, match="must be an integer"):
+            error_bound_F_sweep(table_d1, 1.0, [order])
     for t in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             error_bound_F_sweep(table_d1, t, [0])
     stripped = MomentTable.from_json(table_d1.to_json())
     with pytest.raises(DomainError):
         error_bound_F_sweep(stripped, 1.0, [0])
-
-
-def test_bound_report_sweep_equals_per_order_reports():
-    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=2), 13)
-    orders = list(range(0, 13, 2))
-    for report, k in zip(bound_report_sweep(table, 0.5, orders), orders):
-        [single] = bound_report_sweep(table, 0.5, [k])
-        assert report == single

@@ -368,6 +368,23 @@ GOLDEN = {
     ("error-curve", "--dim", "2", "--t0", "1", "--t", "0.5", "--kmax", "60"): {
         "out.txt": "1cecb38742928fa471b943a761e9dcba5660032f4e03141d9b5278396f394fb3",
     },
+    # taken while ErrorCurve still wrote its own rows: the shared row writer
+    # must write the same bytes
+    ("error-curve", "--dim", "1", "--kmax", "40", "--format", "json"): {
+        "out.txt": "08945d651b4d679b4577316da31711f1d3a5b042dc34c4d67bae8ddedde4442e",
+    },
+    ("error-curve", "--dim", "1", "--kmax", "12", "--all-k"): {
+        "out.txt": "6aaea5b898cf78ce82401c5911031fe27bb75cd860650babfdda39eccf0acd4c",
+    },
+    ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "60"): {
+        "out.txt": "561aed037a737779e0e2ce681fa515b7250065dc7053ec959cd195fd20dd1138",
+    },
+    ("decomp-check",): {
+        "out.txt": "6c895f0b9f33f3e9176614e652060981e74f49f224c437c67e0653818f20e4af",
+    },
+    ("decomp-check", "--format", "json"): {
+        "out.txt": "443c6553c0ab6215a9a6453fd1f93cd1cb2949e5c17681024e52e5615f8c0cd2",
+    },
 }
 
 

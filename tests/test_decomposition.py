@@ -18,7 +18,6 @@ from heatseries import (
     Generic1D,
     IntegrabilityError,
     Radial,
-    RemainderFunction,
     abs_moment,
     build_moment_table,
     decomposition_residual,
@@ -62,10 +61,11 @@ def test_first_remainder_is_negative_tail(x):
 
 
 def test_remainder_wrapper_and_domain():
-    wrapped = RemainderFunction(func=f_unit, alpha=2)
-    assert wrapped(1.1) == pytest.approx(remainder(f_unit, 2, 1.1), rel=1e-12)
+    # a Generic1D wrapping a callable takes the callable's route
+    wrapped = Generic1D(f_unit)
+    assert remainder(wrapped, 2, 1.1) == pytest.approx(remainder(f_unit, 2, 1.1), rel=1e-12)
     with pytest.raises(DomainError):
-        RemainderFunction(func=f_unit, alpha=0)
+        remainder(wrapped, 0, 1.0)
     with pytest.raises(DomainError):
         remainder(f_unit, 0, 1.0)
 
@@ -172,7 +172,7 @@ def test_residual_vanishes_for_narrow_spike():
     w = 1e-2
     spike = lambda x: (4.0 * math.pi * w) ** -0.5 * math.exp(-x * x / (4.0 * w))
     phi = poly_gaussian_test_function((1.0, 0.0, 1.0), 1.0)
-    got = decomposition_residual(spike, 2, phi, breakpoints=(0.0,))
+    got = decomposition_residual(Generic1D(spike, breakpoints=(0.0,)), 2, phi)
     assert got <= 1e-9
 
 
@@ -287,9 +287,8 @@ NOT_ONE_DIMENSIONAL = [
         lambda f: remainder(f, 2, 0.7),
         lambda f: remainder_l1_norm(f, 2),
         lambda f: decomposition_residual(f, 1, PHIS[0]),
-        lambda f: RemainderFunction(func=f, alpha=2),
     ],
-    ids=["remainder", "l1-norm", "residual", "remainder-function"],
+    ids=["remainder", "l1-norm", "residual"],
 )
 @pytest.mark.parametrize(
     "datum", NOT_ONE_DIMENSIONAL, ids=["gaussian-dim2", "radial-dim2", "float", "generic-none"]

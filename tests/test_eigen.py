@@ -35,8 +35,6 @@ from heatseries import (
     eval_expansion_sweep,
     eval_uk,
     exact_gaussian_solution,
-    from_similarity,
-    is_within_validity,
     to_similarity,
 )
 from heatseries.eigen import validity_integral
@@ -51,8 +49,6 @@ def test_similarity_map_basics():
     p = to_similarity((2.0,), 1.0)
     assert p.z == (1.0,)
     assert p.tau == 0.0
-    x, t = from_similarity(SimilarityPoint(z=(1.0,), tau=0.0))
-    assert x == (2.0,) and t == 1.0
 
 
 @given(
@@ -60,9 +56,10 @@ def test_similarity_map_basics():
     st.floats(1e-6, 1e6, allow_nan=False),
 )
 def test_similarity_roundtrip(x, t):
+    # t = e^tau and x = 2 sqrt(t) z recover the point
     p = to_similarity((x,), t)
-    back_x, back_t = from_similarity(p)
-    assert math.isclose(back_x[0], x, rel_tol=1e-12, abs_tol=1e-12)
+    back_t = math.exp(p.tau)
+    assert math.isclose(2.0 * math.sqrt(back_t) * p.z[0], x, rel_tol=1e-12, abs_tol=1e-12)
     assert math.isclose(back_t, t, rel_tol=1e-12)
 
 
@@ -169,6 +166,16 @@ def test_from_arrays_is_the_one_constructor():
     back = EigenCoeffs.from_arrays(coeffs.signs, coeffs.logmag, dim=1, k_max=4)
     assert back.t0_coeff == 0.0
     assert back.to_json() == coeffs.to_json()
+
+
+def test_from_arrays_rejects_a_field_the_header_does_not_define():
+    # a misspelt t0_coeff would leave the default 0.0, and validity_integral
+    # would take evolved coefficients for the datum's
+    coeffs = eigen_coeffs(UNIT1, 1.5, 6)
+    with pytest.raises(DomainError, match="t0_coef"):
+        EigenCoeffs.from_arrays(coeffs.signs, coeffs.logmag, dim=1, k_max=6, t0_coef=1.5)
+    with pytest.raises(DomainError, match="t0_coeff"):
+        MomentTable.from_arrays(coeffs.signs, coeffs.logmag, dim=1, k_max=6, t0_coeff=3.0)
 
 
 # --- expansion vs truncated series ----------------------------------------
@@ -405,15 +412,3 @@ def test_validity_needs_two_nonzero_shells(degree):
     # the odd shells of a Gaussian are zero: degree 1 holds one shell
     with pytest.raises(DomainError):
         validity_integral(eigen_coeffs(UNIT1, 0.0, degree), 2.0)
-
-
-def test_is_within_validity():
-    coeffs = eigen_coeffs(UNIT1, 1.0, 2)
-    assert is_within_validity(coeffs, SimilarityPoint(z=(0.0,), tau=math.log(2.0)))
-    assert not is_within_validity(
-        coeffs, SimilarityPoint(z=(0.0,), tau=math.log(0.5))
-    )
-    datum_coeffs = eigen_coeffs(UNIT1, 0.0, 2)
-    assert is_within_validity(
-        datum_coeffs, SimilarityPoint(z=(0.0,), tau=-30.0)
-    )

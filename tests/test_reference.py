@@ -9,13 +9,13 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from heatseries import (
-    CSV_HEADER,
     ApproxConfig,
     DomainError,
     Gaussian,
@@ -35,7 +35,8 @@ from heatseries import (
 )
 import heatseries.reference as reference_module
 from heatseries import kernel_approx
-from heatseries.reference import _reference_field
+from heatseries.reference import COLUMNS, _reference_field
+from heatseries.serial import table_text
 
 UNIT = Gaussian(amplitude=1.0, width=1.0, dim=1)
 
@@ -282,10 +283,15 @@ def test_error_curve_ratio_column(small_curve):
     assert pts[-1].ratio is None
 
 
+def _curve_text(fmt, curve):
+    """The rows of ``curve`` as error-curve writes them."""
+    return table_text(fmt, COLUMNS, map(astuple, curve.points))
+
+
 def test_error_curve_csv_shape(small_curve):
-    text = small_curve.to_csv()
+    text = _curve_text("csv", small_curve)
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER == "k,sup_error,F_k,G_k,lb,ratio"
+    assert lines[0] == "k,sup_error,F_k,G_k,lb,ratio"
     assert len(lines) == 1 + len(small_curve.points)
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -294,7 +300,7 @@ def test_error_curve_csv_shape(small_curve):
 
 
 def test_error_curve_json_parses(small_curve):
-    rows = json.loads(small_curve.to_json())
+    rows = json.loads(_curve_text("json", small_curve))
     assert len(rows) == len(small_curve.points)
     assert rows[0]["k"] == 0
     assert rows[0]["lb"] is None
@@ -304,8 +310,8 @@ def test_error_curve_json_parses(small_curve):
 def test_error_curve_deterministic():
     table = build_moment_table(UNIT, 9)
     grid = default_grid(1, 2.0, 1.0, points=101)
-    a = error_curve(UNIT, table, 1, 2.0, 8, grid).to_csv()
-    b = error_curve(UNIT, table, 1, 2.0, 8, grid).to_csv()
+    a = _curve_text("csv", error_curve(UNIT, table, 1, 2.0, 8, grid))
+    b = _curve_text("csv", error_curve(UNIT, table, 1, 2.0, 8, grid))
     assert a == b
 
 
@@ -439,6 +445,11 @@ def test_band_sweep_guards():
         evaluator.sup_errors(reference, [2, 10])  # beyond k_cap
     with pytest.raises(DomainError):
         evaluator.sup_errors(np.zeros((41, 40)), [2])
+    for order in (2.0, True):  # not integers
+        with pytest.raises(DomainError):
+            evaluator.sup_errors(reference, [order])
+        with pytest.raises(DomainError):
+            evaluator.field_up_to(order)
 
 
 def test_error_curve_holds_no_truncation_field():
@@ -589,6 +600,13 @@ def test_error_curve_rejects_a_negative_order():
     grid = default_grid(1, 2.0, 1.0, points=41)
     with pytest.raises(DomainError):
         error_curve(UNIT, build_moment_table(UNIT, 3), 1, 2.0, -1, grid)
+
+
+@pytest.mark.parametrize("k_max", [2.0, True])
+def test_error_curve_rejects_an_order_that_is_not_an_integer(k_max):
+    grid = default_grid(1, 2.0, 1.0, points=41)
+    with pytest.raises(DomainError, match="k_max must be an integer"):
+        error_curve(UNIT, build_moment_table(UNIT, 3), 1, 2.0, k_max, grid)
 
 
 # --- the gather-free kernel against the gathering one --------------------
