@@ -11,7 +11,6 @@ from .bounds import (
     gaussian_origin_blocks,
 )
 from .decomposition import (
-    TestFunction,
     decomposition_residual,
     gaussian_test_function,
     poly_gaussian_test_function,
@@ -24,7 +23,6 @@ from .eigen import (
     eigen_coeffs,
     eval_expansion,
     eval_expansion_sweep,
-    to_similarity,
     validity_integral,
 )
 from .errors import (
@@ -63,7 +61,6 @@ from .reference import (
     default_grid,
     error_curve,
     exact_gaussian_solution,
-    sup_error,
 )
 from .signedlog import ZERO, SignedLog, aligned_sum
 from .specfun import (
@@ -94,7 +91,6 @@ __all__ = [
     "SeriesGridEvaluator",
     "SignedLog",
     "SimilarityPoint",
-    "TestFunction",
     "UnsupportedVariantError",
     "ZERO",
     "abs_moment",
@@ -131,7 +127,5 @@ __all__ = [
     "poly_gaussian_test_function",
     "remainder",
     "remainder_l1_norm",
-    "sup_error",
-    "to_similarity",
     "validity_integral",
 ]

@@ -38,6 +38,7 @@ _LOG_ROUNDING = math.log(1e-13)
 def bonan_clark_log(n: int) -> float:
     """log of the sharp sup bound on |H_n| e^{-x^2}:
     2^{n/2} sqrt(n!) (n+1)^{-1/12}."""
+    check_integer("order", n)
     if n < 0:
         raise DomainError("order must be >= 0")
     return (
@@ -152,6 +153,8 @@ def gaussian_origin_blocks(
     _check_envelope(amplitude, width)
     if not 0.0 < t < math.inf:
         raise DomainError(f"evaluation time t must be finite and > 0, got {t}")
+    check_integer("dim", dim)
+    check_integer("N", N)
     if dim < 1 or N < 0:
         raise DomainError(f"need dim >= 1 and N >= 0, got dim {dim}, N {N}")
     log_q = math.log(width / t)

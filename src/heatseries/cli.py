@@ -113,9 +113,15 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
-def _plot_path(out: str) -> str:
-    p = Path(out)
-    return str(p.with_suffix(".svg"))
+def _plot(args, series, title: str, ylabel: str) -> None:
+    """Under --plot, write ``series`` against k as an SVG next to --out."""
+    if args.plot:
+        _write(str(Path(args.out).with_suffix(".svg")), line_plot(series, title, "k", ylabel))
+
+
+def _gaussian(args) -> Gaussian:
+    """The Gaussian datum of --amplitude, --t0 and --dim."""
+    return Gaussian(amplitude=args.amplitude, width=args.t0, dim=args.dim)
 
 
 def _ks(args) -> list[int]:
@@ -134,25 +140,21 @@ def cmd_error_curve(args) -> None:
             "warning: t below the envelope width; truncations diverge there",
             file=sys.stderr,
         )
-    u0 = Gaussian(amplitude=args.amplitude, width=args.t0, dim=args.dim)
+    u0 = _gaussian(args)
     table = build_moment_table(u0, args.kmax + 1)
     curve = error_curve(
         u0, table, args.dim, args.t, args.kmax, grid,
         even_only=not args.all_k,
     )
     _write(args.out, table_text(args.format, COLUMNS, map(astuple, curve.points)))
-    if args.plot:
-        ks = [p.k for p in curve.points]
-        series = [
-            ("sup_error", ks, [p.sup_error for p in curve.points]),
-            ("F_k", ks, [p.F_k for p in curve.points]),
-        ]
-        if curve.points and curve.points[0].G_k is not None:
-            series.append(("G_k", ks, [p.G_k for p in curve.points]))
-        _write(
-            _plot_path(args.out),
-            line_plot(series, "sup error vs truncation order", "k", "error"),
-        )
+    ks = [p.k for p in curve.points]
+    series = [
+        ("sup_error", ks, [p.sup_error for p in curve.points]),
+        ("F_k", ks, [p.F_k for p in curve.points]),
+    ]
+    if curve.points and curve.points[0].G_k is not None:
+        series.append(("G_k", ks, [p.G_k for p in curve.points]))
+    _plot(args, series, "sup error vs truncation order", "error")
     nonfinite = [
         p.k for p in curve.points
         if not (math.isfinite(p.sup_error) and math.isfinite(p.F_k))
@@ -167,8 +169,7 @@ def cmd_error_curve(args) -> None:
 
 
 def cmd_divergence(args) -> None:
-    u0 = Gaussian(amplitude=args.amplitude, width=args.t0, dim=args.dim)
-    table = build_moment_table(u0, args.kmax)
+    table = build_moment_table(_gaussian(args), args.kmax)
     ks = _ks(args)
     rows = []
     for k, result in zip(ks, eval_uk_sweep(table, args.t, (0.0,) * args.dim, ks)):
@@ -180,18 +181,13 @@ def cmd_divergence(args) -> None:
         )
     columns = ("k", "uk0", "abs_uk0", "lb", "block")
     _write(args.out, table_text(args.format, columns, rows))
-    if args.plot:
-        ks = [r[0] for r in rows]
-        series = [("abs_uk0", ks, [r[2] for r in rows])]
-        if any(r[3] is not None for r in rows):
-            series.append(
-                ("lb", [r[0] for r in rows if r[3] is not None],
-                 [r[3] for r in rows if r[3] is not None])
-            )
-        _write(
-            _plot_path(args.out),
-            line_plot(series, "origin growth below the width", "k", "|u_k(0,t)|"),
+    series = [("abs_uk0", ks, [r[2] for r in rows])]
+    if any(r[3] is not None for r in rows):
+        series.append(
+            ("lb", [r[0] for r in rows if r[3] is not None],
+             [r[3] for r in rows if r[3] is not None])
         )
+    _plot(args, series, "origin growth below the width", "|u_k(0,t)|")
     bad = [
         k for k, _, av, lb, _ in rows
         if not math.isfinite(av) or lb is not None and av < lb
@@ -203,7 +199,7 @@ def cmd_divergence(args) -> None:
 
 
 def cmd_eigen_compare(args) -> None:
-    u0 = Gaussian(amplitude=args.amplitude, width=args.t0, dim=args.dim)
+    u0 = _gaussian(args)
     table = build_moment_table(u0, args.kmax)
     # the sums stop at degree k, so the rows read the same from a deeper
     # table; the verdicts need the depth whatever --kmax is
@@ -237,17 +233,10 @@ def cmd_eigen_compare(args) -> None:
             '{"discrepancies":%s,"validity":%s}\n'
             % (json_array(*discrepancies), json_array(*validity)),
         )
-    if args.plot:
-        ks = [k for k, _ in rows]
-        _write(
-            _plot_path(args.out),
-            line_plot(
-                [("discrepancy", ks, [w for _, w in rows])],
-                "eigen expansion vs moment expansion",
-                "k",
-                "max abs discrepancy",
-            ),
-        )
+    _plot(
+        args, [("discrepancy", ks, [w for _, w in rows])],
+        "eigen expansion vs moment expansion", "max abs discrepancy",
+    )
     nonfinite = [k for k, w in rows if not math.isfinite(w)]
     if nonfinite:
         raise AssertionFailure(f"non-finite expansion discrepancy at k={nonfinite}")
@@ -292,7 +281,7 @@ def _residual_threshold(f, k: int, phi) -> float:
     per add, of the sum of their magnitudes."""
     lhs, remainder_sq, deriv_sq = integrate_line_rows(
         lambda rows, x: np.choose(
-            rows, [np.abs(f(x) * phi(x)), remainder(f, k + 1, x) ** 2, phi.deriv(k + 1, x) ** 2]
+            rows, [np.abs(f(x) * phi(0, x)), remainder(f, k + 1, x) ** 2, phi(k + 1, x) ** 2]
         ),
         [(0.0,)] * 3,
     )
@@ -300,7 +289,7 @@ def _residual_threshold(f, k: int, phi) -> float:
     allowed = error_allowance(lhs) + error_allowance(pairing) + IERFC_RTOL * pairing
     scale = lhs + pairing
     for j in range(k + 1):
-        weight = abs(phi.deriv(j, 0.0)) / math.factorial(j)
+        weight = abs(phi(j, 0.0)) / math.factorial(j)
         norm = abs_moment(f, (j,)).to_float()
         allowed += weight * error_allowance(norm)
         scale += weight * norm
@@ -381,8 +370,7 @@ def cmd_decomp_check(args) -> None:
 
 
 def cmd_moments(args) -> None:
-    u0 = Gaussian(amplitude=args.amplitude, width=args.t0, dim=args.dim)
-    table = build_moment_table(u0, args.kmax)
+    table = build_moment_table(_gaussian(args), args.kmax)
     if args.format == "json":
         _write(args.out, table.to_json() + "\n")
     else:

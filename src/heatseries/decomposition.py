@@ -39,12 +39,11 @@ negative half-line).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .moments import Gaussian, Generic1D
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .specfun import IERFC_MAX_ORDER, hermite, ierfc
@@ -82,6 +81,7 @@ def remainder(f: Datum, alpha: int, x):
     route.
     """
     func, breakpoints = _one_dimensional(f)
+    check_integer("remainder order", alpha)
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
     points = np.asarray(x, dtype=float)
@@ -119,6 +119,7 @@ def remainder_l1_norm(f: Datum, alpha: int) -> float:
     a Gaussian, a nested one (a remainder batch per outer panel level) for
     any other f."""
     _, breakpoints = _one_dimensional(f)
+    check_integer("remainder order", alpha)
     if alpha < 1:
         raise DomainError("remainder order must be >= 1")
     value = integrate_line_rows(
@@ -127,24 +128,9 @@ def remainder_l1_norm(f: Datum, alpha: int) -> float:
     return float(value[0])
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A smooth test function with analytically supplied derivatives.
-
-    ``deriv(n, x)`` returns the n-th derivative at x, a float or an array;
-    ``max_order`` bounds n.
-    """
-
-    deriv: Callable[[int, float], float]
-    max_order: int
-
-    def __call__(self, x):
-        return self.deriv(0, x)
-
-
-def gaussian_test_function(a: float = 1.0, max_order: int = 12) -> TestFunction:
-    """phi(x) = e^{-a x^2}; derivatives via the Hermite closed form
-    d^n/dx^n e^{-y^2} = (-1)^n H_n(y) e^{-y^2} with y = sqrt(a) x."""
+def gaussian_test_function(a: float = 1.0) -> Callable[[int, float], float]:
+    """(n, x) -> phi^{(n)}(x) for phi(x) = e^{-a x^2}, by the Hermite closed
+    form d^n/dx^n e^{-y^2} = (-1)^n H_n(y) e^{-y^2} with y = sqrt(a) x."""
     if not 0.0 < a < math.inf:
         raise DomainError(f"Gaussian test function needs finite a > 0, got {a}")
     root = math.sqrt(a)
@@ -154,13 +140,14 @@ def gaussian_test_function(a: float = 1.0, max_order: int = 12) -> TestFunction:
         sign = -1.0 if n % 2 else 1.0
         return sign * root**n * hermite(n, y) * np.exp(-y * y)
 
-    return TestFunction(deriv=deriv, max_order=max_order)
+    return deriv
 
 
 def poly_gaussian_test_function(
-    coeffs: Sequence[float], a: float = 1.0, max_order: int = 12
-) -> TestFunction:
-    """phi(x) = p(x) e^{-a x^2} with p given by ``coeffs`` (ascending powers).
+    coeffs: Sequence[float], a: float = 1.0
+) -> Callable[[int, float], float]:
+    """(n, x) -> phi^{(n)}(x) for phi(x) = p(x) e^{-a x^2}, p given by
+    ``coeffs`` (ascending powers).
 
     Derivatives come from the Leibniz rule; polynomial derivatives are
     exact, the Gaussian factor reuses the Hermite closed form.
@@ -168,7 +155,7 @@ def poly_gaussian_test_function(
     coeffs = tuple(float(c) for c in coeffs)
     if not all(map(math.isfinite, coeffs)):
         raise DomainError(f"test function coefficients must be finite, got {coeffs}")
-    gauss = gaussian_test_function(a, max_order)
+    gauss = gaussian_test_function(a)
 
     def poly_deriv(m: int, x):
         total = 0.0
@@ -185,15 +172,17 @@ def poly_gaussian_test_function(
         for m in range(n + 1):
             if m > 0:
                 binom = binom * (n - m + 1) / m
-            total += binom * poly_deriv(m, x) * gauss.deriv(n - m, x)
+            total += binom * poly_deriv(m, x) * gauss(n - m, x)
         return total
 
-    return TestFunction(deriv=deriv, max_order=max_order)
+    return deriv
 
 
-def decomposition_residual(f: Datum, k: int, phi: TestFunction) -> float:
+def decomposition_residual(f: Datum, k: int, phi: Callable[[int, float], float]) -> float:
     """|<f, phi> - Taylor terms - remainder pairing|; zero up to quadrature
-    error when the decomposition holds.
+    error when the decomposition holds.  ``phi(n, x)`` is the test
+    function's n-th derivative at x, a float or an array, as the builders
+    above return it.
 
     The pairing <f, phi> (row 0) and the moments m_0..m_k (rows 1..k+1) are
     one line-quadrature batch over f, split at a Generic1D's breakpoints.
@@ -202,23 +191,22 @@ def decomposition_residual(f: Datum, k: int, phi: TestFunction) -> float:
     the half-line quadrature of F_{k+1} (a nested quadrature) otherwise.
     """
     func, own = _one_dimensional(f)
+    check_integer("k", k)
     if k < 0:
         raise DomainError("k must be >= 0")
-    if phi.max_order < k + 1:
-        raise DomainError("test function derivatives do not reach order k+1")
     fa = on_array(func)
 
     def against_f(rows, x):
         fx = fa(x)
-        return np.where(rows == 0, phi.deriv(0, x), x ** np.maximum(rows - 1, 0)) * fx
+        return np.where(rows == 0, phi(0, x), x ** np.maximum(rows - 1, 0)) * fx
 
     lhs, *moments = integrate_line_rows(against_f, [own] * (k + 2))
     taylor = 0.0
     for j, moment in enumerate(moments):
-        taylor += moment * phi.deriv(j, 0.0) / math.factorial(j)
+        taylor += moment * phi(j, 0.0) / math.factorial(j)
     pair_sign = -1.0 if (k + 1) % 2 else 1.0
     pairing = pair_sign * integrate_line_rows(
-        lambda rows, x: remainder(f, k + 1, x) * phi.deriv(k + 1, x),
+        lambda rows, x: remainder(f, k + 1, x) * phi(k + 1, x),
         [(0.0, *own)],
     )[0]
     return float(abs(lhs - taylor - pairing))

@@ -48,30 +48,20 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SimilarityPoint:
-    """A point (z, tau) in similarity coordinates."""
+    """A point (z, tau) in similarity coordinates, z = x / (2 sqrt t) and
+    tau = ln t; ``z`` is read as every point is (``kernel_approx._as_point``)."""
 
     z: tuple[float, ...]
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(float(c) for c in self.z))
-        if not all(map(math.isfinite, self.z)) or not math.isfinite(self.tau):
-            raise DomainError(f"similarity point ({self.z}, {self.tau}) is not finite")
+        object.__setattr__(self, "z", _as_point(self.z))
+        if not math.isfinite(self.tau):
+            raise DomainError(f"similarity time tau must be finite, got {self.tau}")
 
     @property
     def dim(self) -> int:
         return len(self.z)
-
-
-def to_similarity(x, t: float) -> SimilarityPoint:
-    """(x, t) -> (z, tau) with z = x / (2 sqrt t), tau = ln t.  A real
-    number x (a numpy scalar too) is one coordinate, an iterable of real
-    numbers its coordinates in turn; anything else raises DomainError."""
-    if not 0.0 < t < math.inf:
-        raise DomainError("to_similarity requires finite t > 0")
-    pt = _as_point(x)
-    root = 2.0 * math.sqrt(t)
-    return SimilarityPoint(z=tuple(c / root for c in pt), tau=math.log(t))
 
 
 class EigenCoeffs(MomentTable):

@@ -73,9 +73,9 @@ class ApproxResult:
 
 def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     """``x`` as finite float coordinates, ``dim`` of them unless ``dim`` is
-    None.  A real number (a numpy scalar too) is one coordinate, an iterable
-    of real numbers its coordinates in turn; anything else, ``None``, a
-    string or bytes among it, raises DomainError."""
+    None, and at least one.  A real number (a numpy scalar too) is one
+    coordinate, an iterable of real numbers its coordinates in turn;
+    anything else, ``None``, a string or bytes among it, raises DomainError."""
     scalar = isinstance(x, numbers.Real)
     try:
         pt = (x,) if scalar else tuple(x)
@@ -88,6 +88,8 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     if scalar and dim not in (None, 1):
         raise DomainError(f"scalar point given for dim {dim}")
     pt = tuple(map(float, pt))
+    if not pt:
+        raise DomainError("a point needs at least one coordinate")
     if dim is not None and len(pt) != dim:
         raise DomainError(f"point of length {len(pt)} given for dim {dim}")
     if not all(map(math.isfinite, pt)):
@@ -319,6 +321,9 @@ class SeriesGridEvaluator:
             raise DomainError("grid evaluation supports dim 1 and 2")
         if len(axes) != table.dim:
             raise DomainError("one axis array per dimension is required")
+        axes = [np.asarray(ax, float) for ax in axes]
+        if not all(ax.ndim == 1 and ax.size and np.isfinite(ax).all() for ax in axes):
+            raise DomainError("each grid axis must be a non-empty 1-D array of finite nodes")
         if k_cap is not None:
             check_integer("k_cap", k_cap)
         self.dim = table.dim
@@ -327,7 +332,7 @@ class SeriesGridEvaluator:
         cfg = ApproxConfig(dim=self.dim, k=k, t=t)
         scale = 2.0 * math.sqrt(t)
         self._tables = [
-            backend.weighted_hermite_table(np.asarray(ax, float) / scale, k)
+            backend.weighted_hermite_table(ax / scale, k)
             for ax in axes
         ]
         if self.dim == 2:
@@ -391,20 +396,10 @@ class SeriesGridEvaluator:
         else:
             backend.accumulate_series_2d(out, t1, self._tables[1], rows1, rows2, coeffs)
 
-    def _check_orders(self, orders: Sequence[int]) -> list[int]:
-        """``orders`` as a list, checked integer, ascending, >= 0 and within the cap."""
-        orders = list(orders)
-        for k in orders:
-            check_integer("truncation order", k)
-        if orders != sorted(orders) or min(orders, default=0) < 0:
-            raise DomainError("orders must be ascending and >= 0")
-        if orders and orders[-1] > self.k_cap:
-            raise DomainError(f"k={orders[-1]} exceeds evaluator cap {self.k_cap}")
-        return orders
-
     def field_up_to(self, k: int) -> np.ndarray:
-        """The field of u_k over the whole grid, a new array on each call."""
-        self._check_orders([k])
+        """The field of u_k over the whole grid, a new array on each call;
+        k must be an integer in [0, k_cap]."""
+        _sweep_orders([k], self.k_cap)
         field = np.zeros(self.shape)
         for i0, i1 in self._bands():
             for j in range(k + 1):
@@ -414,13 +409,14 @@ class SeriesGridEvaluator:
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:
         """max over the grid of |reference - u_k| for each k in ``orders``.
 
-        ``orders`` must be ascending and non-negative.  Each band of
+        ``orders`` must be non-empty, ascending and within [0, k_cap], as
+        for :func:`eval_uk_sweep`.  Each band of
         :meth:`_bands` is accumulated degree by degree up to the last order
         and measured after each order, so no field of the whole grid is
         held.  The per-band maxima are reduced with ``np.max``, so a NaN node
         gives NaN at every order, as one whole-grid ``max_abs_diff`` would.
         """
-        orders = self._check_orders(orders)
+        orders = _sweep_orders(orders, self.k_cap)
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != self.shape:
             raise DomainError("reference shape does not match the grid")

@@ -212,7 +212,7 @@ def _check_coverage(u0, grid: GridSpec, t: float) -> None:
         warnings.warn(
             "grid extent may clip the solution support; sup errors can be "
             "underestimated",
-            stacklevel=4,
+            stacklevel=3,
         )
 
 
@@ -231,28 +231,6 @@ def _sweep_axes(u0, table: MomentTable, grid: GridSpec, k: int) -> list[np.ndarr
     if isinstance(u0, (Gaussian, Radial)) and not odd.any():
         axes = [ax[grid.points // 2 :] for ax in axes]
     return axes
-
-
-def _sweep(u0, table: MomentTable, dim: int, t: float, grid: GridSpec, k: int, orders):
-    """max over the grid of |reference - u_j| for each j in ``orders``, the
-    last of which is k: the one error sweep of :func:`error_curve` and
-    :func:`sup_error`."""
-    if not grid.dim == table.dim == dim:
-        raise DomainError(f"table dim {table.dim} and grid dim {grid.dim} must equal dim {dim}")
-    if table.source is not None and u0 != table.source:
-        raise DomainError(f"the table was built from {table.source!r}, not from {u0!r}")
-    axes = _sweep_axes(u0, table, grid, k)
-    _check_coverage(u0, grid, t)
-    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k)
-    return evaluator.sup_errors(_reference_field(u0, axes, t), orders)
-
-
-def sup_error(
-    u0, table: MomentTable, cfg: ApproxConfig, grid: GridSpec
-) -> float:
-    """max over the grid of |reference - u_k|: the one-order case of the
-    sweep of :func:`error_curve`."""
-    return _sweep(u0, table, cfg.dim, cfg.t, grid, cfg.k, [cfg.k])[0]
 
 
 @dataclass
@@ -306,9 +284,16 @@ def error_curve(
         raise DomainError(
             f"error_curve to k_max={k_max} needs table degree {k_max + 1}"
         )
+    if not grid.dim == table.dim == dim:
+        raise DomainError(f"table dim {table.dim} and grid dim {grid.dim} must equal dim {dim}")
+    if table.source is not None and u0 != table.source:
+        raise DomainError(f"the table was built from {table.source!r}, not from {u0!r}")
     orders = range(0, k_max + 1, 2 if even_only else 1)
+    axes = _sweep_axes(u0, table, grid, k_max)
+    _check_coverage(u0, grid, t)
+    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
+    sups = evaluator.sup_errors(_reference_field(u0, axes, t), orders)
     points = []
-    sups = _sweep(u0, table, dim, t, grid, k_max, orders)
     for k, sup, f_k in zip(orders, sups, error_bound_F_sweep(table, t, orders)):
         point = ErrorPoint(k=k, sup_error=sup, F_k=f_k.to_float())
         if isinstance(u0, Gaussian):

@@ -62,7 +62,8 @@ def log_gamma_halves(n: int) -> list[float]:
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!) for n >= 0."""
+    """ln(n!) for an integer n >= 0."""
+    check_integer("log_factorial n", n)
     if n < 0:
         raise DomainError(f"log_factorial requires n >= 0, got {n}")
     return log_gamma(n + 1.0)
@@ -160,6 +161,7 @@ def _scaled_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_depth(n: int, name: str) -> None:
+    check_integer(f"{name} order", n)
     if n < 0:
         raise DomainError(f"{name} requires n >= 0, got {n}")
     if n > RECURRENCE_DEPTH_CAP:

@@ -385,6 +385,20 @@ GOLDEN = {
     ("decomp-check", "--format", "json"): {
         "out.txt": "443c6553c0ab6215a9a6453fd1f93cd1cb2949e5c17681024e52e5615f8c0cd2",
     },
+    # the plots, taken before the three commands shared one plot writer
+    ("error-curve", "--dim", "1", "--kmax", "40", "--plot"): {
+        "out.txt": "2fc9caefcc2d87885f169efe54fbc8b93ebdcf3d10d7f76b8b6534fa486af6e5",
+        "out.svg": "3e5b767df9abc19367e76e4da552834c0c71e4591f2aaa4564ffae211480e870",
+    },
+    ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "60", "--plot"): {
+        "out.txt": "561aed037a737779e0e2ce681fa515b7250065dc7053ec959cd195fd20dd1138",
+        "out.svg": "532e0af89fbdfa96f315b6f6cc0af29ccf611072ef1d2cc8602b9b5661f146fd",
+    },
+    ("eigen-compare", "--dim", "2", "--kmax", "30", "--plot"): {
+        "out.txt": "48b11ef4d384ba017346ffd05262d08b0db3f698c64d881e61837a4b09c243fa",
+        "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+        "out.svg": "27b8cda28a398aa23e23d6d9d99034db3c34f5dd0081a8f8a91d2c074dfc7b97",
+    },
 }
 
 

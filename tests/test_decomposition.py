@@ -104,20 +104,20 @@ def test_remainder_l1_strict_for_sign_changing_data():
 
 def test_gaussian_test_function_derivatives():
     phi = gaussian_test_function(1.0)
-    assert phi(0.7) == pytest.approx(math.exp(-0.49), rel=1e-13)
+    assert phi(0, 0.7) == pytest.approx(math.exp(-0.49), rel=1e-13)
     h = 1e-5
     for n in (1, 2, 3, 4):
-        fd = (phi.deriv(n - 1, 0.3 + h) - phi.deriv(n - 1, 0.3 - h)) / (2.0 * h)
-        assert phi.deriv(n, 0.3) == pytest.approx(fd, rel=1e-7)
+        fd = (phi(n - 1, 0.3 + h) - phi(n - 1, 0.3 - h)) / (2.0 * h)
+        assert phi(n, 0.3) == pytest.approx(fd, rel=1e-7)
 
 
 def test_poly_gaussian_test_function_derivatives():
     phi = poly_gaussian_test_function((1.0, 0.0, 1.0), 1.0)  # (1 + x^2) e^{-x^2}
-    assert phi(0.5) == pytest.approx(1.25 * math.exp(-0.25), rel=1e-13)
+    assert phi(0, 0.5) == pytest.approx(1.25 * math.exp(-0.25), rel=1e-13)
     h = 1e-5
     for n in (1, 2, 3):
-        fd = (phi.deriv(n - 1, -0.8 + h) - phi.deriv(n - 1, -0.8 - h)) / (2.0 * h)
-        assert phi.deriv(n, -0.8) == pytest.approx(fd, rel=1e-7)
+        fd = (phi(n - 1, -0.8 + h) - phi(n - 1, -0.8 - h)) / (2.0 * h)
+        assert phi(n, -0.8) == pytest.approx(fd, rel=1e-7)
 
 
 @pytest.mark.parametrize(
@@ -145,9 +145,10 @@ def test_nonfinite_input_raises_domain_error(call):
 def test_test_function_guards():
     with pytest.raises(DomainError):
         gaussian_test_function(0.0)
-    phi = gaussian_test_function(1.0, max_order=3)
-    with pytest.raises(DomainError):
-        decomposition_residual(f_unit, 3, phi)  # needs derivative order 4
+    # derivatives exist for every order up to the Hermite recurrence's cap
+    phi = gaussian_test_function(1.0)
+    with pytest.raises(DomainError, match="recurrence depth cap"):
+        phi(401, 0.3)
 
 
 # --- the decomposition identity ------------------------------------------

@@ -35,7 +35,6 @@ from heatseries import (
     eval_expansion_sweep,
     eval_uk,
     exact_gaussian_solution,
-    to_similarity,
 )
 from heatseries.eigen import validity_integral
 
@@ -46,9 +45,10 @@ UNIT2 = Gaussian(amplitude=1.0, width=1.0, dim=2)
 # --- similarity variables -------------------------------------------------
 
 def test_similarity_map_basics():
-    p = to_similarity((2.0,), 1.0)
-    assert p.z == (1.0,)
+    p = SimilarityPoint(z=[1, 2.0], tau=0)
+    assert p.z == (1.0, 2.0)
     assert p.tau == 0.0
+    assert p.dim == 2
 
 
 @given(
@@ -56,28 +56,37 @@ def test_similarity_map_basics():
     st.floats(1e-6, 1e6, allow_nan=False),
 )
 def test_similarity_roundtrip(x, t):
-    # t = e^tau and x = 2 sqrt(t) z recover the point
-    p = to_similarity((x,), t)
+    # z = x / (2 sqrt t) and tau = ln t, as the CLI builds them: t = e^tau
+    # and x = 2 sqrt(t) z recover the point
+    p = SimilarityPoint(z=x / (2.0 * math.sqrt(t)), tau=math.log(t))
     back_t = math.exp(p.tau)
     assert math.isclose(2.0 * math.sqrt(back_t) * p.z[0], x, rel_tol=1e-12, abs_tol=1e-12)
     assert math.isclose(back_t, t, rel_tol=1e-12)
 
 
 def test_similarity_domain():
-    with pytest.raises(DomainError):
-        to_similarity((1.0,), 0.0)
+    # a point with no coordinates, or text, is no point: "12" is not (1, 2)
+    for z in [(), [], np.array([]), "12", "0.5", b"12", None]:
+        with pytest.raises(DomainError):
+            SimilarityPoint(z=z, tau=0.0)
 
 
 @pytest.mark.parametrize("x", [2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)])
 def test_similarity_promotes_a_number_to_one_coordinate(x):
-    assert to_similarity(x, 1.0) == to_similarity((2.0,), 1.0)
-    assert to_similarity((x, np.int16(-4)), 4.0).z == (0.5, -1.0)
+    assert SimilarityPoint(z=x, tau=0.0) == SimilarityPoint(z=(2.0,), tau=0.0)
+    assert SimilarityPoint(z=(x, np.int16(-4)), tau=0.0).z == (2.0, -4.0)
+    coeffs = eigen_coeffs(UNIT1, 0.0, 6)
+    assert eval_expansion(coeffs, SimilarityPoint(z=x, tau=0.5), 6) == eval_expansion(
+        coeffs, SimilarityPoint(z=(2.0,), tau=0.5), 6
+    )
 
 
 @pytest.mark.parametrize("x", [np.float64(math.nan), np.float32(math.inf)])
 def test_similarity_rejects_non_finite_numpy_scalars(x):
     with pytest.raises(DomainError):
-        to_similarity(x, 1.0)
+        SimilarityPoint(z=x, tau=0.0)
+    with pytest.raises(DomainError):
+        SimilarityPoint(z=(1.0,), tau=x)
 
 
 # --- coefficients ---------------------------------------------------------

@@ -18,10 +18,14 @@ from heatseries import (
     MomentTable,
     Radial,
     SeriesGridEvaluator,
+    SimilarityPoint,
     UnsupportedVariantError,
     build_moment_table,
+    eigen_coeffs,
+    eval_expansion_sweep,
     eval_uk,
     eval_uk_radial_origin,
+    eval_uk_sweep,
     gaussian_origin_blocks,
     heat_kernel,
     kernel_derivative,
@@ -280,8 +284,51 @@ def test_orders_must_be_non_negative(table_d1):
         lambda: evaluator.sup_errors(reference, [-1, 2]),
         lambda: evaluator.field_up_to(-3),
     ):
-        with pytest.raises(DomainError, match=">= 0"):
+        with pytest.raises(DomainError, match=r"outside \[0, 8\]"):
             call()
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[], [2, 1], [-1], [9], [2.0], [True]],
+    ids=["empty", "descending", "negative", "past-cap", "float", "bool"],
+)
+def test_every_sweep_takes_orders_by_one_contract(orders):
+    """Non-empty, ascending, integers in [0, cap]: the point sweeps, the
+    eigen sweep and the grid evaluator refuse the same order lists."""
+    u0 = Gaussian(amplitude=1.0, width=1.0, dim=1)
+    table = build_moment_table(u0, 8)
+    evaluator = SeriesGridEvaluator(table, 2.0, [np.linspace(-4.0, 4.0, 17)])
+    calls = [
+        lambda: eval_uk_sweep(table, 2.0, 0.5, orders),
+        lambda: eval_expansion_sweep(
+            eigen_coeffs(u0, 0.0, 8), SimilarityPoint(z=0.5, tau=0.0), orders
+        ),
+        lambda: evaluator.sup_errors(np.zeros(17), orders),
+    ]
+    if len(orders) == 1:
+        calls.append(lambda: evaluator.field_up_to(orders[0]))
+    for call in calls:
+        with pytest.raises(DomainError, match="truncation order"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [np.array([0.0, math.nan, 1.0])],
+        [np.array([0.0, math.inf, 1.0])],
+        [np.array([])],
+        [np.zeros((3, 3))],
+        [np.linspace(-1.0, 1.0, 5), np.array([-math.inf, 0.0])],
+        [np.linspace(-1.0, 1.0, 5), []],
+    ],
+    ids=["nan-node", "inf-node", "empty", "2-d", "d2-inf-node", "d2-empty"],
+)
+def test_grid_evaluator_rejects_bad_axes(axes):
+    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=len(axes)), 4)
+    with pytest.raises(DomainError, match="grid axis"):
+        SeriesGridEvaluator(table, 2.0, axes)
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,6 @@ from heatseries import (
     heat_kernel,
     kernel_derivative,
     moments_at_time,
-    to_similarity,
     validity_integral,
 )
 from heatseries.signedlog import ZERO
@@ -398,14 +397,14 @@ _NAN, _INF = math.nan, math.inf
     lambda: moments_at_time(_T2, _INF),
     lambda: eigen_coeffs(Gaussian(1.0, 1.0, 1), _NAN, 4),
     lambda: eigen_coeffs(Gaussian(1.0, 1.0, 1), _INF, 4),
-    lambda: to_similarity(0.5, _NAN),
-    lambda: to_similarity(0.5, _INF),
-    lambda: to_similarity((_INF, 0.0), 1.0),
-    lambda: to_similarity(None, 1.0),
-    lambda: to_similarity("0.5", 1.0),
-    lambda: to_similarity("12", 1.0),
-    lambda: to_similarity(b"12", 1.0),
-    lambda: to_similarity((0.5, None), 1.0),
+    lambda: SimilarityPoint(z=0.5, tau=_NAN),
+    lambda: SimilarityPoint(z=0.5, tau=-_INF),
+    lambda: SimilarityPoint(z=(_INF, 0.0), tau=0.0),
+    lambda: SimilarityPoint(z=None, tau=0.0),
+    lambda: SimilarityPoint(z="0.5", tau=0.0),
+    lambda: SimilarityPoint(z="12", tau=0.0),
+    lambda: SimilarityPoint(z=b"12", tau=0.0),
+    lambda: SimilarityPoint(z=(0.5, None), tau=0.0),
     lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _NAN),
     lambda: exact_gaussian_solution(1.0, 1.0, 1, 0.5, _INF),
     lambda: exact_gaussian_solution(1.0, 1.0, 2, (0.5, _NAN), 1.0),
@@ -428,6 +427,9 @@ _NAN, _INF = math.nan, math.inf
     lambda: heat_kernel((0.5, object()), 1.0),
     lambda: kernel_derivative((2,), "0.5", 1.0),
     lambda: kernel_derivative((2, 1), None, 1.0),
+    # a point with no coordinates
+    lambda: heat_kernel((), 1.0),
+    lambda: SimilarityPoint(z=(), tau=0.0),
 ])
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):

@@ -31,7 +31,6 @@ from heatseries import (
     default_grid,
     error_curve,
     exact_gaussian_solution,
-    sup_error,
 )
 import heatseries.reference as reference_module
 from heatseries import kernel_approx
@@ -225,7 +224,7 @@ def test_default_grid_covers_t_plus_t0(t0, factor):
     grid = default_grid(1, t, t0, points=41)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sup_error(u0, build_moment_table(u0, 3), ApproxConfig(dim=1, k=2, t=t), grid)
+        error_curve(u0, build_moment_table(u0, 3), 1, t, 2, grid)
 
 
 def test_default_grid_extent_above_the_width_is_unchanged():
@@ -245,7 +244,7 @@ def test_coverage_warning_on_clipped_grid():
     table = build_moment_table(UNIT, 3)
     tiny = GridSpec(dim=1, extent=2.0, points=41)
     with pytest.warns(UserWarning) as record:
-        sup_error(UNIT, table, ApproxConfig(dim=1, k=2, t=2.0), tiny)
+        error_curve(UNIT, table, 1, 2.0, 2, tiny)
     assert record[0].filename == __file__  # the warning names the caller
 
 
@@ -438,7 +437,8 @@ def test_band_sweep_guards():
     table = build_moment_table(Gaussian(1.0, 1.0, 2), 9)
     evaluator = SeriesGridEvaluator(table, 2.0, axes, k_cap=8)
     reference = np.zeros((41, 41))
-    assert evaluator.sup_errors(reference, []) == []
+    with pytest.raises(DomainError):
+        evaluator.sup_errors(reference, [])  # no order
     with pytest.raises(DomainError):
         evaluator.sup_errors(reference, [4, 2])  # descending
     with pytest.raises(DomainError):
@@ -524,12 +524,12 @@ def test_even_data_fold_equals_full_grid_sweep(swept_shapes, u0, t, k_max, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the 3-point grids are clipped
         curve = error_curve(u0, table, grid.dim, t, k_max, grid, even_only=False)
-        single = sup_error(u0, table, ApproxConfig(dim=grid.dim, k=k_max, t=t), grid)
+        evens = error_curve(u0, table, grid.dim, t, k_max, grid)
     half = (grid.points // 2 + 1,) * grid.dim
     assert swept_shapes == [half, half]
     want = _full_grid_sweep(u0, table, t, grid, orders)
     assert [p.sup_error for p in curve.points] == want  # bit for bit
-    assert single == want[-1]
+    assert [p.sup_error for p in evens.points] == want[::2]
 
 
 def test_odd_row_beyond_the_swept_degrees_still_folds(swept_shapes):
@@ -560,12 +560,12 @@ def test_no_fold_without_even_data(swept_shapes, u0, t, k_max, grid, odd_degree)
         table = _with_live_odd_row(table, odd_degree)
     orders = list(range(k_max + 1))
     curve = error_curve(u0, table, grid.dim, t, k_max, grid, even_only=False)
-    single = sup_error(u0, table, ApproxConfig(dim=grid.dim, k=k_max, t=t), grid)
+    evens = error_curve(u0, table, grid.dim, t, k_max, grid)
     full = (grid.points,) * grid.dim
     assert swept_shapes == [full, full]
     want = _full_grid_sweep(u0, table, t, grid, orders)
     assert [p.sup_error for p in curve.points] == want
-    assert single == want[-1]
+    assert [p.sup_error for p in evens.points] == want[::2]
 
 
 def test_error_sweeps_reject_a_table_of_another_dim():
@@ -575,25 +575,23 @@ def test_error_sweeps_reject_a_table_of_another_dim():
     with pytest.raises(DomainError, match="table dim 1 .*grid dim 2"):
         error_curve(u0, table, 2, 2.0, 4, grid)
     with pytest.raises(DomainError, match="table dim 1 .*grid dim 2"):
-        sup_error(u0, table, ApproxConfig(dim=2, k=4, t=2.0), grid)
+        error_curve(UNIT, table, 1, 2.0, 4, grid)
 
 
 def test_error_sweeps_measure_the_tables_own_datum():
     table = build_moment_table(UNIT, 11)
     grid = default_grid(1, 2.0, 1.0, points=201)
-    cfg = ApproxConfig(dim=1, k=10, t=2.0)
     other = Gaussian(2.0, 1.0, 1)
     with pytest.raises(DomainError, match="built from"):
         error_curve(other, table, 1, 2.0, 10, grid)
-    with pytest.raises(DomainError, match="built from"):
-        sup_error(other, table, cfg, grid)
-    # an equal datum, and a table that records no datum, measure the same
-    want = sup_error(UNIT, table, cfg, grid)
-    assert sup_error(Gaussian(1, 1, 1), table, cfg, grid) == want
+    # an equal datum measures the same
+    want = error_curve(UNIT, table, 1, 2.0, 10, grid)
+    assert error_curve(Gaussian(1, 1, 1), table, 1, 2.0, 10, grid) == want
+    # a table that records no datum has no absolute moments for F
     bare = MomentTable.from_json(table.to_json())
     assert bare.source is None
-    assert sup_error(UNIT, bare, cfg, grid) == want
-    assert sup_error(other, bare, cfg, grid) > 0.4
+    with pytest.raises(DomainError, match="source datum"):
+        error_curve(UNIT, bare, 1, 2.0, 10, grid)
 
 
 def test_error_curve_rejects_a_negative_order():

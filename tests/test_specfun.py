@@ -9,11 +9,19 @@ from hypothesis import given, strategies as st
 
 from heatseries import (
     DomainError,
+    Gaussian,
+    Generic1D,
+    bonan_clark_log,
+    decomposition_residual,
+    gaussian_origin_blocks,
+    gaussian_test_function,
     hermite,
     hermite_weighted,
     hermite_weighted_sequence,
     log_factorial,
     log_gamma,
+    remainder,
+    remainder_l1_norm,
 )
 from heatseries import specfun
 from heatseries.quadrature import error_allowance, integrate_halfline_rows
@@ -106,6 +114,47 @@ def test_depth_cap_enforced():
             call()
     with pytest.raises(DomainError):
         hermite(-1, 0.5)
+
+
+_UNIT = Gaussian(1.0, 1.0, 1)
+_PHI = gaussian_test_function(1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hermite(2.0, 0.3),
+        lambda: hermite(True, 0.3),
+        lambda: hermite_weighted(2.0, 0.3),
+        lambda: hermite_weighted_sequence(2.5, 0.3),
+        lambda: laguerre_sequence(2.5, 0.0, 0.5),
+        lambda: log_factorial(2.5),
+        lambda: log_factorial(True),
+        lambda: bonan_clark_log(2.5),
+        lambda: bonan_clark_log(True),
+        lambda: gaussian_origin_blocks(1.0, 1.0, 1.5, 0.5, 2),
+        lambda: gaussian_origin_blocks(1.0, 1.0, True, 0.5, 2),
+        lambda: gaussian_origin_blocks(1.0, 1.0, 1, 0.5, 2.5),
+        lambda: remainder(_UNIT, True, 0.5),
+        lambda: remainder(_UNIT, 2.0, 0.5),
+        lambda: remainder(Generic1D(_UNIT), 2.0, 0.5),
+        lambda: remainder_l1_norm(_UNIT, True),
+        lambda: remainder_l1_norm(_UNIT, 2.0),
+        lambda: decomposition_residual(_UNIT, True, _PHI),
+        lambda: decomposition_residual(_UNIT, 1.0, _PHI),
+    ],
+    ids=[
+        "hermite-2.0", "hermite-True", "hermite_weighted-2.0", "hermite_sequence-2.5",
+        "laguerre-2.5", "log_factorial-2.5", "log_factorial-True", "bonan_clark-2.5",
+        "bonan_clark-True", "blocks-dim-1.5", "blocks-dim-True", "blocks-N-2.5",
+        "remainder-True", "remainder-2.0", "remainder-generic-2.0", "l1-True", "l1-2.0",
+        "residual-True", "residual-1.0",
+    ],
+)
+def test_orders_and_sizes_must_be_integers(call):
+    # a bool is not order 1 and an integral float is not an order either
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
 
 
 # --- log-Gamma -----------------------------------------------------------
