@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_time
 from .kernel_approx import ApproxConfig
 from .moments import MomentTable, component_sums, moment_factors
 from .signedlog import ZERO, SignedLog, aligned_sum_arrays
@@ -75,8 +75,7 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     (:func:`aligned_sum_arrays`) and scaled by the shell's shared factor.
     """
     orders = list(orders)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"evaluation time t must be finite and > 0, got {t}")
+    check_time("evaluation time t", t)
     for k in orders:
         check_integer("truncation order k", k)
         if k < 0:
@@ -151,8 +150,7 @@ def gaussian_origin_blocks(
     u(0, t) = C q^{d/2} (1 + q)^{-d/2}, which converges for q < 1 only.
     """
     _check_envelope(amplitude, width)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"evaluation time t must be finite and > 0, got {t}")
+    check_time("evaluation time t", t)
     check_integer("dim", dim)
     check_integer("N", N)
     if dim < 1 or N < 0:

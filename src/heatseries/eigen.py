@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_time
 from .kernel_approx import _as_point, _point_terms, _sweep_orders
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .signedlog import aligned_sum_arrays
@@ -56,8 +56,7 @@ class SimilarityPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "z", _as_point(self.z))
-        if not math.isfinite(self.tau):
-            raise DomainError(f"similarity time tau must be finite, got {self.tau}")
+        check_time("similarity time tau", self.tau, signed=True)
 
     @property
     def dim(self) -> int:
@@ -75,8 +74,7 @@ class EigenCoeffs(MomentTable):
 
     def _check_header(self) -> None:
         super()._check_header()
-        if not 0.0 <= self.t0_coeff < math.inf:
-            raise DomainError(f"t0_coeff must be finite and >= 0, got {self.t0_coeff}")
+        check_time("t0_coeff", self.t0_coeff, zero=True)
 
 
 def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
@@ -88,8 +86,7 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     one per-degree scale less ln alpha!, each row's logs added as a
     per-entry SignedLog product adds them.
     """
-    if not 0.0 <= t0_coeff < math.inf:
-        raise DomainError("t0_coeff must be finite and >= 0")
+    check_time("t0_coeff", t0_coeff, zero=True)
     d = u0.dim
     table = build_moment_table(u0, k_max)
     if t0_coeff > 0.0:
@@ -162,8 +159,7 @@ def validity_integral(coeffs: EigenCoeffs, t: float) -> float:
     The coefficients must be the initial datum's (``t0_coeff`` 0), the only
     ones whose expansion is the solution's.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError("validity_integral requires finite t > 0")
+    check_time("validity_integral time t", t)
     if coeffs.t0_coeff != 0.0:
         raise DomainError("validity_integral requires coefficients of the initial datum")
     shells = _energy_shells(coeffs, t)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .errors import DomainError, UnsupportedVariantError, check_integer
+from .errors import DomainError, UnsupportedVariantError, check_integer, check_time
 from .moments import Gaussian, MomentTable, MultiIndex
 from .signedlog import SignedLog, aligned_sum_arrays
 from .specfun import hermite_weighted, hermite_weighted_logs, laguerre_sequence
@@ -55,8 +55,7 @@ class ApproxConfig:
             raise DomainError("dim must be >= 1")
         if self.k < 0:
             raise DomainError("truncation order k must be >= 0")
-        if not 0.0 < self.t < math.inf:
-            raise DomainError("evaluation time t must be positive and finite")
+        check_time("evaluation time t", self.t)
 
 
 @dataclass
@@ -75,14 +74,15 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     """``x`` as finite float coordinates, ``dim`` of them unless ``dim`` is
     None, and at least one.  A real number (a numpy scalar too) is one
     coordinate, an iterable of real numbers its coordinates in turn;
-    anything else, ``None``, a string or bytes among it, raises DomainError."""
+    anything else, ``None``, a bool, a string or bytes among it, raises
+    DomainError."""
     scalar = isinstance(x, numbers.Real)
     try:
         pt = (x,) if scalar else tuple(x)
     except TypeError:
         pt = (x,)  # neither a number nor iterable: refused below
     if isinstance(x, (str, bytes, bytearray)) or not all(
-        isinstance(c, numbers.Real) for c in pt
+        isinstance(c, numbers.Real) and not isinstance(c, bool) for c in pt
     ):
         raise DomainError(f"point {x!r} is neither a real number nor real coordinates")
     if scalar and dim not in (None, 1):
@@ -99,8 +99,7 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
 
 def heat_kernel(x, t: float, dim: int | None = None) -> float:
     """Fundamental solution (4 pi t)^{-d/2} exp(-|x|^2 / 4t)."""
-    if not 0.0 < t < math.inf:
-        raise DomainError("heat_kernel requires finite t > 0")
+    check_time("heat_kernel time t", t)
     pt = _as_point(x, dim)
     sq = math.fsum(c * c for c in pt)
     return (4.0 * math.pi * t) ** (-len(pt) / 2.0) * math.exp(-sq / (4.0 * t))
@@ -114,8 +113,7 @@ def kernel_derivative(alpha, x, t: float) -> SignedLog:
         D^alpha G = pi^{-d/2} (4t)^{-(|alpha|+d)/2} (-1)^{|alpha|}
                     prod_i H_{alpha_i}(y_i) e^{-y_i^2},   y = x / (2 sqrt t).
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError("kernel_derivative requires finite t > 0")
+    check_time("kernel_derivative time t", t)
     a = MultiIndex.of(alpha)
     d = a.dim
     pt = _as_point(x, d)

@@ -21,7 +21,9 @@ from typing import Callable, ClassVar, Iterator, Union
 
 import numpy as np
 
-from .errors import DomainError, IntegrabilityError, UnsupportedVariantError, check_integer
+from .errors import (
+    DomainError, IntegrabilityError, UnsupportedVariantError, check_integer, check_time,
+)
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .serial import Rendered, json_array_of_columns, json_cell
 from .signedlog import ZERO, SignedLog
@@ -679,8 +681,7 @@ def moments_at_time(table: MomentTable, t: float) -> MomentTable:
     from an exactly rounded evaluation in its last bits; t == 0 returns the
     table's own bits.
     """
-    if not 0.0 <= t < math.inf:
-        raise DomainError("moments_at_time requires finite t >= 0")
+    check_time("moments_at_time time t", t, zero=True)
     signs, logmag = table.signs, table.logmag
     if t > 0.0:
         ln_factorial = np.array([log_factorial(c) for c in range(table.k_max + 1)])

@@ -15,10 +15,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import divergence_lower_bound, envelope_bound_G, error_bound_F_sweep
-from .errors import DomainError, UnsupportedVariantError, check_integer
+from .errors import DomainError, UnsupportedVariantError, check_integer, check_time
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
+from .specfun import i0e
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ def exact_gaussian_solution(
     """
     if not (0.0 < amplitude < math.inf and 0.0 < width < math.inf):
         raise DomainError("exact_gaussian_solution needs positive finite amplitude/width")
-    if not 0.0 <= t < math.inf:
-        raise DomainError("t must be finite and >= 0")
+    check_time("exact_gaussian_solution time t", t, zero=True)
     sq = math.fsum(c * c for c in _as_point(x, dim))
     spread = t + width
     return (
@@ -106,8 +106,7 @@ def convolve_oracle(u0, x, t: float) -> float:
     value does not depend on whether it was computed alone or with the whole
     grid.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"convolve_oracle requires finite t > 0, got {t}")
+    check_time("convolve_oracle time t", t)
     return float(_oracle(u0, np.array([_as_point(x, u0.dim)]), t)[0])
 
 
@@ -151,8 +150,6 @@ def _oracle(u0, points: np.ndarray, t: float) -> np.ndarray:
 
 def _radial_oracle(profile, d: int, radii: np.ndarray, t: float) -> np.ndarray:
     if d == 2:
-        from scipy.special import i0e
-
         def integrand(rows, rho):
             r = radii[rows]
             gap = r - rho
@@ -269,8 +266,9 @@ def error_curve(
     """Measured sup errors and bounds for k = 0..k_max.
 
     The table must extend to degree k_max + 1 so F is defined at the last
-    order, and a table that records its datum must record u0.  The sup
-    errors of every order come from one banded sweep
+    order, and must record its datum, u0 itself, whose absolute moments F
+    reads; a table read from JSON records none and is refused before any
+    sweep.  The sup errors of every order come from one banded sweep
     (:meth:`SeriesGridEvaluator.sup_errors`) that accumulates each row band
     incrementally and holds no truncation field of the whole grid, so the
     sweep costs about as much as the single largest k.  For even data the
@@ -286,7 +284,9 @@ def error_curve(
         )
     if not grid.dim == table.dim == dim:
         raise DomainError(f"table dim {table.dim} and grid dim {grid.dim} must equal dim {dim}")
-    if table.source is not None and u0 != table.source:
+    if table.source is None:
+        raise DomainError("error_curve needs a table that records its source datum")
+    if u0 != table.source:
         raise DomainError(f"the table was built from {table.source!r}, not from {u0!r}")
     orders = range(0, k_max + 1, 2 if even_only else 1)
     axes = _sweep_axes(u0, table, grid, k_max)

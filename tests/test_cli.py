@@ -559,10 +559,17 @@ def test_version_flag(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves only the dim-2 radial oracle (i0e), imported on first use
+    # the package depends on numpy alone; scipy is only the tests' cross-check.
+    # A dim-2 radial error curve and oracle value run here too, so that an
+    # import made lazily on first use cannot hide from the check
     src = Path(heatseries.__file__).resolve().parents[1]
     code = (
-        "import sys, heatseries.cli; "
+        "import math, sys, heatseries.cli\n"
+        "from heatseries import GridSpec, Radial, build_moment_table, convolve_oracle, error_curve\n"
+        "u0 = Radial(profile=lambda r: math.exp(-r * r / 4.0) * (1.0 + r), dim=2)\n"
+        "curve = error_curve(u0, build_moment_table(u0, 5), 2, 1.3, 4, GridSpec(2, 8.0, 9))\n"
+        "assert len(curve.points) == 3 and curve.points[0].sup_error > 0.0\n"
+        "assert convolve_oracle(u0, (0.3, -0.4), 0.7) > 0.0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))

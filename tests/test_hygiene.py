@@ -155,3 +155,28 @@ def test_no_package_module_calls_the_list_form_aligned_sum():
     assert _calls_aligned_sum(ast.parse("aligned_sum(terms)"))
     assert _calls_aligned_sum(ast.parse("signedlog.aligned_sum(terms)"))
     assert not _calls_aligned_sum(ast.parse("aligned_sum_arrays(signs, logs)"))
+
+
+def _imported_modules(tree: ast.Module) -> list[str]:
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
+def _imports_scipy(tree: ast.Module) -> bool:
+    return any(m.split(".")[0] == "scipy" for m in _imported_modules(tree))
+
+
+def test_no_package_module_imports_scipy():
+    # the package's runtime depends on numpy alone; scipy is the tests'
+    # independent cross-check, so no package module, at top level or inside
+    # a function, may import it
+    package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
+    assert [p.name for p in package if _imports_scipy(ast.parse(p.read_text()))] == []
+    assert _imports_scipy(ast.parse("def f():\n    from scipy.special import i0e"))
+    assert _imports_scipy(ast.parse("import scipy.integrate as si"))
+    assert not _imports_scipy(ast.parse("from .specfun import i0e\nimport scipyish"))

@@ -32,7 +32,9 @@ from heatseries import (
     SimilarityPoint,
     aligned_sum,
     build_moment_table,
+    convolve_oracle,
     eigen_coeffs,
+    error_bound_F_sweep,
     eval_expansion,
     eval_uk,
     eval_uk_radial_origin,
@@ -430,6 +432,28 @@ _NAN, _INF = math.nan, math.inf
     # a point with no coordinates
     lambda: heat_kernel((), 1.0),
     lambda: SimilarityPoint(z=(), tau=0.0),
+    # a bool, Python's or numpy's, is not a coordinate
+    lambda: heat_kernel(True, 1.0),
+    lambda: heat_kernel(np.True_, 1.0),
+    lambda: heat_kernel((0.5, False), 1.0),
+    lambda: eval_uk(_T1, _CFG1, True),
+    lambda: kernel_derivative((2,), np.False_, 1.0),
+    lambda: SimilarityPoint(z=(True, 0.0), tau=0.0),
+    # a time that is not a real number, or is a bool
+    lambda: heat_kernel(0.5, "1"),
+    lambda: heat_kernel(0.5, None),
+    lambda: kernel_derivative((2,), 0.5, "1"),
+    lambda: ApproxConfig(dim=1, k=2, t="1"),
+    lambda: ApproxConfig(dim=1, k=2, t=True),
+    lambda: ApproxConfig(dim=1, k=2, t=np.True_),
+    lambda: SimilarityPoint(z=0.5, tau="0"),
+    lambda: SimilarityPoint(z=0.5, tau=False),
+    lambda: convolve_oracle(Gaussian(1.0, 1.0, 1), 0.5, "1"),
+    lambda: convolve_oracle(Gaussian(1.0, 1.0, 1), 0.5, True),
+    lambda: moments_at_time(_T2, "0.5"),
+    lambda: moments_at_time(_T2, False),
+    lambda: error_bound_F_sweep(_T1, "1", [2]),
+    lambda: error_bound_F_sweep(_T1, True, [2]),
 ])
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):
@@ -443,3 +467,18 @@ def test_a_real_number_is_one_coordinate(x):
     assert heat_kernel(x, 1.0) == heat_kernel(pt, 1.0)
     assert kernel_derivative((3,), x, 1.0) == kernel_derivative((3,), pt, 1.0)
     assert eval_uk(_T2, _CFG2, (x, np.int16(-1))).value == eval_uk(_T2, _CFG2, (float(x), -1.0)).value
+
+
+@pytest.mark.parametrize("t", [1.5, np.float64(1.5), np.int64(2), 2])
+def test_a_real_number_is_a_time(t):
+    # check_time refuses bools and non-numbers; every real number it let
+    # through before still passes, with the value of its float
+    assert heat_kernel(0.5, t) == heat_kernel(0.5, float(t))
+    assert kernel_derivative((3,), 0.5, t) == kernel_derivative((3,), 0.5, float(t))
+    assert ApproxConfig(dim=1, k=2, t=t).t == t
+    assert SimilarityPoint(z=0.5, tau=-t).tau == -t
+    assert bits(convolve_oracle(Gaussian(1.0, 1.0, 1), 0.5, t)) == bits(
+        convolve_oracle(Gaussian(1.0, 1.0, 1), 0.5, float(t))
+    )
+    assert moments_at_time(_T2, t).logmag.tobytes() == moments_at_time(_T2, float(t)).logmag.tobytes()
+    assert moments_at_time(_T2, 0).logmag.tobytes() == _T2.logmag.tobytes()

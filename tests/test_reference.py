@@ -594,6 +594,26 @@ def test_error_sweeps_measure_the_tables_own_datum():
         error_curve(UNIT, bare, 1, 2.0, 10, grid)
 
 
+def test_error_curve_refuses_a_bare_table_before_sweeping(monkeypatch):
+    # the refusal costs no grid sweep: sup_errors is never reached
+    calls = []
+    sup_errors = kernel_approx.SeriesGridEvaluator.sup_errors
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sup_errors(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_approx.SeriesGridEvaluator, "sup_errors", counted)
+    table = build_moment_table(UNIT, 11)
+    grid = default_grid(1, 2.0, 1.0, points=201)
+    bare = MomentTable.from_json(table.to_json())
+    with pytest.raises(DomainError, match="source datum"):
+        error_curve(UNIT, bare, 1, 2.0, 10, grid)
+    assert calls == []
+    error_curve(UNIT, table, 1, 2.0, 10, grid)
+    assert calls == [1]
+
+
 def test_error_curve_rejects_a_negative_order():
     grid = default_grid(1, 2.0, 1.0, points=41)
     with pytest.raises(DomainError):

@@ -372,3 +372,50 @@ def test_ierfc_array_and_scalar_agree():
 def test_ierfc_domain(n, z):
     with pytest.raises(DomainError):
         ierfc(n, z)
+
+
+# --- scaled modified Bessel function I_0 ---------------------------------
+
+def _i0e_sweep():
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 16.0),
+               1e-300, 5e-324, 700.0, 1e5, 1e300, math.inf, math.nan]
+    return np.concatenate([
+        special,
+        np.linspace(0.0, 1e5, 100_001),
+        rng.uniform(0.0, 16.0, 50_000),
+        np.geomspace(1e-300, 1e300, 6001),
+        -np.linspace(0.0, 20.0, 2001),
+    ])
+
+
+def test_i0e_is_scipys_bit_for_bit():
+    # the package copies Cephes's tables and operation order; scipy's i0e
+    # is Cephes's compiled, so every value, NaN included, has its bits
+    from scipy.special import i0e as scipy_i0e
+
+    x = _i0e_sweep()
+    assert specfun.i0e(x).view(np.int64).tolist() == scipy_i0e(x).view(np.int64).tolist()
+
+
+def test_i0e_array_and_scalar_agree():
+    x = np.array([[0.0, 3.5, 8.0], [8.5, 40.0, 1e5]])
+    got = specfun.i0e(x)
+    assert got.shape == x.shape
+    assert got.tolist() == [[specfun.i0e(float(v)) for v in line] for line in x]
+    assert type(specfun.i0e(2.0)) is float
+    assert specfun.i0e(np.empty(0)).shape == (0,)
+
+
+def test_i0e_against_the_power_series():
+    # I_0(x) = sum_j (x^2/4)^j / (j!)^2, summed exactly in 60-digit decimals
+    # at dyadic x, where the only rounding is the final one
+    for x in (0.0, 0.25, 1.0, 3.5, 7.75, 8.0, 8.5, 20.0, 60.0):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            q, term, total = Decimal(x) ** 2 / 4, Decimal(1), Decimal(0)
+            for j in range(1, 400):
+                total += term
+                term = term * q / (j * j)
+            exact = float(total * (-Decimal(x)).exp())
+        assert specfun.i0e(x) == pytest.approx(exact, rel=4e-16, abs=0.0)
