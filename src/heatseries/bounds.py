@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_time
+from .errors import DomainError, check_integer, check_real
 from .kernel_approx import ApproxConfig
 from .moments import MomentTable, component_sums, moment_factors
 from .signedlog import ZERO, SignedLog, aligned_sum_arrays
@@ -38,9 +38,7 @@ _LOG_ROUNDING = math.log(1e-13)
 def bonan_clark_log(n: int) -> float:
     """log of the sharp sup bound on |H_n| e^{-x^2}:
     2^{n/2} sqrt(n!) (n+1)^{-1/12}."""
-    check_integer("order", n)
-    if n < 0:
-        raise DomainError("order must be >= 0")
+    check_integer("order", n, 0)
     return (
         0.5 * n * math.log(2.0)
         + 0.5 * log_gamma(n + 1.0)
@@ -75,11 +73,9 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     (:func:`aligned_sum_arrays`) and scaled by the shell's shared factor.
     """
     orders = list(orders)
-    check_time("evaluation time t", t)
+    check_real("evaluation time t", t)
     for k in orders:
-        check_integer("truncation order k", k)
-        if k < 0:
-            raise DomainError("truncation order k must be >= 0")
+        check_integer("truncation order k", k, 0)
     top = max(orders, default=-1) + 1
     if top > table.k_max:
         raise DomainError(
@@ -109,13 +105,6 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     ]
 
 
-def _check_envelope(amplitude: float, width: float) -> None:
-    if not (0.0 < amplitude < math.inf and 0.0 < width < math.inf):
-        raise DomainError(
-            f"Gaussian amplitude and width must be finite and > 0, got {amplitude}, {width}"
-        )
-
-
 def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> SignedLog:
     """Closed-form envelope bound for |u0| <= amplitude * e^{-|x|^2/4 width}:
 
@@ -124,7 +113,8 @@ def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> Signe
 
     At d=1 and t = t0 this is C (k+2)^{-1/12}.
     """
-    _check_envelope(amplitude, width)
+    check_real("Gaussian amplitude", amplitude)
+    check_real("Gaussian width", width)
     d, k, t = cfg.dim, cfg.k, cfg.t
     logmag = (
         math.log(amplitude)
@@ -149,12 +139,11 @@ def gaussian_origin_blocks(
     terms vanish there.  Summed to infinity this is the binomial series of
     u(0, t) = C q^{d/2} (1 + q)^{-d/2}, which converges for q < 1 only.
     """
-    _check_envelope(amplitude, width)
-    check_time("evaluation time t", t)
-    check_integer("dim", dim)
-    check_integer("N", N)
-    if dim < 1 or N < 0:
-        raise DomainError(f"need dim >= 1 and N >= 0, got dim {dim}, N {N}")
+    check_real("Gaussian amplitude", amplitude)
+    check_real("Gaussian width", width)
+    check_real("evaluation time t", t)
+    check_integer("dim", dim, 1)
+    check_integer("N", N, 0)
     log_q = math.log(width / t)
     base = math.log(amplitude) + 0.5 * dim * log_q - math.lgamma(0.5 * dim)
     return [
@@ -183,10 +172,10 @@ def divergence_lower_bound(
     as ZERO where that is not positive.
     """
     d, t = cfg.dim, cfg.t
-    if not t < width:
-        raise DomainError("divergence_lower_bound applies only for t < width")
     N = cfg.k // 2
     blocks = gaussian_origin_blocks(amplitude, width, d, t, N)
+    if not t < width:
+        raise DomainError("divergence_lower_bound applies only for t < width")
     q = width / t
     n0 = next((n for n in range(N + 1) if q * (n + 0.5 * d) >= n + 1), N + 1)
     logs = [a.logmag for a in [blocks[N], *blocks[:n0], *blocks[N - 1 : N]]]

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .moments import Gaussian, Generic1D
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .specfun import IERFC_MAX_ORDER, hermite, ierfc
@@ -81,9 +81,7 @@ def remainder(f: Datum, alpha: int, x):
     route.
     """
     func, breakpoints = _one_dimensional(f)
-    check_integer("remainder order", alpha)
-    if alpha < 1:
-        raise DomainError("remainder order must be >= 1")
+    check_integer("remainder order", alpha, 1)
     points = np.asarray(x, dtype=float)
     if not np.isfinite(points).all():
         raise DomainError("remainder needs finite points")
@@ -119,9 +117,7 @@ def remainder_l1_norm(f: Datum, alpha: int) -> float:
     a Gaussian, a nested one (a remainder batch per outer panel level) for
     any other f."""
     _, breakpoints = _one_dimensional(f)
-    check_integer("remainder order", alpha)
-    if alpha < 1:
-        raise DomainError("remainder order must be >= 1")
+    check_integer("remainder order", alpha, 1)
     value = integrate_line_rows(
         lambda rows, x: np.abs(remainder(f, alpha, x)), [(0.0, *breakpoints)]
     )
@@ -131,8 +127,7 @@ def remainder_l1_norm(f: Datum, alpha: int) -> float:
 def gaussian_test_function(a: float = 1.0) -> Callable[[int, float], float]:
     """(n, x) -> phi^{(n)}(x) for phi(x) = e^{-a x^2}, by the Hermite closed
     form d^n/dx^n e^{-y^2} = (-1)^n H_n(y) e^{-y^2} with y = sqrt(a) x."""
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"Gaussian test function needs finite a > 0, got {a}")
+    check_real("Gaussian test function a", a)
     root = math.sqrt(a)
 
     def deriv(n: int, x):
@@ -152,9 +147,10 @@ def poly_gaussian_test_function(
     Derivatives come from the Leibniz rule; polynomial derivatives are
     exact, the Gaussian factor reuses the Hermite closed form.
     """
-    coeffs = tuple(float(c) for c in coeffs)
-    if not all(map(math.isfinite, coeffs)):
-        raise DomainError(f"test function coefficients must be finite, got {coeffs}")
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        check_real("test function coefficient", c, -math.inf)
+    coeffs = tuple(map(float, coeffs))
     gauss = gaussian_test_function(a)
 
     def poly_deriv(m: int, x):
@@ -191,9 +187,7 @@ def decomposition_residual(f: Datum, k: int, phi: Callable[[int, float], float])
     the half-line quadrature of F_{k+1} (a nested quadrature) otherwise.
     """
     func, own = _one_dimensional(f)
-    check_integer("k", k)
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    check_integer("k", k, 0)
     fa = on_array(func)
 
     def against_f(rows, x):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_time
+from .errors import DomainError, check_real
 from .kernel_approx import _as_point, _point_terms, _sweep_orders
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
 from .signedlog import aligned_sum_arrays
@@ -56,7 +56,7 @@ class SimilarityPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "z", _as_point(self.z))
-        check_time("similarity time tau", self.tau, signed=True)
+        check_real("similarity time tau", self.tau, -math.inf)
 
     @property
     def dim(self) -> int:
@@ -74,7 +74,7 @@ class EigenCoeffs(MomentTable):
 
     def _check_header(self) -> None:
         super()._check_header()
-        check_time("t0_coeff", self.t0_coeff, zero=True)
+        check_real("t0_coeff", self.t0_coeff, zero=True)
 
 
 def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
@@ -86,7 +86,7 @@ def eigen_coeffs(u0: InitialDatum, t0_coeff: float, k_max: int) -> EigenCoeffs:
     one per-degree scale less ln alpha!, each row's logs added as a
     per-entry SignedLog product adds them.
     """
-    check_time("t0_coeff", t0_coeff, zero=True)
+    check_real("t0_coeff", t0_coeff, zero=True)
     d = u0.dim
     table = build_moment_table(u0, k_max)
     if t0_coeff > 0.0:
@@ -159,7 +159,7 @@ def validity_integral(coeffs: EigenCoeffs, t: float) -> float:
     The coefficients must be the initial datum's (``t0_coeff`` 0), the only
     ones whose expansion is the solution's.
     """
-    check_time("validity_integral time t", t)
+    check_real("validity_integral time t", t)
     if coeffs.t0_coeff != 0.0:
         raise DomainError("validity_integral requires coefficients of the initial datum")
     shells = _energy_shells(coeffs, t)

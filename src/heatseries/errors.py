@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks of an
-integer size argument and of a time argument."""
+integer argument and of a real one, each with its range."""
 
 import math
 import numbers
@@ -29,20 +29,25 @@ class UnsupportedVariantError(HeatSeriesError, TypeError):
     """The initial-datum variant cannot support the requested operation."""
 
 
-def check_integer(name: str, value) -> None:
-    """Raise DomainError unless ``value`` is an integer: a numpy integer
-    passes, a bool or a float with an integral value does not."""
+def check_integer(name: str, value, lo=None, hi=None) -> None:
+    """Raise DomainError unless ``value`` is an integer in [lo, hi], a None
+    bound being open: a numpy integer passes, a bool or a float with an
+    integral value does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo or hi is not None and value > hi:
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be {span}, got {value!r}")
 
 
-def check_time(name: str, value, *, zero: bool = False, signed: bool = False) -> None:
+def check_real(name: str, value, above: float = 0.0, *, zero: bool = False) -> None:
     """Raise DomainError unless ``value`` is a finite real number that is
-    not a bool (a numpy floating or integer scalar passes) and is > 0;
-    ``zero`` also admits 0, and ``signed`` any sign, as a log time has."""
+    not a bool (a numpy floating or integer scalar passes) and is > above;
+    ``zero`` also admits ``above`` itself, and above=-inf any sign, as a
+    log time or a breakpoint has."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    if not (signed or value > 0 or zero and value == 0):
-        raise DomainError(f"{name} must be {'>=' if zero else '>'} 0, got {value!r}")
+    if not (value > above or zero and value == above):
+        raise DomainError(f"{name} must be {'>=' if zero else '>'} {above:g}, got {value!r}")

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .errors import DomainError, UnsupportedVariantError, check_integer, check_time
+from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .moments import Gaussian, MomentTable, MultiIndex
 from .signedlog import SignedLog, aligned_sum_arrays
 from .specfun import hermite_weighted, hermite_weighted_logs, laguerre_sequence
@@ -49,13 +49,9 @@ class ApproxConfig:
     t: float
 
     def __post_init__(self):
-        check_integer("dim", self.dim)
-        check_integer("k", self.k)
-        if self.dim < 1:
-            raise DomainError("dim must be >= 1")
-        if self.k < 0:
-            raise DomainError("truncation order k must be >= 0")
-        check_time("evaluation time t", self.t)
+        check_integer("dim", self.dim, 1)
+        check_integer("truncation order k", self.k, 0)
+        check_real("evaluation time t", self.t)
 
 
 @dataclass
@@ -99,7 +95,8 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
 
 def heat_kernel(x, t: float, dim: int | None = None) -> float:
     """Fundamental solution (4 pi t)^{-d/2} exp(-|x|^2 / 4t)."""
-    check_time("heat_kernel time t", t)
+    check_real("heat_kernel time t", t)
+    t = float(t)
     pt = _as_point(x, dim)
     sq = math.fsum(c * c for c in pt)
     return (4.0 * math.pi * t) ** (-len(pt) / 2.0) * math.exp(-sq / (4.0 * t))
@@ -113,7 +110,7 @@ def kernel_derivative(alpha, x, t: float) -> SignedLog:
         D^alpha G = pi^{-d/2} (4t)^{-(|alpha|+d)/2} (-1)^{|alpha|}
                     prod_i H_{alpha_i}(y_i) e^{-y_i^2},   y = x / (2 sqrt t).
     """
-    check_time("kernel_derivative time t", t)
+    check_real("kernel_derivative time t", t)
     a = MultiIndex.of(alpha)
     d = a.dim
     pt = _as_point(x, d)
@@ -178,9 +175,7 @@ def _sweep_orders(ks, k_max: int) -> list[int]:
     if not ks:
         raise DomainError("a sweep needs at least one truncation order")
     for k in ks:
-        check_integer("truncation order", k)
-        if not 0 <= k <= k_max:
-            raise DomainError(f"truncation order {k} outside [0, {k_max}]")
+        check_integer("truncation order", k, 0, k_max)
     if ks != sorted(ks):
         raise DomainError(f"truncation orders {ks} are not ascending")
     return ks
@@ -269,8 +264,7 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
         raise DomainError("table dimension does not match config")
     if cfg.k > table.k_max:
         raise DomainError("truncation order exceeds table k_max")
-    if not 0.0 <= r < math.inf:
-        raise DomainError("radius must be finite and >= 0")
+    check_real("radius r", r, zero=True)
     u0 = table.source
     d = cfg.dim
     x = r * r / (4.0 * cfg.t)
@@ -323,7 +317,7 @@ class SeriesGridEvaluator:
         if not all(ax.ndim == 1 and ax.size and np.isfinite(ax).all() for ax in axes):
             raise DomainError("each grid axis must be a non-empty 1-D array of finite nodes")
         if k_cap is not None:
-            check_integer("k_cap", k_cap)
+            check_integer("k_cap", k_cap, 0)
         self.dim = table.dim
         self.t = t
         k = self.k_cap = table.k_max if k_cap is None else min(k_cap, table.k_max)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import divergence_lower_bound, envelope_bound_G, error_bound_F_sweep
-from .errors import DomainError, UnsupportedVariantError, check_integer, check_time
+from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
@@ -36,14 +36,11 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        check_integer("dim", self.dim)
-        check_integer("points", self.points)
-        if self.dim < 1:
-            raise DomainError("dim must be >= 1")
-        if not 0.0 < self.extent < math.inf:
-            raise DomainError("extent must be positive and finite")
-        if self.points < 3 or self.points % 2 == 0:
-            raise DomainError("points must be odd and >= 3")
+        check_integer("dim", self.dim, 1)
+        check_real("extent", self.extent)
+        check_integer("points", self.points, 3)
+        if self.points % 2 == 0:
+            raise DomainError(f"points must be odd, got {self.points}")
 
     def axes(self) -> list[np.ndarray]:
         half = np.linspace(0.0, self.extent, self.points // 2 + 1)
@@ -58,8 +55,8 @@ def default_grid(dim: int, t_max: float, width: float, points: int = 801) -> Gri
     check needs e^{-E^2/4(t + width)} <= 1e-16, E >= 12.14 sqrt(t + width);
     the second term gives that below t = 0.61 width, where the first falls
     short, and the first term's extent is kept above."""
-    if not (0.0 <= t_max < math.inf and 0.0 <= width < math.inf):
-        raise DomainError(f"t_max {t_max!r} and width {width!r} must be finite and >= 0")
+    check_real("t_max", t_max, zero=True)
+    check_real("width", width, zero=True)
     extent = max(
         2.0 * math.sqrt(t_max) * 8.0 + 4.0 * math.sqrt(width),
         13.0 * math.sqrt(t_max + width),
@@ -74,9 +71,10 @@ def exact_gaussian_solution(
 
         u(x, t) = amplitude (t0 / (t + t0))^{d/2} e^{-|x|^2 / 4(t + t0)}.
     """
-    if not (0.0 < amplitude < math.inf and 0.0 < width < math.inf):
-        raise DomainError("exact_gaussian_solution needs positive finite amplitude/width")
-    check_time("exact_gaussian_solution time t", t, zero=True)
+    check_real("Gaussian amplitude", amplitude)
+    check_real("Gaussian width", width)
+    check_integer("dim", dim, 1)
+    check_real("exact_gaussian_solution time t", t, zero=True)
     sq = math.fsum(c * c for c in _as_point(x, dim))
     spread = t + width
     return (
@@ -106,7 +104,7 @@ def convolve_oracle(u0, x, t: float) -> float:
     value does not depend on whether it was computed alone or with the whole
     grid.
     """
-    check_time("convolve_oracle time t", t)
+    check_real("convolve_oracle time t", t)
     return float(_oracle(u0, np.array([_as_point(x, u0.dim)]), t)[0])
 
 
@@ -277,7 +275,7 @@ def error_curve(
     one pass over the table (:func:`error_bound_F_sweep`); a Gaussian u0
     adds G and, below its width, the divergence bound where it is positive.
     """
-    check_integer("k_max", k_max)
+    check_integer("k_max", k_max, 0)
     if table.k_max < k_max + 1:
         raise DomainError(
             f"error_curve to k_max={k_max} needs table degree {k_max + 1}"

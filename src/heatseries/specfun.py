@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .signedlog import ZERO, SignedLog
 
 #: Hard cap on recurrence depth for the polynomial evaluators.
@@ -41,8 +41,7 @@ def log_gamma(z: float) -> float:
     """Natural log of Gamma(z) for finite z > 0: ``math.lgamma`` behind a
     domain guard that also rejects NaN and inf.  Past z ~ 2.5e305 the
     value leaves the double range and comes back as inf."""
-    if not 0.0 < z < math.inf:
-        raise DomainError(f"log_gamma requires finite z > 0, got {z}")
+    check_real("log_gamma z", z)
     try:
         return math.lgamma(z)
     except OverflowError:
@@ -57,16 +56,13 @@ def log_gamma_halves(n: int) -> list[float]:
     once per multi-index component; every entry is the same double that
     call returns.
     """
-    if n < 0:
-        raise DomainError(f"log_gamma_halves requires n >= 0, got {n}")
+    check_integer("log_gamma_halves n", n, 0)
     return [math.lgamma((c + 1) / 2.0) for c in range(n + 1)]
 
 
 def log_factorial(n: int) -> float:
     """ln(n!) for an integer n >= 0."""
-    check_integer("log_factorial n", n)
-    if n < 0:
-        raise DomainError(f"log_factorial requires n >= 0, got {n}")
+    check_integer("log_factorial n", n, 0)
     return log_gamma(n + 1.0)
 
 
@@ -103,9 +99,7 @@ def ierfc(n: int, z):
     (measured: at most 6.3e-15).  Past z ~ 26.6 the value leaves the
     normal range.
     """
-    check_integer("ierfc order", n)
-    if not -1 <= n <= IERFC_MAX_ORDER:
-        raise DomainError(f"ierfc order must be an integer in [-1, {IERFC_MAX_ORDER}], got {n!r}")
+    check_integer("ierfc order", n, -1, IERFC_MAX_ORDER)
     z = np.asarray(z, dtype=float)
     if not (np.isfinite(z).all() and (z >= 0.0).all()):
         raise DomainError("ierfc needs finite z >= 0")
@@ -231,17 +225,6 @@ def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return 0.5 * (b0 - b2)
 
 
-def _check_depth(n: int, name: str) -> None:
-    check_integer(f"{name} order", n)
-    if n < 0:
-        raise DomainError(f"{name} requires n >= 0, got {n}")
-    if n > RECURRENCE_DEPTH_CAP:
-        raise DomainError(
-            f"{name} order {n} exceeds the recurrence depth cap "
-            f"{RECURRENCE_DEPTH_CAP}"
-        )
-
-
 def hermite(n: int, x: float) -> float:
     """Physicists' Hermite polynomial H_n(x) by the recurrence
     H_{n+1} = 2 x H_n - 2 n H_{n-1}.
@@ -249,7 +232,7 @@ def hermite(n: int, x: float) -> float:
     Values may overflow to +-inf for large n and |x|; use
     :func:`hermite_weighted` when the Gaussian-weighted value is wanted.
     """
-    _check_depth(n, "hermite")
+    check_integer("hermite order", n, 0, RECURRENCE_DEPTH_CAP)
     if n == 0:
         return 1.0
     prev, cur = 1.0, 2.0 * x
@@ -263,7 +246,7 @@ def hermite_weighted(n: int, x: float) -> SignedLog:
     up to the recurrence cap: the last entry of
     :func:`hermite_weighted_logs`.
     """
-    _check_depth(n, "hermite_weighted")
+    check_integer("hermite_weighted order", n, 0, RECURRENCE_DEPTH_CAP)
     signs, logs = hermite_weighted_logs(n, x)
     return SignedLog(signs[-1], logs[-1]) if signs[-1] else ZERO
 
@@ -271,7 +254,7 @@ def hermite_weighted(n: int, x: float) -> SignedLog:
 def hermite_weighted_sequence(n_max: int, x: float) -> list[SignedLog]:
     """All of H_0(x) e^{-x^2} .. H_{n_max}(x) e^{-x^2} as SignedLog values:
     :func:`hermite_weighted_logs` entry by entry."""
-    _check_depth(n_max, "hermite_weighted_sequence")
+    check_integer("hermite_weighted_sequence order", n_max, 0, RECURRENCE_DEPTH_CAP)
     signs, logs = hermite_weighted_logs(n_max, x)
     return [SignedLog(s, v) if s else ZERO for s, v in zip(signs, logs)]
 
@@ -285,7 +268,7 @@ def hermite_weighted_logs(n_max: int, x: float) -> tuple[list[int], list[float]]
     rescaling steps are exact and only the pair of multiply-adds per step
     rounds.
     """
-    _check_depth(n_max, "hermite_weighted_logs")
+    check_integer("hermite_weighted_logs order", n_max, 0, RECURRENCE_DEPTH_CAP)
     shift = -x * x  # log of the common scale carried outside the recurrence
     prev, cur = 0.0, 1.0  # scaled H_{-1}, H_0
     signs, logs = [1], [shift + math.log(cur)]
@@ -307,13 +290,14 @@ def hermite_weighted_logs(n_max: int, x: float) -> tuple[list[int], list[float]]
 
 
 def laguerre_sequence(n_max: int, a: float, x: float) -> list[float]:
-    """L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) for finite a > -1 from one pass of
+    """L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) for finite a > -1 and finite x
+    from one pass of
 
         (n+1) L_{n+1} = (2n + 1 + a - x) L_n - (n + a) L_{n-1}.
     """
-    if not -1.0 < a < math.inf:
-        raise DomainError(f"laguerre requires finite a > -1, got a={a}")
-    _check_depth(n_max, "laguerre")
+    check_real("laguerre a", a, -1.0)
+    check_real("laguerre x", x, -math.inf)
+    check_integer("laguerre order", n_max, 0, RECURRENCE_DEPTH_CAP)
     prev, cur = 0.0, 1.0  # L_{-1}, L_0
     out = [cur]
     for m in range(n_max):

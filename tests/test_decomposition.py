@@ -147,7 +147,7 @@ def test_test_function_guards():
         gaussian_test_function(0.0)
     # derivatives exist for every order up to the Hermite recurrence's cap
     phi = gaussian_test_function(1.0)
-    with pytest.raises(DomainError, match="recurrence depth cap"):
+    with pytest.raises(DomainError, match=r"hermite order must be in \[0, 400\], got 401"):
         phi(401, 0.3)
 
 
@@ -274,11 +274,13 @@ def test_generic1d_breakpoints_split_the_remainder_integral():
     assert remainder(box, 1, 1.5) == 0.0
 
 
+#: Each builds its datum inside the check: a Generic1D of no callable is
+#: refused by its own constructor.
 NOT_ONE_DIMENSIONAL = [
-    Gaussian(amplitude=1.0, width=1.0, dim=2),
-    Radial(profile=lambda r: math.exp(-r * r), dim=2),
-    2.5,
-    Generic1D(func=None),
+    lambda: Gaussian(amplitude=1.0, width=1.0, dim=2),
+    lambda: Radial(profile=lambda r: math.exp(-r * r), dim=2),
+    lambda: 2.5,
+    lambda: Generic1D(func=None),
 ]
 
 
@@ -296,4 +298,4 @@ NOT_ONE_DIMENSIONAL = [
 )
 def test_data_that_are_not_one_dimensional_raise_domain_error(call, datum):
     with pytest.raises(DomainError):
-        call(datum)
+        call(datum())

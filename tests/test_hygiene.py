@@ -8,6 +8,7 @@ The package's ``__init__.py`` is skipped: its imports are the re-exports.
 
 import ast
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -180,3 +181,133 @@ def test_no_package_module_imports_scipy():
     assert _imports_scipy(ast.parse("def f():\n    from scipy.special import i0e"))
     assert _imports_scipy(ast.parse("import scipy.integrate as si"))
     assert not _imports_scipy(ast.parse("from .specfun import i0e\nimport scipyish"))
+
+
+# --- range checks live in errors.py -------------------------------------
+#
+# Whether an integer or real argument is in range, and how a bad one is
+# reported, is decided once: by check_integer's lo and hi and check_real's
+# bound.  A DomainError raised from a hand-rolled comparison with math.inf,
+# or from a comparison of an argument with a constant right after its
+# check_integer, is that decision made again with its own wording.
+
+
+def _raises_domain_error(statements) -> bool:
+    return any(
+        isinstance(s, ast.Raise)
+        and isinstance(s.exc, ast.Call)
+        and getattr(s.exc.func, "id", None) == "DomainError"
+        for s in statements
+    )
+
+
+def _is_math_inf(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "inf"
+        and getattr(node.value, "id", None) == "math"
+    )
+
+
+def _is_constant(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
+def _comparisons(test: ast.AST):
+    for node in ast.walk(test):
+        if isinstance(node, ast.Compare):
+            yield [node.left, *node.comparators]
+
+
+def _inf_range_checks(tree: ast.Module) -> list[int]:
+    """Lines of each ``if`` that compares with math.inf and raises
+    DomainError in its body."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and _raises_domain_error(node.body)
+        and any(map(_is_math_inf, chain.from_iterable(_comparisons(node.test))))
+    ]
+
+
+def _checked_integer(statement: ast.stmt) -> str | None:
+    """ast.dump of x in a statement ``check_integer(name, x, ...)``."""
+    call = getattr(statement, "value", None)
+    if (
+        isinstance(statement, ast.Expr)
+        and isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) == "check_integer"
+        and len(call.args) >= 2
+    ):
+        return ast.dump(call.args[1])
+    return None
+
+
+def _integer_range_checks(tree: ast.Module) -> list[int]:
+    """Lines of each ``if`` that raises DomainError in its body, follows a
+    run of check_integer(name, x) calls directly, and compares one of
+    those x with a constant."""
+    lines = []
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            statements = getattr(node, field, None)
+            checked = set()
+            for statement in statements if isinstance(statements, list) else []:
+                if (x := _checked_integer(statement)) is not None:
+                    checked.add(x)
+                    continue
+                if (
+                    checked
+                    and isinstance(statement, ast.If)
+                    and _raises_domain_error(statement.body)
+                    and any(
+                        any(ast.dump(o) in checked for o in operands)
+                        and any(map(_is_constant, operands))
+                        for operands in _comparisons(statement.test)
+                    )
+                ):
+                    lines.append(statement.lineno)
+                checked = set()
+    return lines
+
+
+def test_only_errors_py_checks_ranges():
+    package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
+    hand_rolled = {
+        p.name: _inf_range_checks(tree) + _integer_range_checks(tree)
+        for p in package
+        if p.name != "errors.py"
+        for tree in [ast.parse(p.read_text())]
+    }
+    assert {name: lines for name, lines in hand_rolled.items() if lines} == {}
+
+
+def test_range_check_scan_flags_hand_rolled_checks():
+    source = (
+        "def f(a, n, k, table):\n"
+        "    if not 0.0 < a < math.inf:\n"
+        "        raise DomainError('a')\n"
+        "    if a == -math.inf:\n"
+        "        return 0\n"
+        "    check_integer('n', n)\n"
+        "    check_integer('k', k)\n"
+        "    if n < 0 or k > 3:\n"
+        "        raise DomainError('n')\n"
+        "    for k in n:\n"
+        "        check_integer('k', k)\n"
+        "        if not -1 <= k <= LIMIT:\n"
+        "            raise DomainError('k')\n"
+        "    check_integer('k', k, 0)\n"
+        "    if table.k_max < k + 1:\n"
+        "        raise DomainError('deeper table')\n"
+        "    if k % 2 == 0:\n"
+        "        raise DomainError('odd')\n"
+    )
+    tree = ast.parse(source)
+    assert _inf_range_checks(tree) == [2]
+    assert _integer_range_checks(tree) == [8, 12]

@@ -284,7 +284,7 @@ def test_orders_must_be_non_negative(table_d1):
         lambda: evaluator.sup_errors(reference, [-1, 2]),
         lambda: evaluator.field_up_to(-3),
     ):
-        with pytest.raises(DomainError, match=r"outside \[0, 8\]"):
+        with pytest.raises(DomainError, match=r"must be in \[0, 8\], got -"):
             call()
 
 

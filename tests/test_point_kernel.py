@@ -469,9 +469,9 @@ def test_a_real_number_is_one_coordinate(x):
     assert eval_uk(_T2, _CFG2, (x, np.int16(-1))).value == eval_uk(_T2, _CFG2, (float(x), -1.0)).value
 
 
-@pytest.mark.parametrize("t", [1.5, np.float64(1.5), np.int64(2), 2])
+@pytest.mark.parametrize("t", [1.5, np.float64(1.5), np.int64(2), 2, np.float32(1.5)])
 def test_a_real_number_is_a_time(t):
-    # check_time refuses bools and non-numbers; every real number it let
+    # check_real refuses bools and non-numbers; every real number it let
     # through before still passes, with the value of its float
     assert heat_kernel(0.5, t) == heat_kernel(0.5, float(t))
     assert kernel_derivative((3,), 0.5, t) == kernel_derivative((3,), 0.5, float(t))
