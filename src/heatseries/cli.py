@@ -31,7 +31,7 @@ from .decomposition import (
     remainder_l1_norm,
 )
 from .eigen import SimilarityPoint, eigen_coeffs, eval_expansion_sweep, validity_integral
-from .errors import HeatSeriesError
+from .errors import HeatSeriesError, check_integer, check_real
 from .kernel_approx import ApproxConfig, eval_uk_sweep
 from .moments import Gaussian, Generic1D, abs_moment, build_moment_table
 from .quadrature import error_allowance, integrate_line_rows
@@ -78,30 +78,29 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the largest --dim of the commands whose grids and sweeps stop at dim 2
+_MAX_DIM = {"error-curve": 2, "eigen-compare": 2}
+
+
 def _validate(args) -> None:
+    """Raise DomainError or UsageError on the first option out of its range."""
     given = vars(args)
-    problems = []
-    if "dim" in given and args.dim < 1:
-        problems.append("--dim must be >= 1")
+    if "dim" in given:
+        check_integer("--dim", args.dim, 1, _MAX_DIM.get(args.command))
     for name in ("t0", "t", "amplitude", "grid_extent"):
-        value = given.get(name)
-        if value is not None and not 0.0 < value < math.inf:
-            problems.append(f"--{name.replace('_', '-')} must be finite and > 0")
-    if "kmax" in given and not 0 <= args.kmax <= 200:
-        problems.append("--kmax must be in [0, 200]")
-    if "grid_points" in given and (args.grid_points < 3 or args.grid_points % 2 == 0):
-        problems.append("--grid-points must be odd and >= 3")
-    if args.command == "error-curve" and args.dim > 2:
-        problems.append("error-curve supports --dim 1 or 2")
+        if given.get(name) is not None:
+            check_real(f"--{name.replace('_', '-')}", given[name])
+    if "kmax" in given:
+        check_integer("--kmax", args.kmax, 0, 200)
+    if "grid_points" in given:
+        check_integer("--grid-points", args.grid_points, 3)
+        if args.grid_points % 2 == 0:
+            raise UsageError(f"--grid-points must be odd, got {args.grid_points}")
     if args.command == "divergence" and not args.t < args.t0:
-        problems.append("divergence requires --t < --t0")
-    if args.command == "eigen-compare" and args.dim > 2:
-        problems.append("eigen-compare supports --dim 1 or 2")
-    if problems:
-        raise UsageError("; ".join(problems))
+        raise UsageError("divergence requires --t < --t0")
 
 
-class UsageError(Exception):
+class UsageError(HeatSeriesError):
     pass
 
 
@@ -409,10 +408,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _validate(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
         _COMMANDS[args.command][0](args)
     except AssertionFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

@@ -71,7 +71,9 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     None, and at least one.  A real number (a numpy scalar too) is one
     coordinate, an iterable of real numbers its coordinates in turn;
     anything else, ``None``, a bool, a string or bytes among it, raises
-    DomainError."""
+    DomainError, as does a ``dim`` that is not an integer >= 1."""
+    if dim is not None:
+        check_integer("dim", dim, 1)
     scalar = isinstance(x, numbers.Real)
     try:
         pt = (x,) if scalar else tuple(x)

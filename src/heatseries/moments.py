@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, ClassVar, Iterator, Union
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     DomainError, IntegrabilityError, UnsupportedVariantError, check_integer, check_real,
 )
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
-from .serial import Rendered, json_array_of_columns, json_cell
+from .serial import json_cell, json_list
 from .signedlog import ZERO, SignedLog
 from .specfun import log_factorial, log_gamma, log_gamma_halves
 
@@ -336,7 +335,6 @@ class _Canon:
         self.degrees = _frozen(np.repeat(np.arange(k_max + 1, dtype=dtype), self.counts))
         self._ln_factorials = _frozen(np.empty(0))
         self._multi_indices: list[MultiIndex] = []
-        self._alpha_json: list[Rendered] = []
 
     def ln_factorials(self, n: int) -> np.ndarray:
         """ln alpha! of the first n rows, the sum of ln c! over the
@@ -358,13 +356,6 @@ class _Canon:
             object.__setattr__(key, "components", components)
             keys.append(key)
         return keys[:n]
-
-    def alpha_json(self, n: int) -> list[Rendered]:
-        """The JSON cell of the first n multi-indices, as json_cell writes it."""
-        if len(self._alpha_json) < n:
-            rows = self.components[len(self._alpha_json) : n].tolist()
-            self._alpha_json += [Rendered(json_cell(tuple(row))) for row in rows]
-        return self._alpha_json[:n]
 
 
 _CANONS: dict[int, _Canon] = {}  # dim -> the largest index built so far
@@ -421,6 +412,10 @@ def _is_full(n: int, k_max: int, dim: int) -> bool:
 # moment tables
 
 
+#: the JSON wire format's columns, each a table attribute of that name
+_WIRE_COLUMNS = ("signs", "logmag")
+
+
 class MomentTable:
     """Signed moments for every multi-index with degree <= k_max.
 
@@ -446,8 +441,10 @@ class MomentTable:
     ``entries``, not one changed in place.
     """
 
-    #: wire format: header fields (JSON key, attribute, type), then entry rows
+    #: JSON wire format: these header fields (JSON key, attribute, type),
+    #: then the _WIRE_COLUMNS, each one array in table order
     HEADER: ClassVar[tuple] = (("dim", "dim", int), ("kmax", "k_max", int))
+    #: CSV format: one row of these per multi-index, in table order
     COLUMNS: ClassVar[tuple] = ("alpha", "sign", "logmag")
 
     @classmethod
@@ -559,26 +556,23 @@ class MomentTable:
         )
 
     def to_json(self) -> str:
-        header = "".join(
-            '"%s":%s,' % (key, json_cell(getattr(self, a))) for key, a, _ in self.HEADER
-        )
-        values = (
-            self._canon.alpha_json(len(self.signs)), self.signs.tolist(), self.logmag.tolist()
-        )
-        return '{%s"entries":%s}' % (header, json_array_of_columns(self.COLUMNS, values))
+        fields = [(key, json_cell(getattr(self, a))) for key, a, _ in self.HEADER]
+        fields += [(c, json_list(getattr(self, c).tolist())) for c in _WIRE_COLUMNS]
+        return "{%s}" % ",".join('"%s":%s' % field for field in fields)
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
-        """Inverse of to_json; a malformed, partial or out-of-order table
-        raises DomainError."""
+        """Inverse of to_json; a malformed or partial table raises
+        DomainError."""
         try:
             raw = json.loads(text)
         except ValueError as exc:
             raise DomainError(f"table text is not JSON: {exc}") from None
-        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
-            raise DomainError('table JSON needs an object with an "entries" array')
+        if not isinstance(raw, dict) or not all(type(raw.get(c)) is list for c in _WIRE_COLUMNS):
+            keys = [key for key, _, _ in cls.HEADER] + list(_WIRE_COLUMNS)
+            raise DomainError(f"table JSON needs an object with keys {', '.join(map(repr, keys))}")
         header = {attr: _header_field(raw, key, kind) for key, attr, kind in cls.HEADER}
-        signs, logmag = _read_rows(raw["entries"], header["dim"], header["k_max"])
+        signs, logmag = _read_columns(*map(raw.get, _WIRE_COLUMNS), header["dim"], header["k_max"])
         return cls.from_arrays(signs, logmag, **header)
 
 
@@ -591,54 +585,31 @@ def _header_field(raw: dict, key: str, kind: type):
     return value
 
 
-def _read_rows(rows: list, dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sign and log-magnitude columns of wire rows, each column checked
-    as a whole: the row count first, before anything the size of the
-    claimed table is allocated, then the Python types, so that no bool or
-    float passes for an integer, then the multi-indices against the
-    canonical index.  :meth:`MomentTable.from_arrays` checks the values."""
-    n = len(rows)
-    if dim < 1 or k_max < 0 or not _is_full(n, k_max, dim):
-        raise DomainError(f"table of dim {dim}, k_max {k_max} misses multi-indices (it holds {n})")
-    if set(map(type, rows)) != {dict}:
-        row = next(r for r in rows if type(r) is not dict)
-        raise DomainError(f"table row {row!r} is not an object")
-    try:
-        alphas = [row["alpha"] for row in rows]
-        signs = [row["sign"] for row in rows]
-        logmags = [row["logmag"] for row in rows]
-    except KeyError:
-        row = next(r for r in rows if not set(MomentTable.COLUMNS) <= r.keys())
-        raise DomainError(f"table row {row!r} needs alpha, sign and logmag") from None
-    if set(map(type, alphas)) != {list} or set(map(len, alphas)) != {dim} or not (
-        set(map(type, chain.from_iterable(alphas))) <= {int}
-    ):
-        alpha = next(
-            a for a in alphas
-            if type(a) is not list or len(a) != dim or any(type(c) is not int for c in a)
+def _read_columns(
+    signs: list, logmag: list, dim: int, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sign and log-magnitude columns as arrays, each checked as a
+    whole: the row count first, before anything the size of the claimed
+    table is allocated, then the Python types, so that no bool or float
+    passes for an integer.  :meth:`MomentTable.from_arrays` checks the
+    values."""
+    n = len(signs)
+    if len(logmag) != n or not _is_full(n, k_max, dim):
+        raise DomainError(
+            f"table of dim {dim}, k_max {k_max} misses multi-indices "
+            f"(it holds {n} signs and {len(logmag)} logmag)"
         )
-        raise DomainError(f"table row alpha {alpha!r} is not a list of {dim} integers")
     if not set(map(type, signs)) <= {int}:
         sign = next(s for s in signs if type(s) is not int)
-        raise DomainError(f"table row sign {sign!r} is not an integer")
-    if not set(map(type, logmags)) <= {int, float}:
-        logmag = next(v for v in logmags if type(v) not in (int, float))
-        raise DomainError(f"table row logmag {logmag!r} is not a number")
+        raise DomainError(f"table sign {sign!r} is not an integer")
+    if not set(map(type, logmag)) <= {int, float}:
+        value = next(v for v in logmag if type(v) not in (int, float))
+        raise DomainError(f"table logmag {value!r} is not a number")
     try:
-        comps = np.fromiter(chain.from_iterable(alphas), np.int64, n * dim).reshape(n, dim)
         # int64, not int8: a sign past int8 must reach the range check, not wrap
-        signs = np.fromiter(signs, np.int64, n)
-        logmag = np.fromiter(logmags, np.float64, n)
+        return np.array(signs, np.int64), np.array(logmag, np.float64)
     except OverflowError:
-        raise DomainError("table row holds a number beyond the range of its column") from None
-    misplaced = np.flatnonzero((comps != _canon(k_max, dim).components[:n]).any(axis=1))
-    if len(misplaced):
-        raise DomainError(
-            f"multi-index {tuple(comps[misplaced[0]].tolist())} out of place: a table of "
-            f"dim {dim} holds every degree <= {k_max} once, degrees ascending, "
-            "lexicographic within a degree"
-        )
-    return signs, logmag
+        raise DomainError("table holds a number beyond the range of its column") from None
 
 
 def build_moment_table(u0: InitialDatum, k_max: int) -> MomentTable:

@@ -2,14 +2,14 @@
 
 A table is a tuple of column names plus rows of plain values; csv_text
 writes a header line and one line per row, json_array one object per row
-with keys in column order.  A cell's text is set by its value's type:
-float -> f17 (17 significant digits, which round-trip doubles, so identical
-inputs give byte-identical files), in JSON with ".0" appended to an
-integral value so that it reads back as a float; int -> decimal; None ->
-empty in CSV, null in JSON; bool -> true/false; str -> JSON-quoted, and in
-CSV quoted only when it holds a comma, a quote or a line break; a tuple of
-ints (a multi-index) -> space-joined in CSV, an array in JSON; a
-:class:`Rendered` text -> itself.
+with keys in column order, and json_list one column as a JSON array.  A
+cell's text is set by its value's type: float -> f17 (17 significant
+digits, which round-trip doubles, so identical inputs give byte-identical
+files), in JSON with ".0" appended to an integral value so that it reads
+back as a float; int -> decimal; None -> empty in CSV, null in JSON; bool
+-> true/false; str -> JSON-quoted, and in CSV quoted only when it holds a
+comma, a quote or a line break; a tuple of ints (a multi-index) ->
+space-joined, in CSV only.
 """
 
 from __future__ import annotations
@@ -40,34 +40,37 @@ def _csv_str(value: str) -> str:
     return value
 
 
-class Rendered(str):
-    """A cell's text, already written as the table's format writes it: a
-    writer that formats many tables over the same cells renders them once."""
-
-
 _BOOL = {True: "true", False: "false"}.__getitem__
 
 # value type -> (CSV cell, JSON cell), indexed by _CSV and _JSON; the first
-# type that matches wins, so a bool is not written as an integer
+# type that matches wins, so a bool is not written as an integer, and None
+# marks a type that format does not write
 _CSV, _JSON = 0, 1
 _CELLS = {
-    Rendered: (str, str),
     bool: (_BOOL, _BOOL),
     numbers.Integral: (str, str),
     numbers.Real: (f17, _json_float),
     type(None): (lambda _: "", lambda _: "null"),
     str: (_csv_str, json.dumps),
-    tuple: (
-        lambda value: " ".join(map(str, value)),
-        lambda value: "[%s]" % ",".join(map(str, value)),
-    ),
+    tuple: (lambda value: " ".join(map(str, value)), None),
 }
 
-# A column of floats alone, ints alone (bool is a type of its own) or
-# rendered texts alone is formatted by the row template itself ("%.17g" %
-# value equals f17(value)), without a call per cell; in JSON, only while no
-# float in it is integral.
-_INLINE = {float: "%.17g", int: "%d", Rendered: "%s"}
+# A column of floats alone or ints alone (bool is a type of its own) is
+# formatted by the row template itself ("%.17g" % value equals f17(value)),
+# without a call per cell; in JSON, only while no float in it is integral.
+_INLINE = {float: "%.17g", int: "%d"}
+
+
+def _column(side: int, column: Sequence) -> tuple[str, Sequence]:
+    """The %-spec of a column, and the values that fill it."""
+    kinds = set(map(type, column))
+    spec = _INLINE.get(next(iter(kinds))) if len(kinds) == 1 else None
+    if spec == "%.17g" and side == _JSON and any(map(float.is_integer, column)):
+        return "%s", _json_floats(column)
+    if spec is None:
+        formats = {kind: _cell(kind, side) for kind in kinds}
+        return "%s", [formats[type(v)](v) for v in column]
+    return spec, column
 
 
 def _columns(
@@ -75,20 +78,10 @@ def _columns(
 ) -> tuple[list[str], Iterator]:
     """The %-spec of every column, and the rows of values that fill them,
     from the values of each column."""
-    specs, columns = [], []
-    for column in values:
-        kinds = set(map(type, column))
-        spec = _INLINE.get(next(iter(kinds))) if len(kinds) == 1 else None
-        if spec == "%.17g" and side == _JSON and any(map(float.is_integer, column)):
-            column, spec = _json_floats(column), "%s"
-        elif spec is None:
-            formats = {kind: _cell(kind, side) for kind in kinds}
-            column = [formats[type(v)](v) for v in column]
-        specs.append(spec or "%s")
-        columns.append(column)
-    if columns and len(columns) != len(names):
-        raise ValueError(f"rows of {len(columns)} values for columns {names}")
-    return specs, zip(*columns, strict=True)
+    pairs = [_column(side, column) for column in values]
+    if pairs and len(pairs) != len(names):
+        raise ValueError(f"rows of {len(pairs)} values for columns {names}")
+    return [spec for spec, _ in pairs], zip(*(column for _, column in pairs), strict=True)
 
 
 def _json_floats(column: Sequence[float]) -> list[str]:
@@ -101,7 +94,7 @@ def _json_floats(column: Sequence[float]) -> list[str]:
 
 def _cell(kind: type, side: int):
     for base, cells in _CELLS.items():
-        if issubclass(kind, base):
+        if issubclass(kind, base) and cells[side] is not None:
             return cells[side]
     raise TypeError(f"no cell format for {kind.__module__}.{kind.__qualname__}")
 
@@ -121,15 +114,17 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def json_array(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """JSON array of one object per row, keys in column order."""
-    return json_array_of_columns(columns, zip(*rows, strict=True))
-
-
-def json_array_of_columns(columns: Sequence[str], values: Iterable[Sequence]) -> str:
-    """:func:`json_array` of the rows whose column i holds values[i]."""
-    specs, values = _columns(_JSON, columns, values)
+    specs, values = _columns(_JSON, columns, zip(*rows, strict=True))
     keys = (json.dumps(c).replace("%", "%%") for c in columns)
     template = "{%s}" % ",".join(map("%s:%s".__mod__, zip(keys, specs)))
     return "[%s]" % ",".join(map(template.__mod__, values))
+
+
+def json_list(values: Sequence) -> str:
+    """JSON array of one column's values, each written as json_array writes
+    its cell."""
+    spec, column = _column(_JSON, values)
+    return "[%s]" % ",".join(map(spec.__mod__, column))
 
 
 def table_text(fmt: str, columns: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -187,18 +187,48 @@ def test_no_package_module_imports_scipy():
 #
 # Whether an integer or real argument is in range, and how a bad one is
 # reported, is decided once: by check_integer's lo and hi and check_real's
-# bound.  A DomainError raised from a hand-rolled comparison with math.inf,
-# or from a comparison of an argument with a constant right after its
-# check_integer, is that decision made again with its own wording.
+# bound.  A problem reported from a hand-rolled comparison with math.inf,
+# from a comparison of an argument with a number right after its
+# check_integer, or from the CLI's comparison of an option with a number,
+# is that decision made again with its own wording.  A problem is reported
+# by raising DomainError or the CLI's UsageError, or by appending to a list
+# of problems that such a raise joins into its message.
 
 
-def _raises_domain_error(statements) -> bool:
-    return any(
-        isinstance(s, ast.Raise)
-        and isinstance(s.exc, ast.Call)
-        and getattr(s.exc.func, "id", None) == "DomainError"
-        for s in statements
+def _raise_of(statement: ast.stmt, errors) -> bool:
+    return (
+        isinstance(statement, ast.Raise)
+        and isinstance(statement.exc, ast.Call)
+        and getattr(statement.exc.func, "id", None) in errors
     )
+
+
+def _problem_lists(tree: ast.Module) -> set[str]:
+    """Names read in the message of a raise of DomainError or UsageError."""
+    return {
+        name.id
+        for node in ast.walk(tree)
+        if _raise_of(node, ("DomainError", "UsageError"))
+        for arg in node.exc.args
+        for name in ast.walk(arg)
+        if isinstance(name, ast.Name)
+    }
+
+
+def _appends_to(statement: ast.stmt, lists) -> bool:
+    call = getattr(statement, "value", None)
+    return (
+        isinstance(statement, ast.Expr)
+        and isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) == "append"
+        and getattr(call.func.value, "id", None) in lists
+    )
+
+
+def _reports(statements, lists, errors=("DomainError", "UsageError")) -> bool:
+    """Whether a statement raises one of ``errors`` or appends to one of
+    ``lists``."""
+    return any(_raise_of(s, errors) or _appends_to(s, lists) for s in statements)
 
 
 def _is_math_inf(node: ast.AST) -> bool:
@@ -211,10 +241,10 @@ def _is_math_inf(node: ast.AST) -> bool:
     )
 
 
-def _is_constant(node: ast.AST) -> bool:
+def _is_number(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp):
         node = node.operand
-    return isinstance(node, ast.Constant)
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
 
 def _comparisons(test: ast.AST):
@@ -224,13 +254,14 @@ def _comparisons(test: ast.AST):
 
 
 def _inf_range_checks(tree: ast.Module) -> list[int]:
-    """Lines of each ``if`` that compares with math.inf and raises
-    DomainError in its body."""
+    """Lines of each ``if`` that compares with math.inf and reports a
+    problem in its body."""
+    lists = _problem_lists(tree)
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.If)
-        and _raises_domain_error(node.body)
+        and _reports(node.body, lists)
         and any(map(_is_math_inf, chain.from_iterable(_comparisons(node.test))))
     ]
 
@@ -249,10 +280,10 @@ def _checked_integer(statement: ast.stmt) -> str | None:
 
 
 def _integer_range_checks(tree: ast.Module) -> list[int]:
-    """Lines of each ``if`` that raises DomainError in its body, follows a
+    """Lines of each ``if`` that reports a problem in its body, follows a
     run of check_integer(name, x) calls directly, and compares one of
-    those x with a constant."""
-    lines = []
+    those x with a number."""
+    lists, lines = _problem_lists(tree), []
     for node in ast.walk(tree):
         for field in ("body", "orelse", "finalbody"):
             statements = getattr(node, field, None)
@@ -264,10 +295,10 @@ def _integer_range_checks(tree: ast.Module) -> list[int]:
                 if (
                     checked
                     and isinstance(statement, ast.If)
-                    and _raises_domain_error(statement.body)
+                    and _reports(statement.body, lists)
                     and any(
                         any(ast.dump(o) in checked for o in operands)
-                        and any(map(_is_constant, operands))
+                        and any(map(_is_number, operands))
                         for operands in _comparisons(statement.test)
                     )
                 ):
@@ -276,10 +307,28 @@ def _integer_range_checks(tree: ast.Module) -> list[int]:
     return lines
 
 
+def _option_range_checks(tree: ast.Module) -> list[int]:
+    """Lines of each ``if`` that reports a problem in its body by raising
+    UsageError or by appending to a list of problems, and compares a name
+    or an attribute (an option, ``args.dim``) with a number."""
+    lists = _problem_lists(tree)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and _reports(node.body, lists, errors=("UsageError",))
+        and any(
+            any(isinstance(o, (ast.Name, ast.Attribute)) for o in operands)
+            and any(map(_is_number, operands))
+            for operands in _comparisons(node.test)
+        )
+    ]
+
+
 def test_only_errors_py_checks_ranges():
     package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
     hand_rolled = {
-        p.name: _inf_range_checks(tree) + _integer_range_checks(tree)
+        p.name: _inf_range_checks(tree) + _integer_range_checks(tree) + _option_range_checks(tree)
         for p in package
         if p.name != "errors.py"
         for tree in [ast.parse(p.read_text())]
@@ -311,3 +360,32 @@ def test_range_check_scan_flags_hand_rolled_checks():
     tree = ast.parse(source)
     assert _inf_range_checks(tree) == [2]
     assert _integer_range_checks(tree) == [8, 12]
+    assert _option_range_checks(tree) == []
+    # the CLI's options, checked by hand into a list of problems
+    options = (
+        "def validate(args):\n"
+        "    given = vars(args)\n"
+        "    problems = []\n"
+        "    if 'dim' in given and args.dim < 1:\n"
+        "        problems.append('--dim must be >= 1')\n"
+        "    for name in ('t0', 't'):\n"
+        "        value = given.get(name)\n"
+        "        if value is not None and not 0.0 < value < math.inf:\n"
+        "            problems.append(f'--{name} must be finite and > 0')\n"
+        "    if 'kmax' in given and not 0 <= args.kmax <= 200:\n"
+        "        problems.append('--kmax must be in [0, 200]')\n"
+        "    if args.grid_points % 2 == 0:\n"
+        "        problems.append('--grid-points must be odd')\n"
+        "    if args.command == 'divergence' and not args.t < args.t0:\n"
+        "        problems.append('divergence requires --t < --t0')\n"
+        "    if args.command == 'error-curve' and args.dim > 2:\n"
+        "        raise UsageError('error-curve supports --dim 1 or 2')\n"
+        "    if args.kmax > 100:\n"
+        "        notes.append('a deep table')\n"
+        "    if problems:\n"
+        "        raise UsageError('; '.join(problems))\n"
+    )
+    tree = ast.parse(options)
+    assert _inf_range_checks(tree) == [8]
+    assert _integer_range_checks(tree) == []
+    assert sorted(_option_range_checks(tree)) == [4, 8, 10, 16]

@@ -454,6 +454,10 @@ _NAN, _INF = math.nan, math.inf
     lambda: moments_at_time(_T2, False),
     lambda: error_bound_F_sweep(_T1, "1", [2]),
     lambda: error_bound_F_sweep(_T1, True, [2]),
+    # a point's dim that is not an integer >= 1
+    lambda: heat_kernel(0.5, 1.0, dim=True),
+    lambda: heat_kernel(0.5, 1.0, dim=1.0),
+    lambda: heat_kernel(0.5, 1.0, dim=0),
 ])
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):
@@ -467,6 +471,11 @@ def test_a_real_number_is_one_coordinate(x):
     assert heat_kernel(x, 1.0) == heat_kernel(pt, 1.0)
     assert kernel_derivative((3,), x, 1.0) == kernel_derivative((3,), pt, 1.0)
     assert eval_uk(_T2, _CFG2, (x, np.int16(-1))).value == eval_uk(_T2, _CFG2, (float(x), -1.0)).value
+
+
+def test_a_point_dim_of_none_is_inferred():
+    assert heat_kernel((0.5, 0.5), 1.0, dim=None) == heat_kernel((0.5, 0.5), 1.0, dim=2)
+    assert heat_kernel(0.5, 1.0) == heat_kernel(0.5, 1.0, dim=np.int64(1))
 
 
 @pytest.mark.parametrize("t", [1.5, np.float64(1.5), np.int64(2), 2, np.float32(1.5)])

@@ -9,14 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from heatseries.serial import (
-    Rendered,
-    csv_text,
-    f17,
-    json_array,
-    json_array_of_columns,
-    table_text,
-)
+from heatseries.serial import csv_text, f17, json_array, json_cell, json_list, table_text
 
 COLUMNS = ("k", "value", "bound", "ok", "check", "case", "alpha")
 ROWS = [
@@ -32,13 +25,18 @@ CSV = (
     "12,10000000000000000,-7.25,true,plain,x,4 0\n"
 )
 
+# a multi-index is a CSV cell only: the JSON table is the same rows
+# without the alpha column
+JSON_COLUMNS = COLUMNS[:-1]
+JSON_ROWS = [row[:-1] for row in ROWS]
+
 JSON = (
     '[{"k":0,"value":0.10000000000000001,"bound":null,"ok":true,'
-    '"check":"l1_bound","case":"width=0.5,alpha=1","alpha":[0,2,1]},'
+    '"check":"l1_bound","case":"width=0.5,alpha=1"},'
     '{"k":-3,"value":0.33333333333333331,"bound":2.5e-300,"ok":false,'
-    '"check":"residual","case":"say \\"hi\\"","alpha":[10]},'
+    '"check":"residual","case":"say \\"hi\\""},'
     '{"k":12,"value":10000000000000000.0,"bound":-7.25,"ok":true,'
-    '"check":"plain","case":"x","alpha":[4,0]}]'
+    '"check":"plain","case":"x"}]'
 )
 
 
@@ -51,12 +49,12 @@ def test_csv_text_exact():
 
 
 def test_json_array_exact():
-    assert json_array(COLUMNS, ROWS) == JSON
+    assert json_array(JSON_COLUMNS, JSON_ROWS) == JSON
 
 
 def test_table_text_picks_the_format():
     assert table_text("csv", COLUMNS, ROWS) == CSV
-    assert table_text("json", COLUMNS, ROWS) == JSON + "\n"
+    assert table_text("json", JSON_COLUMNS, JSON_ROWS) == JSON + "\n"
 
 
 def test_csv_reads_back_with_stdlib_reader():
@@ -77,10 +75,10 @@ def test_csv_reads_back_with_stdlib_reader():
 
 
 def test_json_reads_back_with_stdlib_loads():
-    objects = json.loads(json_array(COLUMNS, ROWS))
+    objects = json.loads(json_array(JSON_COLUMNS, JSON_ROWS))
     assert len(objects) == len(ROWS)
     for obj, row in zip(objects, ROWS):
-        assert tuple(obj) == COLUMNS
+        assert tuple(obj) == JSON_COLUMNS
         assert obj["k"] == row[0]
         assert bits(obj["value"]) == bits(row[1])
         if row[2] is None:
@@ -89,7 +87,6 @@ def test_json_reads_back_with_stdlib_loads():
             assert bits(obj["bound"]) == bits(row[2])
         assert obj["ok"] is row[3]
         assert (obj["check"], obj["case"]) == row[4:6]
-        assert tuple(obj["alpha"]) == row[6]
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["float-column", "mixed-column"])
@@ -127,6 +124,9 @@ def test_empty_table():
 def test_unknown_cell_type_is_rejected():
     with pytest.raises(TypeError):
         csv_text(("a",), [(np.bool_(True),)])
+    for write in (lambda rows: json_array(("alpha",), rows), lambda rows: json_list(rows[0])):
+        with pytest.raises(TypeError, match="tuple"):
+            write([((0, 1),)])
 
 
 def test_rows_must_match_the_columns():
@@ -134,15 +134,15 @@ def test_rows_must_match_the_columns():
         json_array(("a", "b"), [(1, 2.0), (3,)])
     with pytest.raises(ValueError):
         csv_text(("a", "b"), [(1, 2.0, None)])
-    with pytest.raises(ValueError):
-        json_array_of_columns(("a", "b"), ([1, 3], [2.0]))
 
 
-def test_columns_and_rendered_cells_write_like_rows():
-    # a rendered cell is written as it is, in a column of its own or mixed
-    alpha = [Rendered("[0,1]"), Rendered("[1,0]")]
-    rows = [(a, s, v) for a, s, v in zip(alpha, [1, 0], [-2.5, 0.0])]
-    text = json_array(("alpha", "sign", "logmag"), rows)
-    assert text == '[{"alpha":[0,1],"sign":1,"logmag":-2.5},{"alpha":[1,0],"sign":0,"logmag":0.0}]'
-    assert json_array_of_columns(("alpha", "sign", "logmag"), zip(*rows)) == text
-    assert csv_text(("a", "b"), [(Rendered("x y"), 1), (None, 2)]) == "a,b\nx y,1\n,2\n"
+def test_json_list_writes_cells_like_rows():
+    # one column as a JSON array holds the cells json_array writes for it:
+    # ints, floats, integral floats, mixed cells and no cells
+    assert json_list([-2.5, 0.0, 1e16]) == "[-2.5,0.0,10000000000000000.0]"
+    for column in ([1, 0, -1], [-2.5, 0.1], [-2.5, 0.0, 1e16], [None, 2.0, True, "x", 3], []):
+        text = json_list(column)
+        assert text == "[%s]" % ",".join(map(json_cell, column))
+        objects = json.loads(json_array(("v",), [(v,) for v in column]))
+        assert json.loads(text) == [obj["v"] for obj in objects]
+        assert list(map(type, json.loads(text))) == list(map(type, column))
