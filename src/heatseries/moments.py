@@ -415,6 +415,11 @@ def _is_full(n: int, k_max: int, dim: int) -> bool:
 #: the JSON wire format's columns, each a table attribute of that name
 _WIRE_COLUMNS = ("signs", "logmag")
 
+#: the largest table dim: JSON text bounds a table's rows but spells out no
+#: multi-index, so uncapped, a 50-byte header of dim 10**8 would build a
+#: 200 MB canonical index (a dim-32 table fits in memory only to degree ~6)
+MAX_DIM = 32
+
 
 class MomentTable:
     """Signed moments for every multi-index with degree <= k_max.
@@ -462,7 +467,7 @@ class MomentTable:
         return table
 
     def _check_header(self) -> None:
-        check_integer("table dim", self.dim, 1)
+        check_integer("table dim", self.dim, 1, MAX_DIM)
         check_integer("table k_max", self.k_max, 0)
 
     def _store(self, signs, logmag) -> None:

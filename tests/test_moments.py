@@ -33,6 +33,7 @@ from heatseries import (
     moments,
     moments_at_time,
 )
+from heatseries.eigen import EigenCoeffs
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -765,6 +766,36 @@ def test_loader_rejects_hostile_header_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("cls", [MomentTable, EigenCoeffs])
+@pytest.mark.parametrize(
+    "dim,kmax,rows",
+    # a full row count each: comb(dim, 0) = 1, comb(10001, 1) = 10001, and the
+    # first dim past the cap
+    [(100_000_000, 0, 1), (10_000, 1, 10_001), (moments.MAX_DIM + 1, 0, 1)],
+)
+def test_loader_rejects_a_huge_dim_before_building_the_index(cls, dim, kmax, rows):
+    # the columns bound the rows but not the dim components of each row in
+    # the canonical index, so the dim is capped before that index is built
+    header = '"t0_coeff":0.25,' if cls is EigenCoeffs else ""
+    ones = ",".join(["1"] * rows)
+    text = f'{{"dim":{dim},"kmax":{kmax},{header}"signs":[{ones}],"logmag":[{ones}]}}'
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="table dim must be in"):
+            cls.from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_table_of_the_largest_dim_round_trips():
+    table = build_moment_table(Gaussian(amplitude=1.0, width=0.5, dim=moments.MAX_DIM), 2)
+    back = MomentTable.from_json(table.to_json())
+    assert np.array_equal(back.signs, table.signs)
+    assert np.array_equal(back.logmag.view(np.int64), table.logmag.view(np.int64))
 
 
 @pytest.mark.parametrize("dim,kmax", [(1, 9), (2, 7), (3, 6), (4, 5)])
