@@ -3,7 +3,6 @@ bounds, divergence certificates, the eigenfunction expansion in similarity
 variables, and the distributional remainder decomposition."""
 
 from .bounds import (
-    bonan_clark_log,
     divergence_lower_bound,
     envelope_bound_G,
     error_bound_F,
@@ -64,6 +63,7 @@ from .reference import (
 )
 from .signedlog import ZERO, SignedLog, aligned_sum
 from .specfun import (
+    bonan_clark_log,
     hermite,
     hermite_weighted,
     hermite_weighted_sequence,

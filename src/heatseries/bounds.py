@@ -35,17 +35,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_ROUNDING = math.log(1e-13)
 
 
-def bonan_clark_log(n: int) -> float:
-    """log of the sharp sup bound on |H_n| e^{-x^2}:
-    2^{n/2} sqrt(n!) (n+1)^{-1/12}."""
-    check_integer("order", n, 0)
-    return (
-        0.5 * n * math.log(2.0)
-        + 0.5 * log_gamma(n + 1.0)
-        - math.log(n + 1.0) / 12.0
-    )
-
-
 def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
     """Unconditional bound on sup_x |u(x, t) - u_k(x, t)|:
 

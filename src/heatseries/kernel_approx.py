@@ -28,7 +28,7 @@ from . import backend
 from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .moments import Gaussian, MomentTable, MultiIndex
 from .signedlog import SignedLog, aligned_sum_arrays
-from .specfun import hermite_weighted, hermite_weighted_logs, laguerre_sequence
+from .specfun import bonan_clark_log, hermite_weighted, hermite_weighted_logs, laguerre_sequence
 
 _LOG_PI = math.log(math.pi)
 
@@ -346,6 +346,13 @@ class SeriesGridEvaluator:
                 "use eval_uk for this regime"
             )
         values = table.signs[rows] * np.fromiter(map(math.exp, logmag.tolist()), float, len(rows))
+        # sum_{|alpha| <= j} |c_alpha| prod_i BC(alpha_i) for each j <= k,
+        # BC(n) bounding |H_n| e^{-y^2}: the scale of rounding_floors
+        bc = np.array([bonan_clark_log(n) for n in range(k + 1)])
+        self._mass = np.cumsum(np.bincount(
+            table.degrees[rows], np.exp(logmag + bc[table.components[rows]].sum(axis=1)),
+            minlength=k + 1,
+        ))
         rows, values = rows[values != 0.0], values[values != 0.0]
         n1 = table.components[rows, 0].astype(np.int64)
         # degree j, the terms in its table rows ends[j] - counts[j]:ends[j] ->
@@ -399,6 +406,24 @@ class SeriesGridEvaluator:
             for j in range(k + 1):
                 self._accumulate(field[i0:i1], i0, i1, j)
         return field
+
+    def rounding_floors(self, orders: Sequence[int], peak: float) -> list[float]:
+        """For each k in ``orders``, a bound on the rounding error of
+        |reference - u_k| at any node of :meth:`sup_errors`, given
+        ``peak`` = max |reference|:
+
+            gamma_n sum_{|alpha| <= k} |c_alpha| prod_i BC(alpha_i) + 4 u peak,
+
+        n = k + d + 2, u = 2^-53, gamma_n = n u / (1 - n u) (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., section 3.1), c_alpha
+        the series coefficients and BC the Bonan-Clark bound
+        (:func:`~heatseries.specfun.bonan_clark_log`) on each weighted Hermite
+        factor.  Each order costs one lookup: no field is evaluated."""
+        u = 2.0**-53
+        return [
+            (n := (k + self.dim + 2) * u) / (1.0 - n) * float(self._mass[k]) + 4.0 * u * peak
+            for k in _sweep_orders(orders, self.k_cap)
+        ]
 
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:
         """max over the grid of |reference - u_k| for each k in ``orders``.

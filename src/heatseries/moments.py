@@ -482,15 +482,15 @@ class MomentTable:
             )
         if not np.isin(signs, (-1, 0, 1)).all():
             raise DomainError("table sign outside -1, 0 and 1")
-        live = signs != 0
-        if not np.isfinite(logmag[live]).all():
-            raise DomainError("table logmag of a nonzero moment is not finite")
+        # every row: a zero row's NaN or inf is refused, not zeroed below
+        if not np.isfinite(logmag).all():
+            raise DomainError("table logmag is not finite")
         self._canon = _canon(self.k_max, self.dim)
         self.components = self._canon.components[:n]
         self.counts = self._canon.counts[: self.k_max + 1]
         self.ends = self._canon.ends[: self.k_max + 1]
         self.signs = _frozen(signs.astype(np.int8))
-        self.logmag = _frozen(np.where(live, logmag, 0.0))
+        self.logmag = _frozen(np.where(signs != 0, logmag, 0.0))
         self._entries = None
 
     @property

@@ -249,7 +249,11 @@ COLUMNS = tuple(f.name for f in fields(ErrorPoint))
 
 @dataclass
 class ErrorCurve:
+    """The points, and the rounding floor of each one's sup_error (written
+    to no table): sup_error <= F_k + floor holds in floating point."""
+
     points: list[ErrorPoint]
+    floors: list[float]
 
 
 def error_curve(
@@ -274,6 +278,8 @@ def error_curve(
     value of the grid (:func:`_sweep_axes`).  F of every order comes from
     one pass over the table (:func:`error_bound_F_sweep`); a Gaussian u0
     adds G and, below its width, the divergence bound where it is positive.
+    Each order's rounding floor comes from
+    :meth:`SeriesGridEvaluator.rounding_floors` at the largest |reference|.
     """
     check_integer("k_max", k_max, 0)
     if table.k_max < k_max + 1:
@@ -290,7 +296,10 @@ def error_curve(
     axes = _sweep_axes(u0, table, grid, k_max)
     _check_coverage(u0, grid, t)
     evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
-    sups = evaluator.sup_errors(_reference_field(u0, axes, t), orders)
+    reference = _reference_field(u0, axes, t)
+    sups = evaluator.sup_errors(reference, orders)
+    # max |reference| with no temporary; NaN if a node is NaN
+    peak = float(max(reference.max(), -reference.min()))
     points = []
     for k, sup, f_k in zip(orders, sups, error_bound_F_sweep(table, t, orders)):
         point = ErrorPoint(k=k, sup_error=sup, F_k=f_k.to_float())
@@ -306,4 +315,4 @@ def error_curve(
         after = by_order.get(p.k + 2)
         if after is not None and p.sup_error > 0.0:
             p.ratio = after.sup_error / p.sup_error
-    return ErrorCurve(points=points)
+    return ErrorCurve(points=points, floors=evaluator.rounding_floors(orders, peak))

@@ -1,7 +1,8 @@
 """Special-function kernel: Hermite and generalized Laguerre recurrences,
 log-Gamma, the repeated integrals of erfc and the scaled modified Bessel
 function e^{-|x|} I_0(x); Gaussian-weighted Hermite values come back as
-signs and logs, or as SignedLog scalars (defined in signedlog).
+signs and logs, or as SignedLog scalars (defined in signedlog), and their
+sup bound as a log (bonan_clark_log).
 
 The polynomials are evaluated through three-term recurrences, log-Gamma
 is the C library's ``lgamma`` (through ``math.lgamma``) and the Bessel
@@ -239,6 +240,17 @@ def hermite(n: int, x: float) -> float:
     for m in range(1, n):
         prev, cur = cur, 2.0 * x * cur - 2.0 * m * prev
     return cur
+
+
+def bonan_clark_log(n: int) -> float:
+    """log of the sharp sup bound on |H_n| e^{-x^2}:
+    2^{n/2} sqrt(n!) (n+1)^{-1/12}."""
+    check_integer("order", n, 0)
+    return (
+        0.5 * n * math.log(2.0)
+        + 0.5 * log_gamma(n + 1.0)
+        - math.log(n + 1.0) / 12.0
+    )
 
 
 def hermite_weighted(n: int, x: float) -> SignedLog:

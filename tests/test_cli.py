@@ -8,7 +8,9 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,22 @@ def test_error_curve_dim2(tmp_path):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("t", ["1.3", "2"])
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_error_curve_holds_to_kmax_200(dim, t, tmp_path):
+    # at t = 2 the sup error stalls at the rounding level while F_k keeps
+    # falling, so sup_error > F_k from k = 94 (dim 1) or 104 (dim 2); the
+    # check holds by the rounding floor, sup_error <= F_k + floor_k
+    out = tmp_path / "curve.csv"
+    assert run("error-curve", "--dim", dim, "--t", t, "--kmax", "200", "--out", str(out)) == 0
+    with out.open() as handle:
+        stalled = [
+            int(row["k"]) for row in csv.DictReader(handle)
+            if float(row["sup_error"]) > float(row["F_k"])
+        ]
+    assert next(iter(stalled), None) == {("1", "2"): 94, ("2", "2"): 104}.get((dim, t))
 
 
 # --- divergence -----------------------------------------------------------
@@ -201,25 +219,6 @@ def test_eigen_compare_verdicts_do_not_follow_kmax(kmax, dim, tmp_path):
     assert run("eigen-compare", "--dim", dim, "--kmax", kmax, "--out", str(out)) == 0
     rows = (tmp_path / "eig-validity.csv").read_text().strip().split("\n")[1:]
     assert [r.split(",")[1] for r in rows] == ["false", "false", "true", "true"]
-
-
-@pytest.mark.parametrize("bad_ks", [(4, 32), (0, 2, 4, 30, 32, 34)])
-def test_eigen_compare_nonfinite_discrepancy_exits_1(bad_ks, tmp_path, monkeypatch, capsys):
-    # max() would drop a NaN and "w > 1e-10" is false for one; past k = 30,
-    # where no tolerance applies, a NaN still fails the command.  The NaN
-    # enters through the eigen sweep, at the orders in bad_ks of every point
-    real = cli.eval_expansion_sweep
-    monkeypatch.setattr(
-        cli, "eval_expansion_sweep",
-        lambda coeffs, p, ks: [
-            math.nan if k in bad_ks else value for k, value in zip(ks, real(coeffs, p, ks))
-        ],
-    )
-    out = tmp_path / "eig.csv"
-    assert run("eigen-compare", "--dim", "1", "--kmax", "34", "--out", str(out)) == 1
-    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
-    assert [int(k) for k, w in rows if w == "nan"] == list(bad_ks)
-    assert f"non-finite expansion discrepancy at k={list(bad_ks)}" in capsys.readouterr().err
 
 
 # --- decomp-check ---------------------------------------------------------
@@ -456,7 +455,7 @@ def test_failed_assertion_exits_1(tmp_path, monkeypatch):
     # confirm the assertion path maps to exit code 1
     def fake_curve(*args, **kwargs):
         return ErrorCurve(
-            points=[ErrorPoint(k=0, sup_error=1.0, F_k=0.5, G_k=None)]
+            points=[ErrorPoint(k=0, sup_error=1.0, F_k=0.5, G_k=None)], floors=[0.0]
         )
 
     monkeypatch.setattr(cli, "error_curve", fake_curve)
@@ -468,22 +467,78 @@ def test_failed_assertion_exits_1(tmp_path, monkeypatch):
     assert code == 1
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_nonfinite_curve_exits_1(tmp_path, monkeypatch, value):
-    # a NaN measurement passes "sup_error > F_k" and an infinite bound
-    # certifies nothing; neither may exit 0
-    def fake_curve(*args, **kwargs):
-        return ErrorCurve(
-            points=[ErrorPoint(k=0, sup_error=0.1, F_k=value, G_k=None),
-                    ErrorPoint(k=2, sup_error=value, F_k=0.5, G_k=None)]
-        )
+def _curve_point(index, field, value):
+    """error_curve's curve with ``field`` of points[index] set to ``value``."""
+    def change(args, curve):
+        setattr(curve.points[index], field, value)
+        return curve
+    return change
 
-    monkeypatch.setattr(cli, "error_curve", fake_curve)
-    code = run(
-        "error-curve", "--dim", "1", "--kmax", "2",
-        "--grid-points", "51", "--out", str(tmp_path / "forced.csv"),
-    )
-    assert code == 1
+
+def _nan_at(orders):
+    """eval_expansion_sweep's values with NaN at ``orders``, at every point."""
+    return lambda args, values: [
+        math.nan if k in orders else value for k, value in zip(args[2], values)
+    ]
+
+
+#: id: (argv, the cli function wrapped, change(its args, its result), the
+#: cases the message names).  A NaN passes "lhs > rhs" and an infinite rhs
+#: certifies nothing, so each makes a row fail; eigen-compare's right sides
+#: are constants, and past k = 30, where only finiteness is claimed, a NaN
+#: discrepancy still fails
+NONFINITE_SIDES = {
+    "error-curve-lhs-nan": (
+        ("error-curve", "--kmax", "4", "--grid-points", "51"),
+        "error_curve", _curve_point(1, "sup_error", math.nan), "k=2",
+    ),
+    "error-curve-rhs-inf": (
+        ("error-curve", "--kmax", "4", "--grid-points", "51"),
+        "error_curve", _curve_point(0, "F_k", math.inf), "k=0",
+    ),
+    "divergence-lhs-nan": (
+        ("divergence", "--t", "0.5", "--kmax", "6"), "divergence_lower_bound",
+        lambda args, lb: SimpleNamespace(sign=1, to_float=lambda: math.nan)
+        if args[2].k == 4 else lb,
+        "k=4",
+    ),
+    "divergence-rhs-inf": (
+        ("divergence", "--t", "0.5", "--kmax", "6"), "eval_uk_sweep",
+        lambda args, results: [
+            replace(r, value=math.inf) if k in (2, 6) else r for k, r in zip(args[3], results)
+        ],
+        "k=2 k=6",
+    ),
+    "eigen-compare-lhs-nan-k4-k32": (
+        ("eigen-compare", "--kmax", "34"), "eval_expansion_sweep", _nan_at((4, 32)), "k=4 k=32",
+    ),
+    "eigen-compare-lhs-nan-k0-to-k34": (
+        ("eigen-compare", "--kmax", "34"), "eval_expansion_sweep",
+        _nan_at((0, 2, 4, 30, 32, 34)), "k=0 k=2 k=4 k=30 k=32 k=34",
+    ),
+    "decomp-check-lhs-nan": (
+        ("decomp-check",), "remainder_l1_norm",
+        lambda args, value: math.nan if args[1] == 2 else value,
+        "width=0.5,alpha=2 width=1,alpha=2 width=2,alpha=2 f=(1-x^2)exp(-x^2),alpha=2",
+    ),
+    "decomp-check-rhs-inf": (
+        ("decomp-check",), "_residual_threshold",
+        lambda args, value: math.inf if args[1] == 3 else value,
+        " ".join(
+            f"width={w},phi={phi},k=3" for w in ("0.5", "1", "2")
+            for phi in ("gaussian", "poly_gaussian")
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NONFINITE_SIDES))
+def test_nonfinite_check_side_exits_1(case, tmp_path, monkeypatch, capsys):
+    argv, name, change, cases = NONFINITE_SIDES[case]
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kw: change(args, real(*args, **kw)))
+    assert run(*argv, "--out", str(tmp_path / "out.csv")) == 1
+    assert capsys.readouterr().err.endswith(f", or a side is not finite, at {cases}\n")
 
 
 # --- which options each command reads --------------------------------------

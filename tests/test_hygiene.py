@@ -389,3 +389,69 @@ def test_range_check_scan_flags_hand_rolled_checks():
     assert _inf_range_checks(tree) == [8]
     assert _integer_range_checks(tree) == []
     assert sorted(_option_range_checks(tree)) == [4, 8, 10, 16]
+
+
+# --- one verdict for every self-check in cli.py ---------------------------
+#
+# Whether a self-check row holds is decided once, by cli._holds (both sides
+# finite and lhs <= rhs), and a failure is reported once, by the one
+# function that raises AssertionFailure.  A command that raises it itself,
+# or tests finiteness itself, decides a verdict again with its own wording
+# and its own treatment of NaN.
+
+
+def _calls_isfinite(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and "isfinite" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _verdict_sites(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The top-level definition around each raise of AssertionFailure, one
+    entry per raise, and the cmd_* functions that call an ``isfinite``."""
+    raisers = [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if _raise_of(node, ("AssertionFailure",))
+    ]
+    checkers = [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_")
+        and any(map(_calls_isfinite, ast.walk(top)))
+    ]
+    return raisers, checkers
+
+
+def test_one_function_decides_every_self_check():
+    tree = ast.parse((Path(heatseries.__file__).parent / "cli.py").read_text())
+    assert _verdict_sites(tree) == (["_verdict"], [])
+
+
+def test_verdict_scan_flags_commands_that_decide_their_own():
+    # the shape of the commands before the ledger: each kept its own
+    # non-finite and failure lists and raised on them
+    source = (
+        "def cmd_error_curve(args):\n"
+        "    nonfinite = [p.k for p in points if not math.isfinite(p.sup_error)]\n"
+        "    if nonfinite:\n"
+        "        raise AssertionFailure(f'non-finite sup error at k={nonfinite}')\n"
+        "    bad = [p.k for p in points if p.sup_error > p.F_k * _ASSERT_SLACK]\n"
+        "    if bad:\n"
+        "        raise AssertionFailure(f'sup error exceeded the bound at k={bad}')\n"
+        "def cmd_eigen_compare(args):\n"
+        "    sweep = [(t, isfinite(validity_integral(coeffs, t))) for t in ts]\n"
+        "def cmd_decomp_check(args):\n"
+        "    if not all(row[-1] for row in rows):\n"
+        "        raise AssertionFailure('decomposition checks failed')\n"
+        "def _holds(lhs, rhs):\n"
+        "    return math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs\n"
+        "def _verdict(rows):\n"
+        "    if failed:\n"
+        "        raise AssertionFailure('; '.join(failed))\n"
+    )
+    assert _verdict_sites(ast.parse(source)) == (
+        ["cmd_error_curve", "cmd_error_curve", "cmd_decomp_check", "_verdict"],
+        ["cmd_error_curve", "cmd_eigen_compare"],
+    )

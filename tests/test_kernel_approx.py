@@ -20,6 +20,7 @@ from heatseries import (
     SeriesGridEvaluator,
     SimilarityPoint,
     UnsupportedVariantError,
+    bonan_clark_log,
     build_moment_table,
     eigen_coeffs,
     eval_expansion_sweep,
@@ -276,6 +277,30 @@ def test_field_up_to_returns_a_new_field_each_call(table_d1, table_d2):
         assert all(vars(evaluator)[name] is value for name, value in attributes.items())
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rounding_floors_follow_their_formula(dim):
+    # gamma_n sum_{|alpha| <= k} |c_alpha| prod_i BC(alpha_i) + 4 u peak,
+    # n = k + d + 2, summed entry by entry, each c_alpha from its moment
+    t, peak, u = 1.7, 0.6, 2.0**-53
+    table = build_moment_table(Gaussian(amplitude=1.3, width=1.0, dim=dim), 12)
+    evaluator = SeriesGridEvaluator(table, t, [np.linspace(-3.0, 3.0, 7)] * dim)
+    orders = [0, 1, 5, 12]
+    floors = evaluator.rounding_floors(orders, peak)
+    for k, floor in zip(orders, floors):
+        mass = math.fsum(
+            math.exp(
+                m.logmag - (a.degree + dim) / 2.0 * math.log(4.0 * t)
+                - dim / 2.0 * math.log(math.pi)
+                + sum(bonan_clark_log(c) - math.lgamma(c + 1.0) for c in a.components)
+            )
+            for a, m in table.entries.items()
+            if m.sign and a.degree <= k
+        )
+        n = (k + dim + 2) * u
+        assert floor == pytest.approx(n / (1.0 - n) * mass + 4.0 * u * peak, rel=1e-12)
+    assert floors == sorted(floors)
+
+
 def test_orders_must_be_non_negative(table_d1):
     evaluator = SeriesGridEvaluator(table_d1, 2.0, [np.linspace(-4.0, 4.0, 17)], k_cap=8)
     reference = np.zeros(17)
@@ -305,6 +330,7 @@ def test_every_sweep_takes_orders_by_one_contract(orders):
             eigen_coeffs(u0, 0.0, 8), SimilarityPoint(z=0.5, tau=0.0), orders
         ),
         lambda: evaluator.sup_errors(np.zeros(17), orders),
+        lambda: evaluator.rounding_floors(orders, 1.0),
     ]
     if len(orders) == 1:
         calls.append(lambda: evaluator.field_up_to(orders[0]))

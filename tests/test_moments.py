@@ -674,6 +674,14 @@ def _set_row(column, value, row=0):
     return mutate
 
 
+def _set_zero_row(column, value):
+    """Set ``column`` at the first row whose sign is 0."""
+    def mutate(raw):
+        raw[column][raw["signs"].index(0)] = value
+
+    return mutate
+
+
 def _set_header(key, value):
     def mutate(raw):
         raw[key] = value
@@ -709,6 +717,9 @@ MALFORMED = {
     "logmag-inf": _set_row("logmag", math.inf),
     "logmag-nan": _set_row("logmag", math.nan),
     "logmag-past-double": _set_row("logmag", 10**400),
+    # a zero moment writes logmag 0.0; JSON's NaN and Infinity there are refused too
+    "logmag-nan-zero-row": _set_zero_row("logmag", math.nan),
+    "logmag-inf-zero-row": _set_zero_row("logmag", math.inf),
     # bools and floats compare equal to the integers they replace here: row 0
     # has sign 1
     "sign-true": _set_row("signs", True),
