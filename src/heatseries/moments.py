@@ -395,19 +395,6 @@ def _comb(n: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _is_full(n: int, k_max: int, dim: int) -> bool:
-    """Whether n rows are a full table, n == comb(k_max + dim, dim), decided
-    without a binomial much larger than n: comb(k_max + dim, i) grows with
-    i up to min(k_max, dim), so the product stops once it passes n (a
-    header may claim a huge dim and k_max)."""
-    top, count = k_max + dim, 1
-    for i in range(1, min(k_max, dim) + 1):
-        count = count * (top + 1 - i) // i
-        if count > n:
-            return False
-    return count == n
-
-
 # ---------------------------------------------------------------------------
 # moment tables
 
@@ -470,25 +457,46 @@ class MomentTable:
         check_integer("table dim", self.dim, 1, MAX_DIM)
         check_integer("table k_max", self.k_max, 0)
 
-    def _store(self, signs, logmag) -> None:
-        """Check the header and the columns, and make them the table's."""
+    def _store(self, signs, logmag, keys=None) -> None:
+        """Decide the table, in this order: the header, the column types, the
+        row count (before an index of the claimed size is built), the keys of
+        an assigned ``entries`` dict, the values; then keep the columns."""
         self._check_header()
-        signs, logmag = np.asarray(signs), np.asarray(logmag, np.float64)
-        n = len(signs)
-        if signs.shape != (n,) or logmag.shape != (n,) or not _is_full(n, self.k_max, self.dim):
+        signs, logmag = np.asarray(signs), np.asarray(logmag)
+        if signs.dtype.kind not in "iu" or logmag.dtype.kind not in "iuf":
             raise DomainError(
-                f"table of dim {self.dim}, k_max {self.k_max} misses multi-indices "
-                f"(it holds {n})"
+                f"table signs must be integers and logmag real numbers, got arrays of "
+                f"{signs.dtype} and {logmag.dtype}"
             )
+        # at most MAX_DIM multiplications, whatever k_max is
+        n = math.comb(int(self.k_max) + self.dim, self.dim)
+        if signs.shape != (n,) or logmag.shape != (n,):
+            raise DomainError(
+                f"table of dim {self.dim}, k_max {self.k_max} has {n} multi-indices, "
+                f"not {signs.size} signs and {logmag.size} logmag"
+            )
+        canon = _canon(self.k_max, self.dim)
+        if keys is not None:
+            try:
+                comps = np.array([a.components for a in keys], np.int64)
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                comps = None
+            index = canon.components[:n]
+            if comps is None or comps.shape != index.shape or (comps != index).any():
+                raise DomainError(
+                    f"a table of dim {self.dim} holds every degree <= {self.k_max} "
+                    "once, degrees ascending, lexicographic within a degree"
+                )
         if not np.isin(signs, (-1, 0, 1)).all():
             raise DomainError("table sign outside -1, 0 and 1")
+        logmag = np.asarray(logmag, np.float64)
         # every row: a zero row's NaN or inf is refused, not zeroed below
         if not np.isfinite(logmag).all():
             raise DomainError("table logmag is not finite")
-        self._canon = _canon(self.k_max, self.dim)
-        self.components = self._canon.components[:n]
-        self.counts = self._canon.counts[: self.k_max + 1]
-        self.ends = self._canon.ends[: self.k_max + 1]
+        self._canon = canon
+        self.components = canon.components[:n]
+        self.counts = canon.counts[: self.k_max + 1]
+        self.ends = canon.ends[: self.k_max + 1]
         self.signs = _frozen(signs.astype(np.int8))
         self.logmag = _frozen(np.where(signs != 0, logmag, 0.0))
         self._entries = None
@@ -508,21 +516,8 @@ class MomentTable:
 
     @entries.setter
     def entries(self, entries: dict[MultiIndex, SignedLog]) -> None:
-        self._check_header()
-        n = len(entries)
-        if _is_full(n, self.k_max, self.dim):
-            try:
-                comps = np.array([a.components for a in entries], np.int64)
-            except (AttributeError, TypeError, ValueError, OverflowError):
-                comps = None
-            index = _canon(self.k_max, self.dim).components[:n]
-            if comps is None or comps.shape != index.shape or (comps != index).any():
-                raise DomainError(
-                    f"a table of dim {self.dim} holds every degree <= {self.k_max} "
-                    "once, degrees ascending, lexicographic within a degree"
-                )
         values = entries.values()
-        self._store([m.sign for m in values], [m.logmag for m in values])
+        self._store([m.sign for m in values], [m.logmag for m in values], keys=entries)
         self._entries = entries
 
     @property
@@ -577,7 +572,7 @@ class MomentTable:
             keys = [key for key, _, _ in cls.HEADER] + list(_WIRE_COLUMNS)
             raise DomainError(f"table JSON needs an object with keys {', '.join(map(repr, keys))}")
         header = {attr: _header_field(raw, key, kind) for key, attr, kind in cls.HEADER}
-        signs, logmag = _read_columns(*map(raw.get, _WIRE_COLUMNS), header["dim"], header["k_max"])
+        signs, logmag = _read_columns(*map(raw.get, _WIRE_COLUMNS))
         return cls.from_arrays(signs, logmag, **header)
 
 
@@ -590,20 +585,11 @@ def _header_field(raw: dict, key: str, kind: type):
     return value
 
 
-def _read_columns(
-    signs: list, logmag: list, dim: int, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sign and log-magnitude columns as arrays, each checked as a
-    whole: the row count first, before anything the size of the claimed
-    table is allocated, then the Python types, so that no bool or float
-    passes for an integer.  :meth:`MomentTable.from_arrays` checks the
-    values."""
-    n = len(signs)
-    if len(logmag) != n or not _is_full(n, k_max, dim):
-        raise DomainError(
-            f"table of dim {dim}, k_max {k_max} misses multi-indices "
-            f"(it holds {n} signs and {len(logmag)} logmag)"
-        )
+def _read_columns(signs: list, logmag: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sign and log-magnitude columns as arrays, after the JSON type
+    rule, which must see the Python values (numpy reads a true among ints
+    as 1): every sign an int, not a bool or a float, and every logmag an
+    int or a float.  :meth:`MomentTable.from_arrays` decides the rest."""
     if not set(map(type, signs)) <= {int}:
         sign = next(s for s in signs if type(s) is not int)
         raise DomainError(f"table sign {sign!r} is not an integer")

@@ -199,11 +199,8 @@ def _reference_field(u0, axes, t: float) -> np.ndarray:
 def _check_coverage(u0, grid: GridSpec, t: float) -> None:
     if not isinstance(u0, Gaussian):
         return
-    edge = exact_gaussian_solution(
-        u0.amplitude, u0.width, 1, grid.extent, t
-    )
-    peak = u0.amplitude * (u0.width / (t + u0.width)) ** (grid.dim / 2.0)
-    if edge > 1e-16 * peak:
+    # the criterion default_grid's extent is chosen to meet, in every dim
+    if math.exp(-grid.extent**2 / (4.0 * (t + u0.width))) > 1e-16:
         warnings.warn(
             "grid extent may clip the solution support; sup errors can be "
             "underestimated",

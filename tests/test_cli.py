@@ -6,18 +6,22 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import heatseries
 import heatseries.cli as cli
-from heatseries import ApproxConfig, DomainError, Gaussian, GridSpec, MomentTable
+from heatseries import (
+    ApproxConfig, DomainError, Gaussian, GridSpec, MomentTable, build_moment_table,
+)
 from heatseries.reference import ErrorCurve, ErrorPoint
 
 
@@ -272,6 +276,19 @@ def test_moments_csv(tmp_path):
     assert math.exp(m4) == pytest.approx(24.0 * math.sqrt(math.pi), rel=1e-12)
 
 
+def test_the_documented_edge_kmax_200(tmp_path):
+    # the largest --kmax: the d3 table's JSON reads back bit for bit, and
+    # divergence still exits 0
+    out = tmp_path / "m.json"
+    assert run("moments", "--dim", "3", "--kmax", "200", "--format", "json", "--out", str(out)) == 0
+    back = MomentTable.from_json(out.read_text())
+    table = build_moment_table(Gaussian(amplitude=1.0, width=1.0, dim=3), 200)
+    assert np.array_equal(back.signs, table.signs)
+    assert np.array_equal(back.logmag.view(np.int64), table.logmag.view(np.int64))
+    divergence = ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "200")
+    assert run(*divergence, "--out", str(tmp_path / "div.csv")) == 0
+
+
 # --- csv and json carry the same table ------------------------------------
 
 def assert_same_table(csv_text, objects):
@@ -404,16 +421,63 @@ GOLDEN = {
         "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
         "out.svg": "27b8cda28a398aa23e23d6d9d99034db3c34f5dd0081a8f8a91d2c074dfc7b97",
     },
+    # the README's commands as spelt there, taken before every column was
+    # written as cell strings; the first two are other spellings of keys above
+    ("error-curve", "--dim", "1", "--t", "2", "--kmax", "40", "--plot"): {
+        "out.txt": "2fc9caefcc2d87885f169efe54fbc8b93ebdcf3d10d7f76b8b6534fa486af6e5",
+        "out.svg": "3e5b767df9abc19367e76e4da552834c0c71e4591f2aaa4564ffae211480e870",
+    },
+    ("divergence", "--dim", "2", "--t0", "1", "--t", "0.5", "--kmax", "60"): {
+        "out.txt": "561aed037a737779e0e2ce681fa515b7250065dc7053ec959cd195fd20dd1138",
+    },
+    ("eigen-compare", "--dim", "1", "--t0", "1", "--t", "2", "--kmax", "30"): {
+        "out.txt": "56dddb3bd85e096b56b5647b1e5a7efc363d1be04c5adc3bc7efe687f415cabd",
+        "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
+    ("moments", "--dim", "2", "--kmax", "8", "--format", "json"): {
+        "out.txt": "6ddf21dae63bf3a66bf6beb1acef40c7e15a52bb45e2d34a119b8e00467e63c5",
+    },
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_outputs_are_byte_identical(argv, tmp_path):
+    assert _digests(argv, tmp_path) == GOLDEN[argv]
+
+
+def _digests(argv, tmp_path) -> dict[str, str]:
+    """sha256 of every file the command writes with --out tmp_path/out.txt."""
     assert run(*argv, "--out", str(tmp_path / "out.txt")) == 0
-    digests = {
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
     }
-    assert digests == GOLDEN[argv]
+
+
+def _readme_commands() -> list[tuple[str, ...]]:
+    """The argv of each command in the README's "## Command line" sh block,
+    without the program name and its --out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("heatseries "):
+            argv = shlex.split(line)[1:]
+            at = argv.index("--out")
+            commands.append(tuple(argv[:at] + argv[at + 2 :]))
+    return commands
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in _readme_commands()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv", _readme_commands(), ids=lambda argv: "-".join(argv).replace("--", "")
+)
+def test_readme_commands_write_their_golden_bytes(argv, tmp_path):
+    # each command exactly as the README spells it
+    assert argv in GOLDEN
+    assert _digests(argv, tmp_path) == GOLDEN[argv]
 
 
 # --- exit codes and argument validation -----------------------------------

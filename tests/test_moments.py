@@ -751,6 +751,40 @@ def test_loader_rejects_malformed_table(table, case):
         type(table).from_json(json.dumps(raw))
     if case == "row-format":
         assert "'signs', 'logmag'" in str(error.value)
+    # the same columns through from_arrays, but for "sign-true": numpy reads
+    # a true among ints as 1, which gives the intact table's array
+    if case != "sign-true":
+        header = {attr: raw.get(key) for key, attr, _ in type(table).HEADER}
+        with pytest.raises(DomainError):
+            type(table).from_arrays(raw.get("signs"), raw.get("logmag"), **header)
+
+
+@pytest.mark.parametrize("cls", [MomentTable, EigenCoeffs])
+@pytest.mark.parametrize(
+    "signs,logmag",
+    [([True], [0.0]), ([1.0], [0.0]), ([1], [True]), ([1], ["0.5"])],
+    ids=["sign-true", "sign-float", "logmag-true", "logmag-string"],
+)
+def test_from_arrays_refuses_the_column_types_from_json_refuses(cls, signs, logmag):
+    with pytest.raises(DomainError, match="signs must be integers and logmag real numbers"):
+        cls.from_arrays(signs, logmag, dim=1, k_max=0)
+    header = '"t0_coeff":0.0,' if cls is EigenCoeffs else ""
+    text = f'{{"dim":1,"kmax":0,{header}"signs":{json.dumps(signs)},"logmag":{json.dumps(logmag)}}}'
+    with pytest.raises(DomainError):
+        cls.from_json(text)
+    table = cls.from_arrays([1], [0.0], dim=1, k_max=0)
+    (alpha,) = table.entries
+    with pytest.raises(DomainError, match="signs must be integers and logmag real numbers"):
+        table.entries = {alpha: SignedLog(signs[0], logmag[0])}
+
+
+def test_from_arrays_takes_numpy_integer_and_float_columns():
+    for signs, logmag in [
+        (np.array([1], np.int64), np.array([0.5], np.float32)),
+        (np.array([1], np.uint8), np.array([2], np.int16)),
+    ]:
+        table = MomentTable.from_arrays(signs, logmag, dim=1, k_max=0)
+        assert (table.signs.tolist(), table.logmag.tolist()) == ([1], [float(logmag[0])])
 
 
 def test_loader_rejects_text_that_is_not_a_table():
@@ -796,6 +830,26 @@ def test_loader_rejects_a_huge_dim_before_building_the_index(cls, dim, kmax, row
     try:
         with pytest.raises(DomainError, match="table dim must be in"):
             cls.from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "dim,kmax,rows", [(3, 3000, 1), (100_000_000, 0, 1), (10_000, 1, 10_001)]
+)
+def test_from_arrays_and_entries_refuse_a_hostile_header_before_allocating(dim, kmax, rows):
+    # the header is decided, then the row count, before any index is built
+    ones, assigned = [1] * rows, copy.copy(_gaussian_table(1, 0))
+    entries = dict(assigned.entries)
+    assigned.dim, assigned.k_max = dim, kmax
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            MomentTable.from_arrays(ones, ones, dim=dim, k_max=kmax)
+        with pytest.raises(DomainError):
+            assigned.entries = entries
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -248,6 +248,18 @@ def test_coverage_warning_on_clipped_grid():
     assert record[0].filename == __file__  # the warning names the caller
 
 
+def test_coverage_check_reads_default_grids_criterion_in_dim_2():
+    # e^{-E^2/4(t + t0)} <= 1e-16 decides in every dim: at E = 21.0897,
+    # t = 2, t0 = 1 the tail is 8.0e-17, and at E = 20.9 it is 1.5e-16
+    u0 = Gaussian(amplitude=1.0, width=1.0, dim=2)
+    table = build_moment_table(u0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error_curve(u0, table, 2, 2.0, 2, GridSpec(dim=2, extent=21.0897, points=41))
+    with pytest.warns(UserWarning):
+        error_curve(u0, table, 2, 2.0, 2, GridSpec(dim=2, extent=20.9, points=41))
+
+
 def test_sup_error_identical_fields_is_zero():
     field = np.random.default_rng(7).normal(size=(50,))
     assert backend.max_abs_diff(field, field) == 0.0
