@@ -16,6 +16,7 @@ fails the command naming each failing row's case, check by check.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import astuple
@@ -64,7 +65,10 @@ _SERIES = ("--dim", "--t0", "--t", "--amplitude", "--kmax")
 _TABLE = ("--format", "--plot", "--all-k", "--out")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="heatseries",
         description="truncated heat-kernel derivative series experiments",

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError, check_real
 from .kernel_approx import _as_point, _point_terms, _sweep_orders
 from .moments import InitialDatum, MomentTable, build_moment_table, moments_at_time
-from .signedlog import aligned_sum_arrays
+from .signedlog import aligned_sum_arrays, aligned_sums
 
 _LOG_PI = math.log(math.pi)
 _LOG2 = math.log(2.0)
@@ -120,15 +120,18 @@ def eval_expansion_sweep(coeffs: EigenCoeffs, p: SimilarityPoint, ks) -> list[fl
     value for k equals ``eval_expansion(coeffs, p, k)`` bit for bit.
 
     The point's terms are gathered once, at the largest order, and each
-    order's sum is one aligned sum over the prefix of them of degree <= k,
-    which holds the terms an order-k gather makes, with their bits.
+    order's sum is the aligned sum over the prefix of them of degree <= k,
+    which holds the terms an order-k gather makes, with their bits.  One
+    call to :func:`aligned_sums` reduces every prefix, and prefixes whose
+    largest term is the same share one exponential pass.
     """
     if p.dim != coeffs.dim:
         raise DomainError("point dimension does not match coefficients")
     ks = _sweep_orders(ks, coeffs.k_max)
     scales = [-0.5 * j * p.tau for j in range(ks[-1] + 1)]
     signs, logmag, cuts = _point_terms(coeffs, ks[-1], scales, p.z)
-    return [aligned_sum_arrays(signs[: cuts[k]], logmag[: cuts[k]]).to_float() for k in ks]
+    cuts = cuts.tolist()
+    return [s.to_float() for s in aligned_sums(signs, logmag, [(0, cuts[k]) for k in ks])]
 
 
 def _energy_shells(coeffs: EigenCoeffs, t: float) -> np.ndarray:

@@ -17,6 +17,7 @@ measures every order inside a band before moving to the next.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ import numpy as np
 from . import backend
 from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .moments import Gaussian, MomentTable, MultiIndex
-from .signedlog import SignedLog, aligned_sum_arrays
+from .signedlog import SignedLog, aligned_sum_arrays, aligned_sums
 from .specfun import bonan_clark_log, hermite_weighted, hermite_weighted_logs, laguerre_sequence
 
 _LOG_PI = math.log(math.pi)
@@ -211,9 +212,10 @@ def eval_uk_sweep(table: MomentTable, t: float, x, ks: Sequence[int]) -> list[Ap
     The point's terms are gathered once, at the largest order.  The terms
     of order k are a prefix of them with the same bits: the table is sorted
     by degree, the per-degree scales do not depend on k, and the Hermite
-    recurrence's entries up to n do not depend on its depth.  Each order's
-    value is then one aligned sum over its prefix, and each degree's partial
-    is reduced once and shared by every order that holds it.
+    recurrence's entries up to n do not depend on its depth.  One call to
+    :func:`aligned_sums` then reduces each degree's block, shared by every
+    order that holds it, and each order's prefix; prefixes and blocks whose
+    largest term is the same share one exponential pass.
     """
     ks = _sweep_orders(ks, table.k_max)
     cfg = ApproxConfig(dim=table.dim, k=ks[-1], t=t)
@@ -223,17 +225,15 @@ def eval_uk_sweep(table: MomentTable, t: float, x, ks: Sequence[int]) -> list[Ap
     signs, logmag, cuts = _point_terms(
         table, cfg.k, scales, [xi / scale for xi in pt], table.ln_factorials
     )
-    partials = [
-        (j, aligned_sum_arrays(signs[lo:hi], logmag[lo:hi]).to_float())
-        for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
-        if hi > lo
-    ]
+    cuts = cuts.tolist()
+    blocks = [(j, lo, hi) for j, (lo, hi) in enumerate(zip([0, *cuts], cuts)) if hi > lo]
+    spans = [(lo, hi) for _, lo, hi in blocks] + [(0, cuts[k]) for k in ks]
+    sums = [s.to_float() for s in aligned_sums(signs, logmag, spans)]
+    degrees = [j for j, _, _ in blocks]
+    partials = list(zip(degrees, sums))
     return [
-        ApproxResult(
-            value=aligned_sum_arrays(signs[: cuts[k]], logmag[: cuts[k]]).to_float(),
-            terms=[(j, c) for j, c in partials if j <= k],
-        )
-        for k in ks
+        ApproxResult(value=value, terms=partials[: bisect.bisect_right(degrees, k)])
+        for k, value in zip(ks, sums[len(blocks) :])
     ]
 
 

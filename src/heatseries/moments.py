@@ -300,12 +300,38 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def component_sums(lookup, components: np.ndarray) -> np.ndarray:
     """sum_i lookup[alpha_i] for every row alpha of ``components``, rounded
-    as ``math.fsum`` of the row rounds it: in dim <= 2 one add is that
-    rounding, in dim >= 3 each row goes through ``math.fsum``."""
+    as ``math.fsum`` of the row rounds it.
+
+    In dim <= 2 one add is that rounding.  In dim >= 3 a cascade of Knuth's
+    TwoSum (*TAOCP* vol. 2, 4.2.2) over the columns leaves each row as a sum
+    s plus rounding errors e_i, exactly; a second cascade sums the e_i, and
+    where it rounds nothing, fl(s + sum e_i) is the correctly rounded row
+    sum, which is what ``fsum`` returns.  Every other row, and every row
+    whose sum is zero or not finite, goes through ``math.fsum`` itself, so
+    each row keeps ``fsum``'s result or error.
+    """
     values = np.asarray(lookup, np.float64)[components]
     if values.shape[1] <= 2:
         return values.sum(axis=1)
-    return np.fromiter(map(math.fsum, values.tolist()), np.float64, len(values))
+    # an inf or NaN makes the row's total non-finite, so it is redone
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, error = _two_sum(values[:, 0], values[:, 1])
+        inexact = np.zeros(len(values), bool)
+        for column in values.T[2:]:
+            total, e = _two_sum(total, column)
+            error, lost = _two_sum(error, e)
+            inexact |= lost != 0.0
+        total += error
+    redo = np.flatnonzero(inexact | ~np.isfinite(total) | (total == 0.0))
+    total[redo] = [math.fsum(row) for row in values[redo].tolist()]
+    return total
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (no overflow)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 class _Canon:

@@ -3,9 +3,11 @@
 Moment sums mix factorials, Gamma values and powers whose intermediate
 magnitudes overflow doubles long before the assembled quantities do, so a
 SignedLog is a sign/log record with a product, and sums are reduced in one
-place, :func:`aligned_sum_arrays`, by aligning every term to the largest
+place, :func:`aligned_sums`, by aligning every term to the largest
 exponent and running a compensated plain-arithmetic sum on the aligned
-mantissas.
+mantissas.  It reduces many spans of one term array in a call: a sum's bits
+depend only on its peak and its terms, so spans with the same peak share one
+exponential pass.  :func:`aligned_sum_arrays` is its one-span case.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,21 +73,70 @@ def aligned_sum(terms: Iterable[SignedLog]) -> SignedLog:
 
 def aligned_sum_arrays(signs: np.ndarray, logmags: np.ndarray) -> SignedLog:
     """Sum the terms ``signs[i] * exp(logmags[i])``, every sign nonzero, by
-    exponent alignment.
+    exponent alignment: the one-span case of :func:`aligned_sums`."""
+    n = len(logmags)
+    if not n:
+        return ZERO
+    (total,) = _sums_at(signs, logmags, float(logmags.max()), 0, n, [(0, n)])
+    return total
 
-    All terms are rescaled by the largest log magnitude and the aligned
+
+def aligned_sums(
+    signs: np.ndarray, logmags: np.ndarray, spans: Sequence[tuple[int, int]]
+) -> list[SignedLog]:
+    """The sum of the terms ``signs[i] * exp(logmags[i])``, every sign
+    nonzero, over each span ``lo <= i < hi`` of ``spans``, by exponent
+    alignment.
+
+    A span's terms are rescaled by its largest log magnitude and the aligned
     mantissas are reduced with :func:`math.fsum`, so the only precision loss
     is the final rounding plus underflow of terms more than ~700 nats below
     the peak (whose relative contribution is < 1e-300).  Since ``fsum``
-    rounds once, the result does not depend on the order of the terms.
+    rounds once, a sum does not depend on the order of its terms, and since
+    an aligned mantissa depends only on its term and the peak, spans with
+    the same peak (bit for bit) share one ``math.exp`` pass.  Every span's
+    peak comes from one ``reduceat`` over the span ends, the even entries,
+    with a -inf behind the terms so that an end at the last term is an
+    index.  An empty span, or one whose peak is -inf, sums to ZERO.
     """
-    if not len(logmags):
-        return ZERO
-    peak = float(logmags.max())
+    sums = [ZERO] * len(spans)
+    live = [i for i, (lo, hi) in enumerate(spans) if hi > lo]
+    if not live:
+        return sums
+    ends = np.array([spans[i] for i in live]).ravel()
+    peaks = np.maximum.reduceat(np.append(logmags, -math.inf), ends)[::2]
+    # the spans of each peak, keyed by its bits (NaN != NaN), and the terms
+    # from the first of them to the last, [a, b)
+    shared: dict[int, list] = {}
+    for i, key, peak in zip(live, peaks.view(np.int64).tolist(), peaks.tolist()):
+        lo, hi = spans[i]
+        group = shared.setdefault(key, [peak, lo, hi, []])
+        group[1:3] = min(group[1], lo), max(group[2], hi)
+        group[3].append(i)
+    for peak, a, b, members in shared.values():
+        totals = _sums_at(signs, logmags, peak, a, b, [spans[i] for i in members])
+        for i, total in zip(members, totals):
+            sums[i] = total
+    return sums
+
+
+def _sums_at(
+    signs: np.ndarray, logmags: np.ndarray, peak: float, a: int, b: int,
+    spans: list[tuple[int, int]],
+) -> list[SignedLog]:
+    """The aligned sum of each non-empty span of ``spans``, every one of
+    peak ``peak`` and within [a, b), from one ``math.exp`` pass over the
+    terms of [a, b)."""
     if peak == -math.inf:
-        return ZERO
-    gaps = (logmags - peak).tolist()
-    total = math.fsum(map(operator.mul, signs.tolist(), map(math.exp, gaps)))
-    if total == 0.0:
-        return ZERO
-    return SignedLog(1 if total > 0.0 else -1, peak + math.log(abs(total)))
+        return [ZERO] * len(spans)
+    gaps = (logmags[a:b] - peak).tolist()
+    aligned = map(operator.mul, signs[a:b].tolist(), map(math.exp, gaps))
+    if len(spans) > 1:
+        aligned = list(aligned)
+    sums = []
+    for lo, hi in spans:
+        total = math.fsum(aligned if (lo, hi) == (a, b) else aligned[lo - a : hi - a])
+        sums.append(
+            ZERO if total == 0.0 else SignedLog(1 if total > 0.0 else -1, peak + math.log(abs(total)))
+        )
+    return sums

@@ -277,8 +277,8 @@ def test_moments_csv(tmp_path):
 
 
 def test_the_documented_edge_kmax_200(tmp_path):
-    # the largest --kmax: the d3 table's JSON reads back bit for bit, and
-    # divergence still exits 0
+    # the largest --kmax: the d3 table's JSON reads back bit for bit,
+    # divergence still exits 0, and eigen-compare writes its golden bytes
     out = tmp_path / "m.json"
     assert run("moments", "--dim", "3", "--kmax", "200", "--format", "json", "--out", str(out)) == 0
     back = MomentTable.from_json(out.read_text())
@@ -287,6 +287,9 @@ def test_the_documented_edge_kmax_200(tmp_path):
     assert np.array_equal(back.logmag.view(np.int64), table.logmag.view(np.int64))
     divergence = ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "200")
     assert run(*divergence, "--out", str(tmp_path / "div.csv")) == 0
+    eigen = ("eigen-compare", "--dim", "2", "--t0", "1", "--t", "2", "--kmax", "200")
+    (tmp_path / "eigen").mkdir()
+    assert _digests(eigen, tmp_path / "eigen") == GOLDEN[eigen]
 
 
 # --- csv and json carry the same table ------------------------------------
@@ -437,6 +440,12 @@ GOLDEN = {
     ("moments", "--dim", "2", "--kmax", "8", "--format", "json"): {
         "out.txt": "6ddf21dae63bf3a66bf6beb1acef40c7e15a52bb45e2d34a119b8e00467e63c5",
     },
+    # the documented edge, taken before the point sums shared exponential
+    # passes; test_the_documented_edge_kmax_200 runs it
+    ("eigen-compare", "--dim", "2", "--t0", "1", "--t", "2", "--kmax", "200"): {
+        "out.txt": "d1c9596730e01b4ac5b5f3642d830ddc6187bdca61482543e84cd1758c35eb0d",
+        "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
 }
 
 
@@ -504,6 +513,14 @@ def test_unknown_flag_exits_2(tmp_path):
 
 def test_missing_subcommand_exits_2():
     assert run() == 2
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process, and a usage error leaves it as it was
+    assert cli._parser() is cli._parser()
+    assert run("divergence", "--frobnicate", "--out", "x.csv") == 2
+    argv = ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "60")
+    assert _digests(argv, tmp_path) == GOLDEN[argv]
 
 
 def test_unwritable_output_exits_3(tmp_path):

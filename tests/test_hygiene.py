@@ -148,9 +148,9 @@ def _calls_aligned_sum(tree: ast.Module) -> bool:
 
 
 def test_no_package_module_calls_the_list_form_aligned_sum():
-    # every package route reduces sign and log arrays with
-    # aligned_sum_arrays; the SignedLog-list adapter is for callers outside
-    # the package
+    # every package route reduces sign and log arrays with aligned_sums or
+    # its one-span case aligned_sum_arrays; the SignedLog-list adapter is
+    # for callers outside the package
     package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
     assert [p.name for p in package if _calls_aligned_sum(ast.parse(p.read_text()))] == []
     assert _calls_aligned_sum(ast.parse("aligned_sum(terms)"))

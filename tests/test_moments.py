@@ -34,6 +34,7 @@ from heatseries import (
     moments_at_time,
 )
 from heatseries.eigen import EigenCoeffs
+from heatseries.specfun import log_factorial
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -465,6 +466,80 @@ def test_table_json_roundtrip():
                 table.entries[a].logmag, abs=1e-15
             )
     assert back.source is None  # provenance does not survive the wire
+
+
+# --- row sums rounded as fsum rounds them ----------------------------------
+
+def _fsum_rows(lookup, components) -> np.ndarray:
+    """The reference: math.fsum of each row's lookups, 50,000 rows at a time."""
+    values = np.asarray(lookup, np.float64)
+    return np.concatenate([
+        np.array([math.fsum(row) for row in values[components[i : i + 50_000]].tolist()])
+        for i in range(0, len(components), 50_000)
+    ])
+
+
+def _assert_bits_equal(got, want):
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1.0, 2.0**-60, 2.0**-120],  # the rounding errors do not sum exactly
+        [1.0, 2.0**-53, 2.0**-106],  # and their rounded sum would round the row down
+        [2.0**-53, 1.0, 2.0**-106, -(2.0**-107)],
+        [-0.0, -0.0, -0.0],
+        [0.0, -0.0, -0.0, -0.0],
+        [1.0, -1.0, -0.0],
+        [math.inf, 1.0, 2.0],
+        [1.0, -math.inf, 2.0],
+        [math.nan, 1.0, 2.0],
+        [5e-324, 5e-324, -1e-323, 0.5],
+        [1e308, 5e307, -1e308],
+    ],
+)
+def test_component_sums_round_each_row_as_fsum(row):
+    d = len(row)
+    components = np.array([range(d), range(d - 1, -1, -1), [1] * d, [d - 1, *range(d - 1)]])
+    _assert_bits_equal(moments.component_sums(row, components), _fsum_rows(row, components))
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [([math.inf, -math.inf, 1.0], ValueError), ([1e308, 1e308, -1e308], OverflowError)],
+)
+def test_component_sums_raise_as_fsum_raises(row, error):
+    components = np.array([[2, 2, 2], [0, 1, 2]])
+    with pytest.raises(error):
+        _fsum_rows(row, components)
+    with pytest.raises(error):
+        moments.component_sums(row, components)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 32])
+def test_component_sums_equal_fsum_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    lookup = rng.normal(size=60) * 10.0 ** rng.integers(-20, 20, 60)
+    lookup[:4] = [0.0, -0.0, 1.0, -1.0]
+    components = rng.integers(0, len(lookup), (4000, dim))
+    _assert_bits_equal(
+        moments.component_sums(lookup, components), _fsum_rows(lookup, components)
+    )
+
+
+def test_component_sums_of_the_d3_k200_index_equal_fsum():
+    # the lookups of build_moment_table: ln c! over the whole index, and the
+    # Gaussian's component logs over its live (all-even) rows
+    components = moments._canon(200, 3).components
+    ln_factorials = [log_factorial(c) for c in range(201)]
+    _assert_bits_equal(
+        moments.component_sums(ln_factorials, components), _fsum_rows(ln_factorials, components)
+    )
+    _, logs = moments.moment_factors(Gaussian(1.0, 1.0, 3), range(201), absolute=False)
+    lookup = [0.0 if v is None else v for v in logs]
+    live = components[(components % 2 == 0).all(axis=1)]
+    _assert_bits_equal(moments.component_sums(lookup, live), _fsum_rows(lookup, live))
 
 
 # --- heat evolution of moments -------------------------------------------

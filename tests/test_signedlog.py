@@ -1,11 +1,14 @@
 """Sign/log-magnitude records: float round-trips, the product's laws and
-the peak-aligned sum."""
+the peak-aligned sum, over one span and over many."""
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from heatseries import ZERO, SignedLog, aligned_sum
+from heatseries.signedlog import aligned_sum_arrays, aligned_sums
 
 finite = st.floats(
     min_value=-1e12,
@@ -86,3 +89,73 @@ def test_aligned_sum_extreme_spread():
 
 def test_aligned_sum_empty_is_zero():
     assert aligned_sum([]) == ZERO
+
+
+# --- many spans in one call -------------------------------------------------
+
+def _one_span(signs, logmags) -> SignedLog:
+    """The reference: one span reduced on its own, one exp per term."""
+    if not len(logmags):
+        return ZERO
+    peak = float(logmags.max())
+    if peak == -math.inf:
+        return ZERO
+    total = math.fsum(s * math.exp(v - peak) for s, v in zip(signs.tolist(), logmags.tolist()))
+    if total == 0.0:
+        return ZERO
+    return SignedLog(1 if total > 0.0 else -1, peak + math.log(abs(total)))
+
+
+def _bits(total: SignedLog) -> tuple[int, int]:
+    return total.sign, int(np.array(total.logmag, np.float64).view(np.int64))
+
+
+def _assert_each_span_alone(signs, logmags, spans):
+    got = aligned_sums(signs, logmags, spans)
+    assert len(got) == len(spans)
+    for (lo, hi), total in zip(spans, got):
+        want = _bits(_one_span(signs[lo:hi], logmags[lo:hi]))
+        assert _bits(total) == want == _bits(aligned_sum_arrays(signs[lo:hi], logmags[lo:hi]))
+
+
+def _terms(rng, n):
+    signs = rng.choice(np.array([-1, 1], np.int8), n)
+    # rounded logs tie at the peak, and equal terms of opposite sign cancel
+    logmags = rng.normal(0.0, 4.0, n).round(int(rng.integers(0, 3)))
+    if n:
+        logmags[rng.integers(0, n, 2)] = -math.inf
+        if rng.random() < 0.3:
+            logmags[rng.integers(0, n)] = math.nan
+        if rng.random() < 0.1:
+            logmags[: n // 2] = -math.inf
+    return signs, logmags
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_aligned_sums_equal_each_span_alone(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 60))
+    signs, logmags = _terms(rng, n)
+    cuts = sorted(rng.integers(0, n + 1, 8).tolist())
+    blocks = list(zip([0, *cuts], cuts + [n]))  # some of them empty
+    prefixes = [(0, c) for c in cuts]
+    spans = [tuple(sorted(rng.integers(0, n + 1, 2).tolist())) for _ in range(6)]
+    backwards = [(hi, lo) for lo, hi in spans if lo < hi]  # empty too
+    _assert_each_span_alone(signs, logmags, blocks + prefixes + spans + backwards)
+
+
+def test_aligned_sums_with_a_peak_that_moves_with_every_span():
+    rng = np.random.default_rng(7)
+    signs, _ = _terms(rng, 50)
+    logmags = np.cumsum(rng.uniform(0.0, 3.0, 50))
+    _assert_each_span_alone(signs, logmags, [(0, hi) for hi in range(51)])
+    _assert_each_span_alone(signs, logmags[::-1].copy(), [(lo, 50) for lo in range(51)])
+
+
+def test_aligned_sums_of_spans_sharing_a_peak():
+    signs = np.array([1, -1, 1, 1, -1, 1], np.int8)
+    logmags = np.array([0.5, 2.0, 2.0, -1.0, 2.0, 1.5])
+    spans = [(0, 2), (1, 3), (0, 6), (2, 5), (4, 5), (3, 4), (0, 0), (6, 6)]
+    _assert_each_span_alone(signs, logmags, spans)
+    assert aligned_sums(signs, logmags, [(1, 3)]) == [ZERO]  # -e^2 + e^2
+    assert aligned_sums(signs, logmags, []) == []
