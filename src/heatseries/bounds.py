@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, check_integer, check_real
 from .kernel_approx import ApproxConfig
 from .moments import MomentTable, component_sums, moment_factors
-from .signedlog import ZERO, SignedLog, aligned_sum_arrays
+from .signedlog import ZERO, SignedLog, aligned_sum_arrays, aligned_sums
 from .specfun import log_factorial, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -58,8 +58,9 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     The absolute moments come factored from :func:`moment_factors`:
     a factor each shell shares, and a per-component log lookup.  Each
     multi-index's weight is the sum of its components' lookups, -ln(c!)/2
-    and -ln(c+1)/12; each shell's weights are reduced by exponent alignment
-    (:func:`aligned_sum_arrays`) and scaled by the shell's shared factor.
+    and -ln(c+1)/12; one :func:`aligned_sums` call reduces each needed
+    shell's span of the weights, with the bits of a reduction of that shell
+    alone, and each shell sum is scaled by the shell's shared factor.
     """
     orders = list(orders)
     check_real("evaluation time t", t)
@@ -81,11 +82,12 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
         math.fsum((logs[c], -0.5 * log_factorial(c), -math.log(c + 1.0) / 12.0))
         for c in range(top + 1)
     ]
-    sums = {}
-    for n in shared:
-        components = table.components[table.ends[n] - table.counts[n] : table.ends[n]]
-        weights = component_sums(weight, components)
-        sums[n] = shared[n] * aligned_sum_arrays(np.ones(len(weights), np.int8), weights)
+    ends, starts = table.ends.tolist(), (table.ends - table.counts).tolist()
+    base = starts[min(shared, default=0)]
+    weights = component_sums(weight, table.components[base : ends[top]])
+    spans = [(starts[n] - base, ends[n] - base) for n in shared]
+    totals = aligned_sums(np.ones(len(weights), np.int8), weights, spans)
+    sums = {n: shared[n] * total for n, total in zip(shared, totals)}
     d = table.dim
     log_2t = math.log(2.0 * t)
     return [

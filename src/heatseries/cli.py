@@ -103,6 +103,8 @@ def _validate(args) -> None:
             raise UsageError(f"--grid-points must be odd, got {args.grid_points}")
     if args.command == "divergence" and not args.t < args.t0:
         raise UsageError("divergence requires --t < --t0")
+    if given.get("plot") and Path(args.out).with_suffix(".svg") == Path(args.out):
+        raise UsageError(f"--plot writes its SVG next to --out, so --out {args.out} would be lost")
 
 
 class UsageError(HeatSeriesError):

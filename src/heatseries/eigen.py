@@ -140,17 +140,17 @@ def _energy_shells(coeffs: EigenCoeffs, t: float) -> np.ndarray:
 
         S_n = pi^{d/2} t^{-n} sum_{|alpha| = n} 2^n alpha! a_alpha^2,
 
-    each degree's terms summed aligned at their largest log."""
+    each degree's span of terms reduced by :func:`aligned_sums`, the one
+    log-space sum."""
     live = coeffs.signs != 0
     degrees = coeffs.degrees[live]
     logs = (
         2.0 * coeffs.logmag[live] + coeffs.ln_factorials[live]
         + degrees * (_LOG2 - math.log(t)) + 0.5 * coeffs.dim * _LOG_PI
     )
-    starts = np.flatnonzero(np.diff(degrees, prepend=-1))
-    peaks = np.maximum.reduceat(logs, starts)
-    gaps = logs - np.repeat(peaks, np.diff(starts, append=len(logs)))
-    return peaks + np.log(np.add.reduceat(np.exp(gaps), starts))
+    starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
+    spans = list(zip(starts, starts[1:] + [len(logs)]))
+    return np.array([s.logmag for s in aligned_sums(np.ones(len(logs), np.int8), logs, spans)])
 
 
 def validity_integral(coeffs: EigenCoeffs, t: float) -> float:

@@ -142,24 +142,13 @@ class MultiIndex:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` nonnegative
-    integers, in ascending lexicographic order: each first part in turn,
-    followed by every composition of the rest into one part fewer.  The
-    compositions of each j <= total into fewer parts are built as lists,
-    one part count at a time (no recursion)."""
+    integers, in ascending lexicographic order: the degree-``total`` rows of
+    a canonical index (:class:`_Canon`) built for this call alone, every
+    lower degree included."""
     check_integer("parts", parts, 1)
     check_integer("total", total, 0)
-    if parts == 1:
-        yield (total,)
-        return
-    rests = [[(j,)] for j in range(total + 1)]  # j as one part
-    for _ in range(parts - 2):
-        rests = [
-            [(a,) + rest for a in range(j + 1) for rest in rests[j - a]]
-            for j in range(total + 1)
-        ]
-    for first in range(total + 1):
-        for rest in rests[total - first]:
-            yield (first,) + rest
+    canon = _Canon(total, parts)
+    yield from map(tuple, canon.components[canon.ends[total] - canon.counts[total] :].tolist())
 
 
 # ---------------------------------------------------------------------------

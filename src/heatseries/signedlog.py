@@ -8,6 +8,11 @@ exponent and running a compensated plain-arithmetic sum on the aligned
 mantissas.  It reduces many spans of one term array in a call: a sum's bits
 depend only on its peak and its terms, so spans with the same peak share one
 exponential pass.  :func:`aligned_sum_arrays` is its one-span case.
+Every log-space sum of the package goes through it, the degree shells of F
+and of the Parseval energy included, except two plain numpy sums:
+``SeriesGridEvaluator._mass``, a rounding bound that needs no exact sum, and
+``moments._evolve_axis``, whose per-row sums over up to 10^6 rows would be
+far slower with a Python pass per distinct peak.
 """
 
 from __future__ import annotations
@@ -74,11 +79,7 @@ def aligned_sum(terms: Iterable[SignedLog]) -> SignedLog:
 def aligned_sum_arrays(signs: np.ndarray, logmags: np.ndarray) -> SignedLog:
     """Sum the terms ``signs[i] * exp(logmags[i])``, every sign nonzero, by
     exponent alignment: the one-span case of :func:`aligned_sums`."""
-    n = len(logmags)
-    if not n:
-        return ZERO
-    (total,) = _sums_at(signs, logmags, float(logmags.max()), 0, n, [(0, n)])
-    return total
+    return aligned_sums(signs, logmags, [(0, len(logmags))])[0]
 
 
 def aligned_sums(

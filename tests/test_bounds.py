@@ -35,6 +35,8 @@ from heatseries import (
     moments,
 )
 from heatseries.quadrature import integrate_halfline_rows, on_array
+from heatseries.signedlog import aligned_sum_arrays
+from heatseries.specfun import log_factorial
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +493,43 @@ def test_F_sweep_takes_orders_in_any_order(table_d1):
         single = error_bound_F(table_d1, ApproxConfig(dim=1, k=k, t=1.3))
         assert (value.sign, value.logmag) == (single.sign, single.logmag)
     assert error_bound_F_sweep(table_d1, 1.3, []) == []
+
+
+def _one_shell_F(table, t, k):
+    """F(k) from shell k+1 alone: its weights summed by component_sums and
+    reduced by aligned_sum_arrays, each order in a reduction of its own."""
+    d, n = table.dim, k + 1
+    shared, logs = moments.moment_factors(table.source, [n], absolute=True)
+    weight = [
+        math.fsum((logs[c], -0.5 * log_factorial(c), -math.log(c + 1.0) / 12.0))
+        for c in range(n + 1)
+    ]
+    shell = table.components[table.ends[n] - table.counts[n] : table.ends[n]]
+    weights = moments.component_sums(weight, shell)
+    total = aligned_sum_arrays(np.ones(len(weights), np.int8), weights)
+    prefactor = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * (k + d + 1) * math.log(2.0 * t)
+    return SignedLog.from_log(prefactor) * (shared[n] * total)
+
+
+@pytest.mark.parametrize(
+    "u0",
+    [
+        Gaussian(amplitude=1.7, width=0.8, dim=3),
+        Gaussian(amplitude=1.7, width=0.8, dim=2),
+        Radial(profile=lambda r: math.exp(-r), dim=2),
+    ],
+    ids=["gauss-d3", "gauss-d2", "radial-exp-d2"],
+)
+def test_F_sweep_is_each_shell_reduced_on_its_own(u0):
+    # one reduction over the spans of many shells gives each shell the bits
+    # of its own reduction, on gapped orders in any order
+    orders = [1, 20, 4, 9]
+    table = build_moment_table(u0, 21)
+    sweep = error_bound_F_sweep(table, 1.3, orders)
+    for k, value in zip(orders, sweep):
+        single = error_bound_F(table, ApproxConfig(dim=u0.dim, k=k, t=1.3))
+        want = _one_shell_F(table, 1.3, k)
+        assert (value.sign, value.logmag) == (single.sign, single.logmag) == (want.sign, want.logmag)
 
 
 def test_F_sweep_generic_one_line_integral_per_order(monkeypatch):

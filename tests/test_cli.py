@@ -23,6 +23,7 @@ from heatseries import (
     ApproxConfig, DomainError, Gaussian, GridSpec, MomentTable, build_moment_table,
 )
 from heatseries.reference import ErrorCurve, ErrorPoint
+from heatseries.svg import line_plot
 
 
 def run(*argv):
@@ -80,6 +81,41 @@ def test_error_curve_plot(tmp_path):
     svg = tmp_path / "curve.svg"
     assert svg.exists()
     assert "<svg" in svg.read_text()[:200]
+
+
+#: line_plot's bytes, taken before every SVG element went through one writer
+PLOTS = {
+    "no-data": (
+        [("a", [1, 2], [0.0, -1.0]), ("b", [1], [math.inf])],
+        "ddab44714e97d0aa2811d8de7eaca8344f429e86bdfe70a41f7e391472bff404",
+    ),
+    "six-series": (  # the sixth series takes the first colour again
+        [(f"s{i}", range(6), [10.0 ** (-i - j) for j in range(6)]) for i in range(6)],
+        "8aee3c1d59416ee1c984644db03448043d9e6630ae8c8a96d5e9996d3c522120",
+    ),
+    "one-point": (
+        [("one", [3], [2.0])],
+        "b6f2180bdaeaad78076de2a30aa11b43e06b1b586df29718d6dae9174b5260d6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PLOTS))
+def test_line_plot_bytes(case):
+    series, digest = PLOTS[case]
+    text = line_plot(series, "plot", "k", "y")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert ("no data" in text) == (case == "no-data")
+
+
+@pytest.mark.parametrize("argv", [
+    ("error-curve",), ("divergence", "--t", "0.5"), ("eigen-compare",),
+], ids=lambda argv: argv[0])
+def test_plot_with_an_svg_out_exits_2_and_writes_nothing(argv, tmp_path, capsys):
+    # the plot's path is --out with an .svg suffix: here --out itself
+    assert run(*argv, "--kmax", "4", "--plot", "--out", str(tmp_path / "curve.svg")) == 2
+    assert "--plot" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_curve_dim2(tmp_path):

@@ -158,6 +158,22 @@ def test_no_package_module_calls_the_list_form_aligned_sum():
     assert not _calls_aligned_sum(ast.parse("aligned_sum_arrays(signs, logs)"))
 
 
+def _calls_reduceat(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "reduceat" for node in ast.walk(tree)
+    )
+
+
+def test_only_signedlog_reduces_spans():
+    # a log-space sum over spans of terms is aligned_sums' job; a second
+    # reduction elsewhere would round the same sums another way
+    package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
+    readers = [p.name for p in package if _calls_reduceat(ast.parse(p.read_text()))]
+    assert readers == ["signedlog.py"]
+    assert _calls_reduceat(ast.parse("np.add.reduceat(np.exp(gaps), starts)"))
+    assert not _calls_reduceat(ast.parse("np.add.reduce(values)"))
+
+
 def _imported_modules(tree: ast.Module) -> list[str]:
     modules = []
     for node in ast.walk(tree):

@@ -55,6 +55,13 @@ def test_compositions_count(total, parts):
     assert all(sum(c) == total for c in got)
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_compositions_are_the_lexicographic_itertools_ones(parts):
+    for total in range(9):
+        product = itertools.product(range(total + 1), repeat=parts)
+        assert list(compositions(total, parts)) == sorted(c for c in product if sum(c) == total)
+
+
 def _table_order(k_max, dim):
     """Every multi-index of degree <= k_max by the definition of table
     order: degrees ascending, lexicographic within a degree."""

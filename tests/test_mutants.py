@@ -196,6 +196,29 @@ def test_eigen_compare_catches_an_H7_sign_flip(dim, monkeypatch, tmp_path):
     assert _eigen_compare(dim, tmp_path) == 1
 
 
+def _eigen_side_scaled_past_k30(monkeypatch):
+    sweep = cli.eval_expansion_sweep
+
+    def mutant(coeffs, p, ks):
+        return [v * (1.0 + 1e-12) if k > 30 else v for k, v in zip(ks, sweep(coeffs, p, ks))]
+
+    monkeypatch.setattr(cli, "eval_expansion_sweep", mutant)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 15: past k = 30 eigen-compare's discrepancy row claims "
+    "only finiteness, so an eigen side off by 1e-12 relative there still exits 0, "
+    "where the gaps measured at t = 2 are at most 4.4e-16",
+)
+@pytest.mark.parametrize("dim,t", [("1", "2"), ("2", "2"), ("2", "0.8")])
+def test_eigen_compare_catches_an_eigen_side_scaled_past_k30(dim, t, monkeypatch, tmp_path):
+    _eigen_side_scaled_past_k30(monkeypatch)
+    argv = ["eigen-compare", "--dim", dim, "--t", t, "--kmax", "60"]
+    assert cli.main(argv + ["--out", str(tmp_path / "eig.csv")]) == 1
+
+
 # --- the grid sweep and reference of error-curve ---------------------------
 
 ERROR_CURVES = [
@@ -321,3 +344,20 @@ def test_divergence_catches(mutate, dim, monkeypatch, tmp_path, capsys):
     mutate(monkeypatch)
     assert _divergence(dim, tmp_path) == 1
     assert "fell below the certified bound" in capsys.readouterr().err
+
+
+def _scaled_by_1_5(signs, logmag, cuts):
+    return signs, logmag + math.log(1.5), cuts
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: divergence checks |u_k(0,t)| only from below, so "
+    "a point sum with every term x1.5 still clears the certified bound",
+)
+@pytest.mark.parametrize("dim", DIVERGENCE_DIMS)
+def test_divergence_catches_every_point_term_scaled(dim, monkeypatch, tmp_path):
+    _terms_mutated(_scaled_by_1_5, kernel_approx)(monkeypatch)
+    argv = ["divergence", "--dim", dim, "--t", "0.5", "--kmax", "60"]
+    assert cli.main(argv + ["--out", str(tmp_path / "div.csv")]) == 1
