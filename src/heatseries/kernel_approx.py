@@ -12,7 +12,8 @@ reduces by exponent alignment.  Grid evaluation walks
 the grid in bands of axis-0 rows small enough to stay in a core's L2 cache
 and accumulates each degree block on a band as one matrix product of
 Hermite tables with per-term double coefficients; a sweep of sup errors
-measures every order inside a band before moving to the next.
+measures a band's orders before moving to the next band, and skips each
+band and order whose certified bound lies below the sup already measured.
 """
 
 from __future__ import annotations
@@ -296,9 +297,10 @@ class SeriesGridEvaluator:
     The grid is walked in bands of axis-0 rows small enough to stay in a
     core's L2 cache.  :meth:`field_up_to` returns a new field of the whole
     grid on each call; :meth:`sup_errors` measures against a reference one
-    band at a time and keeps only that band.  Both run the same GEMMs on
-    the same bands, bands outside and degrees inside, so they give the same
-    bits, and no attribute changes after construction.  Each degree block's
+    band at a time, keeps only that band, and skips the bands that provably
+    cannot raise the sup.  Both run the same GEMMs on the same bands, bands
+    outside and degrees inside, so they give the same bits, and no
+    attribute changes after construction.  Each degree block's
     rows of both Hermite tables are strided views that BLAS reads in place:
     the block keeps its axis-0 orders as one strided run with dense
     coefficients, and the axis-1 table is stored in reverse row order.
@@ -370,6 +372,10 @@ class SeriesGridEvaluator:
             coeffs[(block - lo) // step] = values[starts[j] : stops[j]]
             rows2 = slice(k - j + lo, k - j + hi + 1, step)
             self._blocks[j] = (slice(lo, hi + 1, step), rows2, coeffs)
+        # each live term's axis-0 and axis-1 orders (the latter 0 in dim 1),
+        # |c_alpha|, and the count of live terms of degree <= j: the band
+        # limits of sup_errors read these
+        self._terms = (n1, table.degrees[rows] - n1, np.abs(values), stops)
         self.shape = tuple(len(ax) for ax in axes)
 
     def _bands(self) -> list[tuple[int, int]]:
@@ -425,32 +431,95 @@ class SeriesGridEvaluator:
             for k in _sweep_orders(orders, self.k_cap)
         ]
 
+    def _limits(self, reference: np.ndarray, bands, orders: list[int]) -> np.ndarray:
+        """L[b, o], an upper bound on the computed |reference - u_k| at every
+        node of band b, for k = orders[o], before any product is run:
+
+            L = (1 + gamma_N)^2 (R_b + tiny + sum_{|alpha| <= k} |c_alpha| A_b[alpha_1] M[alpha_2]),
+
+        R_b = max |reference| over the band, A_b[n] = max |T1[n, .]| over the
+        band, M[n] = max |T2[n, .]| over the whole axis (M = 1 in dim 1),
+        c_alpha the doubles the products use, u = 2^-53 and gamma_N =
+        N u / (1 - N u) with N = live + K + d + 4, live the number of terms
+        of degree <= K = orders[-1] (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., section 3.1).  A node's computed
+        |reference - u_k| rounds each term at most live + k + d times: d - 1
+        for scaling the axis-0 row by c_alpha, at most live in its block's
+        inner product (a zero coefficient rounds nothing), k adding the
+        degree blocks and one in the subtraction.  The limit's own sum
+        rounds each term at most live + d times, d products and live
+        additions, and (1 + gamma_N)^2 and the last product round three
+        more times; N exceeds the first count by 4 and the second by k + 4,
+        which covers those three, so the computed L is no smaller than the
+        exact bound.  tiny = 2^-1072 live (1 + the largest |T|) covers the
+        products that underflow, whose absolute error of at most 2^-1075 a
+        later product can scale by a table entry.  A NaN or inf reference
+        node or table entry gives its band a NaN or inf limit, which skips
+        nothing.
+        """
+        n1, n2, magnitude, ends = self._terms
+        t1 = self._tables[0]
+        largest = max(t1.max(), -t1.min())
+        if self.dim == 2:
+            t2 = self._tables[1][::-1]  # row n holds H_n again
+            m = np.maximum(t2.max(axis=1), -t2.min(axis=1))
+            magnitude = magnitude * m[n2]
+            largest = max(largest, m.max())
+        live = int(ends[orders[-1]])
+        n = (live + orders[-1] + self.dim + 4) * 2.0**-53
+        factor = (1.0 / (1.0 - n)) ** 2
+        tiny = 2.0**-1072 * live * (1.0 + largest)
+        cuts = ends[orders]
+        limits = np.empty((len(bands), len(orders)))
+        sums = np.zeros(len(magnitude) + 1)
+        for b, (i0, i1) in enumerate(bands):
+            band = t1[:, i0:i1]
+            np.cumsum(magnitude * np.maximum(band.max(axis=1), -band.min(axis=1))[n1], out=sums[1:])
+            r = reference[i0:i1]
+            limits[b] = factor * (max(r.max(), -r.min()) + tiny + sums[cuts])
+        return limits
+
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:
         """max over the grid of |reference - u_k| for each k in ``orders``.
 
         ``orders`` must be non-empty, ascending and within [0, k_cap], as
-        for :func:`eval_uk_sweep`.  Each band of
-        :meth:`_bands` is accumulated degree by degree up to the last order
-        and measured after each order, so no field of the whole grid is
-        held.  The per-band maxima are reduced with ``np.max``, so a NaN node
-        gives NaN at every order, as one whole-grid ``max_abs_diff`` would.
+        for :func:`eval_uk_sweep`.  Each band of :meth:`_bands` is
+        accumulated degree by degree and measured after each order it needs,
+        so no field of the whole grid is held.  On a grid of several bands,
+        :meth:`_limits` first bounds every band's computed error at every
+        order; the bands are visited largest limit first, and a band is
+        measured at an order only where its limit is not below the largest
+        error measured there so far, and accumulated only up to the last
+        such order.  A skipped error provably lies below a value already in
+        the order's maximum, so the results have the bits of measuring every
+        band at every order.  The per-band maxima are reduced with
+        ``np.max``, so a NaN node gives NaN at every order, as one
+        whole-grid ``max_abs_diff`` would; a NaN limit or error never lets
+        a band be skipped.
         """
         orders = _sweep_orders(orders, self.k_cap)
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != self.shape:
             raise DomainError("reference shape does not match the grid")
         bands = self._bands()
+        limits = np.zeros((1, len(orders)))  # one band: nothing to skip
+        if len(bands) > 1:
+            limits = self._limits(reference, bands, orders)
         band_field = np.empty((max(i1 - i0 for i0, i1 in bands),) + self.shape[1:])
-        per_band = []
-        for i0, i1 in bands:
+        per_band = np.zeros((len(bands), len(orders)))
+        running = np.full(len(orders), -np.inf)
+        for b in np.argsort(-limits[:, -1], kind="stable").tolist():
+            need = np.flatnonzero(~(limits[b] < running)).tolist()
+            if not need:
+                continue
+            i0, i1 = bands[b]
             band = band_field[: i1 - i0]
             band.fill(0.0)
-            sups = []
             built = -1
-            for k in orders:
-                for j in range(built + 1, k + 1):
+            for o in need:
+                for j in range(built + 1, orders[o] + 1):
                     self._accumulate(band, i0, i1, j)
-                built = k
-                sups.append(backend.max_abs_diff(reference[i0:i1], band))
-            per_band.append(sups)
+                built = orders[o]
+                per_band[b, o] = backend.max_abs_diff(reference[i0:i1], band)
+            running = np.maximum(running, per_band[b])
         return np.max(per_band, axis=0).tolist()

@@ -314,7 +314,8 @@ def test_moments_csv(tmp_path):
 
 def test_the_documented_edge_kmax_200(tmp_path):
     # the largest --kmax: the d3 table's JSON reads back bit for bit,
-    # divergence still exits 0, and eigen-compare writes its golden bytes
+    # divergence still exits 0 in d2, and d1 divergence and eigen-compare
+    # in d1 and d2 write their golden bytes
     out = tmp_path / "m.json"
     assert run("moments", "--dim", "3", "--kmax", "200", "--format", "json", "--out", str(out)) == 0
     back = MomentTable.from_json(out.read_text())
@@ -323,9 +324,13 @@ def test_the_documented_edge_kmax_200(tmp_path):
     assert np.array_equal(back.logmag.view(np.int64), table.logmag.view(np.int64))
     divergence = ("divergence", "--dim", "2", "--t", "0.5", "--kmax", "200")
     assert run(*divergence, "--out", str(tmp_path / "div.csv")) == 0
-    eigen = ("eigen-compare", "--dim", "2", "--t0", "1", "--t", "2", "--kmax", "200")
-    (tmp_path / "eigen").mkdir()
-    assert _digests(eigen, tmp_path / "eigen") == GOLDEN[eigen]
+    for argv in (
+        ("eigen-compare", "--dim", "2", "--t0", "1", "--t", "2", "--kmax", "200"),
+        ("eigen-compare", "--dim", "1", "--t0", "1", "--t", "2", "--kmax", "200"),
+        ("divergence", "--dim", "1", "--t", "0.5", "--kmax", "200"),
+    ):
+        (tmp_path / argv[0] / argv[2]).mkdir(parents=True)
+        assert _digests(argv, tmp_path / argv[0] / argv[2]) == GOLDEN[argv]
 
 
 # --- csv and json carry the same table ------------------------------------
@@ -481,6 +486,18 @@ GOLDEN = {
     ("eigen-compare", "--dim", "2", "--t0", "1", "--t", "2", "--kmax", "200"): {
         "out.txt": "d1c9596730e01b4ac5b5f3642d830ddc6187bdca61482543e84cd1758c35eb0d",
         "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
+    # taken before the error sweep skipped bands: the stress case, whose
+    # sweep skips bands, and the documented edge in d1
+    ("error-curve", "--dim", "2", "--t0", "1", "--t", "2", "--kmax", "120"): {
+        "out.txt": "be708fc8de759892754a6d931fd147413adc7537b306cc13b662b830362b83b5",
+    },
+    ("eigen-compare", "--dim", "1", "--t0", "1", "--t", "2", "--kmax", "200"): {
+        "out.txt": "35765d24de93ab34bfd911abd1deb580fe8d8823ba67c04343623a394a33cd6c",
+        "out-validity.csv": "bbfb90cf66c41f06f144fdb25db1f5697d292db0f8f4ccdb0795522936e63bf8",
+    },
+    ("divergence", "--dim", "1", "--t", "0.5", "--kmax", "200"): {
+        "out.txt": "5bba3e5892670cc671340f0fc57936f40d2f6116694453d3e7bb162a9b4599ed",
     },
 }
 

@@ -34,7 +34,7 @@ from heatseries import (
 )
 import heatseries.reference as reference_module
 from heatseries import kernel_approx
-from heatseries.reference import COLUMNS, _reference_field
+from heatseries.reference import COLUMNS, _reference_field, _sweep_axes
 from heatseries.serial import table_text
 
 UNIT = Gaussian(amplitude=1.0, width=1.0, dim=1)
@@ -479,6 +479,149 @@ def test_error_curve_holds_no_truncation_field():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * quarter_bytes
+
+
+# --- band limits: the sweep skips bands that cannot raise the sup ---------
+
+def _every_band_sups(evaluator, reference, orders):
+    """sup |reference - u_k| of each band (rows) at each order (columns),
+    every band measured at every order: the sweep with nothing skipped."""
+    per_band = []
+    for i0, i1 in evaluator._bands():
+        band = np.zeros((i1 - i0,) + evaluator.shape[1:])
+        sups, built = [], -1
+        for k in orders:
+            for j in range(built + 1, k + 1):
+                evaluator._accumulate(band, i0, i1, j)
+            built = k
+            sups.append(backend.max_abs_diff(reference[i0:i1], band))
+        per_band.append(sups)
+    return np.array(per_band)
+
+
+def _swept(u0, t, k_max, grid, table=None, step=2):
+    """The evaluator, reference and orders of error_curve's sweep."""
+    if table is None:
+        table = build_moment_table(u0, k_max + 1)
+    axes = _sweep_axes(u0, table, grid, k_max)
+    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k_max)
+    return evaluator, _reference_field(u0, axes, t), list(range(0, k_max + 1, step))
+
+
+def _planted(value):
+    """The d2 k60 sweep at t = 2 t0 with ``value(sup)`` added to the
+    reference at the grid's far corner, in the last band; sup is the largest
+    error of the unplanted sweep."""
+
+    def make():
+        evaluator, reference, orders = _swept(
+            Gaussian(1.0, 1.0, 2), 2.0, 60, default_grid(2, 2.0, 1.0, points=801)
+        )
+        sup = _every_band_sups(evaluator, reference, orders).max()
+        reference[-1, -1] += value(sup)
+        return evaluator, reference, orders
+
+    return make
+
+
+def _gauss_shapes(name, amplitude, t0, ts):
+    """The three sweeps of the grid-gauss benchmark for one seed's datum
+    and times ``ts``, on its grids of half-width
+    max(16 sqrt t + 4 sqrt t0, 13 sqrt(t + t0))."""
+    shapes = {}
+    for (dim, k_max, points, side), t in zip(
+        ((2, 120, 801, "above"), (2, 60, 801, "below"), (1, 120, 4001, "above")), ts
+    ):
+        extent = max(16.0 * math.sqrt(t) + 4.0 * math.sqrt(t0), 13.0 * math.sqrt(t + t0))
+        shapes[f"d{dim}-k{k_max}-{points}-{side}-{name}"] = (
+            lambda dim=dim, t=t, k_max=k_max, points=points, extent=extent: _swept(
+                Gaussian(amplitude, t0, dim), t, k_max, GridSpec(dim=dim, extent=extent, points=points)
+            )
+        )
+    return shapes
+
+
+LIMIT_CASES = {
+    **_gauss_shapes("seed11", 0.7503, 0.9938, (2.0595, 0.5834, 2.1592)),
+    **_gauss_shapes("seed12", 1.7941, 0.8486, (2.0229, 0.4728, 1.7345)),
+    "d2-live-odd-row-full-grid": lambda: _swept(
+        Gaussian(1.0, 1.0, 2), 2.0, 40, default_grid(2, 2.0, 1.0, points=801),
+        table=_with_live_odd_row(build_moment_table(Gaussian(1.0, 1.0, 2), 41), 7), step=1,
+    ),
+    "d1-40001-two-bands": lambda: _swept(
+        Gaussian(1.0, 1.0, 1), 2.0, 120, default_grid(1, 2.0, 1.0, points=40001)
+    ),
+    "d2-radial-exp": lambda: _swept(
+        Radial(profile=lambda r: math.exp(-r), dim=2), 1.5, 20,
+        GridSpec(dim=2, extent=12.0, points=401), step=1,
+    ),
+    "nan-in-last-band": _planted(lambda sup: math.nan),
+    "inf-in-last-band": _planted(lambda sup: math.inf),
+    "spike-in-last-band": _planted(lambda sup: 10.0 * sup),
+}
+
+
+@pytest.fixture(scope="module", params=list(LIMIT_CASES))
+def limit_case(request):
+    evaluator, reference, orders = LIMIT_CASES[request.param]()
+    return request.param, evaluator, reference, orders, _every_band_sups(evaluator, reference, orders)
+
+
+def test_pruned_sweep_equals_every_band_sweep(limit_case):
+    _, evaluator, reference, orders, every = limit_case
+    got = np.array(evaluator.sup_errors(reference, orders))
+    np.testing.assert_array_equal(got.view(np.int64), every.max(axis=0).view(np.int64))
+
+
+def test_band_limits_bound_every_band_at_every_order(limit_case):
+    name, evaluator, reference, orders, every = limit_case
+    limits = evaluator._limits(reference, evaluator._bands(), orders)
+    assert limits.shape == every.shape
+    assert not (every > limits).any()
+    # a NaN error has a NaN limit, which never lets its band be skipped
+    assert np.isnan(limits[np.isnan(every)]).all()
+    if name.startswith("d1-k120-4001"):
+        assert len(evaluator._bands()) == 1  # the orthant's 2001 nodes
+    else:
+        assert len(evaluator._bands()) > 1
+
+
+def _counted_products(monkeypatch):
+    calls = []
+    accumulate = backend.accumulate_series_2d
+    monkeypatch.setattr(
+        backend, "accumulate_series_2d", lambda *args: (calls.append(1), accumulate(*args))
+    )
+    return calls
+
+
+@pytest.mark.parametrize("t,k_max,share", [(0.5, 60, 0.25), (2.0, 120, 0.9)])
+def test_band_limits_skip_products(monkeypatch, t, k_max, share):
+    # below t0 the origin band's error outgrows every other band's limit;
+    # above it the late orders sit at the rounding level and only the
+    # outermost bands fall below it
+    calls = _counted_products(monkeypatch)
+    u0, grid = Gaussian(1.0, 1.0, 2), default_grid(2, t, 1.0, points=801)
+    table = build_moment_table(u0, k_max + 1)
+    error_curve(u0, table, 2, t, k_max, grid)
+    pruned = len(calls)
+    evaluator, reference, orders = _swept(u0, t, k_max, grid, table=table)
+    calls.clear()
+    _every_band_sups(evaluator, reference, orders)
+    assert len(calls) == len(evaluator._bands()) * (k_max // 2 + 1)
+    assert pruned <= share * len(calls)
+
+
+def test_one_band_sweeps_compute_no_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-band sweep computed band limits")
+
+    monkeypatch.setattr(SeriesGridEvaluator, "_limits", refuse)
+    error_curve(UNIT, build_moment_table(UNIT, 121), 1, 2.0, 120, default_grid(1, 2.0, 1.0, points=4001))
+    u0 = Gaussian(1.0, 1.0, 2)
+    error_curve(u0, build_moment_table(u0, 5), 2, 2.0, 4, default_grid(2, 2.0, 1.0, points=41))
+    error_curve(RADIAL, build_moment_table(RADIAL, 11), 2, 1.5, 10, GridSpec(dim=2, extent=6.0, points=41))
+    error_curve(INDICATOR, build_moment_table(INDICATOR, 41), 1, 2.0, 40, GridSpec(dim=1, extent=12.0, points=801))
 
 
 # --- the fold of even data onto the non-negative orthant ------------------
