@@ -20,19 +20,10 @@ import numpy as np
 from .errors import DomainError, check_integer, check_real
 from .kernel_approx import ApproxConfig
 from .moments import MomentTable, component_sums, moment_factors
-from .signedlog import ZERO, SignedLog, aligned_sum_arrays, aligned_sums
+from .signedlog import LOG_ROUNDING, ZERO, SignedLog, aligned_sum_arrays, aligned_sums
 from .specfun import log_factorial, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-#: log of the relative rounding allowance of :func:`divergence_lower_bound`,
-#: 1e-13.  Near a tie (q just above 1 at k = 2, or d = 1, q = 2, k = 2, where
-#: the formula is 0 exactly) the formula and a floating-point |u_k(0, t)| are
-#: both rounding noise.  Over d = 1-3, q in (1, 8] and even k <= 200 (k <= 80
-#: in d = 3), the formula exceeded eval_uk's |u_k(0, t)| by at most 7.6e-16
-#: of the magnitudes it combines; the allowance is that measurement with a
-#: margin of about 100.
-_LOG_ROUNDING = math.log(1e-13)
 
 
 def error_bound_F(table: MomentTable, cfg: ApproxConfig) -> SignedLog:
@@ -62,7 +53,10 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
     shell's span of the weights, with the bits of a reduction of that shell
     alone, and each shell sum is scaled by the shell's shared factor.
     """
-    orders = list(orders)
+    try:
+        orders = list(orders)
+    except TypeError:
+        raise DomainError(f"truncation orders must be an iterable, got {orders!r}") from None
     check_real("evaluation time t", t)
     for k in orders:
         check_integer("truncation order k", k, 0)
@@ -170,7 +164,7 @@ def divergence_lower_bound(
     q = width / t
     n0 = next((n for n in range(N + 1) if q * (n + 0.5 * d) >= n + 1), N + 1)
     logs = [a.logmag for a in [blocks[N], *blocks[:n0], *blocks[N - 1 : N]]]
-    logs += [v + _LOG_ROUNDING for v in logs]
+    logs += [v + LOG_ROUNDING for v in logs]
     # |a_N| adds; every other magnitude and each allowance subtracts
     signs = np.array([1] + [-1] * (len(logs) - 1), np.int8)
     bound = aligned_sum_arrays(signs, np.array(logs))

@@ -40,11 +40,9 @@ from .moments import Gaussian, Generic1D, abs_moment, build_moment_table
 from .quadrature import error_allowance, integrate_line_rows
 from .reference import COLUMNS, GridSpec, default_grid, error_curve
 from .serial import csv_text, f17, json_array, table_text
+from .signedlog import EPS, exp_rounding
 from .specfun import IERFC_RTOL, log_factorial
 from .svg import line_plot
-
-_EPS = sys.float_info.epsilon
-
 
 #: Every option a command may read; each command registers the ones it reads.
 _OPTIONS = {
@@ -262,13 +260,6 @@ def _sign_changing(x):
 _sign_changing.array_native = True
 
 
-def _exp_rounding(*logs: float) -> float:
-    """Relative rounding of exp(sum of logs) when each log is within 2 ulps
-    of its value: 2 ulps per log and 1 ulp per add, each at most eps times
-    the sum of |logs|, on the exponent, and 1 ulp from exp."""
-    return _EPS * ((len(logs) + 1) * math.fsum(map(abs, logs)) + 1.0)
-
-
 def _residual_threshold(f, k: int, phi) -> float:
     """What the quadratures decomposition_residual combines may leave, each
     by error_allowance of its integral of |integrand|: <f, phi>; each
@@ -291,7 +282,7 @@ def _residual_threshold(f, k: int, phi) -> float:
         norm = abs_moment(f, (j,)).to_float()
         allowed += weight * error_allowance(norm)
         scale += weight * norm
-    return float(allowed + (k + 6) * _EPS * scale)
+    return float(allowed + (k + 6) * EPS * scale)
 
 
 def cmd_decomp_check(args) -> None:
@@ -307,7 +298,7 @@ def cmd_decomp_check(args) -> None:
             bound = math.exp(abs_moment(f, (alpha,)).logmag - log_factorial(alpha))
             margin = (
                 error_allowance(measured) + IERFC_RTOL * measured
-                + _exp_rounding(
+                + exp_rounding(
                     math.log(args.amplitude), 0.5 * (alpha + 1) * math.log(4.0 * width),
                     math.lgamma(0.5 * (alpha + 1)), math.lgamma(alpha + 1.0),
                 ) * bound

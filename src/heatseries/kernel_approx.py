@@ -29,7 +29,7 @@ import numpy as np
 from . import backend
 from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .moments import Gaussian, MomentTable, MultiIndex
-from .signedlog import SignedLog, aligned_sum_arrays, aligned_sums
+from .signedlog import U, SignedLog, aligned_sum_arrays, aligned_sums
 from .specfun import bonan_clark_log, hermite_weighted, hermite_weighted_logs, laguerre_sequence
 
 _LOG_PI = math.log(math.pi)
@@ -348,13 +348,6 @@ class SeriesGridEvaluator:
                 "use eval_uk for this regime"
             )
         values = table.signs[rows] * np.fromiter(map(math.exp, logmag.tolist()), float, len(rows))
-        # sum_{|alpha| <= j} |c_alpha| prod_i BC(alpha_i) for each j <= k,
-        # BC(n) bounding |H_n| e^{-y^2}: the scale of rounding_floors
-        bc = np.array([bonan_clark_log(n) for n in range(k + 1)])
-        self._mass = np.cumsum(np.bincount(
-            table.degrees[rows], np.exp(logmag + bc[table.components[rows]].sum(axis=1)),
-            minlength=k + 1,
-        ))
         rows, values = rows[values != 0.0], values[values != 0.0]
         n1 = table.components[rows, 0].astype(np.int64)
         # degree j, the terms in its table rows ends[j] - counts[j]:ends[j] ->
@@ -374,7 +367,7 @@ class SeriesGridEvaluator:
             self._blocks[j] = (slice(lo, hi + 1, step), rows2, coeffs)
         # each live term's axis-0 and axis-1 orders (the latter 0 in dim 1),
         # |c_alpha|, and the count of live terms of degree <= j: the band
-        # limits of sup_errors read these
+        # limits of sup_errors and the rounding floors read these
         self._terms = (n1, table.degrees[rows] - n1, np.abs(values), stops)
         self.shape = tuple(len(ax) for ax in axes)
 
@@ -424,11 +417,15 @@ class SeriesGridEvaluator:
         and Stability of Numerical Algorithms, 2nd ed., section 3.1), c_alpha
         the series coefficients and BC the Bonan-Clark bound
         (:func:`~heatseries.specfun.bonan_clark_log`) on each weighted Hermite
-        factor.  Each order costs one lookup: no field is evaluated."""
-        u = 2.0**-53
+        factor.  Terms are summed in log space (BC overflows from n = 269), by
+        one cumulative sum per call: no field is evaluated."""
+        orders = _sweep_orders(orders, self.k_cap)
+        n1, n2, magnitude, ends = self._terms
+        bc = np.array([bonan_clark_log(n) for n in range(self.k_cap + 1)])
+        mass = np.cumsum(np.append(0.0, np.exp(np.log(magnitude) + bc[n1] + bc[n2])))
         return [
-            (n := (k + self.dim + 2) * u) / (1.0 - n) * float(self._mass[k]) + 4.0 * u * peak
-            for k in _sweep_orders(orders, self.k_cap)
+            (n := (k + self.dim + 2) * U) / (1.0 - n) * float(mass[ends[k]]) + 4.0 * U * peak
+            for k in orders
         ]
 
     def _limits(self, reference: np.ndarray, bands, orders: list[int]) -> np.ndarray:
@@ -466,7 +463,7 @@ class SeriesGridEvaluator:
             magnitude = magnitude * m[n2]
             largest = max(largest, m.max())
         live = int(ends[orders[-1]])
-        n = (live + orders[-1] + self.dim + 4) * 2.0**-53
+        n = (live + orders[-1] + self.dim + 4) * U
         factor = (1.0 / (1.0 - n)) ** 2
         tiny = 2.0**-1072 * live * (1.0 + largest)
         cuts = ends[orders]

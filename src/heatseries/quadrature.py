@@ -50,6 +50,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import IntegrabilityError
+from .signedlog import EPS
 
 #: A shell must fall below this fraction of the running integral to stop.
 TAIL_FRACTION = 1e-14
@@ -72,7 +73,6 @@ ROUNDING_ULPS = 16.0
 MAX_PANELS = 2000
 
 _ABS_FLOOR = 1e-290
-_EPS = float(np.finfo(float).eps)
 
 _N = 12
 _X_COARSE, _W_COARSE = leggauss(_N)
@@ -201,7 +201,7 @@ def _refine(g: RowIntegrand, row, lo, hi, nrows: int) -> tuple[np.ndarray, np.nd
             tol = np.maximum(EPSABS, EPSREL * np.abs(estimate))
             err = np.abs(fine - coarse)
             # rounding-level differences are not charged as truncation error
-            charged = np.where(err <= ROUNDING_ULPS * _EPS * absint, 0.0, err)
+            charged = np.where(err <= ROUNDING_ULPS * EPS * absint, 0.0, err)
             finished = (
                 spent + np.bincount(row, charged, minlength=nrows) <= tol
             ) | ~np.isfinite(estimate)
@@ -335,7 +335,7 @@ def error_allowance(abs_integral: float) -> float:
     TAIL_FRACTION of the total for the discarded tail (certified for
     Gaussian-type decay)."""
     return (1 + MAX_DOUBLINGS) * EPSABS + (
-        EPSREL + ROUNDING_ULPS * _EPS + TAIL_FRACTION
+        EPSREL + ROUNDING_ULPS * EPS + TAIL_FRACTION
     ) * abs_integral
 
 

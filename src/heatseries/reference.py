@@ -278,6 +278,7 @@ def error_curve(
     Each order's rounding floor comes from
     :meth:`SeriesGridEvaluator.rounding_floors` at the largest |reference|.
     """
+    check_real("evaluation time t", t)
     check_integer("k_max", k_max, 0)
     if table.k_max < k_max + 1:
         raise DomainError(

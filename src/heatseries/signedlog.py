@@ -9,10 +9,11 @@ mantissas.  It reduces many spans of one term array in a call: a sum's bits
 depend only on its peak and its terms, so spans with the same peak share one
 exponential pass.  :func:`aligned_sum_arrays` is its one-span case.
 Every log-space sum of the package goes through it, the degree shells of F
-and of the Parseval energy included, except two plain numpy sums:
-``SeriesGridEvaluator._mass``, a rounding bound that needs no exact sum, and
+and of the Parseval energy included, except one plain numpy sum:
 ``moments._evolve_axis``, whose per-row sums over up to 10^6 rows would be
-far slower with a Python pass per distinct peak.
+far slower with a Python pass per distinct peak.  The package's rounding
+model lives here too: the unit roundoff U, EPS = 2U, and the allowances on
+this module's arithmetic, :func:`exp_rounding` and LOG_ROUNDING.
 """
 
 from __future__ import annotations
@@ -23,6 +24,26 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+#: The unit roundoff of doubles, and their machine epsilon 2U.
+U = 2.0**-53
+EPS = 2.0 * U
+
+#: log of the relative rounding allowance of :func:`divergence_lower_bound`,
+#: 1e-13.  Near a tie (q just above 1 at k = 2, or d = 1, q = 2, k = 2, where
+#: the formula is 0 exactly) the formula and a floating-point |u_k(0, t)| are
+#: both rounding noise.  Over d = 1-3, q in (1, 8] and even k <= 200 (k <= 80
+#: in d = 3), the formula exceeded eval_uk's |u_k(0, t)| by at most 7.6e-16
+#: of the magnitudes it combines; the allowance is that measurement with a
+#: margin of about 100.
+LOG_ROUNDING = math.log(1e-13)
+
+
+def exp_rounding(*logs: float) -> float:
+    """Relative rounding of exp(sum of logs) when each log is within 2 ulps
+    of its value: 2 ulps per log and 1 ulp per add, each at most eps times
+    the sum of |logs|, on the exponent, and 1 ulp from exp."""
+    return EPS * ((len(logs) + 1) * math.fsum(map(abs, logs)) + 1.0)
 
 
 @dataclass(frozen=True, slots=True)

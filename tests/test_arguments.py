@@ -24,6 +24,7 @@ from heatseries import (
     default_grid,
     divergence_lower_bound,
     envelope_bound_G,
+    error_curve,
     eval_uk_radial_origin,
     exact_gaussian_solution,
     gaussian_origin_blocks,
@@ -41,6 +42,8 @@ BAD_IDS = ["str", "None", "bool", "nan", "inf"]
 _CFG1 = ApproxConfig(dim=1, k=4, t=0.5)
 _CFG2 = ApproxConfig(dim=2, k=4, t=2.0)
 _T2 = build_moment_table(Gaussian(1.0, 1.0, 2), 4)
+_U1 = Gaussian(1.0, 1.0, 1)
+_T1 = build_moment_table(_U1, 3)
 
 
 def _exp(x):
@@ -81,6 +84,9 @@ ENTRY_POINTS = {
     "exact_gaussian_solution.width": (2.0, lambda v: exact_gaussian_solution(1.0, v, 1, 0.5, 1.0)),
     "exact_gaussian_solution.dim": (1, lambda v: exact_gaussian_solution(1.0, 1.0, v, 0.5, 1.0)),
     "exact_gaussian_solution.t": (0.0, lambda v: exact_gaussian_solution(1.0, 1.0, 1, 0.5, v)),
+    "error_curve.t": (
+        2.0, lambda v: error_curve(_U1, _T1, 1, v, 2, default_grid(1, 2.0, 1.0, points=9))
+    ),
     "convolve_oracle.t": (2.0, lambda v: convolve_oracle(Gaussian(1.0, 1.0, 1), 0.5, v)),
     "gaussian_test_function.a": (2.0, gaussian_test_function),
     "poly_gaussian_test_function.coeffs": (-2.0, lambda v: poly_gaussian_test_function((1.0, v))),

@@ -551,6 +551,9 @@ def test_F_sweep_domain(table_d1):
     for order in (2.0, True):  # not integers
         with pytest.raises(DomainError, match="must be an integer"):
             error_bound_F_sweep(table_d1, 1.0, [order])
+    for orders in (5, None):  # not iterable
+        with pytest.raises(DomainError, match="truncation orders must be an iterable"):
+            error_bound_F_sweep(table_d1, 1.0, orders)
     for t in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             error_bound_F_sweep(table_d1, t, [0])

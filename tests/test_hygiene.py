@@ -174,6 +174,43 @@ def test_only_signedlog_reduces_spans():
     assert not _calls_reduceat(ast.parse("np.add.reduce(values)"))
 
 
+def _spells_unit_roundoff(tree: ast.Module) -> bool:
+    """Whether the source writes a ``** -53`` power, an ``.epsilon``
+    attribute or ``finfo(...).eps``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            try:
+                if ast.literal_eval(node.right) == -53:
+                    return True
+            except ValueError:
+                pass
+        elif isinstance(node, ast.Attribute):
+            func = getattr(node.value, "func", None)
+            if node.attr == "epsilon" or node.attr == "eps" and "finfo" in (
+                getattr(func, "id", None), getattr(func, "attr", None)
+            ):
+                return True
+    return False
+
+
+def test_only_signedlog_spells_the_unit_roundoff():
+    # U = 2^-53 and EPS = 2U are defined once, beside the allowances built
+    # on them; a second spelling is a second rounding model
+    package = sorted(Path(heatseries.__file__).parent.glob("*.py"))
+    spellers = [p.name for p in package if _spells_unit_roundoff(ast.parse(p.read_text()))]
+    assert spellers == ["signedlog.py"]
+    for source in (
+        "u = 2.0**-53", "u = 2 ** (-53)", "eps = sys.float_info.epsilon",
+        "eps = float(np.finfo(float).eps)", "eps = finfo(np.float64).eps",
+    ):
+        assert _spells_unit_roundoff(ast.parse(source)), source
+    for source in (
+        "tiny = 2.0**-1072", "big = 2.0**53", "x = a ** b", "y = EPS * scale",
+        "z = args.eps", "info = np.finfo(float)",
+    ):
+        assert not _spells_unit_roundoff(ast.parse(source)), source
+
+
 def _imported_modules(tree: ast.Module) -> list[str]:
     modules = []
     for node in ast.walk(tree):

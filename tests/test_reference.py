@@ -333,6 +333,18 @@ def test_error_curve_needs_one_degree_beyond():
         error_curve(UNIT, table, 1, 2.0, 8, grid)
 
 
+@pytest.mark.parametrize("factor", [-1.0, -2.0, math.inf], ids=["-t0", "-2t0", "inf"])
+def test_error_curve_checks_t_before_the_grid(factor):
+    # t + t0 = 0 divided by zero in the coverage check, and -2 t0 or inf
+    # warned of a clipped grid, before anything refused t
+    table = build_moment_table(UNIT, 3)
+    grid = default_grid(1, 2.0, 1.0, points=41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="evaluation time t"):
+            error_curve(UNIT, table, 1, factor * UNIT.width, 2, grid)
+
+
 def test_error_curve_all_orders_mode():
     table = build_moment_table(UNIT, 7)
     grid = default_grid(1, 2.0, 1.0, points=101)
