@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bounds import divergence_lower_bound
 from .decomposition import (
-    decomposition_residual,
+    _residuals,
     gaussian_test_function,
     poly_gaussian_test_function,
     remainder,
@@ -37,7 +37,7 @@ from .eigen import SimilarityPoint, eigen_coeffs, eval_expansion_sweep, validity
 from .errors import HeatSeriesError, check_integer, check_real
 from .kernel_approx import ApproxConfig, eval_uk_sweep
 from .moments import Gaussian, Generic1D, abs_moment, build_moment_table
-from .quadrature import error_allowance, integrate_line_rows
+from .quadrature import error_allowance, integrate_line_rows, row_groups
 from .reference import COLUMNS, GridSpec, default_grid, error_curve
 from .serial import csv_text, f17, json_array, table_text
 from .signedlog import EPS, exp_rounding
@@ -265,16 +265,20 @@ def _residual_threshold(f, k: int, phi) -> float:
     by error_allowance of its integral of |integrand|: <f, phi>; each
     m_j phi^{(j)}(0) / j!, from ||x^j f||_1 in closed form; and the pairing,
     whose integral of |F_{k+1} phi^{(k+1)}| is bounded by Cauchy-Schwarz,
-    with the closed-form F_{k+1} adding IERFC_RTOL of it.  The rounding
-    floor covers the k + 3 terms and their sum: 4 ulps per term and 1 ulp
-    per add, of the sum of their magnitudes."""
+    with the closed-form F_{k+1} adding IERFC_RTOL of it.  F_{k+1} is
+    squared over the amplitude C, so that its square stays finite for
+    every C.  The rounding floor covers the k + 3 terms and their sum:
+    4 ulps per term and 1 ulp per add, of the sum of their magnitudes."""
+    c = f.amplitude
     lhs, remainder_sq, deriv_sq = integrate_line_rows(
-        lambda rows, x: np.choose(
-            rows, [np.abs(f(x) * phi(0, x)), remainder(f, k + 1, x) ** 2, phi(k + 1, x) ** 2]
-        ),
+        row_groups([
+            (0, lambda rows, x: np.abs(f(x) * phi(0, x))),
+            (1, lambda rows, x: (remainder(f, k + 1, x) / c) ** 2),
+            (2, lambda rows, x: phi(k + 1, x) ** 2),
+        ]),
         [(0.0,)] * 3,
     )
-    pairing = math.sqrt(remainder_sq * deriv_sq)
+    pairing = c * math.sqrt(remainder_sq * deriv_sq)
     allowed = error_allowance(lhs) + error_allowance(pairing) + IERFC_RTOL * pairing
     scale = lhs + pairing
     for j in range(k + 1):
@@ -322,8 +326,7 @@ def cmd_decomp_check(args) -> None:
     for width in widths:
         f = Gaussian(amplitude=args.amplitude, width=width, dim=1)
         for label, phi in tests:
-            for k in range(0, 5):
-                residual = decomposition_residual(f, k, phi)
+            for k, residual in enumerate(_residuals(f, range(5), phi)):
                 threshold = _residual_threshold(f, k, phi)
                 case = "width=%s,phi=%s,k=%d" % (f17(width), label, k)
                 rows.append(("residual", case, residual, threshold, residual, threshold))

@@ -29,11 +29,12 @@ checked by decomposition_residual:
     integral f phi = sum_{j <= k} m_j(f) phi^{(j)}(0) / j!
         + (-1)^{k+1} integral F_{k+1} phi^{(k+1)},
 
-the (-1)^{k+1} coming from moving the k+1 derivatives onto phi.  The
-remainder obeys ||F_a||_1 <= ||x^a f||_1 / a!, with equality when f >= 0:
-F_a then has one sign on each half-line, and Fubini's theorem turns
-integral_0^inf |F_a| into integral_0^inf x^a f / a! (and likewise on the
-negative half-line).
+the (-1)^{k+1} coming from moving the k+1 derivatives onto phi.  Its
+integrals, <f, phi>, the moments and the pairing, are one quadrature
+batch.  The remainder obeys ||F_a||_1 <= ||x^a f||_1 / a!, with equality
+when f >= 0: F_a then has one sign on each half-line, and Fubini's theorem
+turns integral_0^inf |F_a| into integral_0^inf x^a f / a! (and likewise
+on the negative half-line).
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 
 from .errors import DomainError, check_integer, check_real
 from .moments import Gaussian, Generic1D
-from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
-from .specfun import IERFC_MAX_ORDER, hermite, ierfc
+from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array, row_groups
+from .specfun import IERFC_MAX_ORDER, _hermite_values, hermite, ierfc
 
 #: What the functions here accept as f: a callable of one float (or of an
 #: array, when it declares ``array_native``), a one-dimensional Gaussian or
@@ -70,7 +71,8 @@ def remainder(f: Datum, alpha: int, x):
     """Evaluate F_alpha at x, a float or an array of floats; F_a(0) = 0.
 
     A one-dimensional Gaussian with alpha - 1 <= IERFC_MAX_ORDER takes the
-    closed form in i^{alpha-1}erfc.  Any other f takes the Cauchy form
+    closed form in i^{alpha-1}erfc, evaluated once per distinct |x|.  Any
+    other f takes the Cauchy form
 
         F_a(x) = (-sgn x)^a / (a-1)! integral_0^inf w^{a-1} f(x + sgn(x) w) dw,
 
@@ -92,7 +94,9 @@ def remainder(f: Datum, alpha: int, x):
         xs = flat[nonzero]
         direction = np.sign(xs)
         if isinstance(f, Gaussian) and alpha - 1 <= IERFC_MAX_ORDER:
-            out[nonzero] = (-direction) ** alpha * _gaussian_tail(f, alpha, np.abs(xs))
+            # F_a(-x) = (-1)^a F_a(x): one tail per distinct |x|
+            distance, where = np.unique(np.abs(xs), return_inverse=True)
+            out[nonzero] = (-direction) ** alpha * _gaussian_tail(f, alpha, distance)[where]
         else:
             fa = on_array(func)
             total = integrate_halfline_rows(
@@ -145,13 +149,15 @@ def poly_gaussian_test_function(
     ``coeffs`` (ascending powers).
 
     Derivatives come from the Leibniz rule; polynomial derivatives are
-    exact, the Gaussian factor reuses the Hermite closed form.
+    exact, the Gaussian factor's come from gaussian_test_function's Hermite
+    closed form, all orders from one recurrence pass.
     """
     coeffs = tuple(coeffs)
     for c in coeffs:
         check_real("test function coefficient", c, -math.inf)
     coeffs = tuple(map(float, coeffs))
-    gauss = gaussian_test_function(a)
+    check_real("Gaussian test function a", a)
+    root = math.sqrt(a)
 
     def poly_deriv(m: int, x):
         total = 0.0
@@ -163,12 +169,19 @@ def poly_gaussian_test_function(
         return total
 
     def deriv(n: int, x):
+        # the Gaussian factor's derivatives as gaussian_test_function
+        # writes them, from one exponential and one Hermite pass
+        y = root * x
+        hermites = _hermite_values(n, y)
+        gauss = np.exp(-y * y)
         total = 0.0
         binom = 1.0
         for m in range(n + 1):
             if m > 0:
                 binom = binom * (n - m + 1) / m
-            total += binom * poly_deriv(m, x) * gauss(n - m, x)
+            j = n - m
+            sign = -1.0 if j % 2 else 1.0
+            total += binom * poly_deriv(m, x) * (sign * root**j * hermites[j] * gauss)
         return total
 
     return deriv
@@ -180,27 +193,44 @@ def decomposition_residual(f: Datum, k: int, phi: Callable[[int, float], float])
     function's n-th derivative at x, a float or an array, as the builders
     above return it.
 
-    The pairing <f, phi> (row 0) and the moments m_0..m_k (rows 1..k+1) are
-    one line-quadrature batch over f, split at a Generic1D's breakpoints.
-    The remainder pairing is one more line quadrature of F_{k+1}
-    phi^{(k+1)}: over the closed-form F_{k+1} for a Gaussian f, over
-    the half-line quadrature of F_{k+1} (a nested quadrature) otherwise.
+    One line-quadrature batch of k + 3 rows: the pairing <f, phi> (row 0)
+    and the moments m_0..m_k (rows 1..k+1) over f, split at a Generic1D's
+    breakpoints, and the remainder pairing of F_{k+1} phi^{(k+1)} (row
+    k+2), split at 0 as well: over the closed-form F_{k+1} for a Gaussian
+    f, over the half-line quadrature of F_{k+1} (a nested quadrature)
+    otherwise.  Each row's integrand is evaluated on that row's panels
+    only.
     """
+    return _residuals(f, (k,), phi)[0]
+
+
+def _residuals(f: Datum, ks: Sequence[int], phi: Callable[[int, float], float]) -> list[float]:
+    """decomposition_residual(f, k, phi) for each k of ``ks``, bit for bit,
+    from one batch: <f, phi>, the moments up to the largest k, and one
+    remainder pairing per k.  A row's integral does not depend on the
+    other rows of its batch, so sharing the batch changes no bit."""
     func, own = _one_dimensional(f)
-    check_integer("k", k, 0)
+    for k in ks:
+        check_integer("k", k, 0)
     fa = on_array(func)
+    first_pairing = max(ks) + 2
 
-    def against_f(rows, x):
-        fx = fa(x)
-        return np.where(rows == 0, phi(0, x), x ** np.maximum(rows - 1, 0)) * fx
+    def pairing(k):
+        return lambda rows, x: remainder(f, k + 1, x) * phi(k + 1, x)
 
-    lhs, *moments = integrate_line_rows(against_f, [own] * (k + 2))
-    taylor = 0.0
-    for j, moment in enumerate(moments):
-        taylor += moment * phi(j, 0.0) / math.factorial(j)
-    pair_sign = -1.0 if (k + 1) % 2 else 1.0
-    pairing = pair_sign * integrate_line_rows(
-        lambda rows, x: remainder(f, k + 1, x) * phi(k + 1, x),
-        [(0.0, *own)],
-    )[0]
-    return float(abs(lhs - taylor - pairing))
+    integrand = row_groups(
+        [(0, lambda rows, x: phi(0, x) * fa(x)), (1, lambda rows, x: x ** (rows - 1) * fa(x))]
+        + [(first_pairing + i, pairing(k)) for i, k in enumerate(ks)]
+    )
+    lhs, *values = integrate_line_rows(
+        integrand, [own] * first_pairing + [(0.0, *own)] * len(ks)
+    )
+    # taylor[k + 1] is the sum of the Taylor terms through order k
+    taylor = [0.0]
+    for j, moment in enumerate(values[: first_pairing - 1]):
+        taylor.append(taylor[-1] + moment * phi(j, 0.0) / math.factorial(j))
+    residuals = []
+    for k, paired in zip(ks, values[first_pairing - 1 :]):
+        pair_sign = -1.0 if (k + 1) % 2 else 1.0
+        residuals.append(float(abs(lhs - taylor[k + 1] - pair_sign * paired)))
+    return residuals

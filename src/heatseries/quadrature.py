@@ -131,6 +131,25 @@ def on_array(f: Callable[..., float]) -> Callable[..., np.ndarray]:
     return apply
 
 
+def row_groups(groups: Sequence[tuple[int, RowIntegrand]]) -> RowIntegrand:
+    """One row integrand from several: ``groups`` lists (first row,
+    integrand) by ascending first row, each group running to the next
+    one's first row, and each integrand is called only on its own group's
+    panels.  A value depends on its own row and node only, so it is the
+    value the group's integrand gives on the whole stack."""
+    firsts = np.array([first for first, _ in groups])
+
+    def g(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        group = np.searchsorted(firsts, rows[:, 0], side="right") - 1
+        out = np.empty(x.shape)
+        for index in np.flatnonzero(np.bincount(group, minlength=len(groups))).tolist():
+            part = group == index
+            out[part] = groups[index][1](rows[part], x[part])
+        return out
+
+    return g
+
+
 def _rowsum(values: np.ndarray) -> np.ndarray:
     """Sum over the last axis by fixed pairwise halving, so that each sum
     sees its terms in the same order whatever the leading shape."""

@@ -233,13 +233,16 @@ def hermite(n: int, x: float) -> float:
     Values may overflow to +-inf for large n and |x|; use
     :func:`hermite_weighted` when the Gaussian-weighted value is wanted.
     """
+    return _hermite_values(n, x)[-1]
+
+
+def _hermite_values(n: int, x) -> list:
+    """H_0(x) .. H_n(x) from one pass of :func:`hermite`'s recurrence."""
     check_integer("hermite order", n, 0, RECURRENCE_DEPTH_CAP)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
+    values = [1.0, 2.0 * x][: n + 1]
     for m in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * m * prev
-    return cur
+        values.append(2.0 * x * values[m] - 2.0 * m * values[m - 1])
+    return values
 
 
 def bonan_clark_log(n: int) -> float:

@@ -276,6 +276,17 @@ def test_decomp_check(tmp_path):
     }
 
 
+@pytest.mark.parametrize("amplitude", ["1e200", "1e300", "1e-300"])
+def test_decomp_check_at_extreme_amplitudes(amplitude, tmp_path):
+    # the residual threshold squares F_{k+1} / C, not F_{k+1}, whose square
+    # overflows once C passes about 1e154 (and underflows near 1e-300)
+    out = tmp_path / "dec.csv"
+    assert run("decomp-check", "--amplitude", amplitude, "--out", str(out)) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 63
+    assert all(row["ok"] == "true" and math.isfinite(float(row["bound"])) for row in rows)
+
+
 # --- moments --------------------------------------------------------------
 
 def test_moments_json_schema(tmp_path):

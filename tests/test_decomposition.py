@@ -29,8 +29,10 @@ from heatseries import (
     remainder,
     remainder_l1_norm,
 )
+from heatseries import decomposition
+from heatseries.decomposition import _residuals
 from heatseries.kernel_approx import ApproxConfig
-from heatseries.quadrature import integrate_line
+from heatseries.quadrature import integrate_line, integrate_line_rows, on_array
 
 f_unit = lambda x: math.exp(-x * x / 4.0)
 
@@ -146,9 +148,12 @@ def test_test_function_guards():
     with pytest.raises(DomainError):
         gaussian_test_function(0.0)
     # derivatives exist for every order up to the Hermite recurrence's cap
-    phi = gaussian_test_function(1.0)
-    with pytest.raises(DomainError, match=r"hermite order must be in \[0, 400\], got 401"):
-        phi(401, 0.3)
+    for phi in (gaussian_test_function(1.0), poly_gaussian_test_function((1.0, 2.0), 1.0)):
+        with pytest.raises(DomainError, match=r"hermite order must be in \[0, 400\], got 401"):
+            phi(401, 0.3)
+        # a negative order is refused, not read as an empty Leibniz sum
+        with pytest.raises(DomainError, match=r"hermite order must be in \[0, 400\], got -1"):
+            phi(-1, 0.3)
 
 
 # --- the decomposition identity ------------------------------------------
@@ -299,3 +304,150 @@ NOT_ONE_DIMENSIONAL = [
 def test_data_that_are_not_one_dimensional_raise_domain_error(call, datum):
     with pytest.raises(DomainError):
         call(datum())
+
+
+# --- one batch per residual -----------------------------------------------
+
+def _per_node_remainder(f, alpha, x):
+    """remainder with one closed-form tail per node: the Gaussian tail at
+    every |x|, mirrored nodes included."""
+    if not isinstance(f, Gaussian):
+        return remainder(f, alpha, x)
+    out = np.zeros(x.shape)
+    nonzero = x != 0.0
+    out[nonzero] = (-np.sign(x[nonzero])) ** alpha * decomposition._gaussian_tail(
+        f, alpha, np.abs(x[nonzero])
+    )
+    return out
+
+
+def _two_call_residual(f, k, phi):
+    """decomposition_residual as two line quadratures: <f, phi> and the
+    moments as one batch, whose integrand evaluates phi(0, x) and x^j on
+    every panel, then the remainder pairing alone, over per-node tails."""
+    func, own = (f.func, tuple(f.breakpoints)) if isinstance(f, Generic1D) else (f, ())
+    fa = on_array(func)
+
+    def against_f(rows, x):
+        return np.where(rows == 0, phi(0, x), x ** np.maximum(rows - 1, 0)) * fa(x)
+
+    lhs, *moments = integrate_line_rows(against_f, [own] * (k + 2))
+    taylor = 0.0
+    for j, moment in enumerate(moments):
+        taylor += moment * phi(j, 0.0) / math.factorial(j)
+    pair_sign = -1.0 if (k + 1) % 2 else 1.0
+    pairing = pair_sign * integrate_line_rows(
+        lambda rows, x: _per_node_remainder(f, k + 1, x) * phi(k + 1, x), [(0.0, *own)]
+    )[0]
+    return float(abs(lhs - taylor - pairing))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+BATCH_PHIS = {
+    "gauss": gaussian_test_function(1.0),
+    "gauss-0.3": gaussian_test_function(0.3),
+    "poly-gauss": poly_gaussian_test_function((1.0, 0.0, 1.0), 1.0),
+}
+BOX = Generic1D(lambda x: 1.0 if abs(x) <= 1.0 else 0.0, breakpoints=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("phi", list(BATCH_PHIS))
+@pytest.mark.parametrize("amplitude", [1.3, 0.7])
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0, 0.93])
+def test_one_batch_residual_equals_two_calls(width, amplitude, phi):
+    f = Gaussian(amplitude=amplitude, width=width, dim=1)
+    got = [decomposition_residual(f, k, BATCH_PHIS[phi]) for k in range(6)]
+    want = [_two_call_residual(f, k, BATCH_PHIS[phi]) for k in range(6)]
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("phi", list(BATCH_PHIS))
+def test_one_batch_residual_equals_two_calls_on_the_nested_route(phi):
+    got = [decomposition_residual(BOX, k, BATCH_PHIS[phi]) for k in range(3)]
+    want = [_two_call_residual(BOX, k, BATCH_PHIS[phi]) for k in range(3)]
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "f", [Gaussian(amplitude=1.3, width=0.93, dim=1), BOX], ids=["gaussian", "box"]
+)
+def test_residual_sweep_equals_a_per_k_loop(f):
+    phi = BATCH_PHIS["poly-gauss"]
+    for ks in ((0, 1, 2), (2, 0), (1,)):
+        want = [decomposition_residual(f, k, phi) for k in ks]
+        assert _bits(_residuals(f, ks, phi)) == _bits(want)
+
+
+def test_gaussian_residual_is_one_line_quadrature(monkeypatch):
+    calls = []
+    line = decomposition.integrate_line_rows
+    monkeypatch.setattr(
+        decomposition, "integrate_line_rows", lambda *args: calls.append(args) or line(*args)
+    )
+    decomposition_residual(Gaussian(amplitude=1.0, width=1.0, dim=1), 3, BATCH_PHIS["gauss"])
+    assert len(calls) == 1
+    assert [tuple(b) for b in calls[0][1]] == [()] * 5 + [(0.0,)]
+
+
+MIRRORED = np.array([[0.7, -0.7, 2.5, 0.7], [-0.0, 0.0, -2.5, 1e-3], [9.0, -1e-3, 0.7, -9.0]])
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 5])
+def test_gaussian_remainder_with_mirrored_and_repeated_points(alpha):
+    f = Gaussian(amplitude=0.7, width=0.93, dim=1)
+    got = remainder(f, alpha, MIRRORED)
+    want = [[remainder(f, alpha, float(x)) for x in line] for line in MIRRORED]
+    assert _bits(got) == _bits(want)
+
+
+def test_gaussian_tail_sees_each_distinct_distance_once(monkeypatch):
+    seen = []
+    tail = decomposition._gaussian_tail
+    monkeypatch.setattr(
+        decomposition, "_gaussian_tail",
+        lambda f, alpha, distance: seen.extend(distance.tolist()) or tail(f, alpha, distance),
+    )
+    remainder(Gaussian(amplitude=1.0, width=1.0, dim=1), 3, MIRRORED)
+    assert sorted(seen) == [1e-3, 0.7, 2.5, 9.0]
+
+
+def _leibniz_reference(coeffs, a):
+    """poly_gaussian_test_function's derivatives with one Gaussian
+    derivative call, and so one exponential and one Hermite pass, per
+    Leibniz term."""
+    gauss = gaussian_test_function(a)
+
+    def poly_deriv(m, x):
+        total = 0.0
+        for power in range(m, len(coeffs)):
+            fall = 1.0
+            for i in range(m):
+                fall *= power - i
+            total += coeffs[power] * fall * x ** (power - m)
+        return total
+
+    def deriv(n, x):
+        total = 0.0
+        binom = 1.0
+        for m in range(n + 1):
+            if m > 0:
+                binom = binom * (n - m + 1) / m
+            total += binom * poly_deriv(m, x) * gauss(n - m, x)
+        return total
+
+    return deriv
+
+
+@pytest.mark.parametrize(
+    "coeffs,a", [((1.0, 0.0, 1.0), 1.0), ((0.5, -1.0, 0.25, 2.0), 0.7), ((3.0,), 2.5)]
+)
+def test_poly_gaussian_derivatives_equal_the_per_term_loop(coeffs, a):
+    phi = poly_gaussian_test_function(coeffs, a)
+    want = _leibniz_reference(coeffs, a)
+    xs = np.linspace(-4.0, 4.0, 33)
+    for n in range(9):
+        assert _bits(phi(n, xs)) == _bits(want(n, xs))
+        assert _bits(phi(n, -0.37)) == _bits(want(n, -0.37))

@@ -152,6 +152,36 @@ def test_row_value_does_not_depend_on_its_batch():
         assert alone[0] == pytest.approx(want, rel=1e-11)
 
 
+def test_row_groups_evaluate_each_integrand_on_its_own_rows():
+    # rows 1 and 2 share an integrand that reads its rows; a choose over
+    # every integrand on every panel is the reference
+    funcs = [
+        lambda rows, x: np.exp(-x * x),
+        lambda rows, x: x ** (2 * rows) * np.exp(-x * x / rows),
+        lambda rows, x: np.sqrt(np.abs(x - 0.3)) * np.exp(-x * x / 3.0),
+    ]
+    seen = {0: set(), 1: set(), 2: set()}
+
+    def watched(index):
+        def g(rows, x):
+            seen[index].update(rows[:, 0].tolist())
+            return funcs[index](rows, x)
+        return g
+
+    breakpoints = [(), (), (), (0.3,)]
+    got = integrate_line_rows(
+        quadrature.row_groups([(0, watched(0)), (1, watched(1)), (3, watched(2))]), breakpoints
+    )
+    want = integrate_line_rows(
+        lambda rows, x: np.choose(
+            np.minimum(rows, 2) - (rows == 2), [f(rows, x) for f in funcs]
+        ),
+        breakpoints,
+    )
+    assert seen == {0: {0}, 1: {1, 2}, 2: {3}}
+    assert got.tobytes() == want.tobytes()  # bit for bit
+
+
 def test_panel_budget_exhausted_raises(monkeypatch):
     # sqrt has an endpoint singularity that needs dozens of panels
     assert integrate_interval(math.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
