@@ -8,7 +8,8 @@ data dominated by a Gaussian envelope, where the moment sum collapses to a
 closed form.  For Gaussian data the series at the origin is a closed-form
 binomial series (gaussian_origin_blocks), from which divergence_lower_bound
 certifies the growth of |u_k(0, t)| below the envelope width, t < t0, in
-every dimension.
+every dimension; divergence_lower_bound_sweep gives it at many orders from
+one pass of the blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, check_integer, check_real
-from .kernel_approx import ApproxConfig
+from .kernel_approx import ApproxConfig, _sweep_orders
 from .moments import MomentTable, component_sums, moment_factors
 from .signedlog import LOG_ROUNDING, ZERO, SignedLog, aligned_sum_arrays, aligned_sums
 from .specfun import log_factorial, log_gamma
@@ -140,6 +141,18 @@ def gaussian_origin_blocks(
     ]
 
 
+def _paired_from_top(blocks: list[SignedLog], N: int, n0: int) -> SignedLog:
+    """|a_N| - |a_{N-1}| - sum_{n < n0} |a_n| of ``blocks`` (a_{-1} = 0),
+    less 1e-13 times the sum of the magnitudes it combines, and ZERO where
+    that is not positive."""
+    logs = [a.logmag for a in [blocks[N], *blocks[:n0], *blocks[N - 1 : N]]]
+    logs += [v + LOG_ROUNDING for v in logs]
+    # |a_N| adds; every other magnitude and each allowance subtracts
+    signs = np.array([1] + [-1] * (len(logs) - 1), np.int8)
+    bound = aligned_sum_arrays(signs, np.array(logs))
+    return bound if bound.sign > 0 else ZERO
+
+
 def divergence_lower_bound(
     amplitude: float, width: float, cfg: ApproxConfig
 ) -> SignedLog:
@@ -154,19 +167,26 @@ def divergence_lower_bound(
         |u_k(0, t)| >= |a_N| - |a_{N-1}| - sum_{n < n0} |a_n|,   a_{-1} = 0,
 
     less 1e-13 times the sum of the magnitudes it combines, and returned
-    as ZERO where that is not positive.
+    as ZERO where that is not positive.  This is
+    :func:`divergence_lower_bound_sweep` at the one order cfg.k.
     """
-    d, t = cfg.dim, cfg.t
-    N = cfg.k // 2
-    blocks = gaussian_origin_blocks(amplitude, width, d, t, N)
+    (bound,) = divergence_lower_bound_sweep(amplitude, width, cfg.dim, cfg.t, [cfg.k])
+    return bound
+
+
+def divergence_lower_bound_sweep(
+    amplitude: float, width: float, dim: int, t: float, ks
+) -> list[SignedLog]:
+    """:func:`divergence_lower_bound` at each order k in ``ks``, which must
+    be non-empty and ascending, from one pass of
+    :func:`gaussian_origin_blocks` at the largest N.  a_n does not depend on
+    N, and n0 is the first n <= N meeting its condition, so each order has
+    the bits of its own call."""
+    ks = _sweep_orders(ks, None)
+    top = ks[-1] // 2
+    blocks = gaussian_origin_blocks(amplitude, width, dim, t, top)
     if not t < width:
         raise DomainError("divergence_lower_bound applies only for t < width")
     q = width / t
-    n0 = next((n for n in range(N + 1) if q * (n + 0.5 * d) >= n + 1), N + 1)
-    logs = [a.logmag for a in [blocks[N], *blocks[:n0], *blocks[N - 1 : N]]]
-    logs += [v + LOG_ROUNDING for v in logs]
-    # |a_N| adds; every other magnitude and each allowance subtracts
-    signs = np.array([1] + [-1] * (len(logs) - 1), np.int8)
-    bound = aligned_sum_arrays(signs, np.array(logs))
-    return bound if bound.sign > 0 else ZERO
-
+    n0 = next((n for n in range(top + 1) if q * (n + 0.5 * dim) >= n + 1), top + 1)
+    return [_paired_from_top(blocks, k // 2, min(n0, k // 2 + 1)) for k in ks]

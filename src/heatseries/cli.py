@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import divergence_lower_bound
+from .bounds import divergence_lower_bound_sweep
 from .decomposition import (
     _residuals,
     gaussian_test_function,
@@ -35,12 +35,12 @@ from .decomposition import (
 )
 from .eigen import SimilarityPoint, eigen_coeffs, eval_expansion_sweep, validity_integral
 from .errors import HeatSeriesError, check_integer, check_real
-from .kernel_approx import ApproxConfig, eval_uk_sweep
+from .kernel_approx import eval_uk_sweep
 from .moments import Gaussian, Generic1D, abs_moment, build_moment_table
 from .quadrature import error_allowance, integrate_line_rows, row_groups
 from .reference import COLUMNS, GridSpec, default_grid, error_curve
 from .serial import csv_text, f17, json_array, table_text
-from .signedlog import EPS, exp_rounding
+from .signedlog import EPS, SignedLog, exp_rounding
 from .specfun import IERFC_RTOL, log_factorial
 from .svg import line_plot
 
@@ -189,10 +189,12 @@ def cmd_divergence(args) -> None:
     table = build_moment_table(_gaussian(args), args.kmax)
     ks = _ks(args)
     rows = []
-    for k, result in zip(ks, eval_uk_sweep(table, args.t, (0.0,) * args.dim, ks)):
-        cfg = ApproxConfig(dim=args.dim, k=k, t=args.t)
+    for k, result, lb in zip(
+        ks,
+        eval_uk_sweep(table, args.t, (0.0,) * args.dim, ks),
+        divergence_lower_bound_sweep(args.amplitude, args.t0, args.dim, args.t, ks),
+    ):
         block = next((c for j, c in result.terms if j == k), 0.0)
-        lb = divergence_lower_bound(args.amplitude, args.t0, cfg)
         rows.append(
             (k, result.value, abs(result.value), lb.to_float() if lb.sign else None, block)
         )
@@ -299,7 +301,8 @@ def cmd_decomp_check(args) -> None:
         f = Gaussian(amplitude=args.amplitude, width=width, dim=1)
         for alpha in range(1, 6):
             measured = remainder_l1_norm(f, alpha)
-            bound = math.exp(abs_moment(f, (alpha,)).logmag - log_factorial(alpha))
+            # inf past the double range, where the row fails as not finite
+            bound = SignedLog.from_log(abs_moment(f, (alpha,)).logmag - log_factorial(alpha)).to_float()
             margin = (
                 error_allowance(measured) + IERFC_RTOL * measured
                 + exp_rounding(

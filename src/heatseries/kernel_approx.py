@@ -13,7 +13,10 @@ the grid in bands of axis-0 rows small enough to stay in a core's L2 cache
 and accumulates each degree block on a band as one matrix product of
 Hermite tables with per-term double coefficients; a sweep of sup errors
 measures a band's orders before moving to the next band, and skips each
-band and order whose certified bound lies below the sup already measured.
+band and order whose certified bound lies below the sup already measured:
+a bound from the band's data before any product, and, once the band is
+measured, a bound resumed from its last measured error, with which a band
+stops accumulating once no later order can need it.
 """
 
 from __future__ import annotations
@@ -284,6 +287,58 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
 # grid evaluation
 
 
+@dataclass(frozen=True)
+class _BandLimits:
+    """The band limits of one sweep (:meth:`SeriesGridEvaluator._limits`):
+    ``first[b, o]`` bounds band b's computed error at ``orders[o]`` before
+    any product, ``masses[b, j]`` is the part of its sum of degree j, and
+    ``factor`` and ``tiny`` are its (1 + gamma_N)^2 and underflow term."""
+
+    first: np.ndarray
+    masses: np.ndarray
+    orders: np.ndarray
+    factor: float
+    tiny: float
+
+    def resumed(self, b: int, o: int, error: float) -> np.ndarray:
+        """Upper bounds on band b's computed error at each of
+        orders[o + 1:], given its computed error ``error`` at k = orders[o]:
+
+            2 (1 + gamma_N)^2 sum_{k < j <= k'} B[b, j] + (1 + gamma_N)^2 (e + 2 tiny).
+
+        Why it holds: each later degree block is added as fl(a + P) with a
+        representable, and the float nearest a + P is no farther from it
+        than a is, so |fl(a + P) - a| <= 2 |P|, with no u |a| term.  A
+        node's difference at k' then moves from its difference at k by at
+        most 2 sum |P| over the blocks in (k, k'], each computed |P| being
+        at most (1 + gamma_{live + d}) times its part of B plus its
+        underflow (the products round as in
+        :meth:`SeriesGridEvaluator._limits`).  The subtraction gives
+        |r - a| <= e / (1 - u) at k and rounds once more at k', so the exact
+        bound is
+
+            (1 + u)/(1 - u) e + 2 (1 + u)((1 + gamma_{live + d}) S + tiny),
+
+        S = sum_{k < |alpha| <= k'} |c_alpha| A_b[alpha_1] M[alpha_2], and
+        1 + gamma_N covers both of its factors.  The computed bound rounds
+        each term of S at most live + K + d + 2 times: d products and at
+        most live - 1 additions in B, K - 1 in one cumulative sum over
+        (k, K], the product by 2 (1 + gamma_N)^2 (2 times a double: exact),
+        the last addition and the factor's own two; e and tiny round five
+        times.  N = live + K + d + 4 exceeds both, so the computed bound is
+        no smaller than the exact one.  The increments are summed from
+        k + 1, never taken as a difference of two prefix sums, which cancels
+        once the band's mass is O(1) and its increments are below its
+        rounding.  tiny also covers the bound's own products that
+        underflow.  A NaN or inf error gives a NaN or inf bound, which drops
+        no order.
+        """
+        k = self.orders[o]
+        steps = np.cumsum(self.masses[b, k + 1 : self.orders[-1] + 1])
+        offset = self.factor * (error + 2.0 * self.tiny)
+        return steps[self.orders[o + 1 :] - (k + 1)] * (2.0 * self.factor) + offset
+
+
 class SeriesGridEvaluator:
     """Evaluation of u_k over a tensor grid, one degree block at a time, so
     a sweep over k costs the same as the largest single k.
@@ -428,33 +483,40 @@ class SeriesGridEvaluator:
             for k in orders
         ]
 
-    def _limits(self, reference: np.ndarray, bands, orders: list[int]) -> np.ndarray:
-        """L[b, o], an upper bound on the computed |reference - u_k| at every
-        node of band b, for k = orders[o], before any product is run:
+    def _limits(self, reference: np.ndarray, bands, orders: list[int]) -> _BandLimits:
+        """The limits of a sweep over ``bands`` at ``orders``: ``first[b, o]``,
+        an upper bound on the computed |reference - u_k| at every node of
+        band b, for k = orders[o], before any product is run,
 
             L = (1 + gamma_N)^2 (R_b + tiny + sum_{|alpha| <= k} |c_alpha| A_b[alpha_1] M[alpha_2]),
 
-        R_b = max |reference| over the band, A_b[n] = max |T1[n, .]| over the
-        band, M[n] = max |T2[n, .]| over the whole axis (M = 1 in dim 1),
-        c_alpha the doubles the products use, u = 2^-53 and gamma_N =
-        N u / (1 - N u) with N = live + K + d + 4, live the number of terms
-        of degree <= K = orders[-1] (Higham, Accuracy and Stability of
-        Numerical Algorithms, 2nd ed., section 3.1).  A node's computed
-        |reference - u_k| rounds each term at most live + k + d times: d - 1
-        for scaling the axis-0 row by c_alpha, at most live in its block's
-        inner product (a zero coefficient rounds nothing), k adding the
-        degree blocks and one in the subtraction.  The limit's own sum
-        rounds each term at most live + d times, d products and live
-        additions, and (1 + gamma_N)^2 and the last product round three
-        more times; N exceeds the first count by 4 and the second by k + 4,
-        which covers those three, so the computed L is no smaller than the
-        exact bound.  tiny = 2^-1072 live (1 + the largest |T|) covers the
+        and the masses B[b, j], the terms of that sum of degree j, from which
+        :meth:`_BandLimits.resumed` bounds a band's later orders once one
+        is measured.  R_b = max |reference| over the band, A_b[n] =
+        max |T1[n, .]| over the band, M[n] = max |T2[n, .]| over the whole
+        axis (M = 1 in dim 1), c_alpha the doubles the products use, u =
+        2^-53 and gamma_N = N u / (1 - N u) with N = live + K + d + 4, live
+        the number of terms of degree <= K = orders[-1] (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., section 3.1).  A
+        node's computed |reference - u_k| rounds each term at most
+        live + k + d times: d - 1 for scaling the axis-0 row by c_alpha, at
+        most live in its block's inner product (a zero coefficient rounds
+        nothing), k adding the degree blocks and one in the subtraction.
+        The limit's own sum rounds each term at most live + K + d - 1
+        times: d products, at most live - 1 additions within its degree's
+        mass and K in the cumulative sum over degrees; adding R_b + tiny,
+        the last product and (1 + gamma_N)^2 round four more times.  N
+        exceeds the first count by K - k + 4 and the second by 5, which
+        covers those four, so the computed L is no smaller than the exact
+        bound.  tiny = 2^-1072 live (1 + the largest |T|) covers the
         products that underflow, whose absolute error of at most 2^-1075 a
         later product can scale by a table entry.  A NaN or inf reference
         node or table entry gives its band a NaN or inf limit, which skips
         nothing.
         """
         n1, n2, magnitude, ends = self._terms
+        K = orders[-1]
+        live = int(ends[K])
         t1 = self._tables[0]
         largest = max(t1.max(), -t1.min())
         if self.dim == 2:
@@ -462,19 +524,22 @@ class SeriesGridEvaluator:
             m = np.maximum(t2.max(axis=1), -t2.min(axis=1))
             magnitude = magnitude * m[n2]
             largest = max(largest, m.max())
-        live = int(ends[orders[-1]])
-        n = (live + orders[-1] + self.dim + 4) * U
+        peaks, tables = [], []  # R_b and A_b of each band
+        for i0, i1 in bands:
+            r, band = reference[i0:i1], t1[:, i0:i1]
+            peaks.append(max(r.max(), -r.min()))
+            tables.append(np.maximum(band.max(axis=1), -band.min(axis=1)))
+        # |c_alpha| A_b[alpha_1] M[alpha_2] of each band and live term, summed
+        # in table order into its degree's mass; a degree with no term holds 0
+        terms = magnitude[:live] * np.array(tables)[:, n1[:live]]
+        cells = np.arange(len(bands))[:, None] * (K + 1) + (n1 + n2)[:live]
+        masses = np.bincount(cells.ravel(), terms.ravel(), len(bands) * (K + 1))
+        masses = masses.reshape(len(bands), K + 1)
+        n = (live + K + self.dim + 4) * U
         factor = (1.0 / (1.0 - n)) ** 2
         tiny = 2.0**-1072 * live * (1.0 + largest)
-        cuts = ends[orders]
-        limits = np.empty((len(bands), len(orders)))
-        sums = np.zeros(len(magnitude) + 1)
-        for b, (i0, i1) in enumerate(bands):
-            band = t1[:, i0:i1]
-            np.cumsum(magnitude * np.maximum(band.max(axis=1), -band.min(axis=1))[n1], out=sums[1:])
-            r = reference[i0:i1]
-            limits[b] = factor * (max(r.max(), -r.min()) + tiny + sums[cuts])
-        return limits
+        first = factor * (np.array(peaks)[:, None] + tiny + np.cumsum(masses, axis=1)[:, orders])
+        return _BandLimits(first, masses, np.array(orders), factor, tiny)
 
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:
         """max over the grid of |reference - u_k| for each k in ``orders``.
@@ -486,37 +551,49 @@ class SeriesGridEvaluator:
         :meth:`_limits` first bounds every band's computed error at every
         order; the bands are visited largest limit first, and a band is
         measured at an order only where its limit is not below the largest
-        error measured there so far, and accumulated only up to the last
-        such order.  A skipped error provably lies below a value already in
-        the order's maximum, so the results have the bits of measuring every
-        band at every order.  The per-band maxima are reduced with
-        ``np.max``, so a NaN node gives NaN at every order, as one
-        whole-grid ``max_abs_diff`` would; a NaN limit or error never lets
-        a band be skipped.
+        error measured there so far.  After the first band, each
+        measurement also resumes a limit for the band's later orders from
+        the error just measured (:meth:`_BandLimits.resumed`), which drops
+        every later order it puts below the sup so far; a band stops
+        accumulating at its last order still needed.  A skipped error
+        provably lies below a value already in the order's maximum, so the
+        results have the bits of measuring every band at every order.  The
+        per-band maxima are reduced with ``np.max``, so a NaN node gives NaN
+        at every order, as one whole-grid ``max_abs_diff`` would; a NaN
+        limit or error never lets a band be skipped.
         """
         orders = _sweep_orders(orders, self.k_cap)
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != self.shape:
             raise DomainError("reference shape does not match the grid")
         bands = self._bands()
-        limits = np.zeros((1, len(orders)))  # one band: nothing to skip
+        limits = None  # one band: nothing to skip
+        first = np.zeros((1, len(orders)))
         if len(bands) > 1:
             limits = self._limits(reference, bands, orders)
+            first = limits.first
         band_field = np.empty((max(i1 - i0 for i0, i1 in bands),) + self.shape[1:])
         per_band = np.zeros((len(bands), len(orders)))
         running = np.full(len(orders), -np.inf)
-        for b in np.argsort(-limits[:, -1], kind="stable").tolist():
-            need = np.flatnonzero(~(limits[b] < running)).tolist()
-            if not need:
+        for visit, b in enumerate(np.argsort(-first[:, -1], kind="stable").tolist()):
+            need = ~(first[b] < running)
+            if not need.any():
                 continue
             i0, i1 = bands[b]
             band = band_field[: i1 - i0]
             band.fill(0.0)
             built = -1
-            for o in need:
+            o = int(need.argmax())
+            while True:
                 for j in range(built + 1, orders[o] + 1):
                     self._accumulate(band, i0, i1, j)
                 built = orders[o]
-                per_band[b, o] = backend.max_abs_diff(reference[i0:i1], band)
+                error = per_band[b, o] = backend.max_abs_diff(reference[i0:i1], band)
+                later = need[o + 1 :]  # a view: the drops below land in need
+                if visit and later.size:  # the first band has no sup to beat
+                    later[limits.resumed(b, o, error) < running[o + 1 :]] = False
+                if not later.any():
+                    break
+                o += 1 + int(later.argmax())
             running = np.maximum(running, per_band[b])
         return np.max(per_band, axis=0).tolist()

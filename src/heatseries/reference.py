@@ -14,11 +14,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import divergence_lower_bound, envelope_bound_G, error_bound_F_sweep
+from .bounds import divergence_lower_bound_sweep, envelope_bound_G, error_bound_F_sweep
 from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
+from .signedlog import ZERO
 from .specfun import i0e
 
 
@@ -274,7 +275,9 @@ def error_curve(
     sweep covers only the grid's non-negative orthant, which holds every
     value of the grid (:func:`_sweep_axes`).  F of every order comes from
     one pass over the table (:func:`error_bound_F_sweep`); a Gaussian u0
-    adds G and, below its width, the divergence bound where it is positive.
+    adds G and, below its width, the divergence bound where it is positive,
+    every order's from one pass of the origin blocks
+    (:func:`~heatseries.bounds.divergence_lower_bound_sweep`).
     Each order's rounding floor comes from
     :meth:`SeriesGridEvaluator.rounding_floors` at the largest |reference|.
     """
@@ -298,15 +301,16 @@ def error_curve(
     sups = evaluator.sup_errors(reference, orders)
     # max |reference| with no temporary; NaN if a node is NaN
     peak = float(max(reference.max(), -reference.min()))
+    lbs = [ZERO] * len(orders)
+    if isinstance(u0, Gaussian) and t < u0.width:
+        lbs = divergence_lower_bound_sweep(u0.amplitude, u0.width, dim, t, orders)
     points = []
-    for k, sup, f_k in zip(orders, sups, error_bound_F_sweep(table, t, orders)):
+    for k, sup, f_k, lb in zip(orders, sups, error_bound_F_sweep(table, t, orders), lbs):
         point = ErrorPoint(k=k, sup_error=sup, F_k=f_k.to_float())
         if isinstance(u0, Gaussian):
             cfg = ApproxConfig(dim=dim, k=k, t=t)
             point.G_k = envelope_bound_G(u0.amplitude, u0.width, cfg).to_float()
-            if t < u0.width:
-                lb = divergence_lower_bound(u0.amplitude, u0.width, cfg)
-                point.lb = lb.to_float() if lb.sign > 0 else None
+            point.lb = lb.to_float() if lb.sign > 0 else None
         points.append(point)
     by_order = {p.k: p for p in points}
     for p in points:

@@ -34,8 +34,9 @@ from heatseries import (
     gaussian_origin_blocks,
     moments,
 )
+from heatseries.bounds import divergence_lower_bound_sweep
 from heatseries.quadrature import integrate_halfline_rows, on_array
-from heatseries.signedlog import aligned_sum_arrays
+from heatseries.signedlog import LOG_ROUNDING, aligned_sum_arrays
 from heatseries.specfun import log_factorial
 
 
@@ -264,6 +265,43 @@ def test_divergence_lower_bound_domain():
     # close to the width in dim 1 the first blocks shrink (n0 = 10 at q = 1.05)
     near = ApproxConfig(dim=1, k=18, t=1.0 / 1.05)
     assert divergence_lower_bound(1.0, 1.0, near) == ZERO
+
+
+def _paired_at_own_N(amplitude, width, dim, t, k):
+    """The bound of order k from blocks built to its own N = floor(k/2),
+    paired as :func:`divergence_lower_bound` documents."""
+    N = k // 2
+    blocks = gaussian_origin_blocks(amplitude, width, dim, t, N)
+    q = width / t
+    n0 = next((n for n in range(N + 1) if q * (n + 0.5 * dim) >= n + 1), N + 1)
+    logs = [a.logmag for a in [blocks[N], *blocks[:n0], *blocks[N - 1 : N]]]
+    logs += [v + LOG_ROUNDING for v in logs]
+    bound = aligned_sum_arrays(np.array([1] + [-1] * (len(logs) - 1), np.int8), np.array(logs))
+    return bound if bound.sign > 0 else ZERO
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.9])
+def test_divergence_sweep_has_the_bits_of_each_order(dim, ratio):
+    # one pass of the origin blocks at the largest N: a_n does not depend on
+    # N, so every order's bound keeps the bits of blocks built to its own N;
+    # t0 = 1.7 and C = 0.6 keep the blocks off round numbers, and d1 at
+    # t/t0 = 0.9 has n0 = 4, so its first orders pair all their blocks
+    t0, t, ks = 1.7, 1.7 * ratio, list(range(0, 201))
+    swept = divergence_lower_bound_sweep(0.6, t0, dim, t, ks)
+    each = [_paired_at_own_N(0.6, t0, dim, t, k) for k in ks]
+    assert [(b.sign, b.logmag) for b in swept] == [(b.sign, b.logmag) for b in each]
+    assert divergence_lower_bound_sweep(0.6, t0, dim, t, ks[1::2]) == swept[1::2]
+    for k in (0, 7, 200):
+        assert divergence_lower_bound(0.6, t0, ApproxConfig(dim=dim, k=k, t=t)) == swept[k]
+
+
+def test_divergence_sweep_guards():
+    for ks in ([], [4, 2], [2.0], None):
+        with pytest.raises(DomainError):
+            divergence_lower_bound_sweep(1.0, 1.0, 2, 0.5, ks)
+    with pytest.raises(DomainError):
+        divergence_lower_bound_sweep(1.0, 1.0, 2, 1.5, [2, 4])
 
 
 @settings(max_examples=80, deadline=None)

@@ -180,10 +180,10 @@ def test_divergence_asserts_bound_in_dims_1_and_3(tmp_path, monkeypatch, capsys)
         assert all(lb <= av * (1.0 + 1e-9) for av, lb in bounds)
     assert capsys.readouterr().out == ""
 
-    real = cli.divergence_lower_bound
+    real = cli.divergence_lower_bound_sweep
     monkeypatch.setattr(
-        cli, "divergence_lower_bound",
-        lambda *args: real(*args) * heatseries.SignedLog.from_float(2.0),
+        cli, "divergence_lower_bound_sweep",
+        lambda *args: [lb * heatseries.SignedLog.from_float(2.0) for lb in real(*args)],
     )
     for dim in (1, 3):
         assert divergence(dim)[0] == 1
@@ -202,10 +202,12 @@ def test_divergence_compares_with_the_bound_directly(tmp_path, monkeypatch, dim,
     assert len(ratios) >= len(rows) - 1 and min(ratios) >= 1.0
     if (dim, t) == (1, 0.1):
         assert ratios[0] < 1.0 + 1e-12
-        real = cli.divergence_lower_bound
+        real = cli.divergence_lower_bound_sweep
         monkeypatch.setattr(
-            cli, "divergence_lower_bound",
-            lambda *args: real(*args) * heatseries.SignedLog.from_float(1.0 + 1e-12),
+            cli, "divergence_lower_bound_sweep",
+            lambda *args: [
+                lb * heatseries.SignedLog.from_float(1.0 + 1e-12) for lb in real(*args)
+            ],
         )
         assert run(*argv) == 1
 
@@ -285,6 +287,20 @@ def test_decomp_check_at_extreme_amplitudes(amplitude, tmp_path):
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 63
     assert all(row["ok"] == "true" and math.isfinite(float(row["bound"])) for row in rows)
+
+
+# the Taylor sum of decomposition._residuals overflows from 1e305 (item 19)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("amplitude", ["1e303", "1e304", "1e305", "1e306", "1e307", "1e308"])
+def test_decomp_check_near_the_double_range_ends_in_an_exit_code(amplitude, tmp_path, capsys):
+    # at 1e308 the l1_bound row's ||x^a f||_1 / a! passes the double range
+    # and reads inf, a row that fails, where math.exp raised OverflowError;
+    # from 1e305 the residual rows still fail and from 1e306 the quadrature
+    # reports a usage error (ROADMAP item 19), but no amplitude raises
+    code = run("decomp-check", "--amplitude", amplitude, "--out", str(tmp_path / "dec.csv"))
+    assert code in (0, 1, 2)
+    assert code == 0 or float(amplitude) >= 1e305
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- moments --------------------------------------------------------------
@@ -642,9 +658,11 @@ NONFINITE_SIDES = {
         "error_curve", _curve_point(0, "F_k", math.inf), "k=0",
     ),
     "divergence-lhs-nan": (
-        ("divergence", "--t", "0.5", "--kmax", "6"), "divergence_lower_bound",
-        lambda args, lb: SimpleNamespace(sign=1, to_float=lambda: math.nan)
-        if args[2].k == 4 else lb,
+        ("divergence", "--t", "0.5", "--kmax", "6"), "divergence_lower_bound_sweep",
+        lambda args, lbs: [
+            SimpleNamespace(sign=1, to_float=lambda: math.nan) if k == 4 else lb
+            for k, lb in zip(args[4], lbs)
+        ],
         "k=4",
     ),
     "divergence-rhs-inf": (

@@ -311,13 +311,13 @@ def _cuts_one_degree_down(signs, logmag, cuts):
 
 
 def _top_origin_block_scaled(monkeypatch):
-    blocks = bounds.gaussian_origin_blocks
+    # each order's bound reads its top block a_N 1% high
+    paired = bounds._paired_from_top
 
-    def mutant(*args):
-        out = blocks(*args)
-        return out[:-1] + [out[-1] * SignedLog.from_float(1.01)]
+    def mutant(blocks, N, n0):
+        return paired(blocks[:N] + [blocks[N] * SignedLog.from_float(1.01)], N, n0)
 
-    monkeypatch.setattr(bounds, "gaussian_origin_blocks", mutant)
+    monkeypatch.setattr(bounds, "_paired_from_top", mutant)
 
 
 def _divergence(dim, tmp_path):

@@ -588,40 +588,69 @@ def test_pruned_sweep_equals_every_band_sweep(limit_case):
 def test_band_limits_bound_every_band_at_every_order(limit_case):
     name, evaluator, reference, orders, every = limit_case
     limits = evaluator._limits(reference, evaluator._bands(), orders)
-    assert limits.shape == every.shape
-    assert not (every > limits).any()
+    assert limits.first.shape == every.shape
+    assert not (every > limits.first).any()
     # a NaN error has a NaN limit, which never lets its band be skipped
-    assert np.isnan(limits[np.isnan(every)]).all()
+    assert np.isnan(limits.first[np.isnan(every)]).all()
+    # the limit resumed from each measured order bounds every later one; a
+    # NaN or inf error resumes as NaN or inf, which drops no order
+    for b, row in enumerate(every):
+        for o in range(len(orders) - 1):
+            resumed = limits.resumed(b, o, row[o])
+            assert not (row[o + 1 :] > resumed).any(), (b, orders[o])
+            if not math.isfinite(row[o]):
+                np.testing.assert_array_equal(resumed, row[o])
     if name.startswith("d1-k120-4001"):
         assert len(evaluator._bands()) == 1  # the orthant's 2001 nodes
     else:
         assert len(evaluator._bands()) > 1
 
 
-def _counted_products(monkeypatch):
-    calls = []
-    accumulate = backend.accumulate_series_2d
-    monkeypatch.setattr(
-        backend, "accumulate_series_2d", lambda *args: (calls.append(1), accumulate(*args))
+def test_resumed_limit_keeps_increments_below_the_mass_rounding():
+    # the origin band at t = 2 t0 has mass 1 and increments past k = 110 of
+    # 1.3e-17, below its rounding: a difference of prefix sums reads 0 there
+    evaluator, reference, orders = _swept(
+        Gaussian(1.0, 1.0, 2), 2.0, 120, default_grid(2, 2.0, 1.0, points=801)
     )
+    limits = evaluator._limits(reference, evaluator._bands(), orders)
+    masses = limits.masses[0]
+    prefix = np.cumsum(masses)
+    o = orders.index(110)
+    later = orders[o + 1 :]
+    exact = np.array([math.fsum(masses[111 : j + 1]) for j in later])
+    assert prefix[110] > 0.5 and 0.0 < exact[-1] < 1e-16
+    assert prefix[later[-1]] - prefix[110] < exact[-1]
+    assert (limits.resumed(0, o, 0.0) >= 2.0 * exact).all()
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(backend, name)
+    monkeypatch.setattr(backend, name, lambda *args: (calls.append(1), real(*args))[1])
     return calls
 
 
-@pytest.mark.parametrize("t,k_max,share", [(0.5, 60, 0.25), (2.0, 120, 0.9)])
-def test_band_limits_skip_products(monkeypatch, t, k_max, share):
+@pytest.mark.parametrize(
+    "t,k_max,share,measured_share",
+    [(0.5, 60, 0.25, 0.25), (2.0, 120, 0.65, 0.3), (2.5, 120, 0.5, 0.3)],
+)
+def test_band_limits_skip_products(monkeypatch, t, k_max, share, measured_share):
     # below t0 the origin band's error outgrows every other band's limit;
-    # above it the late orders sit at the rounding level and only the
-    # outermost bands fall below it
-    calls = _counted_products(monkeypatch)
+    # above it the late orders sit at the rounding level, and a band's limit
+    # resumed from its last measurement stops it once it cannot reach them
+    products = _counted(monkeypatch, "accumulate_series_2d")
+    measured = _counted(monkeypatch, "max_abs_diff")
     u0, grid = Gaussian(1.0, 1.0, 2), default_grid(2, t, 1.0, points=801)
     table = build_moment_table(u0, k_max + 1)
     error_curve(u0, table, 2, t, k_max, grid)
-    pruned = len(calls)
+    pruned, pruned_measured = len(products), len(measured)
     evaluator, reference, orders = _swept(u0, t, k_max, grid, table=table)
-    calls.clear()
+    products.clear()
+    measured.clear()
     _every_band_sups(evaluator, reference, orders)
-    assert len(calls) == len(evaluator._bands()) * (k_max // 2 + 1)
-    assert pruned <= share * len(calls)
+    assert len(products) == len(measured) == len(evaluator._bands()) * (k_max // 2 + 1)
+    assert pruned <= share * len(products)
+    assert pruned_measured <= measured_share * len(measured)
 
 
 def test_one_band_sweeps_compute_no_limit(monkeypatch):
