@@ -302,7 +302,8 @@ def cmd_decomp_check(args) -> None:
         for alpha in range(1, 6):
             measured = remainder_l1_norm(f, alpha)
             # inf past the double range, where the row fails as not finite
-            bound = SignedLog.from_log(abs_moment(f, (alpha,)).logmag - log_factorial(alpha)).to_float()
+            logmag = abs_moment(f, (alpha,)).logmag - log_factorial(alpha)
+            bound = SignedLog.from_log(logmag).to_float()
             margin = (
                 error_allowance(measured) + IERFC_RTOL * measured
                 + exp_rounding(

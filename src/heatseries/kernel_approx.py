@@ -524,21 +524,20 @@ class SeriesGridEvaluator:
             m = np.maximum(t2.max(axis=1), -t2.min(axis=1))
             magnitude = magnitude * m[n2]
             largest = max(largest, m.max())
-        peaks, tables = [], []  # R_b and A_b of each band
-        for i0, i1 in bands:
+        magnitude, n1, degrees = magnitude[:live], n1[:live], (n1 + n2)[:live]
+        peaks = np.empty(len(bands))  # R_b
+        masses = np.empty((len(bands), K + 1))
+        for b, (i0, i1) in enumerate(bands):
             r, band = reference[i0:i1], t1[:, i0:i1]
-            peaks.append(max(r.max(), -r.min()))
-            tables.append(np.maximum(band.max(axis=1), -band.min(axis=1)))
-        # |c_alpha| A_b[alpha_1] M[alpha_2] of each band and live term, summed
-        # in table order into its degree's mass; a degree with no term holds 0
-        terms = magnitude[:live] * np.array(tables)[:, n1[:live]]
-        cells = np.arange(len(bands))[:, None] * (K + 1) + (n1 + n2)[:live]
-        masses = np.bincount(cells.ravel(), terms.ravel(), len(bands) * (K + 1))
-        masses = masses.reshape(len(bands), K + 1)
+            peaks[b] = max(r.max(), -r.min())
+            # |c_alpha| A_b[alpha_1] M[alpha_2] of each live term, summed in
+            # table order into its degree's mass; a degree with no term holds 0
+            terms = magnitude * np.maximum(band.max(axis=1), -band.min(axis=1))[n1]
+            masses[b] = np.bincount(degrees, terms, K + 1)
         n = (live + K + self.dim + 4) * U
         factor = (1.0 / (1.0 - n)) ** 2
         tiny = 2.0**-1072 * live * (1.0 + largest)
-        first = factor * (np.array(peaks)[:, None] + tiny + np.cumsum(masses, axis=1)[:, orders])
+        first = factor * (peaks[:, None] + tiny + np.cumsum(masses, axis=1)[:, orders])
         return _BandLimits(first, masses, np.array(orders), factor, tiny)
 
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:

@@ -630,14 +630,12 @@ def _counted(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize(
-    "t,k_max,share,measured_share",
-    [(0.5, 60, 0.25, 0.25), (2.0, 120, 0.65, 0.3), (2.5, 120, 0.5, 0.3)],
-)
-def test_band_limits_skip_products(monkeypatch, t, k_max, share, measured_share):
+@pytest.mark.parametrize("t,k_max,share", [(0.5, 60, 0.25), (2.0, 120, 0.65), (2.5, 120, 0.5)])
+def test_band_limits_skip_products(monkeypatch, t, k_max, share):
     # below t0 the origin band's error outgrows every other band's limit;
     # above it the late orders sit at the rounding level, and a band's limit
-    # resumed from its last measurement stops it once it cannot reach them
+    # resumed from its last measurement stops it once it cannot reach them;
+    # every case measures under 0.3 of the band-order pairs
     products = _counted(monkeypatch, "accumulate_series_2d")
     measured = _counted(monkeypatch, "max_abs_diff")
     u0, grid = Gaussian(1.0, 1.0, 2), default_grid(2, t, 1.0, points=801)
@@ -650,7 +648,7 @@ def test_band_limits_skip_products(monkeypatch, t, k_max, share, measured_share)
     _every_band_sups(evaluator, reference, orders)
     assert len(products) == len(measured) == len(evaluator._bands()) * (k_max // 2 + 1)
     assert pruned <= share * len(products)
-    assert pruned_measured <= measured_share * len(measured)
+    assert pruned_measured <= 0.3 * len(measured)
 
 
 def test_one_band_sweeps_compute_no_limit(monkeypatch):
