@@ -262,56 +262,66 @@ def _sign_changing(x):
 _sign_changing.array_native = True
 
 
-def _residual_threshold(f, k: int, phi) -> float:
-    """What the quadratures decomposition_residual combines may leave, each
-    by error_allowance of its integral of |integrand|: <f, phi>; each
-    m_j phi^{(j)}(0) / j!, from ||x^j f||_1 in closed form; and the pairing,
-    whose integral of |F_{k+1} phi^{(k+1)}| is bounded by Cauchy-Schwarz,
-    with the closed-form F_{k+1} adding IERFC_RTOL of it.  F_{k+1} is
-    squared over the amplitude C, so that its square stays finite for
-    every C.  The rounding floor covers the k + 3 terms and their sum:
-    4 ulps per term and 1 ulp per add, of the sum of their magnitudes."""
-    c = f.amplitude
-    lhs, remainder_sq, deriv_sq = integrate_line_rows(
-        row_groups([
-            (0, lambda rows, x: np.abs(f(x) * phi(0, x))),
-            (1, lambda rows, x: (remainder(f, k + 1, x) / c) ** 2),
-            (2, lambda rows, x: phi(k + 1, x) ** 2),
-        ]),
-        [(0.0,)] * 3,
+def _residual_thresholds(f, ks, phi) -> list[float]:
+    """For each k of ``ks``, what the quadratures decomposition_residual
+    combines may leave, each by error_allowance of its integral of
+    |integrand|: <f, phi>; each m_j phi^{(j)}(0) / j!, from ||x^j f||_1 in
+    closed form; and the pairing, whose integral of |F_{k+1} phi^{(k+1)}|
+    is bounded by Cauchy-Schwarz, with the closed-form F_{k+1} adding
+    IERFC_RTOL of it.  The integrals are one batch: |f phi|, then
+    (F_{k+1})^2 and (phi^{(k+1)})^2 for each k.  The rounding floor covers
+    the k + 3 terms and their sum: 4 ulps per term and 1 ulp per add, of
+    the sum of their magnitudes."""
+    ks = list(ks)
+    n = len(ks)
+    lhs, *squares = integrate_line_rows(
+        row_groups(
+            [(0, lambda rows, x: np.abs(f(x) * phi(0, x)))]
+            + [(1 + i, lambda rows, x, k=k: remainder(f, k + 1, x) ** 2) for i, k in enumerate(ks)]
+            + [(1 + n + i, lambda rows, x, k=k: phi(k + 1, x) ** 2) for i, k in enumerate(ks)]
+        ),
+        [(0.0,)] * (1 + 2 * n),
     )
-    pairing = c * math.sqrt(remainder_sq * deriv_sq)
-    allowed = error_allowance(lhs) + error_allowance(pairing) + IERFC_RTOL * pairing
-    scale = lhs + pairing
-    for j in range(k + 1):
-        weight = abs(phi(j, 0.0)) / math.factorial(j)
-        norm = abs_moment(f, (j,)).to_float()
-        allowed += weight * error_allowance(norm)
-        scale += weight * norm
-    return float(allowed + (k + 6) * EPS * scale)
+    thresholds = []
+    for k, remainder_sq, deriv_sq in zip(ks, squares, squares[n:]):
+        pairing = math.sqrt(remainder_sq * deriv_sq)
+        allowed = error_allowance(lhs) + error_allowance(pairing) + IERFC_RTOL * pairing
+        scale = lhs + pairing
+        for j in range(k + 1):
+            weight = abs(phi(j, 0.0)) / math.factorial(j)
+            norm = abs_moment(f, (j,)).to_float()
+            allowed += weight * error_allowance(norm)
+            scale += weight * norm
+        thresholds.append(float(allowed + (k + 6) * EPS * scale))
+    return thresholds
 
 
 def cmd_decomp_check(args) -> None:
-    widths = (0.5, 1.0, 2.0)
+    # every Gaussian row is evaluated at unit amplitude and its sides are
+    # scaled by C, so that no integrand or sum leaves the double range
+    c = args.amplitude
+    units = [Gaussian(amplitude=1.0, width=width, dim=1) for width in (0.5, 1.0, 2.0)]
     rows = []
     # f >= 0: ||F_a||_1 = ||x^a f||_1 / a! exactly (Fubini), so the row
     # checks equality up to the outer quadrature, the closed-form F_a and
     # the bound's rounding
-    for width in widths:
-        f = Gaussian(amplitude=args.amplitude, width=width, dim=1)
+    for f in units:
         for alpha in range(1, 6):
             measured = remainder_l1_norm(f, alpha)
-            # inf past the double range, where the row fails as not finite
             logmag = abs_moment(f, (alpha,)).logmag - log_factorial(alpha)
             bound = SignedLog.from_log(logmag).to_float()
             margin = (
                 error_allowance(measured) + IERFC_RTOL * measured
                 + exp_rounding(
-                    math.log(args.amplitude), 0.5 * (alpha + 1) * math.log(4.0 * width),
+                    0.5 * (alpha + 1) * math.log(4.0 * f.width),
                     math.lgamma(0.5 * (alpha + 1)), math.lgamma(alpha + 1.0),
                 ) * bound
             )
-            case = "width=%s,alpha=%d" % (f17(width), alpha)
+            # inf past the double range, where the row fails as not finite;
+            # each product rounds by at most half an ulp of itself
+            measured, bound = c * measured, c * bound
+            margin = c * margin + math.ulp(max(measured, bound))
+            case = "width=%s,alpha=%d" % (f17(f.width), alpha)
             rows.append(("l1_bound", case, measured, bound, abs(measured - bound), margin))
     # a sign-changing f: the inequality is strict; the margin covers the
     # outer quadrature, the inner ones (their relative parts integrate, by
@@ -323,25 +333,27 @@ def cmd_decomp_check(args) -> None:
         margin = error_allowance(measured) + 2.0 * error_allowance(bound)
         case = "f=(1-x^2)exp(-x^2),alpha=%d" % alpha
         rows.append(("l1_bound", case, measured, bound, measured, bound - margin))
+    # the one-sided rows compare fl(C r) with fl(C th): rounding is
+    # monotone, so r <= th gives fl(C r) <= fl(C th)
     tests = (
         ("gaussian", gaussian_test_function(1.0)),
         ("poly_gaussian", poly_gaussian_test_function((1.0, 0.0, 1.0), 1.0)),
     )
-    for width in widths:
-        f = Gaussian(amplitude=args.amplitude, width=width, dim=1)
+    for f in units:
         for label, phi in tests:
-            for k, residual in enumerate(_residuals(f, range(5), phi)):
-                threshold = _residual_threshold(f, k, phi)
-                case = "width=%s,phi=%s,k=%d" % (f17(width), label, k)
+            for k, residual, threshold in zip(
+                range(5), _residuals(f, range(5), phi), _residual_thresholds(f, range(5), phi)
+            ):
+                residual, threshold = c * residual, c * threshold
+                case = "width=%s,phi=%s,k=%d" % (f17(f.width), label, k)
                 rows.append(("residual", case, residual, threshold, residual, threshold))
     # the closed form against the Cauchy-form quadrature of the same
     # Gaussian (wrapped, so it takes the quadrature route): the two share
     # no code, and the bound is the quadrature's allowance at max|F_a|
     # plus the closed form's relative accuracy
     offsets = np.array([1e-3, 0.5, 1.4, 1.5, 1.6, 2.0, 3.0, 5.0, 8.0, 12.0])
-    for width in widths:
-        f = Gaussian(amplitude=args.amplitude, width=width, dim=1)
-        xs = math.sqrt(width) * np.concatenate([-offsets, offsets])
+    for f in units:
+        xs = math.sqrt(f.width) * np.concatenate([-offsets, offsets])
         for alpha in range(1, 6):
             closed = remainder(f, alpha, xs)
             quadrature = remainder(Generic1D(f), alpha, xs)
@@ -349,7 +361,8 @@ def cmd_decomp_check(args) -> None:
             peak = float(np.max(np.abs(closed)))
             scale = math.factorial(alpha - 1)
             bound = error_allowance(scale * peak) / scale + IERFC_RTOL * peak
-            case = "width=%s,alpha=%d" % (f17(width), alpha)
+            gap, bound = c * gap, c * bound
+            case = "width=%s,alpha=%d" % (f17(f.width), alpha)
             rows.append(("remainder_routes", case, gap, bound, gap, bound))
     # each row is (check, case, value, bound, lhs, rhs); ok is its verdict
     columns = ("check", "case", "value", "bound", "ok")

@@ -13,10 +13,10 @@ the grid in bands of axis-0 rows small enough to stay in a core's L2 cache
 and accumulates each degree block on a band as one matrix product of
 Hermite tables with per-term double coefficients; a sweep of sup errors
 measures a band's orders before moving to the next band, and skips each
-band and order whose certified bound lies below the sup already measured:
-a bound from the band's data before any product, and, once the band is
-measured, a bound resumed from its last measured error, with which a band
-stops accumulating once no later order can need it.
+band and order whose certified bound lies below the sup already measured.
+The one bound resumes from the band's last measured error (before any
+product, R_b = max |reference| over the band), so a band stops
+accumulating once no later order can need it.
 """
 
 from __future__ import annotations
@@ -290,39 +290,42 @@ def eval_uk_radial_origin(table: MomentTable, cfg: ApproxConfig, r: float) -> fl
 @dataclass(frozen=True)
 class _BandLimits:
     """The band limits of one sweep (:meth:`SeriesGridEvaluator._limits`):
-    ``first[b, o]`` bounds band b's computed error at ``orders[o]`` before
-    any product, ``masses[b, j]`` is the part of its sum of degree j, and
+    ``masses[b, j]`` is the part of band b's term sum of degree j, and
     ``factor`` and ``tiny`` are its (1 + gamma_N)^2 and underflow term."""
 
-    first: np.ndarray
     masses: np.ndarray
     orders: np.ndarray
     factor: float
     tiny: float
 
     def resumed(self, b: int, o: int, error: float) -> np.ndarray:
-        """Upper bounds on band b's computed error at each of
-        orders[o + 1:], given its computed error ``error`` at k = orders[o]:
+        """Upper bounds on band b's computed |reference - u_k| at each of
+        orders[o + 1:], given its computed error ``error`` at k = orders[o],
+        or at k = -1 for o = -1, before any product: the field is then 0,
+        and its error is R_b = max |reference| over the band exactly, as
+        |r - 0| rounds nothing.  The bound is
 
             2 (1 + gamma_N)^2 sum_{k < j <= k'} B[b, j] + (1 + gamma_N)^2 (e + 2 tiny).
 
-        Why it holds: each later degree block is added as fl(a + P) with a
+        Why it holds: each degree block is added as fl(a + P) with a
         representable, and the float nearest a + P is no farther from it
         than a is, so |fl(a + P) - a| <= 2 |P|, with no u |a| term.  A
         node's difference at k' then moves from its difference at k by at
-        most 2 sum |P| over the blocks in (k, k'], each computed |P| being
-        at most (1 + gamma_{live + d}) times its part of B plus its
-        underflow (the products round as in
-        :meth:`SeriesGridEvaluator._limits`).  The subtraction gives
-        |r - a| <= e / (1 - u) at k and rounds once more at k', so the exact
-        bound is
+        most 2 sum |P| over the blocks in (k, k'].  A block's computed P
+        rounds each term at most live + d - 1 times: d - 1 for scaling the
+        axis-0 row by c_alpha and at most live in its inner product (a zero
+        coefficient rounds nothing), so |P| is at most (1 + gamma_{live + d - 1})
+        times its part of B, plus the error of the products that underflow,
+        at most 2^-1075 each, which a later product can scale by a table
+        entry: tiny covers those.  The subtraction gives |r - a| <= e / (1 - u)
+        at k and rounds once more at k', so the exact bound is
 
-            (1 + u)/(1 - u) e + 2 (1 + u)((1 + gamma_{live + d}) S + tiny),
+            (1 + u)/(1 - u) e + 2 (1 + u)((1 + gamma_{live + d - 1}) S + tiny),
 
         S = sum_{k < |alpha| <= k'} |c_alpha| A_b[alpha_1] M[alpha_2], and
         1 + gamma_N covers both of its factors.  The computed bound rounds
-        each term of S at most live + K + d + 2 times: d products and at
-        most live - 1 additions in B, K - 1 in one cumulative sum over
+        each term of S at most live + K + d + 3 times: d products and at
+        most live - 1 additions in B, at most K in one cumulative sum over
         (k, K], the product by 2 (1 + gamma_N)^2 (2 times a double: exact),
         the last addition and the factor's own two; e and tiny round five
         times.  N = live + K + d + 4 exceeds both, so the computed bound is
@@ -330,10 +333,10 @@ class _BandLimits:
         k + 1, never taken as a difference of two prefix sums, which cancels
         once the band's mass is O(1) and its increments are below its
         rounding.  tiny also covers the bound's own products that
-        underflow.  A NaN or inf error gives a NaN or inf bound, which drops
-        no order.
+        underflow.  A NaN or inf error or table entry gives a NaN or inf
+        bound, which drops no order.
         """
-        k = self.orders[o]
+        k = self.orders[o] if o >= 0 else -1
         steps = np.cumsum(self.masses[b, k + 1 : self.orders[-1] + 1])
         offset = self.factor * (error + 2.0 * self.tiny)
         return steps[self.orders[o + 1 :] - (k + 1)] * (2.0 * self.factor) + offset
@@ -483,36 +486,21 @@ class SeriesGridEvaluator:
             for k in orders
         ]
 
-    def _limits(self, reference: np.ndarray, bands, orders: list[int]) -> _BandLimits:
-        """The limits of a sweep over ``bands`` at ``orders``: ``first[b, o]``,
-        an upper bound on the computed |reference - u_k| at every node of
-        band b, for k = orders[o], before any product is run,
+    def _limits(self, bands, orders: list[int]) -> _BandLimits:
+        """The limits of a sweep over ``bands`` at ``orders``, from which
+        :meth:`_BandLimits.resumed` bounds a band's computed error: the
+        masses
 
-            L = (1 + gamma_N)^2 (R_b + tiny + sum_{|alpha| <= k} |c_alpha| A_b[alpha_1] M[alpha_2]),
+            B[b, j] = sum_{|alpha| = j} |c_alpha| A_b[alpha_1] M[alpha_2],
 
-        and the masses B[b, j], the terms of that sum of degree j, from which
-        :meth:`_BandLimits.resumed` bounds a band's later orders once one
-        is measured.  R_b = max |reference| over the band, A_b[n] =
-        max |T1[n, .]| over the band, M[n] = max |T2[n, .]| over the whole
-        axis (M = 1 in dim 1), c_alpha the doubles the products use, u =
-        2^-53 and gamma_N = N u / (1 - N u) with N = live + K + d + 4, live
-        the number of terms of degree <= K = orders[-1] (Higham, Accuracy
-        and Stability of Numerical Algorithms, 2nd ed., section 3.1).  A
-        node's computed |reference - u_k| rounds each term at most
-        live + k + d times: d - 1 for scaling the axis-0 row by c_alpha, at
-        most live in its block's inner product (a zero coefficient rounds
-        nothing), k adding the degree blocks and one in the subtraction.
-        The limit's own sum rounds each term at most live + K + d - 1
-        times: d products, at most live - 1 additions within its degree's
-        mass and K in the cumulative sum over degrees; adding R_b + tiny,
-        the last product and (1 + gamma_N)^2 round four more times.  N
-        exceeds the first count by K - k + 4 and the second by 5, which
-        covers those four, so the computed L is no smaller than the exact
-        bound.  tiny = 2^-1072 live (1 + the largest |T|) covers the
-        products that underflow, whose absolute error of at most 2^-1075 a
-        later product can scale by a table entry.  A NaN or inf reference
-        node or table entry gives its band a NaN or inf limit, which skips
-        nothing.
+        A_b[n] = max |T1[n, .]| over band b, M[n] = max |T2[n, .]| over the
+        whole axis (M = 1 in dim 1) and c_alpha the doubles the products
+        use; the factor (1 + gamma_N)^2, u = 2^-53 and gamma_N = N u / (1 - N u)
+        with N = live + K + d + 4, live the number of terms of degree
+        <= K = orders[-1] (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., section 3.1); and tiny = 2^-1072 live (1 + the
+        largest |T|).  A NaN or inf table entry gives its band NaN or inf
+        masses.
         """
         n1, n2, magnitude, ends = self._terms
         K = orders[-1]
@@ -525,11 +513,9 @@ class SeriesGridEvaluator:
             magnitude = magnitude * m[n2]
             largest = max(largest, m.max())
         magnitude, n1, degrees = magnitude[:live], n1[:live], (n1 + n2)[:live]
-        peaks = np.empty(len(bands))  # R_b
         masses = np.empty((len(bands), K + 1))
         for b, (i0, i1) in enumerate(bands):
-            r, band = reference[i0:i1], t1[:, i0:i1]
-            peaks[b] = max(r.max(), -r.min())
+            band = t1[:, i0:i1]
             # |c_alpha| A_b[alpha_1] M[alpha_2] of each live term, summed in
             # table order into its degree's mass; a degree with no term holds 0
             terms = magnitude * np.maximum(band.max(axis=1), -band.min(axis=1))[n1]
@@ -537,8 +523,7 @@ class SeriesGridEvaluator:
         n = (live + K + self.dim + 4) * U
         factor = (1.0 / (1.0 - n)) ** 2
         tiny = 2.0**-1072 * live * (1.0 + largest)
-        first = factor * (peaks[:, None] + tiny + np.cumsum(masses, axis=1)[:, orders])
-        return _BandLimits(first, masses, np.array(orders), factor, tiny)
+        return _BandLimits(masses, np.array(orders), factor, tiny)
 
     def sup_errors(self, reference, orders: Sequence[int]) -> list[float]:
         """max over the grid of |reference - u_k| for each k in ``orders``.
@@ -546,53 +531,47 @@ class SeriesGridEvaluator:
         ``orders`` must be non-empty, ascending and within [0, k_cap], as
         for :func:`eval_uk_sweep`.  Each band of :meth:`_bands` is
         accumulated degree by degree and measured after each order it needs,
-        so no field of the whole grid is held.  On a grid of several bands,
-        :meth:`_limits` first bounds every band's computed error at every
-        order; the bands are visited largest limit first, and a band is
-        measured at an order only where its limit is not below the largest
-        error measured there so far.  After the first band, each
-        measurement also resumes a limit for the band's later orders from
-        the error just measured (:meth:`_BandLimits.resumed`), which drops
-        every later order it puts below the sup so far; a band stops
-        accumulating at its last order still needed.  A skipped error
-        provably lies below a value already in the order's maximum, so the
-        results have the bits of measuring every band at every order.  The
-        per-band maxima are reduced with ``np.max``, so a NaN node gives NaN
-        at every order, as one whole-grid ``max_abs_diff`` would; a NaN
-        limit or error never lets a band be skipped.
+        so no field of the whole grid is held.  The bands are visited by
+        R_b = max |reference| over the band, largest first: R_b is a band's
+        error before any product.  The first band is measured at every
+        order; from the second on, :meth:`_BandLimits.resumed` bounds a
+        band's later orders from its last error, R_b at first, and each
+        order whose bound lies below the running sup is dropped, so a band
+        stops accumulating at its last order still needed and a band with
+        none is never multiplied.  A skipped error provably lies below a
+        value already in the order's maximum, so the running sup has the
+        bits of measuring every band at every order.  It is folded with
+        ``np.maximum``, so a NaN node gives NaN at every order, as one
+        whole-grid ``max_abs_diff`` would; a NaN bound or error never lets
+        a band be skipped.  A one-band sweep computes no limit.
         """
         orders = _sweep_orders(orders, self.k_cap)
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != self.shape:
             raise DomainError("reference shape does not match the grid")
         bands = self._bands()
-        limits = None  # one band: nothing to skip
-        first = np.zeros((1, len(orders)))
-        if len(bands) > 1:
-            limits = self._limits(reference, bands, orders)
-            first = limits.first
+        peaks = np.array([max(r.max(), -r.min()) for r in (reference[i0:i1] for i0, i1 in bands)])
         band_field = np.empty((max(i1 - i0 for i0, i1 in bands),) + self.shape[1:])
-        per_band = np.zeros((len(bands), len(orders)))
         running = np.full(len(orders), -np.inf)
-        for visit, b in enumerate(np.argsort(-first[:, -1], kind="stable").tolist()):
-            need = ~(first[b] < running)
-            if not need.any():
-                continue
+        for visit, b in enumerate(np.argsort(-peaks, kind="stable").tolist()):
+            if visit == 1:  # the first band has no sup to beat, and needs no limit
+                limits = self._limits(bands, orders)
             i0, i1 = bands[b]
             band = band_field[: i1 - i0]
-            band.fill(0.0)
-            built = -1
-            o = int(need.argmax())
+            need = np.ones(len(orders), bool)
+            o, built, error = -1, -1, peaks[b]  # the zero field
             while True:
-                for j in range(built + 1, orders[o] + 1):
-                    self._accumulate(band, i0, i1, j)
-                built = orders[o]
-                error = per_band[b, o] = backend.max_abs_diff(reference[i0:i1], band)
                 later = need[o + 1 :]  # a view: the drops below land in need
-                if visit and later.size:  # the first band has no sup to beat
+                if visit and later.size:
                     later[limits.resumed(b, o, error) < running[o + 1 :]] = False
                 if not later.any():
                     break
                 o += 1 + int(later.argmax())
-            running = np.maximum(running, per_band[b])
-        return np.max(per_band, axis=0).tolist()
+                if built < 0:
+                    band.fill(0.0)
+                for j in range(built + 1, orders[o] + 1):
+                    self._accumulate(band, i0, i1, j)
+                built = orders[o]
+                error = backend.max_abs_diff(reference[i0:i1], band)
+                running[o] = np.maximum(running[o], error)
+        return running.tolist()

@@ -143,12 +143,12 @@ class MultiIndex:
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` nonnegative
     integers, in ascending lexicographic order: the degree-``total`` rows of
-    a canonical index (:class:`_Canon`) built for this call alone, every
-    lower degree included."""
+    the canonical index that the moment tables of dim ``parts`` share."""
     check_integer("parts", parts, 1)
     check_integer("total", total, 0)
-    canon = _Canon(total, parts)
-    yield from map(tuple, canon.components[canon.ends[total] - canon.counts[total] :].tolist())
+    canon = _canon(total, parts)
+    shell = canon.components[canon.ends[total] - canon.counts[total] : canon.ends[total]]
+    yield from map(tuple, shell.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ def test_decomp_check(tmp_path):
 
 @pytest.mark.parametrize("amplitude", ["1e200", "1e300", "1e-300"])
 def test_decomp_check_at_extreme_amplitudes(amplitude, tmp_path):
-    # the residual threshold squares F_{k+1} / C, not F_{k+1}, whose square
-    # overflows once C passes about 1e154 (and underflows near 1e-300)
+    # every Gaussian row is evaluated at unit amplitude and scaled by C, so
+    # no square of F_{k+1} overflows (from C of about 1e154) or underflows
     out = tmp_path / "dec.csv"
     assert run("decomp-check", "--amplitude", amplitude, "--out", str(out)) == 0
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -289,17 +289,13 @@ def test_decomp_check_at_extreme_amplitudes(amplitude, tmp_path):
     assert all(row["ok"] == "true" and math.isfinite(float(row["bound"])) for row in rows)
 
 
-# the Taylor sum of decomposition._residuals overflows from 1e305 (item 19)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("amplitude", ["1e303", "1e304", "1e305", "1e306", "1e307", "1e308"])
 def test_decomp_check_near_the_double_range_ends_in_an_exit_code(amplitude, tmp_path, capsys):
-    # at 1e308 the l1_bound row's ||x^a f||_1 / a! passes the double range
-    # and reads inf, a row that fails, where math.exp raised OverflowError;
-    # from 1e305 the residual rows still fail and from 1e306 the quadrature
-    # reports a usage error (ROADMAP item 19), but no amplitude raises
+    # up to 1e307 every side stays finite; at 1e308 the l1_bound rows'
+    # C ||x^a f||_1 / a! (up to 8.5e308) pass the double range and read
+    # inf, rows that fail as not finite
     code = run("decomp-check", "--amplitude", amplitude, "--out", str(tmp_path / "dec.csv"))
-    assert code in (0, 1, 2)
-    assert code == 0 or float(amplitude) >= 1e305
+    assert code == (1 if amplitude == "1e308" else 0)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -685,8 +681,8 @@ NONFINITE_SIDES = {
         "width=0.5,alpha=2 width=1,alpha=2 width=2,alpha=2 f=(1-x^2)exp(-x^2),alpha=2",
     ),
     "decomp-check-rhs-inf": (
-        ("decomp-check",), "_residual_threshold",
-        lambda args, value: math.inf if args[1] == 3 else value,
+        ("decomp-check",), "_residual_thresholds",
+        lambda args, values: [math.inf if k == 3 else v for k, v in zip(args[1], values)],
         " ".join(
             f"width={w},phi={phi},k=3" for w in ("0.5", "1", "2")
             for phi in ("gaussian", "poly_gaussian")

@@ -587,12 +587,17 @@ def test_pruned_sweep_equals_every_band_sweep(limit_case):
 
 def test_band_limits_bound_every_band_at_every_order(limit_case):
     name, evaluator, reference, orders, every = limit_case
-    limits = evaluator._limits(reference, evaluator._bands(), orders)
-    assert limits.first.shape == every.shape
-    assert not (every > limits.first).any()
-    # a NaN error has a NaN limit, which never lets its band be skipped
-    assert np.isnan(limits.first[np.isnan(every)]).all()
-    # the limit resumed from each measured order bounds every later one; a
+    bands = evaluator._bands()
+    limits = evaluator._limits(bands, orders)
+    # from the zero field, whose error is R_b = max |reference| over the band
+    zero = np.array([
+        limits.resumed(b, -1, np.abs(reference[i0:i1]).max()) for b, (i0, i1) in enumerate(bands)
+    ])
+    assert zero.shape == every.shape
+    assert not (every > zero).any()
+    # a NaN error has a NaN bound, which never lets its band be skipped
+    assert np.isnan(zero[np.isnan(every)]).all()
+    # the bound resumed from each measured order bounds every later one; a
     # NaN or inf error resumes as NaN or inf, which drops no order
     for b, row in enumerate(every):
         for o in range(len(orders) - 1):
@@ -601,9 +606,9 @@ def test_band_limits_bound_every_band_at_every_order(limit_case):
             if not math.isfinite(row[o]):
                 np.testing.assert_array_equal(resumed, row[o])
     if name.startswith("d1-k120-4001"):
-        assert len(evaluator._bands()) == 1  # the orthant's 2001 nodes
+        assert len(bands) == 1  # the orthant's 2001 nodes
     else:
-        assert len(evaluator._bands()) > 1
+        assert len(bands) > 1
 
 
 def test_resumed_limit_keeps_increments_below_the_mass_rounding():
@@ -612,7 +617,7 @@ def test_resumed_limit_keeps_increments_below_the_mass_rounding():
     evaluator, reference, orders = _swept(
         Gaussian(1.0, 1.0, 2), 2.0, 120, default_grid(2, 2.0, 1.0, points=801)
     )
-    limits = evaluator._limits(reference, evaluator._bands(), orders)
+    limits = evaluator._limits(evaluator._bands(), orders)
     masses = limits.masses[0]
     prefix = np.cumsum(masses)
     o = orders.index(110)
@@ -661,6 +666,20 @@ def test_one_band_sweeps_compute_no_limit(monkeypatch):
     error_curve(u0, build_moment_table(u0, 5), 2, 2.0, 4, default_grid(2, 2.0, 1.0, points=41))
     error_curve(RADIAL, build_moment_table(RADIAL, 11), 2, 1.5, 10, GridSpec(dim=2, extent=6.0, points=41))
     error_curve(INDICATOR, build_moment_table(INDICATOR, 41), 1, 2.0, 40, GridSpec(dim=1, extent=12.0, points=801))
+
+
+def test_a_sweep_of_several_bands_computes_its_limits_once(monkeypatch):
+    calls = []
+    limits = SeriesGridEvaluator._limits
+    monkeypatch.setattr(
+        SeriesGridEvaluator, "_limits", lambda *args: (calls.append(1), limits(*args))[1]
+    )
+    evaluator, reference, orders = _swept(
+        Gaussian(1.0, 1.0, 2), 2.0, 20, default_grid(2, 2.0, 1.0, points=801)
+    )
+    assert len(evaluator._bands()) > 1
+    evaluator.sup_errors(reference, orders)
+    assert len(calls) == 1
 
 
 # --- the fold of even data onto the non-negative orthant ------------------
