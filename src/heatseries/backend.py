@@ -12,14 +12,21 @@ import numpy as np
 
 
 def weighted_hermite_table(y, nmax: int) -> np.ndarray:
-    """Table T[n, i] = H_n(y[i]) * exp(-y[i]**2), n = 0..nmax."""
+    """Table T[n, i] = H_n(y[i]) * exp(-y[i]**2), n = 0..nmax, by the
+    recurrence T[n + 1] = (2 y) T[n] - (2 n) T[n - 1] written into the
+    table's rows in place: 2 y is formed once, and each entry rounds as
+    ``2.0 * y * T[n] - (2.0 * n) * T[n - 1]`` does."""
     y = np.asarray(y, dtype=np.float64)
     out = np.empty((nmax + 1, y.shape[0]), dtype=np.float64)
-    out[0] = np.exp(-y * y)
+    np.exp(-y * y, out=out[0])
+    two_y = 2.0 * y
     if nmax >= 1:
-        out[1] = 2.0 * y * out[0]
+        np.multiply(two_y, out[0], out=out[1])
+    scratch = np.empty_like(two_y)
     for n in range(1, nmax):
-        out[n + 1] = 2.0 * y * out[n] - (2.0 * n) * out[n - 1]
+        np.multiply(out[n - 1], 2.0 * n, out=scratch)
+        np.multiply(two_y, out[n], out=out[n + 1])
+        np.subtract(out[n + 1], scratch, out=out[n + 1])
     return out
 
 

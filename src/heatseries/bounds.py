@@ -5,7 +5,8 @@ degree-(k+1) absolute moments of the datum and the sharp sup bound on
 Gaussian-weighted Hermite functions; error_bound_F_sweep gives it at many
 orders from one pass over a moment table.  envelope_bound_G specializes it to
 data dominated by a Gaussian envelope, where the moment sum collapses to a
-closed form.  For Gaussian data the series at the origin is a closed-form
+closed form; envelope_bound_G_sweep gives it at many orders from one pass.
+For Gaussian data the series at the origin is a closed-form
 binomial series (gaussian_origin_blocks), from which divergence_lower_bound
 certifies the growth of |u_k(0, t)| below the envelope width, t < t0, in
 every dimension; divergence_lower_bound_sweep gives it at many orders from
@@ -22,7 +23,7 @@ from .errors import DomainError, check_integer, check_real
 from .kernel_approx import ApproxConfig, _sweep_orders
 from .moments import MomentTable, component_sums, moment_factors
 from .signedlog import LOG_ROUNDING, ZERO, SignedLog, aligned_sum_arrays, aligned_sums
-from .specfun import log_factorial, log_gamma
+from .specfun import log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -74,7 +75,7 @@ def error_bound_F_sweep(table: MomentTable, t: float, orders) -> list[SignedLog]
         )
     shared, logs = moment_factors(table.source, [k + 1 for k in orders], absolute=True)
     weight = [
-        math.fsum((logs[c], -0.5 * log_factorial(c), -math.log(c + 1.0) / 12.0))
+        math.fsum((logs[c], -0.5 * math.lgamma(c + 1.0), -math.log(c + 1.0) / 12.0))
         for c in range(top + 1)
     ]
     ends, starts = table.ends.tolist(), (table.ends - table.counts).tolist()
@@ -97,20 +98,37 @@ def envelope_bound_G(amplitude: float, width: float, cfg: ApproxConfig) -> Signe
         G(k) = C (t0/t)^{(k+d+1)/2} (1 + (k+1)/d)^{-d/12}
                (k+d)! / ((k+1)! (d-1)!).
 
-    At d=1 and t = t0 this is C (k+2)^{-1/12}.
+    At d=1 and t = t0 this is C (k+2)^{-1/12}.  This is
+    :func:`envelope_bound_G_sweep` at the one order cfg.k.
     """
+    (bound,) = envelope_bound_G_sweep(amplitude, width, cfg.dim, cfg.t, [cfg.k])
+    return bound
+
+
+def envelope_bound_G_sweep(
+    amplitude: float, width: float, dim: int, t: float, orders
+) -> list[SignedLog]:
+    """:func:`envelope_bound_G` at each order k in ``orders``, which must be
+    non-empty and ascending, with one argument check and the parts that do
+    not depend on k taken once; each order has the bits of its own call."""
     check_real("Gaussian amplitude", amplitude)
     check_real("Gaussian width", width)
-    d, k, t = cfg.dim, cfg.k, cfg.t
-    logmag = (
-        math.log(amplitude)
-        + 0.5 * (k + d + 1) * math.log(width / t)
-        - d * math.log(1.0 + (k + 1.0) / d) / 12.0
-        + log_gamma(k + d + 1.0)
-        - log_gamma(k + 2.0)
-        - log_gamma(float(d))
-    )
-    return SignedLog(1, logmag)
+    check_integer("dim", dim, 1)
+    check_real("evaluation time t", t)
+    orders = _sweep_orders(orders, None)
+    log_amplitude, log_q, log_gamma_d = math.log(amplitude), math.log(width / t), log_gamma(float(dim))
+    return [
+        SignedLog(
+            1,
+            log_amplitude
+            + 0.5 * (k + dim + 1) * log_q
+            - dim * math.log(1.0 + (k + 1.0) / dim) / 12.0
+            + log_gamma(k + dim + 1.0)
+            - log_gamma(k + 2.0)
+            - log_gamma_d,
+        )
+        for k in orders
+    ]
 
 
 def gaussian_origin_blocks(

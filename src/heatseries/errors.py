@@ -32,8 +32,11 @@ class UnsupportedVariantError(HeatSeriesError, TypeError):
 def check_integer(name: str, value, lo=None, hi=None) -> None:
     """Raise DomainError unless ``value`` is an integer in [lo, hi], a None
     bound being open: a numpy integer passes, a bool or a float with an
-    integral value does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    integral value does not.  A plain int is accepted by its exact type,
+    before the slower ``numbers`` test that everything else takes."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if lo is not None and value < lo or hi is not None and value > hi:
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -44,8 +47,12 @@ def check_real(name: str, value, above: float = 0.0, *, zero: bool = False) -> N
     """Raise DomainError unless ``value`` is a finite real number that is
     not a bool (a numpy floating or integer scalar passes) and is > above;
     ``zero`` also admits ``above`` itself, and above=-inf any sign, as a
-    log time or a breakpoint has."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    log time or a breakpoint has.  A plain float or int is accepted by its
+    exact type, before the slower ``numbers`` test that everything else
+    takes."""
+    if type(value) is not float and type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")

@@ -33,7 +33,7 @@ from . import backend
 from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
 from .moments import Gaussian, MomentTable, MultiIndex
 from .signedlog import U, SignedLog, aligned_sum_arrays, aligned_sums
-from .specfun import bonan_clark_log, hermite_weighted, hermite_weighted_logs, laguerre_sequence
+from .specfun import bonan_clark_logs, hermite_weighted, hermite_weighted_logs, laguerre_sequence
 
 _LOG_PI = math.log(math.pi)
 
@@ -385,15 +385,15 @@ class SeriesGridEvaluator:
         k = self.k_cap = table.k_max if k_cap is None else min(k_cap, table.k_max)
         cfg = ApproxConfig(dim=self.dim, k=k, t=t)
         scale = 2.0 * math.sqrt(t)
-        self._tables = [
-            backend.weighted_hermite_table(ax / scale, k)
-            for ax in axes
-        ]
+        self._tables = [backend.weighted_hermite_table(axes[0] / scale, k)]
         if self.dim == 2:
+            # an axis with the nodes of axis 0, bit for bit, has its table
+            same = axes[1].tobytes() == axes[0].tobytes()
+            t2 = self._tables[0] if same else backend.weighted_hermite_table(axes[1] / scale, k)
             # axis-1 rows in reverse, row k - n holding H_n: the rows j - n1
             # of a degree block, n1 ascending, are then one ascending
             # strided view, which BLAS takes without a copy
-            self._tables[1] = np.ascontiguousarray(self._tables[1][::-1])
+            self._tables.append(np.ascontiguousarray(t2[::-1]))
         # m_alpha/alpha! (4t)^{-(j+d)/2} pi^{-d/2} of every live row, its logs
         # added in the order moment, scale, ln alpha!, then math.exp, which
         # fixes its bits; a coefficient that underflows to 0 is dropped
@@ -408,25 +408,33 @@ class SeriesGridEvaluator:
         values = table.signs[rows] * np.fromiter(map(math.exp, logmag.tolist()), float, len(rows))
         rows, values = rows[values != 0.0], values[values != 0.0]
         n1 = table.components[rows, 0].astype(np.int64)
-        # degree j, the terms in its table rows ends[j] - counts[j]:ends[j] ->
-        # (axis-0 rows n1 = lo, lo + step, .., hi as a slice, the matching
-        # axis-1 rows j - n1 at k - j + n1 of the reversed table,
-        # coefficients with zeros where the degree skips an n1 in between)
+        degrees = table.degrees[rows]
+        # degree j, the terms in its table rows ends[j] - counts[j]:ends[j],
+        # n1 ascending -> (axis-0 rows n1 = lo, lo + step, .., hi as a slice,
+        # the matching axis-1 rows j - n1 at k - j + n1 of the reversed
+        # table, coefficients with zeros where the degree skips an n1 in
+        # between); every degree's coefficients are one slice of ``flat``
         starts = np.searchsorted(rows, table.ends[: k + 1] - table.counts[: k + 1])
         stops = np.searchsorted(rows, table.ends[: k + 1])
-        self._blocks: dict[int, tuple] = {}
-        for j in np.flatnonzero(stops > starts).tolist():
-            block = n1[starts[j] : stops[j]]
-            lo, hi = int(block[0]), int(block[-1])
-            step = int(np.gcd.reduce(np.diff(block))) or 1
-            coeffs = np.zeros((hi - lo) // step + 1)
-            coeffs[(block - lo) // step] = values[starts[j] : stops[j]]
-            rows2 = slice(k - j + lo, k - j + hi + 1, step)
-            self._blocks[j] = (slice(lo, hi + 1, step), rows2, coeffs)
+        js = np.flatnonzero(stops > starts)
+        lo, hi = np.zeros(k + 1, np.int64), np.zeros(k + 1, np.int64)
+        lo[js], hi[js] = n1[starts[js]], n1[stops[js] - 1]
+        offsets = n1 - lo[degrees]
+        step = np.zeros(k + 1, np.int64)
+        np.gcd.at(step, degrees, offsets)  # the gcd of n1 - lo is that of the gaps
+        step[step == 0] = 1
+        bases = np.zeros(k + 2, np.int64)
+        np.cumsum(np.where(stops > starts, (hi - lo) // step + 1, 0), out=bases[1:])
+        flat = np.zeros(int(bases[-1]))
+        flat[bases[degrees] + offsets // step[degrees]] = values
+        self._blocks: dict[int, tuple] = {
+            j: (slice(a, b + 1, c), slice(k - j + a, k - j + b + 1, c), flat[bases[j] : bases[j + 1]])
+            for j, a, b, c in zip(js.tolist(), lo[js].tolist(), hi[js].tolist(), step[js].tolist())
+        }
         # each live term's axis-0 and axis-1 orders (the latter 0 in dim 1),
         # |c_alpha|, and the count of live terms of degree <= j: the band
         # limits of sup_errors and the rounding floors read these
-        self._terms = (n1, table.degrees[rows] - n1, np.abs(values), stops)
+        self._terms = (n1, degrees - n1, np.abs(values), stops)
         self.shape = tuple(len(ax) for ax in axes)
 
     def _bands(self) -> list[tuple[int, int]]:
@@ -479,7 +487,7 @@ class SeriesGridEvaluator:
         one cumulative sum per call: no field is evaluated."""
         orders = _sweep_orders(orders, self.k_cap)
         n1, n2, magnitude, ends = self._terms
-        bc = np.array([bonan_clark_log(n) for n in range(self.k_cap + 1)])
+        bc = np.array(bonan_clark_logs(self.k_cap))
         mass = np.cumsum(np.append(0.0, np.exp(np.log(magnitude) + bc[n1] + bc[n2])))
         return [
             (n := (k + self.dim + 2) * U) / (1.0 - n) * float(mass[ends[k]]) + 4.0 * U * peak

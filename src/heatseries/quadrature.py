@@ -26,7 +26,8 @@ is still at least half the size of the shell 3 doublings earlier and both
 lie at or after the row's largest shell so far.  An integrable row whose
 mass sits past the first shells (r^n e^{-r} peaks near r = n) is certified
 once its shells fall, and a row whose shells never peak exhausts
-MAX_DOUBLINGS and fails.
+MAX_DOUBLINGS and fails.  A row whose running total turns NaN fails at that
+step, with its own message; an infinite total is done and returned as inf.
 
 A failed row leaves its batch and the other rows are finished.  Then one
 IntegrabilityError is raised whose ``rows`` are the failed rows, ascending,
@@ -95,8 +96,10 @@ _FAILURES = (
     "quadrature did not converge within the panel budget",
     "shell contributions stopped decaying; integrand tail does not appear integrable",
     "tail still above the cutoff after exhausting interval doublings",
+    "running integral is NaN: the integrand gave NaN, as an overflow's inf * 0 "
+    "or inf - inf does",
 )
-_PANELS, _STALLED, _EXHAUSTED = 1, 2, 3
+_PANELS, _STALLED, _EXHAUSTED, _NAN = 1, 2, 3, 4
 
 
 #: Entries the scalar adapter converts to Python floats at a time.
@@ -297,7 +300,11 @@ def _unbounded_rows(g, breakpoints, line):
         total[active] += piece
         extent[active] *= 2.0
         size = np.abs(piece)
-        done = size <= TAIL_FRACTION * np.abs(total[active]) + _ABS_FLOOR
+        # a NaN total never falls below the cutoff: it fails at once, while
+        # an inf total is done and returned as inf
+        nan = np.isnan(total[active])
+        failure[active[nan]] = _NAN
+        done = nan | (size <= TAIL_FRACTION * np.abs(total[active]) + _ABS_FLOOR)
         sizes.append(np.zeros(nrows))
         sizes[-1][active] = size
         grew = size > peak_size[active]

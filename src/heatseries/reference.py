@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import divergence_lower_bound_sweep, envelope_bound_G, error_bound_F_sweep
+from .bounds import divergence_lower_bound_sweep, envelope_bound_G_sweep, error_bound_F_sweep
 from .errors import DomainError, UnsupportedVariantError, check_integer, check_real
-from .kernel_approx import ApproxConfig, SeriesGridEvaluator, _as_point
+from .kernel_approx import SeriesGridEvaluator, _as_point
 from .moments import Gaussian, Generic1D, MomentTable, Radial
 from .quadrature import integrate_halfline_rows, integrate_line_rows, on_array
 from .signedlog import ZERO
@@ -275,8 +275,10 @@ def error_curve(
     sweep covers only the grid's non-negative orthant, which holds every
     value of the grid (:func:`_sweep_axes`).  F of every order comes from
     one pass over the table (:func:`error_bound_F_sweep`); a Gaussian u0
-    adds G and, below its width, the divergence bound where it is positive,
-    every order's from one pass of the origin blocks
+    adds G, every order's from one pass
+    (:func:`~heatseries.bounds.envelope_bound_G_sweep`), and, below its
+    width, the divergence bound where it is positive, every order's from
+    one pass of the origin blocks
     (:func:`~heatseries.bounds.divergence_lower_bound_sweep`).
     Each order's rounding floor comes from
     :meth:`SeriesGridEvaluator.rounding_floors` at the largest |reference|.
@@ -301,15 +303,16 @@ def error_curve(
     sups = evaluator.sup_errors(reference, orders)
     # max |reference| with no temporary; NaN if a node is NaN
     peak = float(max(reference.max(), -reference.min()))
-    lbs = [ZERO] * len(orders)
-    if isinstance(u0, Gaussian) and t < u0.width:
-        lbs = divergence_lower_bound_sweep(u0.amplitude, u0.width, dim, t, orders)
+    gs = lbs = [ZERO] * len(orders)
+    if isinstance(u0, Gaussian):
+        gs = envelope_bound_G_sweep(u0.amplitude, u0.width, dim, t, orders)
+        if t < u0.width:
+            lbs = divergence_lower_bound_sweep(u0.amplitude, u0.width, dim, t, orders)
     points = []
-    for k, sup, f_k, lb in zip(orders, sups, error_bound_F_sweep(table, t, orders), lbs):
+    for k, sup, f_k, g_k, lb in zip(orders, sups, error_bound_F_sweep(table, t, orders), gs, lbs):
         point = ErrorPoint(k=k, sup_error=sup, F_k=f_k.to_float())
         if isinstance(u0, Gaussian):
-            cfg = ApproxConfig(dim=dim, k=k, t=t)
-            point.G_k = envelope_bound_G(u0.amplitude, u0.width, cfg).to_float()
+            point.G_k = g_k.to_float()
             point.lb = lb.to_float() if lb.sign > 0 else None
         points.append(point)
     by_order = {p.k: p for p in points}

@@ -2,7 +2,8 @@
 log-Gamma, the repeated integrals of erfc and the scaled modified Bessel
 function e^{-|x|} I_0(x); Gaussian-weighted Hermite values come back as
 signs and logs, or as SignedLog scalars (defined in signedlog), and their
-sup bound as a log (bonan_clark_log).
+sup bound as a log (bonan_clark_log, or bonan_clark_logs at every order
+up to n).
 
 The polynomials are evaluated through three-term recurrences, log-Gamma
 is the C library's ``lgamma`` (through ``math.lgamma``) and the Bessel
@@ -36,6 +37,7 @@ _IERFC_CUTOFF = 64.0
 _IERFC_PANELS = 8
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_LOG_2 = math.log(2.0)
 
 
 def log_gamma(z: float) -> float:
@@ -247,13 +249,21 @@ def _hermite_values(n: int, x) -> list:
 
 def bonan_clark_log(n: int) -> float:
     """log of the sharp sup bound on |H_n| e^{-x^2}:
-    2^{n/2} sqrt(n!) (n+1)^{-1/12}."""
+    2^{n/2} sqrt(n!) (n+1)^{-1/12}.  The last entry of
+    :func:`bonan_clark_logs`."""
     check_integer("order", n, 0)
-    return (
-        0.5 * n * math.log(2.0)
-        + 0.5 * log_gamma(n + 1.0)
-        - math.log(n + 1.0) / 12.0
-    )
+    return _bonan_clark(n, log_gamma(n + 1.0))
+
+
+def bonan_clark_logs(n: int) -> list[float]:
+    """:func:`bonan_clark_log` at every order 0..n from one pass, each
+    entry the double that call returns."""
+    check_integer("order", n, 0)
+    return [_bonan_clark(m, math.lgamma(m + 1.0)) for m in range(n + 1)]
+
+
+def _bonan_clark(n: int, ln_factorial: float) -> float:
+    return 0.5 * n * _LOG_2 + 0.5 * ln_factorial - math.log(n + 1.0) / 12.0
 
 
 def hermite_weighted(n: int, x: float) -> SignedLog:

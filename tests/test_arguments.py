@@ -5,6 +5,7 @@ plain ValueError.  The three parsers behind them are ``check_integer``,
 ``check_real`` and the point parser ``kernel_approx._as_point``."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from heatseries import (
     poly_gaussian_test_function,
     remainder,
 )
-from heatseries.specfun import ierfc, laguerre_sequence
+from heatseries.bounds import envelope_bound_G_sweep
+from heatseries.errors import check_integer, check_real
+from heatseries.specfun import bonan_clark_logs, ierfc, laguerre_sequence
 
 BAD = ["1", None, True, math.nan, math.inf]
 BAD_IDS = ["str", "None", "bool", "nan", "inf"]
@@ -70,6 +73,11 @@ ENTRY_POINTS = {
     "default_grid.points": (5, lambda v: default_grid(1, 1.0, 1.0, points=v)),
     "envelope_bound_G.amplitude": (2.0, lambda v: envelope_bound_G(v, 1.0, _CFG1)),
     "envelope_bound_G.width": (2.0, lambda v: envelope_bound_G(1.0, v, _CFG1)),
+    "envelope_bound_G_sweep.amplitude": (2.0, lambda v: envelope_bound_G_sweep(v, 1.0, 1, 0.5, [0, 2])),
+    "envelope_bound_G_sweep.width": (2.0, lambda v: envelope_bound_G_sweep(1.0, v, 1, 0.5, [0, 2])),
+    "envelope_bound_G_sweep.dim": (2, lambda v: envelope_bound_G_sweep(1.0, 1.0, v, 0.5, [0, 2])),
+    "envelope_bound_G_sweep.t": (0.5, lambda v: envelope_bound_G_sweep(1.0, 1.0, 1, v, [0, 2])),
+    "envelope_bound_G_sweep.orders": (2, lambda v: envelope_bound_G_sweep(1.0, 1.0, 1, 0.5, [0, v])),
     "divergence_lower_bound.amplitude": (2.0, lambda v: divergence_lower_bound(v, 1.0, _CFG1)),
     "divergence_lower_bound.width": (2.0, lambda v: divergence_lower_bound(1.0, v, _CFG1)),
     "gaussian_origin_blocks.amplitude": (2.0, lambda v: gaussian_origin_blocks(v, 1.0, 1, 0.5, 2)),
@@ -78,6 +86,7 @@ ENTRY_POINTS = {
     "gaussian_origin_blocks.t": (2.0, lambda v: gaussian_origin_blocks(1.0, 1.0, 1, v, 2)),
     "gaussian_origin_blocks.N": (0, lambda v: gaussian_origin_blocks(1.0, 1.0, 1, 0.5, v)),
     "bonan_clark_log.n": (0, bonan_clark_log),
+    "bonan_clark_logs.n": (0, bonan_clark_logs),
     "exact_gaussian_solution.amplitude": (
         2.0, lambda v: exact_gaussian_solution(v, 1.0, 1, 0.5, 1.0)
     ),
@@ -135,3 +144,66 @@ def test_generic1d_breakpoints_are_checked_where_they_are_stored():
     for bad in [("a",), (math.inf,), (math.nan,), (np.nan,), 1.0, None]:
         with pytest.raises(DomainError):
             Generic1D(func=box.func, breakpoints=bad)
+
+
+# --- the two checks on every kind of value --------------------------------
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_INT_MSG = "n must be an integer, got "
+_REAL_MSG = "x must be a real number, got "
+
+#: name -> (value, its verdicts: check_integer("n", v, 0, 10), then
+#: check_real("x", v), with zero=True, and with above=-inf; None passes,
+#: a string is the DomainError's message)
+CHECKED = {
+    "int": (3, [None, None, None, None]),
+    "int-below": (-2, ["n must be in [0, 10], got -2", "x must be > 0, got -2",
+                       "x must be >= 0, got -2", None]),
+    "int-above": (11, ["n must be in [0, 10], got 11", None, None, None]),
+    "bool": (True, [_INT_MSG + "True"] + [_REAL_MSG + "True"] * 3),
+    "np.int64": (np.int64(3), [None, None, None, None]),
+    "np.int64-below": (np.int64(-1), ["n must be in [0, 10], got np.int64(-1)",
+                                      "x must be > 0, got np.int64(-1)",
+                                      "x must be >= 0, got np.int64(-1)", None]),
+    "int-subclass": (_Int(3), [None, None, None, None]),
+    "float": (2.5, [_INT_MSG + "2.5", None, None, None]),
+    "float-integral": (3.0, [_INT_MSG + "3.0", None, None, None]),
+    "float-zero": (0.0, [_INT_MSG + "0.0", "x must be > 0, got 0.0", None, None]),
+    "float-negative": (-1.5, [_INT_MSG + "-1.5", "x must be > 0, got -1.5",
+                              "x must be >= 0, got -1.5", None]),
+    "float-subclass": (_Float(2.5), [_INT_MSG + "2.5", None, None, None]),
+    "np.float32": (np.float32(2.5), [_INT_MSG + "np.float32(2.5)", None, None, None]),
+    "Fraction": (Fraction(1, 2), [_INT_MSG + "Fraction(1, 2)", None, None, None]),
+    "str": ("1", [_INT_MSG + "'1'"] + [_REAL_MSG + "'1'"] * 3),
+    "None": (None, [_INT_MSG + "None"] + [_REAL_MSG + "None"] * 3),
+    "nan": (math.nan, [_INT_MSG + "nan"] + ["x must be finite, got nan"] * 3),
+    "inf": (math.inf, [_INT_MSG + "inf"] + ["x must be finite, got inf"] * 3),
+    "-inf": (-math.inf, [_INT_MSG + "-inf"] + ["x must be finite, got -inf"] * 3),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKED))
+def test_the_checks_keep_every_verdict_and_message(name):
+    # a plain int or float takes an exact-type test before the numbers
+    # ABCs; every other value the ABC path, with the same outcome
+    value, verdicts = CHECKED[name]
+    calls = [
+        lambda: check_integer("n", value, 0, 10),
+        lambda: check_real("x", value),
+        lambda: check_real("x", value, zero=True),
+        lambda: check_real("x", value, -math.inf),
+    ]
+    for call, verdict in zip(calls, verdicts):
+        if verdict is None:
+            call()
+        else:
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == verdict

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heatseries import backend, hermite_weighted
+from heatseries import GridSpec, backend, hermite_weighted
 
 EPS = np.finfo(np.float64).eps
 
@@ -38,6 +38,36 @@ def test_hermite_table_parity_is_exact():
     neg = backend.weighted_hermite_table(-ys, 60)
     sign = np.where(np.arange(61) % 2, -1.0, 1.0)[:, None]
     np.testing.assert_array_equal(neg, sign * pos)
+
+
+def _expression_table(y, nmax):
+    """The table as one expression per row: H_{n+1} e^{-y^2} =
+    2.0 * y * row n - (2.0 * n) * row n-1, each row a fresh array."""
+    rows = [np.exp(-y * y)]
+    if nmax >= 1:
+        rows.append(2.0 * y * rows[0])
+    for n in range(1, nmax):
+        rows.append(2.0 * y * rows[n] - (2.0 * n) * rows[n - 1])
+    return np.array(rows)
+
+
+_FOLDED = GridSpec(dim=2, extent=16.0 * math.sqrt(2.0) + 4.0, points=801).axes()[0][400:]
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 120, 200])
+@pytest.mark.parametrize(
+    "y",
+    [
+        np.array([0.0, -0.0, 40.0, -40.0, 1e-300, -3.5, 7.25]),
+        np.linspace(-40.0, 40.0, 161),
+        _FOLDED / (2.0 * math.sqrt(2.0)),  # the 801-point grid's half axis at t = 2
+    ],
+    ids=["points", "pm40", "folded-401"],
+)
+def test_hermite_table_has_the_bits_of_the_expression_loop(nmax, y):
+    got = backend.weighted_hermite_table(y, nmax)
+    assert got.shape == (nmax + 1, y.size)
+    assert got.tobytes() == _expression_table(y, nmax).tobytes()
 
 
 def test_accumulate_1d_matches_per_term_loop():

@@ -13,19 +13,22 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _runs(parent_wall, change_wall, lengths=(24, 37)):
+def _runs(parent_wall, change_wall, lengths=(24, 37), parent_rss=None, change_rss=None):
     """Finished runs of one plan: pair i reads parent_wall[i] and
-    change_wall[i] as grid-gauss wall_per_ref; the other metrics are flat."""
+    change_wall[i] as grid-gauss wall_per_ref, and parent_rss[i] and
+    change_rss[i] as its peak_rss_mb if given; the other metrics are flat."""
     seeds = list(range(11, 11 + len(parent_wall)))
     plan = bench_pairs.schedule(seeds, list(lengths))
+    parent_rss = parent_rss or [50.0] * len(seeds)
+    change_rss = change_rss or [50.0] * len(seeds)
     runs = []
-    for pair, p, c in zip(plan, parent_wall, change_wall):
-        for side, wall in (("parent", p), ("change", c)):
+    for pair, p, c, p_rss, c_rss in zip(plan, parent_wall, change_wall, parent_rss, change_rss):
+        for side, wall, rss in (("parent", p, p_rss), ("change", c, c_rss)):
             runs.append({
                 "seed": pair["seed"], "length": pair["length"], "side": side, "correct": True,
                 "metrics": {
                     "grid-gauss.wall_per_ref": wall, "grid-gauss.setup_s": 0.2,
-                    "grid-gauss.peak_rss_mb": 50.0,
+                    "grid-gauss.peak_rss_mb": rss,
                 },
                 "operations": {"grid-gauss": {"attempted": 700, "failed": 0, "known_defects": 0}},
             })
@@ -74,6 +77,50 @@ def test_the_rule_at_each_length(lost_pairs, gap, met):
         change[i] = parent[i] + 0.01
     claim = bench_pairs.assemble(*_runs(parent, change), "grid-gauss.wall_per_ref")["claim"]
     assert claim["met"] is met
+
+
+_BOUNDS = {"wall_per_ref": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.05}
+_SPREAD = [1.44, 1.44, 1.47, 1.47, 1.50, 1.50, 1.53, 1.53, 1.56, 1.56]
+
+
+def test_a_loss_at_both_lengths_is_worse_with_its_bound():
+    # the claim is met while peak RSS rises by 3% in every pair
+    rss = [48.0 + 0.01 * i for i in range(10)]
+    record = bench_pairs.assemble(
+        *_runs(_SPREAD, [x - 0.15 for x in _SPREAD], parent_rss=rss, change_rss=[x * 1.03 for x in rss]),
+        "grid-gauss.wall_per_ref", _BOUNDS,
+    )
+    assert record["claim"]["met"] is True
+    assert list(record["worse"]) == ["grid-gauss.peak_rss_mb"]
+    entry = record["worse"]["grid-gauss.peak_rss_mb"]
+    assert entry["median_change_over_parent"] == 0.03 and entry["bound"] == 0.05
+    assert entry["at"] == {"24": 0.03, "37": 0.03}
+
+
+def test_a_loss_is_judged_by_the_mirror_of_the_claim_rule():
+    slower = [x + 0.15 for x in _SPREAD]
+    record = bench_pairs.assemble(*_runs(_SPREAD, slower), None, _BOUNDS)
+    assert record["worse"] == {
+        "grid-gauss.wall_per_ref": {
+            "median_change_over_parent": 0.1, "at": {"24": 0.1, "37": 0.1}, "bound": 0.25,
+        }
+    }
+    # one pair of five won at a length, a gap inside the parent's spread,
+    # a loss at one length only, or a gain: not worse
+    one_won = list(slower)
+    one_won[0] = _SPREAD[0] - 0.01
+    one_length = [x + 0.15 if i % 2 else x - 0.15 for i, x in enumerate(_SPREAD)]
+    for change in (one_won, [x + 0.01 for x in _SPREAD], one_length, [x - 0.15 for x in _SPREAD]):
+        assert bench_pairs.assemble(*_runs(_SPREAD, change), None, _BOUNDS)["worse"] == {}
+    # without bounds the entry still stands, its bound unknown
+    assert bench_pairs.assemble(*_runs(_SPREAD, slower), None)["worse"][
+        "grid-gauss.wall_per_ref"]["bound"] is None
+
+
+def test_benchmark_bounds_read_every_end_to_end_metric():
+    bounds = bench_pairs.benchmark_bounds(ROOT / "BENCHMARK.json")
+    assert set(bounds) == set(bench_pairs.METRICS)
+    assert all(0.0 < b < 1.0 for b in bounds.values())
 
 
 def test_the_record_has_the_committed_schema(tmp_path):

@@ -34,10 +34,10 @@ from heatseries import (
     gaussian_origin_blocks,
     moments,
 )
-from heatseries.bounds import divergence_lower_bound_sweep
+from heatseries.bounds import divergence_lower_bound_sweep, envelope_bound_G_sweep
 from heatseries.quadrature import integrate_halfline_rows, on_array
 from heatseries.signedlog import LOG_ROUNDING, aligned_sum_arrays
-from heatseries.specfun import log_factorial
+from heatseries.specfun import bonan_clark_logs, log_factorial, log_gamma
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,16 @@ def test_bonan_clark_huge_order_stays_log():
     assert math.isfinite(bonan_clark_log(3000))
     with pytest.raises(DomainError):
         bonan_clark_log(-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 120, 400, 3000])
+def test_bonan_clark_table_has_the_bits_of_each_call(n):
+    table = bonan_clark_logs(n)
+    assert len(table) == n + 1
+    assert table == [bonan_clark_log(m) for m in range(n + 1)]
+    assert table[-1] == bonan_clark_log(n)
+    with pytest.raises(DomainError):
+        bonan_clark_logs(-1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 25, 60, 100])
@@ -137,6 +147,42 @@ def test_envelope_G_tail_ratio_geometric():
     gb = envelope_bound_G(1.0, 1.0, cfg_b)
     ratio = math.exp(gb.logmag - ga.logmag)
     assert abs(ratio - 0.5) < 0.05 * 0.5
+
+
+def _envelope_G_expression(amplitude, width, d, k, t):
+    """log G(k) as envelope_bound_G summed it term by term before it was
+    one case of the sweep."""
+    return (
+        math.log(amplitude)
+        + 0.5 * (k + d + 1) * math.log(width / t)
+        - d * math.log(1.0 + (k + 1.0) / d) / 12.0
+        + log_gamma(k + d + 1.0)
+        - log_gamma(k + 2.0)
+        - log_gamma(float(d))
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "amplitude,width,t", [(1.0, 1.0, 1.0), (1.3, 0.9, 2.0), (1e-300, 1.0, 0.5), (3.7, 1e3, 1e-4)]
+)
+def test_envelope_G_sweep_has_the_bits_of_each_order(dim, amplitude, width, t):
+    orders = list(range(201))
+    sweep = envelope_bound_G_sweep(amplitude, width, dim, t, orders)
+    assert len(sweep) == len(orders)
+    for k, g in zip(orders, sweep):
+        one = envelope_bound_G(amplitude, width, ApproxConfig(dim=dim, k=k, t=t))
+        assert (g.sign, g.logmag) == (one.sign, one.logmag) == (
+            1, _envelope_G_expression(amplitude, width, dim, k, t)
+        ), k
+    evens = envelope_bound_G_sweep(amplitude, width, dim, t, range(0, 201, 2))
+    assert [g.logmag for g in evens] == [g.logmag for g in sweep[::2]]
+
+
+def test_envelope_G_sweep_domain():
+    for orders in ([], [2, 0], [0, 1.5], [-1], None):
+        with pytest.raises(DomainError):
+            envelope_bound_G_sweep(1.0, 1.0, 1, 1.0, orders)
 
 
 def test_envelope_G_domain():

@@ -31,7 +31,7 @@ from heatseries import (
     heat_kernel,
     kernel_derivative,
 )
-from heatseries import kernel_approx
+from heatseries import backend, kernel_approx
 
 
 def test_heat_kernel_values():
@@ -462,3 +462,35 @@ def test_blocks_equal_the_per_term_assembly(source, k, t, seed):
     for j, (rows1, rows2, coeffs) in want.items():
         assert got[j][:2] == (rows1, rows2)
         assert got[j][2].tobytes() == coeffs.tobytes()  # bit for bit
+
+
+# --- one Hermite table per distinct axis ----------------------------------
+
+_AXIS = np.linspace(-6.0, 6.0, 41)
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        lambda ax: ax,
+        lambda ax: ax.copy(),
+        lambda ax: np.where(ax == 0.0, -0.0, ax),  # equal nodes, but -0.0 for 0.0
+        lambda ax: np.linspace(-5.0, 7.0, 37),
+    ],
+    ids=["same-array", "copy", "signed-zero", "other"],
+)
+def test_evaluator_tables_equal_tables_built_one_axis_at_a_time(second):
+    table = _datum_table("gaussian-d2")
+    k, t = 30, 0.7
+    axes = [_AXIS, second(_AXIS)]
+    evaluator = SeriesGridEvaluator(table, t, axes, k_cap=k)
+    scale = 2.0 * math.sqrt(t)
+    t1, t2 = (backend.weighted_hermite_table(ax / scale, k) for ax in axes)
+    assert evaluator._tables[0].tobytes() == t1.tobytes()
+    # axis 1 is held in reverse row order, as one contiguous array
+    assert evaluator._tables[1].flags.c_contiguous
+    assert evaluator._tables[1].tobytes() == t2[::-1].tobytes()
+    assert evaluator._tables[1] is not evaluator._tables[0]
+    # and the field is the one of two evaluators that share no axis array
+    alone = SeriesGridEvaluator(table, t, [ax.copy() for ax in axes], k_cap=k)
+    assert evaluator.field_up_to(k).tobytes() == alone.field_up_to(k).tobytes()

@@ -367,6 +367,49 @@ def test_failed_rows_leave_the_batch_and_the_lowest_is_named(line):
     assert str(batch.value) == FAILING_ROWS["exhausted"][1]
 
 
+def _nan_past_9(x):
+    """e^{-x^2}, and NaN past |x| = 9, as an overflow's inf * 0 gives."""
+    return np.where(np.abs(x) > 9.0, np.inf * 0.0, np.exp(-x * x))
+
+
+@pytest.mark.parametrize("line", [True, False], ids=["line", "halfline"])
+def test_a_nan_total_fails_where_it_appears_with_its_own_message(line):
+    row_function = quadrature.integrate_line_rows if line else quadrature.integrate_halfline_rows
+
+    def reaching(funcs):
+        """The row integrand of funcs, and the largest |x| each row is
+        evaluated at."""
+        reach = {}
+        inner = _rows_of(funcs)
+
+        def g(rows, x):
+            for r in np.unique(rows).tolist():
+                picked = np.broadcast_to(rows, x.shape) == r
+                reach[r] = max(reach.get(r, 0.0), float(np.abs(x[picked]).max()))
+            return inner(rows, x)
+
+        return g, reach
+
+    funcs = [SHELL_ROWS["shifted"][0], _nan_past_9, SHELL_ROWS["late-peak"][0]]
+    g, reach = reaching(funcs)
+    with pytest.raises(IntegrabilityError) as info:
+        row_function(g, [()] * len(funcs))
+    assert str(info.value) == quadrature._FAILURES[quadrature._NAN]
+    assert "NaN" in str(info.value)
+    assert info.value.rows == (1,)
+    # the NaN row leaves at the first shell, [8, 16], where its total turns
+    # NaN, instead of running every doubling
+    assert 9.0 < reach[1] < 16.0
+    # the other rows are finished, each as far as it goes alone
+    for r in (0, 2):
+        alone, alone_reach = reaching([funcs[r]])
+        row_function(alone, [()])
+        assert reach[r] == alone_reach[0]
+    # an infinite total is no failure: it is returned as inf
+    got = row_function(_rows_of([lambda x: np.where(np.abs(x) > 9.0, np.inf, np.exp(-x * x))]), [()])
+    assert got.tolist() == [math.inf]
+
+
 def test_integrate_rows_names_rows_out_of_panels():
     f = _rows_of([np.exp, lambda x: 1.0 / np.abs(x - 0.3), np.sqrt])
     row = np.array([0, 1, 2])

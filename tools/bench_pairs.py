@@ -21,7 +21,11 @@ it is met when, at each length, the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
 Where the lengths disagree, the claim, and any other metric, is unresolved.
 Layout alone moves grid-gauss by about 5% with the path length, so a gain
-seen at one length only is no gain.
+seen at one length only is no gain.  The record's ``worse`` lists every
+workload.metric that the mirror of the claim rule finds worse at both
+lengths (the change loses at least nine tenths of the pairs at each, by
+more than the parent's interquartile range), with its relative change
+beside its bound in BENCHMARK.json.
 
 Standard library only.  Run it from any directory inside the repository.
 """
@@ -80,6 +84,35 @@ def gain_met(pair: dict, better: str) -> bool:
     ]
 
 
+def loss_met(pair: dict, better: str) -> bool:
+    """The mirror of :func:`gain_met`: the change loses at least WIN_SHARE
+    of the pairs, and its median is worse than the parent's by more than
+    the parent's interquartile range."""
+    return gain_met(pair, "higher" if better == "lower" else "lower")
+
+
+def worse(by_length: dict, table: dict, bounds: dict) -> dict:
+    """workload.metric -> its median change over all pairs and at each
+    length, beside its end-to-end bound (None where ``bounds`` has none),
+    for every metric that :func:`loss_met` finds worse at every length."""
+    out = {}
+    for key, pairs in by_length.items():
+        workload, metric = key.split(".", 1)
+        if pairs and all(loss_met(pair, METRICS[metric]) for pair in pairs.values()):
+            out[key] = {
+                "median_change_over_parent": table[workload][metric]["median_change_over_parent"],
+                "at": {str(n): pair["median_change_over_parent"] for n, pair in pairs.items()},
+                "bound": bounds.get(metric),
+            }
+    return out
+
+
+def benchmark_bounds(path: Path) -> dict:
+    """metric -> relative bound of each end-to-end metric of a
+    BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
 def direction(pair: dict) -> int:
     """-1, 0 or 1: the sign of the change's median minus the parent's."""
     diff = pair["change"]["median"] - pair["parent"]["median"]
@@ -116,10 +149,11 @@ def schedule(seeds: list[int], lengths: list[int]) -> list[dict]:
     return plan
 
 
-def assemble(runs: list[dict], plan: list[dict], claim: str | None) -> dict:
+def assemble(runs: list[dict], plan: list[dict], claim: str | None, bounds: dict | None = None) -> dict:
     """The record's workloads, per-length comparisons, operations and
     verdicts from finished runs (one dict per side and pair: seed, length,
-    side, and heatbench's metrics and operation counts)."""
+    side, and heatbench's metrics and operation counts); ``bounds`` maps
+    an end-to-end metric to its relative bound, for ``worse``."""
     done = {(r["seed"], r["length"], r["side"]): r for r in runs}
     pairs = [p for p in plan if all((p["seed"], p["length"], s) in done for s in ("parent", "change"))]
     sides = {s: [done[(p["seed"], p["length"], s)] for p in pairs] for s in ("parent", "change")}
@@ -166,6 +200,7 @@ def assemble(runs: list[dict], plan: list[dict], claim: str | None) -> dict:
             for key, per in by_length.items()
         },
         "unresolved": disagreements(by_length),
+        "worse": worse(by_length, table, bounds or {}),
     }
     if claim:
         workload, metric = claim.split(".", 1)
@@ -311,7 +346,7 @@ def main(argv=None) -> int:
                  "characters, extracted with git archive",
         "machine": machine(dirs["parent", args.lengths[0]]),
         "quartiles": QUARTILES,
-        **assemble(runs, plan, args.claim),
+        **assemble(runs, plan, args.claim, benchmark_bounds(repo / "BENCHMARK.json")),
     }
     if args.traced:
         record["traced_pair"] = {}
