@@ -84,21 +84,17 @@ def gain_met(pair: dict, better: str) -> bool:
     ]
 
 
-def loss_met(pair: dict, better: str) -> bool:
-    """The mirror of :func:`gain_met`: the change loses at least WIN_SHARE
-    of the pairs, and its median is worse than the parent's by more than
-    the parent's interquartile range."""
-    return gain_met(pair, "higher" if better == "lower" else "lower")
-
-
 def worse(by_length: dict, table: dict, bounds: dict) -> dict:
     """workload.metric -> its median change over all pairs and at each
     length, beside its end-to-end bound (None where ``bounds`` has none),
-    for every metric that :func:`loss_met` finds worse at every length."""
+    for every metric worse at every length by the mirror of
+    :func:`gain_met`: the change loses at least WIN_SHARE of the pairs, by
+    more than the parent's interquartile range."""
     out = {}
     for key, pairs in by_length.items():
         workload, metric = key.split(".", 1)
-        if pairs and all(loss_met(pair, METRICS[metric]) for pair in pairs.values()):
+        worse_way = "higher" if METRICS[metric] == "lower" else "lower"
+        if pairs and all(gain_met(pair, worse_way) for pair in pairs.values()):
             out[key] = {
                 "median_change_over_parent": table[workload][metric]["median_change_over_parent"],
                 "at": {str(n): pair["median_change_over_parent"] for n, pair in pairs.items()},
